@@ -13,13 +13,10 @@ whole fleet:
   summary, keyed by workload name + builder params + the translator's
   optimize flag + :data:`~repro.xlate.translator.TRANSLATOR_VERSION`;
 * **codegen artifacts** (``kind="codegen"``) — the compiled engine's
-  generated superblock sources, keyed by program content digest +
-  :data:`~repro.sim.compiled.CODEGEN_VERSION` + timing mode + TDM depth
-  (+ the chaining flag, and for PGO trace overlays the chain-plan digest);
-* **chain-plan artifacts** (``kind="chainplan"``) — the profile-guided
-  trace plans of :meth:`CompiledEngine._ensure_pgo_plan`, keyed by program
-  content digest + ``CHAIN_PLAN_VERSION`` + the profiling budget, so the
-  architectural profiling pass runs once per program across the fleet.
+  generated superblock sources plus their marshalled code objects, keyed
+  by program content digest + :data:`~repro.sim.compiled.CODEGEN_VERSION`
+  + interpreter bytecode tag + TDM depth + machine-config digest + the
+  profile flag.
 
 Layout and invalidation
 -----------------------

@@ -10,6 +10,7 @@ Subcommands::
     art9 work                      execute jobs for a remote coordinator
     art9 report                    paper tables (II-V, Fig. 5) from sweep runs
     art9 status                    sweep telemetry (live coordinator or run dir)
+    art9 chaos                     kill sweep participants mid-run, check the result
     art9 profile <workload>        hot-block execution profile (compiled engine)
     art9 cache                     artifact-cache stats / LRU prune
     art9 fuzz                      differential-fuzz the five ART-9 executors
@@ -19,17 +20,11 @@ Subcommands::
 ``run`` and ``bench`` accept ``--engine {fast,pipeline,compiled}`` to choose
 between the pre-decoded integer engine (default), the stage-by-stage
 pipeline model and the superblock code-generating engine; all three produce
-identical cycle statistics.  ``run --engine compiled --pgo`` turns on the
-profile-guided recompilation mode (profile pass, then hot blocks recompiled
-as chained traces) — bit-identical results, higher throughput on loop-heavy
-programs.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
+identical cycle statistics.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
 ``serve`` additionally accept ``--machine`` / ``--machines`` to select a
 built-in microarchitecture description (pipeline depth, branch policy,
 load-use penalty, fetch latency — see :mod:`repro.sim.machine`); the
-default is the paper's machine.  ``bench --json PATH`` additionally writes a
-machine-readable perf record (fast vs compiled timings per workload plus
-cold/warm sweep wall time) for the benchmark trajectory committed as
-``BENCH_*.json``.  ``sweep`` shards its grid
+default is the paper's machine.  ``sweep`` shards its grid
 across an execution backend (``--backend {serial,multiprocessing,queue}``),
 and ``serve``/``work`` split the queue backend across machines: the
 coordinator hands jobs to any number of connected workers and streams
@@ -45,12 +40,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import socket
-import subprocess
 import sys
-import tempfile
-import time
 from typing import List, Optional
 
 from repro.baselines import PicoRV32Model, VexRiscvModel
@@ -102,16 +93,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.pgo and args.engine != "compiled":
-        print("art9 run: --pgo is a compiled-engine mode; pass "
-              "--engine compiled", file=sys.stderr)
-        return 2
     with open(args.source, "r", encoding="utf-8") as handle:
         source = handle.read()
     software = SoftwareFramework()
     program, report = software.compile_riscv_assembly(source, name=args.source)
-    hardware = HardwareFramework(engine=args.engine, machine=args.machine,
-                                 pgo=args.pgo)
+    hardware = HardwareFramework(engine=args.engine, machine=args.machine)
     stats = hardware.simulate(program)
     print(report.summary())
     print()
@@ -125,284 +111,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Workload variants timed by ``art9 bench --json``: every bundled workload
-#: at paper-default size plus the grown Dhrystone instance the ≥3x
-#: compiled-vs-fast acceptance gate tracks.
-BENCH_JSON_VARIANTS = (
-    ("bubble_sort", {}),
-    ("gemm", {}),
-    ("sobel", {}),
-    ("dhrystone", {}),
-    ("dhrystone", {"iterations": 500}),
-)
-
-#: Schema version of the ``bench --json`` record (the BENCH_*.json files).
-#: Format 2 adds the per-machine-config Dhrystone rows (``machines`` key).
-#: Format 3 adds the batched-engine throughput rows (``batch`` key) with the
-#: ``jobs_per_second`` metric.
-#: Format 4 adds the chained (profile-guided) compiled-engine timings:
-#: ``compiled_chained_seconds`` / ``chained_speedup_vs_plain`` per workload
-#: row, with ``engines_agree`` widened to cover the PGO engine everywhere
-#: (workload, machine and batch rows alike).
-BENCH_RECORD_FORMAT = 4
-
-#: Workloads timed by the batched-throughput section: the two seed-variant
-#: sweep workloads whose grid points the batched backends actually group.
-BENCH_BATCH_VARIANTS = (
-    ("bubble_sort", {}),
-    ("gemm", {}),
-)
-
-
-def _bench_engine_seconds(engine_factories, program, repeat: int):
-    """Best-of-``repeat`` wall seconds per engine, interleaved.
-
-    One untimed warm-up run per engine first (fills the codegen memo and
-    the artifact cache), then the engines alternate within every timing
-    round so CPU frequency drift between phases cannot skew their ratio.
-    """
-    timings = {name: None for name, _ in engine_factories}
-    stats = {}
-    for name, factory in engine_factories:
-        stats[name] = factory(program).run_with_stats()  # warm-up
-    for _ in range(max(1, repeat)):
-        for name, factory in engine_factories:
-            started = time.perf_counter()
-            factory(program).run_with_stats()
-            elapsed = time.perf_counter() - started
-            if timings[name] is None or elapsed < timings[name]:
-                timings[name] = elapsed
-    return timings, stats
-
-
-def _bench_sweep_timing(preset: str) -> dict:
-    """Cold vs warm artifact-cache wall time of one preset sweep.
-
-    Each run happens in a *fresh interpreter* (subprocess) against a
-    private cache directory, so the cold run pays translation + codegen
-    for every grid point and the warm run demonstrates exactly what the
-    cross-process artifact cache saves a new worker fleet.
-    """
-    import repro
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    with tempfile.TemporaryDirectory(prefix="art9-bench-") as tmp:
-        env = dict(os.environ)
-        env["ART9_CACHE_DIR"] = os.path.join(tmp, "artifacts")
-        env.pop("ART9_CACHE_DISABLE", None)
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-
-        def one_run(out_name: str):
-            command = [sys.executable, "-m", "repro.cli", "sweep",
-                       "--preset", preset, "--jobs", "1",
-                       "--out", os.path.join(tmp, out_name)]
-            started = time.perf_counter()
-            proc = subprocess.run(command, env=env, capture_output=True,
-                                  text=True)
-            elapsed = round(time.perf_counter() - started, 6)
-            if proc.returncode != 0:
-                # The timing is now meaningless; surface why the sweep died.
-                tail = (proc.stderr or proc.stdout or "").splitlines()[-15:]
-                print(f"art9 bench: {out_name} smoke sweep exited "
-                      f"{proc.returncode}:\n" + "\n".join(tail),
-                      file=sys.stderr)
-            return elapsed, proc.returncode
-
-        cold_seconds, cold_rc = one_run("cold")
-        warm_seconds, warm_rc = one_run("warm")
-    return {
-        "preset": preset,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "warm_speedup": round(cold_seconds / warm_seconds, 6)
-        if warm_seconds else None,
-        "ok": cold_rc == 0 and warm_rc == 0,
-    }
-
-
-def _bench_batch_throughput(software, lanes: int, repeat: int) -> list:
-    """Jobs-per-second of the batched engine vs one-at-a-time compiled runs.
-
-    Each workload is expanded into ``lanes`` data-variant programs — the
-    same shape a seed-style sweep grid produces — and both sides execute
-    the identical program list: the serial side as ``lanes`` independent
-    compiled-engine runs, the batch side as one ``BatchEngine`` pass in
-    stats-only mode.  Best-of-``repeat`` seconds, cycle counts
-    cross-checked lane by lane.
-    """
-    from repro.sim.batch import BatchEngine
-    from repro.sim.compiled import CompiledEngine
-    from repro.testing import generate_data_variants
-
-    rows = []
-    for name, params in BENCH_BATCH_VARIANTS:
-        program, _, _ = software.compile_named_workload(name, params)
-        programs = generate_data_variants(program, lanes, 0)
-        CompiledEngine(programs[0]).run_with_stats()  # warm codegen memo
-        BatchEngine(programs).run_with_stats(include_results=False)
-        serial_seconds = batch_seconds = None
-        serial_cycles = batch_cycles = None
-        for _ in range(max(1, repeat)):
-            started = time.perf_counter()
-            serial_stats = [CompiledEngine(p).run_with_stats()
-                            for p in programs]
-            elapsed = time.perf_counter() - started
-            if serial_seconds is None or elapsed < serial_seconds:
-                serial_seconds = elapsed
-                serial_cycles = [stats.cycles for stats in serial_stats]
-            started = time.perf_counter()
-            outcomes = BatchEngine(programs).run_with_stats(
-                include_results=False)
-            elapsed = time.perf_counter() - started
-            if batch_seconds is None or elapsed < batch_seconds:
-                batch_seconds = elapsed
-                batch_cycles = [lane.stats.cycles if lane.stats else None
-                                for lane in outcomes]
-        rows.append({
-            "workload": name,
-            "params": dict(params),
-            "lanes": lanes,
-            "serial_seconds": round(serial_seconds, 6),
-            "batch_seconds": round(batch_seconds, 6),
-            "serial_jobs_per_second": round(lanes / serial_seconds, 3),
-            "jobs_per_second": round(lanes / batch_seconds, 3),
-            "batch_speedup": round(serial_seconds / batch_seconds, 6),
-            "engines_agree": batch_cycles == serial_cycles,
-        })
-        print(f"{name + f'@{lanes} lanes':32s} "
-              f"serial {lanes / serial_seconds:8.1f} jobs/s   "
-              f"batch {lanes / batch_seconds:8.1f} jobs/s   "
-              f"{serial_seconds / batch_seconds:5.2f}x")
-    return rows
-
-
-def _cmd_bench_json(args: argparse.Namespace) -> int:
-    from repro.sim.compiled import CompiledEngine
-    from repro.sim.engine import FastEngine
-
-    software = SoftwareFramework()
-    rows = []
-    # "chained" is the profile-guided engine: bench is the two-pass PGO
-    # mode's automatic home (the profiling pass amortises across the
-    # repeat rounds through the process-wide chain-plan memo).
-    engine_factories = (
-        ("fast", FastEngine),
-        ("compiled", CompiledEngine),
-        ("chained", lambda program: CompiledEngine(program, pgo=True)),
-    )
-    for name, params in BENCH_JSON_VARIANTS:
-        program, _, workload = software.compile_named_workload(name, params)
-        timings, stats = _bench_engine_seconds(
-            engine_factories, program, args.repeat)
-        fast_seconds = timings["fast"]
-        compiled_seconds = timings["compiled"]
-        chained_seconds = timings["chained"]
-        label = name + ("[" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-                        + "]" if params else "")
-        rows.append({
-            "workload": name,
-            "params": dict(params),
-            "label": label,
-            "iterations": workload.iterations,
-            "cycles": stats["fast"].cycles,
-            "instructions": stats["fast"].instructions_committed,
-            "engines_agree": stats["fast"].cycles == stats["compiled"].cycles
-            == stats["chained"].cycles,
-            "fast_seconds": round(fast_seconds, 6),
-            "compiled_seconds": round(compiled_seconds, 6),
-            "compiled_chained_seconds": round(chained_seconds, 6),
-            "compiled_speedup_vs_fast": round(fast_seconds / compiled_seconds, 6),
-            "chained_speedup_vs_fast": round(fast_seconds / chained_seconds, 6),
-            "chained_speedup_vs_plain": round(
-                compiled_seconds / chained_seconds, 6),
-        })
-        print(f"{label:32s} fast {fast_seconds * 1e3:8.2f} ms   "
-              f"compiled {compiled_seconds * 1e3:8.2f} ms   "
-              f"chained {chained_seconds * 1e3:8.2f} ms   "
-              f"{compiled_seconds / chained_seconds:5.2f}x pgo")
-    # Per-machine-config Dhrystone rows: the design-space sensitivity of the
-    # headline benchmark, cross-checked fast vs compiled vs PGO per corner.
-    machine_rows = []
-    program, _, workload = software.compile_named_workload("dhrystone", {})
-    for machine in machine_names():
-        fast_stats = FastEngine(program, machine=machine).run_with_stats()
-        compiled_stats = CompiledEngine(
-            program, machine=machine).run_with_stats()
-        pgo_stats = CompiledEngine(
-            program, machine=machine, pgo=True).run_with_stats()
-        machine_rows.append({
-            "machine": machine,
-            "workload": "dhrystone",
-            "iterations": workload.iterations,
-            "cycles": fast_stats.cycles,
-            "cpi": round(fast_stats.cpi, 6),
-            "engines_agree": fast_stats.cycles == compiled_stats.cycles
-            == pgo_stats.cycles,
-        })
-        print(f"dhrystone@{machine:22s} {fast_stats.cycles:>10d} cycles   "
-              f"CPI {fast_stats.cpi:5.3f}   "
-              f"{'ok' if machine_rows[-1]['engines_agree'] else 'DISAGREE'}")
-    batch_rows = _bench_batch_throughput(software, max(2, args.batch_lanes),
-                                         args.repeat)
-    record = {
-        "format": BENCH_RECORD_FORMAT,
-        "created_unix": int(time.time()),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeat": args.repeat,
-        "timing_mode": "run_with_stats (architectural execution + fused "
-                       "pipeline timing model), best-of-repeat seconds",
-        "workloads": rows,
-        "machines": machine_rows,
-        "batch": batch_rows,
-    }
-    sweep_ok = True
-    if not args.no_sweep_timing:
-        record["sweep"] = _bench_sweep_timing("smoke")
-        sweep = record["sweep"]
-        sweep_ok = sweep["ok"]
-        if sweep_ok:
-            print(f"{'sweep --preset smoke':32s} cold {sweep['cold_seconds']:8.2f} s"
-                  f"    warm {sweep['warm_seconds']:8.2f} s   "
-                  f"{sweep['warm_speedup']:5.2f}x (artifact cache)")
-        else:
-            # A failed sweep subprocess times the crash, not the sweep; the
-            # record must not enter the trajectory looking healthy.
-            print("art9 bench: smoke-preset sweep subprocess failed; "
-                  "wall-time numbers are invalid", file=sys.stderr)
-    with open(args.json_path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"bench record written to {args.json_path}")
-    engines_agree = all(row["engines_agree"]
-                        for row in rows + machine_rows + batch_rows)
-    if not engines_agree:
-        print("art9 bench: the engines disagree on cycle counts — the "
-              "record above documents a correctness bug",
-              file=sys.stderr)
-    return 0 if sweep_ok and engines_agree else 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.json_path:
-        if os.path.exists(args.json_path) and not args.force:
-            # BENCH_*.json files are committed trajectory points; clobbering
-            # one by rerunning the same command must be a deliberate act.
-            print(f"art9 bench: {args.json_path} already exists; pass "
-                  "--force to overwrite it", file=sys.stderr)
-            return 2
-        if args.workloads or args.engine != "fast" \
-                or args.machine != DEFAULT_MACHINE_NAME:
-            # --json times a fixed fast-vs-compiled variant set (and already
-            # covers every machine config); silently dropping an explicit
-            # workload/engine/machine selection would hand the user a record
-            # for measurements they did not ask for.
-            print("art9 bench: --json measures the fixed benchmark set on "
-                  "the fast and compiled engines across all machine configs; "
-                  "drop the workload names, --engine and --machine",
-                  file=sys.stderr)
-            return 2
-        return _cmd_bench_json(args)
     names = args.workloads or sorted(all_workloads())
     software = SoftwareFramework()
     hardware = HardwareFramework(engine=args.engine, machine=args.machine)
@@ -821,8 +530,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.sim.compiled import CHAIN_PLAN_VERSION, CompiledEngine, \
-        chain_plan_digest
+    from repro.sim.compiled import CompiledEngine
 
     params = {}
     if args.params:
@@ -842,34 +550,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except (KeyError, TypeError) as exc:
         print(f"art9 profile: {exc}", file=sys.stderr)
         return 2
-    # Profiles run on the unchained static partition — the same per-
-    # superblock rows PR 8 pinned, and exactly the probe pass the PGO mode
-    # derives its plan from (so --pgo-plan dumps what pgo=True would pick).
-    engine = CompiledEngine(program, machine=args.machine, profile=True,
-                            chain=False,
-                            record_edges=args.pgo_plan is not None)
+    engine = CompiledEngine(program, machine=args.machine, profile=True)
     stats = engine.run_with_stats(max_cycles=args.max_cycles)
     rows = engine.block_profile()
     rows.sort(key=lambda row: (-row["instructions"], row["pc"]))
     executed = engine.instructions_executed
     accounted = sum(row["instructions"] for row in rows)
-    if args.pgo_plan:
-        plan = engine.pgo_plan_from_profile()
-        payload = {
-            "version": CHAIN_PLAN_VERSION,
-            "workload": args.workload,
-            "params": params,
-            "machine": args.machine,
-            "program_digest": engine.content_digest(),
-            "digest": chain_plan_digest(plan),
-            "traces": {str(head): members
-                       for head, members in sorted(plan.items())},
-        }
-        with open(args.pgo_plan, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"pgo chain plan ({len(plan)} traces) written to "
-              f"{args.pgo_plan}", file=sys.stderr)
     if args.json_out:
         document = {
             "workload": args.workload,
@@ -1034,11 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_MACHINE_NAME,
                      help="machine (microarchitecture) config "
                           f"(default: {DEFAULT_MACHINE_NAME})")
-    run.add_argument("--pgo", action="store_true",
-                     help="profile-guided recompilation (compiled engine "
-                          "only): profile one architectural pass, then "
-                          "recompile hot superblocks as chained traces; "
-                          "results are bit-identical")
     run.set_defaults(func=_cmd_run)
 
     bench = subparsers.add_parser("bench", help="run the bundled benchmarks")
@@ -1049,26 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_MACHINE_NAME,
                        help="machine (microarchitecture) config "
                             f"(default: {DEFAULT_MACHINE_NAME})")
-    bench.add_argument("--json", dest="json_path", metavar="PATH", default=None,
-                       help="write a machine-readable perf record to PATH "
-                            "(fast vs compiled per workload plus cold/warm "
-                            "smoke-sweep wall time); seeds the BENCH_*.json "
-                            "trajectory")
-    bench.add_argument("--force", action="store_true",
-                       help="overwrite an existing --json PATH (refused "
-                            "otherwise: the BENCH_*.json records are "
-                            "committed measurement points)")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="timing repetitions per engine in --json mode "
-                            "(best-of; default: 3)")
-    bench.add_argument("--no-sweep-timing", action="store_true",
-                       help="skip the cold/warm sweep wall-time measurement "
-                            "in --json mode")
-    bench.add_argument("--batch-lanes", type=int, default=2048,
-                       help="lane count for the batched-engine throughput "
-                            "rows in --json mode (default: 2048 — wide "
-                            "enough to amortise divergence-driven group "
-                            "splits on every bundled workload)")
     bench.set_defaults(func=_cmd_bench)
 
     sweep = subparsers.add_parser(
@@ -1236,11 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", action="store_true", dest="json_out",
                          help="emit the full profile as JSON on stdout "
                               "instead of the table")
-    profile.add_argument("--pgo-plan", metavar="PATH", default=None,
-                         help="also write the chain plan the PGO mode would "
-                              "derive from this profile (trace heads -> "
-                              "chained block lists, with the plan digest "
-                              "that joins the codegen cache key)")
     profile.set_defaults(func=_cmd_profile)
 
     cache_cmd = subparsers.add_parser(

@@ -70,33 +70,25 @@ class HardwareFramework:
       the structural reference (it models latches, forwarding muxes and the
       HDU explicitly, which the gate-level analyzer attributes against).
     * ``"compiled"`` — the superblock code-generating engine of
-      :mod:`repro.sim.compiled`: the program is compiled to specialized
-      Python functions (timing model fused in), several times faster again
-      than ``"fast"`` on loop-heavy workloads; its codegen artifacts are
-      shared across worker processes through :mod:`repro.cache`.
+      :mod:`repro.sim.compiled`: the program is compiled once per machine
+      config to specialized Python functions with the timing model fused
+      in, several times faster again than ``"fast"`` on loop-heavy
+      workloads; its codegen artifacts are shared across worker processes
+      through :mod:`repro.cache`.
     """
 
     def __init__(self, technology: Optional[TechnologyLibrary] = None,
                  fpga_model: Optional[FPGAEmulationModel] = None,
                  engine: str = "fast",
-                 machine: Optional[MachineConfig] = None,
-                 pgo: bool = False):
+                 machine: Optional[MachineConfig] = None):
         if engine not in SIMULATION_ENGINES:
             raise ValueError(
                 f"unknown simulation engine {engine!r}; known: {SIMULATION_ENGINES}"
             )
-        if pgo and engine != "compiled":
-            raise ValueError(
-                f"pgo=True requires engine='compiled', got {engine!r}")
         self.technology = technology or cntfet_32nm_library()
         self.fpga_model = fpga_model or stratix_v_model()
         self.analyzer = GateLevelAnalyzer()
         self.engine = engine
-        #: Profile-guided recompilation for the compiled engine: profile a
-        #: first architectural pass, then overlay hot superblocks with
-        #: extended traces chained across observed dominant successors.
-        #: Results stay bit-identical; only throughput changes.
-        self.pgo = bool(pgo)
         #: Microarchitecture description shared by all three engines (a
         #: :class:`MachineConfig`, a built-in config name or ``None`` for
         #: the paper's default machine).
@@ -117,7 +109,7 @@ class HardwareFramework:
                             ) -> Tuple[PipelineStats, Dict[str, int], Dict[int, int]]:
         """Simulate and return ``(stats, registers, touched memory)``.
 
-        This is the sweep-runner entry point: both engines expose the same
+        This is the sweep-runner entry point: every engine exposes the same
         architectural snapshot after a run, so job records can carry a
         digest of the final machine state and regression comparisons can
         catch architectural drift, not just cycle drift.  ``machine``
@@ -135,8 +127,8 @@ class HardwareFramework:
         if engine == "fast":
             runner = FastEngine(program, machine=machine)
         elif engine == "compiled":
-            runner = CompiledEngine(program, machine=machine, pgo=self.pgo)
-            runner.prepare(timing=True)
+            runner = CompiledEngine(program, machine=machine)
+            runner.prepare()
         elif engine == "pipeline":
             runner = PipelineSimulator(program, machine=machine)
         else:

@@ -24,6 +24,11 @@ from typing import Dict, List, Optional, Set
 
 from repro.runner.spec import SweepSpec
 
+try:
+    import fcntl
+except ImportError:  # non-POSIX hosts: appends are not serialised
+    fcntl = None
+
 logger = logging.getLogger(__name__)
 
 SPEC_FILENAME = "spec.json"
@@ -117,21 +122,23 @@ class RunStore:
 
     def append(self, record: dict) -> None:
         """Append one job record and flush it to disk immediately."""
-        # A killed run can leave a truncated final line with no newline; seal
-        # it off first so the new record does not concatenate onto it (the
-        # torn line is then skipped by ``records`` instead of eating both).
-        needs_newline = False
-        if os.path.exists(self.results_path):
-            with open(self.results_path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    needs_newline = existing.read(1) != b"\n"
-        with open(self.results_path, "a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        with open(self.results_path, "a+b") as handle:
+            if fcntl is not None:
+                # Another process's append can be caught half-visible, and
+                # the check below would then seal a line that is not torn
+                # (leaving an empty line); appenders take turns instead.
+                fcntl.flock(handle, fcntl.LOCK_EX)
+            # A killed run can leave a truncated final line with no newline;
+            # seal it off first so the new record does not concatenate onto
+            # it (the torn line is then skipped by ``records`` instead of
+            # eating both).
+            handle.seek(0, os.SEEK_END)
+            if handle.tell() > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write((line + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 

@@ -45,7 +45,7 @@ trace.configure_from_env()
 
 #: Per-process framework caches (populated lazily; survive across jobs).
 _SOFTWARE: Dict[bool, SoftwareFramework] = {}
-_HARDWARE: Dict[Tuple[str, str, bool], HardwareFramework] = {}
+_HARDWARE: Dict[Tuple[str, str], HardwareFramework] = {}
 _WORKLOADS: Dict[WorkloadKey, Workload] = {}
 
 
@@ -56,24 +56,12 @@ def _software(optimize: bool) -> SoftwareFramework:
     return framework
 
 
-def _pgo_enabled(engine: str) -> bool:
-    """Whether ``ART9_PGO`` asks compiled-engine jobs to run profile-guided.
-
-    An environment knob (rather than a job field) keeps job identities —
-    and therefore resume/compare semantics — unchanged: PGO is a pure
-    throughput choice, bit-identical by contract, so records produced
-    either way must compare equal.
-    """
-    return engine == "compiled" and os.environ.get("ART9_PGO", "") not in ("", "0")
-
-
 def _hardware(engine: str, machine: str = DEFAULT_MACHINE_NAME) -> HardwareFramework:
-    pgo = _pgo_enabled(engine)
-    key = (engine, machine, pgo)
+    key = (engine, machine)
     framework = _HARDWARE.get(key)
     if framework is None:
         framework = _HARDWARE[key] = HardwareFramework(
-            engine=engine, machine=machine, pgo=pgo)
+            engine=engine, machine=machine)
     return framework
 
 

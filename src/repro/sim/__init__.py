@@ -41,8 +41,8 @@ observability.
     indirect jumps, halts, faults) are tracked as path groups and
     reconverge automatically; per-lane ``PipelineStats`` stay bit-identical
     to ``FastEngine`` because the timing model depends only on the
-    committed instruction stream.  Used by batched fuzzing, same-grid-point
-    sweep batching and the ``jobs_per_second`` benchmark.
+    committed instruction stream.  Used by batched fuzzing and
+    same-grid-point sweep batching.
 
 Shared component models (ternary register file, TIM/TDM memories, the TALU)
 live in their own modules so that both simulators — and the gate-level

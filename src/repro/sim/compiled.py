@@ -20,44 +20,27 @@ that cost by *compiling the program to Python*:
    the instruction after a call site, and a computed ``JALR`` can target
    any address) are compiled lazily as *suffix* blocks on first dispatch.
 
-Superblock **chaining** extends the traces beyond single blocks.  At
-codegen time the engine inlines unconditional-``JAL`` targets (and
-fall-through successors with exactly one static predecessor) into the
-caller's trace, so longer straight-line runs fold more of the timing
-model into constants and skip dispatch-table round-trips entirely; the
-chained seams charge the machine's redirect gap as a compile-time flush
-constant, keeping the carried 2-instruction pipeline window bit-identical
-to dispatching block-by-block.  A **profile-guided mode**
-(``CompiledEngine(pgo=True)``) goes further: a first pass runs the
-program on an unchained profiling engine, hot blocks above an
-execution-share threshold are recompiled as extended traces chained
-across their *observed dominant successors* — including conditional
-branches — and the cold direction of every interior branch bails out to
-the dispatch table with the pipeline window and committed-instruction
-count restored exactly.  The chosen chain plan is itself a cacheable
-artifact (``chainplan`` kind in :mod:`repro.cache`), so the profiling
-pass runs once per program across a worker fleet.
-
 The analytic timing model of ``FastEngine.run_with_stats`` is **fused
-into the generated code**.  Inside a trace the committed instruction
+into the generated code**.  Inside a block the committed instruction
 stream is statically known, so every stall/forwarding decision between
-interior instructions folds to a compile-time constant: a trace
+interior instructions folds to a compile-time constant: a block
 contributes one constant increment per :class:`PipelineStats` counter,
 plus dynamic terms only for (a) its first two instructions, whose hazards
 depend on the rolling two-instruction window carried in from the previous
-block, and (b) its conditional-branch outcomes.  The carried window
-(previous destination/load/ALU flags, pending redirect gap, previous gap
-and the destination two instructions back) crosses block boundaries in a
-small mutable state vector.
+block, and (b) its terminal branch outcome.  The carried window (previous
+destination/load/ALU flags, pending redirect gap, previous gap and the
+destination two instructions back) crosses block boundaries in a small
+mutable state vector.
 
-Both entry points are bit-identical to the fast engine (and therefore to
-the functional and pipeline simulators — asserted by the 5-way
-differential machinery in :mod:`repro.testing` and the golden-trace
-suite):
+There is exactly one generated variant per (program, TDM depth, machine,
+``profile``), and both entry points execute it — bit-identical to the
+fast engine (and therefore to the functional and pipeline simulators —
+asserted by the 5-way differential machinery in :mod:`repro.testing` and
+the golden-trace suite):
 
 ``run()``
     Architectural execution behind the exact :class:`ExecutionResult`
-    contract.
+    contract; the fused timing counters are computed and dropped.
 
 ``run_with_stats()``
     Architectural execution plus the fused :class:`PipelineStats` model.
@@ -65,33 +48,28 @@ suite):
 Differences under *error* conditions are limited to internal engine state:
 the instruction-budget check runs at block granularity, so a budget
 overrun raises the same :class:`SimulationError` (identical message)
-*before* executing the partial block instead of after it (variable-length
-PGO traces that might straddle the budget fall back to their fixed base
-block so the check stays exact); out-of-range memory accesses raise the
-same :class:`MemoryError_` mid-trace with the architectural prefix state
-(registers written so far, ``pc`` of the faulting instruction,
-committed-instruction count) restored to match the fast engine.
+*before* executing the partial block instead of after it; out-of-range
+memory accesses raise the same :class:`MemoryError_` mid-block with the
+architectural prefix state (registers written so far, ``pc`` of the
+faulting instruction, committed-instruction count) restored to match the
+fast engine.
 
 Generated sources are deterministic functions of (program content,
-codegen version, timing mode, TDM depth, machine-config parameter
-digest, chaining mode — and, for PGO overlays, the chain-plan digest),
-which is what lets the cross-process artifact cache (:mod:`repro.cache`)
-ship them between sweep workers: ``CompiledEngine`` asks the cache for
-the block sources before generating, so codegen happens once per grid
-point across a whole worker fleet.  The machine digest is part of the
-key in *both* timing modes, so artifacts never cross machine configs
-even though untimed codegen happens to be config-independent today.
+codegen version, TDM depth, machine-config parameter digest, profile
+flag), which is what lets the cross-process artifact cache
+(:mod:`repro.cache`) ship them between sweep workers: ``CompiledEngine``
+asks the cache for the block sources before generating, so codegen
+happens once per grid point across a whole worker fleet.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import importlib.util
-import json
 import marshal
 import sys
 from collections import OrderedDict
+from types import CodeType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.program import Program
@@ -144,7 +122,8 @@ from repro.sim.pipeline.stats import PipelineStats
 #: v3: optional profile-counter prologue (``profile=True`` engines).
 #: v4: chained traces (seam flush constants, interior-branch bail-outs,
 #: committed-count cell for variable-length traces).
-CODEGEN_VERSION = 4
+#: v5: one variant — unchained superblocks, timing model always fused.
+CODEGEN_VERSION = 5
 
 #: Interpreter identity for the marshalled code objects stored alongside
 #: the sources: ``marshal`` payloads are only valid for the exact bytecode
@@ -164,13 +143,6 @@ PYTHON_TAG = (
 _CODE_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CODE_MEMO_CAP = 64
 
-#: In-process memo of PGO chain plans keyed by program digest: the bench
-#: harness builds many ``pgo=True`` engines per program and should pay
-#: for the profiling pass once per process (and once per fleet through
-#: the ``chainplan`` artifact kind).
-_PLAN_MEMO: "OrderedDict[tuple, dict]" = OrderedDict()
-_PLAN_MEMO_CAP = 16
-
 #: Opcodes that terminate a superblock.
 _TERMINALS = frozenset((OP_BEQ, OP_BNE, OP_JAL, OP_JALR, OP_HALT))
 
@@ -184,40 +156,9 @@ _TERMINALS = frozenset((OP_BEQ, OP_BNE, OP_JAL, OP_JALR, OP_HALT))
 #   [10] p1 is-ALU-writer      [11] p1 pending redirect gap (0 or R)
 #   [12] previous gap          [13] p2 dest (-1 none)
 #   [14] first-commit flag
-#   [15] fault pc              [16] fault offset in trace
-#   [17] committed-instruction count (variable-length traces only)
-_TS_LEN = 18
+#   [15] fault pc              [16] fault offset in block
+_TS_LEN = 17
 _FAULT_PC, _FAULT_OFF = 15, 16
-_DYN_T = 17
-#: Plain (untimed) blocks use the fault cells at the front plus the
-#: committed-count cell.
-_ST_LEN = 3
-_DYN_U = 2
-
-#: Static-chaining limits: a chain stops growing once it spans this many
-#: constituent superblocks or this many instructions (long traces hit
-#: diminishing returns and inflate codegen artifacts).
-CHAIN_MAX_BLOCKS = 8
-CHAIN_MAX_INSTRUCTIONS = 96
-
-#: PGO thresholds: a block is *hot* when it accounts for at least this
-#: share of the profiled dynamic instructions, and a conditional edge is
-#: chained through only when the observed outcome is at least this share
-#: of the branch's executions.
-PGO_HOT_SHARE = 0.01
-PGO_DOMINANT_SHARE = 0.6
-
-#: Instruction budget of the PGO profiling pass (first pass of the
-#: two-pass mode).
-PGO_PROFILE_BUDGET = 10_000_000
-
-#: Bumped whenever the chain-plan construction changes; part of the
-#: ``chainplan`` artifact key and of the plan digest folded into PGO
-#: codegen keys.
-CHAIN_PLAN_VERSION = 1
-
-#: Histogram bounds for installed trace lengths (instructions).
-_TRACE_LEN_BOUNDS = (4, 8, 16, 32, 64, 96, 128)
 
 
 def superblock_leaders(records: Sequence[tuple]) -> set:
@@ -250,197 +191,6 @@ def superblock_span(records: Sequence[tuple], leaders: set, entry: int) -> List[
     return span
 
 
-def _static_pred_counts(records: Sequence[tuple], leaders: set) -> Dict[int, int]:
-    """Leader → number of static control-flow edges that enter it.
-
-    Counts the program entry edge into 0, both directions of every
-    conditional, JAL targets, and block fall-throughs.  JALR edges are
-    dynamic and uncountable — which is safe, because chaining *copies* a
-    successor into the predecessor's trace: the successor stays
-    independently dispatchable at its own table entry, so an uncounted
-    JALR landing there still works.
-    """
-    length = len(records)
-    preds: Dict[int, int] = {0: 1} if length else {}
-    for entry in leaders:
-        span = superblock_span(records, leaders, entry)
-        last_pc = span[-1]
-        op, _ta, _tb, imm, _bt = records[last_pc]
-        if op in (OP_BEQ, OP_BNE):
-            targets = (last_pc + imm, last_pc + 1)
-        elif op == OP_JAL:
-            targets = (last_pc + imm,)
-        elif op in (OP_JALR, OP_HALT):
-            targets = ()
-        else:
-            targets = (last_pc + 1,)
-        for target in targets:
-            if 0 <= target < length:
-                preds[target] = preds.get(target, 0) + 1
-    return preds
-
-
-def build_chain(records: Sequence[tuple], leaders: set,
-                preds: Dict[int, int], entry: int,
-                max_blocks: int = CHAIN_MAX_BLOCKS,
-                max_instructions: int = CHAIN_MAX_INSTRUCTIONS) -> List[int]:
-    """Greedy static chain of block entries starting at ``entry``.
-
-    Follows unconditional JAL targets always, and block fall-throughs
-    only when the successor has exactly one static predecessor (inlining
-    a shared join point would duplicate it into every caller).  Stops at
-    conditionals (their continuation is not static), indirect JALR, HALT,
-    cycles, and the size caps.
-    """
-    chain = [entry]
-    seen = {entry}
-    length = len(records)
-    total = len(superblock_span(records, leaders, entry))
-    cur = entry
-    while len(chain) < max_blocks:
-        span = superblock_span(records, leaders, cur)
-        last_pc = span[-1]
-        op, _ta, _tb, imm, _bt = records[last_pc]
-        if op == OP_JAL:
-            nxt = last_pc + imm
-        elif op in _TERMINALS:  # BEQ/BNE/JALR/HALT end static chains
-            break
-        else:
-            nxt = last_pc + 1
-            if preds.get(nxt, 0) != 1:
-                break
-        if not 0 <= nxt < length or nxt in seen or nxt not in leaders:
-            break
-        nxt_len = len(superblock_span(records, leaders, nxt))
-        if total + nxt_len > max_instructions:
-            break
-        chain.append(nxt)
-        seen.add(nxt)
-        total += nxt_len
-        cur = nxt
-    return chain
-
-
-def chain_span(records: Sequence[tuple], leaders: set,
-               chain: Sequence[int]) -> List[int]:
-    """Concatenated instruction addresses of a block chain.
-
-    Validates every seam: a JAL must jump to the next chained entry, a
-    conditional must have the next entry as exactly one of its two
-    distinct targets (``imm == 1`` branches are ambiguous — taken and
-    fall-through coincide but their redirect costs differ — and are
-    rejected), JALR/HALT cannot be chain-interior, and fall-throughs must
-    be contiguous.  Raises :class:`ValueError` on any violation, which is
-    how stale cached chain plans are detected and discarded.
-    """
-    span: List[int] = []
-    for i, entry in enumerate(chain):
-        if i:
-            prev_pc = span[-1]
-            op, _ta, _tb, imm, _bt = records[prev_pc]
-            if op == OP_JAL:
-                if prev_pc + imm != entry:
-                    raise ValueError(
-                        f"chain breaks at {prev_pc}: JAL target mismatch")
-            elif op in (OP_BEQ, OP_BNE):
-                t_tk, t_ft = prev_pc + imm, prev_pc + 1
-                if t_tk == t_ft:
-                    raise ValueError(
-                        f"chain breaks at {prev_pc}: ambiguous branch")
-                if entry not in (t_tk, t_ft):
-                    raise ValueError(
-                        f"chain breaks at {prev_pc}: {entry} is not a "
-                        "branch successor")
-            elif op in (OP_JALR, OP_HALT):
-                raise ValueError(
-                    f"chain breaks at {prev_pc}: "
-                    f"{_MNEMONIC_OF[op]} cannot be chain-interior")
-            elif prev_pc + 1 != entry:
-                raise ValueError(
-                    f"chain breaks at {prev_pc}: non-contiguous")
-        span.extend(superblock_span(records, leaders, entry))
-    return span
-
-
-def pgo_chain_plan(records: Sequence[tuple], leaders: set,
-                   block_counts: Dict[int, int],
-                   edges: Dict[tuple, int], *,
-                   hot_share: float = PGO_HOT_SHARE,
-                   dominant_share: float = PGO_DOMINANT_SHARE,
-                   max_blocks: int = CHAIN_MAX_BLOCKS,
-                   max_instructions: int = CHAIN_MAX_INSTRUCTIONS,
-                   ) -> Dict[int, List[int]]:
-    """Hot-head → block chain, derived from a profiling run.
-
-    ``block_counts`` maps block entry → executions (the ``profile=True``
-    counters); ``edges`` maps (predecessor entry, successor entry) →
-    dispatch count from the same run.  A leader is a trace head when it
-    accounts for at least ``hot_share`` of the profiled dynamic
-    instructions; the trace extends through JAL targets and fall-throughs
-    unconditionally and through conditional branches only when one
-    direction carried at least ``dominant_share`` of the observed
-    outcomes (the cold direction becomes a bail-out).
-    """
-    lengths = {entry: len(superblock_span(records, leaders, entry))
-               for entry in leaders}
-    total = sum(block_counts.get(entry, 0) * lengths[entry]
-                for entry in leaders)
-    if not total:
-        return {}
-    length = len(records)
-    plan: Dict[int, List[int]] = {}
-    for head in sorted(leaders):
-        execs = block_counts.get(head, 0)
-        if not execs or execs * lengths[head] < hot_share * total:
-            continue
-        chain = [head]
-        seen = {head}
-        span_len = lengths[head]
-        cur = head
-        while len(chain) < max_blocks:
-            span_last = superblock_span(records, leaders, cur)[-1]
-            op, _ta, _tb, imm, _bt = records[span_last]
-            if op == OP_JAL:
-                nxt = span_last + imm
-            elif op in (OP_BEQ, OP_BNE):
-                t_tk, t_ft = span_last + imm, span_last + 1
-                if t_tk == t_ft:
-                    break  # ambiguous: redirect cost differs per outcome
-                c_tk = edges.get((cur, t_tk), 0)
-                c_ft = edges.get((cur, t_ft), 0)
-                outcomes = c_tk + c_ft
-                if not outcomes:
-                    break
-                nxt, dom = (t_tk, c_tk) if c_tk >= c_ft else (t_ft, c_ft)
-                if dom < dominant_share * outcomes:
-                    break
-            elif op in (OP_JALR, OP_HALT):
-                break
-            else:
-                nxt = span_last + 1
-            if not 0 <= nxt < length or nxt in seen or nxt not in leaders:
-                break
-            if span_len + lengths[nxt] > max_instructions:
-                break
-            chain.append(nxt)
-            seen.add(nxt)
-            span_len += lengths[nxt]
-            cur = nxt
-        if len(chain) > 1:
-            plan[head] = chain
-    return plan
-
-
-def chain_plan_digest(traces: Dict[int, List[int]]) -> str:
-    """Stable digest of a chain plan (folded into PGO codegen keys)."""
-    blob = json.dumps(
-        {"version": CHAIN_PLAN_VERSION,
-         "traces": {str(head): list(chain)
-                    for head, chain in sorted(traces.items())}},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class _Attrs:
     """Static dataflow attributes of one pre-decoded record."""
 
@@ -458,10 +208,10 @@ class _Attrs:
 def _static_gap(prev: _Attrs, cur: _Attrs, machine: MachineConfig) -> int:
     """Load-use gap between two adjacent straight-line instructions.
 
-    Straight-line predecessors are never control transfers (those become
-    chain seams instead), so the only possible bubble is the one-cycle
-    load-use stall — waived for EX-path consumers when the machine has
-    the zero-penalty MEM-output bypass (ID-path consumers always stall).
+    Straight-line predecessors are never control transfers (those end the
+    superblock), so the only possible bubble is the one-cycle load-use
+    stall — waived for EX-path consumers when the machine has the
+    zero-penalty MEM-output bypass (ID-path consumers always stall).
     """
     if prev.load and ((cur.reads_ta and cur.ta == prev.dest)
                       or (cur.reads_tb and cur.tb == prev.dest)):
@@ -488,34 +238,20 @@ def generate_block_source(
     entry: int,
     span: Sequence[int],
     records: Sequence[tuple],
-    timing: bool,
     tdm_depth: int,
     machine: Optional[MachineConfig] = None,
     profile: bool = False,
-    name: Optional[str] = None,
-    profile_key: Optional[int] = None,
 ) -> str:
-    """Emit the Python source of one superblock/trace function.
+    """Emit the Python source of one superblock function.
 
-    The function is named ``_blk_<entry>`` (``_blk_<entry>_t`` for the
-    timing variant; ``name`` overrides the base for PGO trace overlays)
-    and has the signature ``(regs, mem, st) -> next_pc``.  The machine
-    config's constants — redirect penalty, branch-policy prediction,
-    load-use bypass — are folded into the emitted timing code.
+    The function is named ``_blk_<entry>`` and has the signature
+    ``(regs, mem, st) -> next_pc``.  The machine config's constants —
+    redirect penalty, branch-policy prediction, load-use bypass — are
+    folded into the emitted timing code.
 
-    ``span`` may cross superblock boundaries (a chained trace): interior
-    JAL seams charge the machine's folded-or-redirect gap as a constant
-    flush, and interior conditional seams compile the *observed/static
-    continue direction* inline with a bail-out on the other outcome that
-    restores the pipeline window, writes the committed-instruction count
-    into the state vector, and returns the cold-path PC to the dispatch
-    table.  Seam validity is checked here as a last line of defence
-    (:func:`chain_span` validates plans earlier).
-
-    With ``profile=True`` the trace's first statement bumps its slot
-    (``profile_key``, default ``entry``) in the shared ``_P``
-    execution-count dict — the per-block profile that ``art9 profile``
-    reports and that profile-guided recompilation consumes.
+    With ``profile=True`` the block's first statement bumps its ``entry``
+    slot in the shared ``_P`` execution-count dict — the per-block
+    profile that ``art9 profile`` reports.
     """
     machine = resolve_machine(machine)
     redirect = machine.redirect_penalty
@@ -524,60 +260,15 @@ def generate_block_source(
     n = len(recs)
     last = recs[-1]
     check_depth = tdm_depth != MOD
-    dyn_cell = _DYN_T if timing else _DYN_U
 
-    # -- seam classification ------------------------------------------------
-    # gaps[k] is the bubble count instruction k pays behind instruction
-    # k-1: the load-use stall inside a straight-line run, or the machine's
-    # redirect gap across a chained control seam (a *flush*, exactly as
-    # the fast engine pends it into the next commit).
-    gaps = [0] * n
-    flush_seam = [False] * n
-    variable = False
-    for k in range(1, n):
-        prev = recs[k - 1]
-        prev_pc = span[k - 1]
-        if prev.op == OP_JAL:
-            if span[k] != prev_pc + prev.imm:
-                raise ValueError(
-                    f"chained span breaks at {prev_pc}: JAL target mismatch")
-            gaps[k] = machine.control_gaps("JAL", prev.imm)[0]
-            flush_seam[k] = True
-        elif prev.op in (OP_BEQ, OP_BNE):
-            mn = "BEQ" if prev.op == OP_BEQ else "BNE"
-            t_tk, t_ft = prev_pc + prev.imm, prev_pc + 1
-            if t_tk == t_ft:
-                raise ValueError(
-                    f"chained span breaks at {prev_pc}: ambiguous branch")
-            if span[k] == t_tk:
-                seam_taken = True
-            elif span[k] == t_ft:
-                seam_taken = False
-            else:
-                raise ValueError(
-                    f"chained span breaks at {prev_pc}: {span[k]} is not "
-                    "a branch successor")
-            g_tk, g_ft = machine.control_gaps(mn, prev.imm)
-            gaps[k] = g_tk if seam_taken else g_ft
-            flush_seam[k] = True
-            variable = True
-        elif prev.op in _TERMINALS:
-            raise ValueError(
-                f"chained span breaks at {prev_pc}: "
-                f"{_MNEMONIC_OF[prev.op]} cannot be chain-interior")
-        else:
-            if span[k] != prev_pc + 1:
-                raise ValueError(
-                    f"chained span breaks at {prev_pc}: non-contiguous")
-            gaps[k] = _static_gap(prev, recs[k], machine)
+    # gaps[k] is the load-use bubble instruction k pays behind k-1.
+    gaps = [0] + [_static_gap(recs[k - 1], recs[k], machine)
+                  for k in range(1, n)]
 
     w = _BlockWriter()
-    base_name = name if name is not None else f"_blk_{entry}"
-    fn_name = f"{base_name}_t" if timing else base_name
-    w.emit(f"def {fn_name}(regs, mem, st):", 0)
+    w.emit(f"def _blk_{entry}(regs, mem, st):", 0)
     if profile:
-        key = profile_key if profile_key is not None else entry
-        w.emit(f"_P[{key}] += 1")
+        w.emit(f"_P[{entry}] += 1")
 
     # -- register locals ----------------------------------------------------
     used = set()
@@ -593,18 +284,15 @@ def generate_block_source(
     written: set = set()
 
     # -- timing bookkeeping -------------------------------------------------
-    s_stall = s_flush = s_taken = s_nt = s_jump = 0
-    s_ex = s_mem = s_id = 0
-    if timing:
-        w.emit("_e8 = st[8]")
+    s_stall = s_ex = s_mem = s_id = 0
+    w.emit("_e8 = st[8]")
 
     def fault_guard(addr_var: str, pc: int, offset: int) -> None:
         w.emit(f"if {addr_var} >= {tdm_depth}:")
         for reg in sorted(written):
             w.emit(f"regs[{reg}] = r{reg}", 2)
-        base = _FAULT_PC if timing else 0
-        w.emit(f"st[{base}] = {pc}", 2)
-        w.emit(f"st[{base + 1}] = {offset}", 2)
+        w.emit(f"st[{_FAULT_PC}] = {pc}", 2)
+        w.emit(f"st[{_FAULT_OFF}] = {offset}", 2)
         w.emit(
             f"raise MemoryError_('TDM: address %d out of range 0..{tdm_depth - 1}'"
             f" % {addr_var})", 2)
@@ -679,7 +367,7 @@ def generate_block_source(
 
     def emit_timing(k: int) -> None:
         """Per-instruction stall/forward accounting, constants folded."""
-        nonlocal s_stall, s_flush
+        nonlocal s_stall
         cur = recs[k]
         if k == 0:
             # Fully dynamic: hazards against the carried window.  st[11] is
@@ -718,81 +406,28 @@ def generate_block_source(
             return
         prev = recs[k - 1]
         gap = gaps[k]
-        if flush_seam[k]:
-            s_flush += gap
-        else:
-            s_stall += gap
+        s_stall += gap
         if k == 1:
             # gap and the EX-forward source are static; the MEM/WB slot may
             # still be occupied by the carried predecessor when both gaps
             # around it are empty.
             if gap == 1:
                 emit_forward_checks(cur, gap, prev, prev.dest)
-            elif gap == 0:
-                emit_forward_checks(cur, gap, prev, "(_e8 if _g0 == 0 else -1)")
             else:
-                emit_forward_checks(cur, gap, prev, -1)
+                emit_forward_checks(cur, gap, prev, "(_e8 if _g0 == 0 else -1)")
             return
-        gap_prev = gaps[k - 1]
         if gap == 1:
             wb = prev.dest
-        elif gap == 0 and gap_prev == 0:
+        elif gaps[k - 1] == 0:
             wb = recs[k - 2].dest
         else:
             wb = -1
         emit_forward_checks(cur, gap, prev, wb)
 
-    def emit_bail(j: int) -> None:
-        """Cold-path exit of a chain-interior conditional at position j.
-
-        Taken when the branch resolves *against* the chained continue
-        direction: the accumulated prefix constants are flushed into the
-        state vector, the carried pipeline window is restored exactly as
-        the fast engine would leave it after committing the branch, the
-        committed-instruction count lands in the dynamic-count cell, and
-        control returns to the dispatch table at the cold PC.
-        """
-        nonlocal s_taken, s_nt
-        a = recs[j]
-        p = span[j]
-        mn = "BEQ" if a.op == OP_BEQ else "BNE"
-        t_tk, t_ft = p + a.imm, p + 1
-        cont_taken = span[j + 1] == t_tk
-        bail_taken = not cont_taken
-        bail_pc = t_tk if bail_taken else t_ft
-        w.emit(f"if {'not _tk' if cont_taken else '_tk'}:")
-        if timing:
-            g_tk, g_ft = machine.control_gaps(mn, a.imm)
-            bail_gap = g_tk if bail_taken else g_ft
-            for slot, value in (
-                    (0, s_stall), (1, s_flush),
-                    (2, s_taken + (1 if bail_taken else 0)),
-                    (3, s_nt + (0 if bail_taken else 1)),
-                    (4, s_jump), (5, s_ex), (6, s_mem), (7, s_id)):
-                if value:
-                    w.emit(f"st[{slot}] += {value}", 2)
-            w.emit(f"st[13] = {recs[j - 1].dest}" if j >= 1
-                   else "st[13] = _e8", 2)
-            w.emit("st[8] = -1", 2)
-            w.emit("st[9] = 0", 2)
-            w.emit("st[10] = 0", 2)
-            w.emit(f"st[11] = {bail_gap}", 2)
-            w.emit(f"st[12] = {gaps[j]}" if j >= 1 else "st[12] = _g0", 2)
-        for reg in sorted(written):
-            w.emit(f"regs[{reg}] = r{reg}", 2)
-        w.emit(f"st[{dyn_cell}] = {j + 1}", 2)
-        w.emit(f"return {bail_pc}", 2)
-        if timing:
-            if cont_taken:
-                s_taken += 1
-            else:
-                s_nt += 1
-
     # -- per-instruction emission -------------------------------------------
     for k, pc in enumerate(span):
         a = recs[k]
-        if timing:
-            emit_timing(k)
+        emit_timing(k)
         op, ta, tb, imm = a.op, a.ta, a.tb, a.imm
         A, B = f"r{ta}", f"r{tb}"
 
@@ -926,58 +561,41 @@ def generate_block_source(
         # OP_HALT emits nothing: the driver reads the halt flag from the
         # block metadata and the fall-through return below yields pc + 1.
 
-        # Chain-interior control transfers: a JAL's jump is folded into
-        # the span itself (only its timing/link effects remain), and a
-        # conditional needs its cold-direction bail-out.
-        if k < n - 1:
-            if op == OP_JAL:
-                if timing:
-                    s_jump += 1
-            elif op in (OP_BEQ, OP_BNE):
-                emit_bail(k)
-
     # -- terminal accounting and carried-window epilogue --------------------
-    if timing:
-        if last.op in (OP_BEQ, OP_BNE):
-            w.emit("if _tk:")
-            w.emit("st[2] += 1", 2)
-            w.emit("else:")
-            w.emit("st[3] += 1", 2)
-        elif last.op in (OP_JAL, OP_JALR):
-            s_jump += 1
-        for slot, value in ((0, s_stall), (1, s_flush), (2, s_taken),
-                            (3, s_nt), (4, s_jump), (5, s_ex),
-                            (6, s_mem), (7, s_id)):
-            if value:
-                w.emit(f"st[{slot}] += {value}")
-        # p2 dest before p1 dest: for single-instruction blocks the new p2
-        # is the carried p1, captured in _e8 at entry.
-        w.emit(f"st[13] = {recs[-2].dest}" if n >= 2 else "st[13] = _e8")
-        w.emit(f"st[8] = {last.dest}")
-        w.emit(f"st[9] = {1 if last.load else 0}")
-        w.emit(f"st[10] = {1 if last.alu else 0}")
-        # Pend the redirect gap for the next block's first instruction.
-        # Folded JALs and correctly-predicted conditionals cost nothing;
-        # JALR is indirect and always redirects.
-        if last.op == OP_JALR or (last.op == OP_JAL and not machine.folds_jal):
-            w.emit(f"st[11] = {redirect}")
-        elif last.op in (OP_BEQ, OP_BNE) and redirect:
-            predicted_taken = machine.predicts_taken(
-                "BEQ" if last.op == OP_BEQ else "BNE", last.imm)
-            if predicted_taken:
-                w.emit(f"st[11] = 0 if _tk else {redirect}")
-            else:
-                w.emit(f"st[11] = {redirect} if _tk else 0")
+    if last.op in (OP_BEQ, OP_BNE):
+        w.emit("if _tk:")
+        w.emit("st[2] += 1", 2)
+        w.emit("else:")
+        w.emit("st[3] += 1", 2)
+    s_jump = 1 if last.op in (OP_JAL, OP_JALR) else 0
+    for slot, value in ((0, s_stall), (4, s_jump), (5, s_ex), (6, s_mem),
+                        (7, s_id)):
+        if value:
+            w.emit(f"st[{slot}] += {value}")
+    # p2 dest before p1 dest: for single-instruction blocks the new p2
+    # is the carried p1, captured in _e8 at entry.
+    w.emit(f"st[13] = {recs[-2].dest}" if n >= 2 else "st[13] = _e8")
+    w.emit(f"st[8] = {last.dest}")
+    w.emit(f"st[9] = {1 if last.load else 0}")
+    w.emit(f"st[10] = {1 if last.alu else 0}")
+    # Pend the redirect gap for the next block's first instruction.
+    # Folded JALs and correctly-predicted conditionals cost nothing;
+    # JALR is indirect and always redirects.
+    if last.op == OP_JALR or (last.op == OP_JAL and not machine.folds_jal):
+        w.emit(f"st[11] = {redirect}")
+    elif last.op in (OP_BEQ, OP_BNE) and redirect:
+        predicted_taken = machine.predicts_taken(
+            "BEQ" if last.op == OP_BEQ else "BNE", last.imm)
+        if predicted_taken:
+            w.emit(f"st[11] = 0 if _tk else {redirect}")
         else:
-            w.emit("st[11] = 0")
-        w.emit(f"st[12] = {gaps[-1]}" if n >= 2 else "st[12] = _g0")
+            w.emit(f"st[11] = {redirect} if _tk else 0")
+    else:
+        w.emit("st[11] = 0")
+    w.emit(f"st[12] = {gaps[-1]}" if n >= 2 else "st[12] = _g0")
 
     for reg in sorted(written):
         w.emit(f"regs[{reg}] = r{reg}")
-    if variable:
-        # Full-path commit count for the driver (bail-outs wrote their
-        # own prefix length above).
-        w.emit(f"st[{dyn_cell}] = {n}")
 
     last_pc = span[-1]
     if last.op in (OP_BEQ, OP_BNE):
@@ -991,6 +609,26 @@ def generate_block_source(
     return w.source()
 
 
+def _decode_bundle(payload) -> Optional[tuple]:
+    """``(codes, sources)`` of a codegen artifact, or ``None`` for junk.
+
+    :mod:`repro.cache` promises that foreign junk is a miss, so anything
+    but a marshalled dict of int → code objects is rejected here rather
+    than crashing the engine (or ``exec``-ing a non-code value).
+    """
+    try:
+        codes = marshal.loads(base64.b64decode(payload["code"]))
+        sources = {int(entry): source
+                   for entry, source in payload.get("blocks", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError, EOFError):
+        return None
+    if not isinstance(codes, dict) or not all(
+            isinstance(entry, int) and isinstance(code, CodeType)
+            for entry, code in codes.items()):
+        return None
+    return codes, sources
+
+
 class CompiledEngine:
     """Superblock-compiled interpreter for ART-9 programs.
 
@@ -999,35 +637,20 @@ class CompiledEngine:
     :class:`~repro.cache.ArtifactCache` (or ``None`` to disable); by
     default the process-wide cache of :func:`repro.cache.default_cache`
     is used, so concurrently running sweep workers generate each
-    program's block sources exactly once between them.
-
-    ``chain=True`` (the default) enables static superblock chaining;
-    ``chain=False`` reproduces the unchained per-block partition.
-    ``pgo=True`` adds the two-pass profile-guided mode: a profiling run
-    picks hot blocks, which are recompiled as extended traces chained
-    across their observed dominant successors and overlaid onto the
-    dispatch table (cold directions bail out to the table).
-    ``record_edges=True`` makes the driver count block-to-block dispatch
-    edges — the successor profile the PGO planner consumes.
+    program's block sources exactly once between them.  ``profile=True``
+    compiles a per-block execution counter into every block (see
+    :meth:`block_profile`).
     """
 
     def __init__(self, program: Program, tdm_depth: int = MOD,
                  cache: object = "default",
                  machine: Optional[MachineConfig] = None,
-                 profile: bool = False,
-                 chain: bool = True,
-                 pgo: bool = False,
-                 pgo_budget: int = PGO_PROFILE_BUDGET,
-                 record_edges: bool = False):
+                 profile: bool = False):
         _fast._build_tables()
         self.program = program
         self.tdm_depth = tdm_depth
         self.machine = resolve_machine(machine)
         self.profile = profile
-        self.chain = bool(chain)
-        self.pgo = bool(pgo)
-        self._pgo_budget = pgo_budget
-        self._record_edges = bool(record_edges)
         self._profile_counts: Dict[int, int] = {}
         self._records = FastEngine._predecode(program)
         self._mem: Dict[int, int] = {}
@@ -1053,40 +676,16 @@ class CompiledEngine:
             "P3": _POW3,
             "_P": self._profile_counts,
         }
-        # timing-mode → entry pc → (fn, length, halts, entry idx, variable)
-        self._tables: Dict[bool, Dict[int, tuple]] = {False: {}, True: {}}
-        # timing-mode → the shared (codes, sources) bundle backing the table
-        self._bundles: Dict[bool, tuple] = {}
-        self._entries: List[Tuple[int, Tuple[str, ...]]] = []
+        # entry pc → (fn, length, halts, entry idx)
+        self._table: Dict[int, tuple] = {}
+        # the shared (codes, sources) bundle backing the table
+        self._bundle: Optional[tuple] = None
+        # entry idx → block mnemonics / dispatch count
+        self._mnemonics: List[Tuple[str, ...]] = []
         self._counts: List[int] = []
-        self._entry_index: Dict[object, int] = {}
+        self._entry_index: Dict[int, int] = {}
         self._fault_partial: Optional[Tuple[int, int]] = None
         self._digest: Optional[str] = None
-        # Static chain plan: leader → constituent block entries.  Built
-        # eagerly for the static partition; suffix entries (computed JALR
-        # targets) join lazily via _span_of.
-        self._preds = (_static_pred_counts(self._records, self._leaders)
-                       if self.chain else None)
-        self._chain_plan: Dict[int, List[int]] = {}
-        if self.chain and self._records:
-            for entry in sorted(self._leaders):
-                self._chain_plan[entry] = build_chain(
-                    self._records, self._leaders, self._preds, entry)
-            inlined = sum(len(c) - 1 for c in self._chain_plan.values())
-            if inlined:
-                metrics.counter("compiled.chain.blocks_inlined").inc(inlined)
-        self._span_cache: Dict[int, List[int]] = {}
-        # timing-mode → head pc → fixed base record shadowed by a PGO
-        # trace (budget-straddle fallback for variable-length traces).
-        self._fallbacks: Dict[bool, Dict[int, tuple]] = {False: {}, True: {}}
-        # entry idx → committed prefix length → bail-out count.
-        self._trace_bails: Dict[int, Dict[int, int]] = {}
-        # profile key → (display pc, installed span length, entry idx).
-        self._profile_meta: Dict[int, tuple] = {}
-        # (predecessor entry, successor entry) → dispatch count.
-        self._edge_counts: Dict[tuple, int] = {}
-        self._pgo_plan: Optional[Dict[int, List[int]]] = None
-        self._pgo_installed: Dict[int, List[int]] = {}
         if cache == "default":
             from repro.cache import default_cache
             cache = default_cache()
@@ -1099,55 +698,38 @@ class CompiledEngine:
             self._digest = self.program.content_digest()
         return self._digest
 
-    def _cache_key_material(self, timing: bool) -> dict:
+    def _cache_key_material(self) -> dict:
         return {
             "program_digest": self.content_digest(),
             "codegen_version": CODEGEN_VERSION,
             "python": PYTHON_TAG,
-            "timing": timing,
             "tdm_depth": self.tdm_depth,
-            # Keyed in both timing modes so artifacts never cross machine
-            # configs (a config change is a cache miss, never a wrong-
-            # timing hit).
+            # A config change is a cache miss, never a wrong-timing hit.
             "machine": self.machine.digest(),
-            # Profiled code carries the counter prologue, and chained
-            # code a different partition, so the variants can never
-            # share artifacts.
+            # Profiled code carries the counter prologue, so the two
+            # variants can never share artifacts.
             "profile": self.profile,
-            "chain": self.chain,
         }
 
     def _span_of(self, entry: int) -> List[int]:
-        """Installed trace span for ``entry`` (chained when enabled)."""
-        span = self._span_cache.get(entry)
-        if span is not None:
-            return span
-        if self.chain:
-            plan = self._chain_plan.get(entry)
-            if plan is None:
-                plan = build_chain(self._records, self._leaders,
-                                   self._preds, entry)
-                self._chain_plan[entry] = plan
-            if len(plan) > 1:
-                span = chain_span(self._records, self._leaders, plan)
-            else:
-                span = superblock_span(self._records, self._leaders, entry)
-        else:
-            span = superblock_span(self._records, self._leaders, entry)
-        self._span_cache[entry] = span
-        return span
+        return superblock_span(self._records, self._leaders, entry)
+
+    def _generate(self, entry: int) -> str:
+        return generate_block_source(
+            entry, self._span_of(entry), self._records, self.tdm_depth,
+            self.machine, self.profile)
 
     def _publish(self, codes: Dict[int, object],
-                 sources: Dict[int, str], timing: bool) -> None:
+                 sources: Dict[int, str]) -> None:
         """Write the current block bundle to the cross-process cache."""
         if self._cache is not None:
-            self._cache.put_json("codegen", self._cache_key_material(timing), {
+            self._cache.put_json("codegen", self._cache_key_material(), {
                 "code": base64.b64encode(marshal.dumps(codes)).decode("ascii"),
                 "blocks": {str(entry): source
                            for entry, source in sources.items()},
             })
 
-    def _block_bundle(self, timing: bool) -> tuple:
+    def _block_bundle(self) -> tuple:
         """``(codes, sources)`` for every known superblock of this program.
 
         Resolution order: in-process memo, then the cross-process artifact
@@ -1160,85 +742,54 @@ class CompiledEngine:
         pays for a program content digest; the digest is only computed
         when the disk cache has to be consulted.
         """
-        memo_key = (tuple(self._records), CODEGEN_VERSION, timing,
-                    self.tdm_depth, self.machine.digest(), self.profile,
-                    self.chain)
+        memo_key = (tuple(self._records), CODEGEN_VERSION, self.tdm_depth,
+                    self.machine.digest(), self.profile)
         bundle = _CODE_MEMO.get(memo_key)
         if bundle is not None:
             _CODE_MEMO.move_to_end(memo_key)
             metrics.counter("compiled.blocks_memo").inc(len(bundle[0]))
             return bundle
-        cache = self._cache
-        if cache is not None:
-            hit = cache.get_json("codegen", self._cache_key_material(timing))
-            if hit is not None:
-                try:
-                    loaded = marshal.loads(base64.b64decode(hit["code"]))
-                    bundle = (
-                        {int(entry): code for entry, code in loaded.items()},
-                        {int(entry): source
-                         for entry, source in hit.get("blocks", {}).items()},
-                    )
-                except (KeyError, TypeError, ValueError, EOFError):
-                    bundle = None  # treat a malformed artifact as a miss
-                else:
-                    metrics.counter("compiled.blocks_loaded").inc(
-                        len(bundle[0]))
+        if self._cache is not None:
+            bundle = _decode_bundle(
+                self._cache.get_json("codegen", self._cache_key_material()))
+            if bundle is not None:
+                metrics.counter("compiled.blocks_loaded").inc(len(bundle[0]))
         if bundle is None:
-            sources = {
-                entry: generate_block_source(
-                    entry, self._span_of(entry),
-                    self._records, timing, self.tdm_depth, self.machine,
-                    self.profile)
-                for entry in sorted(self._leaders)
-            }
+            sources = {entry: self._generate(entry)
+                       for entry in sorted(self._leaders)}
             codes = {
                 entry: compile(source, f"<art9 block {entry}>", "exec")
                 for entry, source in sources.items()
             }
             bundle = (codes, sources)
             metrics.counter("compiled.blocks_compiled").inc(len(codes))
-            self._publish(codes, sources, timing)
+            self._publish(codes, sources)
         _CODE_MEMO[memo_key] = bundle
         while len(_CODE_MEMO) > _CODE_MEMO_CAP:
             _CODE_MEMO.popitem(last=False)
         return bundle
 
-    def _install_block(self, entry: int, code, timing: bool) -> tuple:
+    def _install_block(self, entry: int, code) -> tuple:
         if self.profile:
-            self._profile_counts.setdefault(entry, 0)
+            self._profile_counts[entry] = 0
         exec(code, self._namespace)
-        name = f"_blk_{entry}_t" if timing else f"_blk_{entry}"
         span = self._span_of(entry)
-        idx = self._entry_index.get(entry)
-        if idx is None:
-            idx = len(self._entries)
-            self._entry_index[entry] = idx
-            self._entries.append((entry, tuple(
-                _MNEMONIC_OF[self._records[pc][0]] for pc in span)))
-            self._counts.append(0)
-            plan = self._chain_plan.get(entry)
-            if plan is not None and len(plan) > 1:
-                metrics.histogram("compiled.chain.trace_instructions",
-                                  bounds=_TRACE_LEN_BOUNDS).observe(len(span))
-        if self.profile:
-            self._profile_meta[entry] = (entry, len(span), idx)
-        variable = any(self._records[pc][0] in (OP_BEQ, OP_BNE)
-                       for pc in span[:-1])
-        record = (self._namespace[name], len(span),
-                  self._records[span[-1]][0] == OP_HALT, idx, variable)
-        self._tables[timing][entry] = record
+        idx = len(self._mnemonics)
+        self._entry_index[entry] = idx
+        self._mnemonics.append(tuple(
+            _MNEMONIC_OF[self._records[pc][0]] for pc in span))
+        self._counts.append(0)
+        record = (self._namespace[f"_blk_{entry}"], len(span),
+                  self._records[span[-1]][0] == OP_HALT, idx)
+        self._table[entry] = record
         return record
 
-    def _build_table(self, timing: bool) -> None:
-        bundle = self._block_bundle(timing)
-        self._bundles[timing] = bundle
-        for entry, code in bundle[0].items():
-            self._install_block(entry, code, timing)
-        if self.pgo:
-            self._install_pgo_overlay(timing)
+    def _build_table(self) -> None:
+        self._bundle = self._block_bundle()
+        for entry, code in self._bundle[0].items():
+            self._install_block(entry, code)
 
-    def _compile_suffix(self, entry: int, timing: bool) -> tuple:
+    def _compile_suffix(self, entry: int) -> tuple:
         """Lazily compile a block entered mid-way (e.g. a JALR return).
 
         The result joins the shared bundle — and is re-published to the
@@ -1250,244 +801,36 @@ class CompiledEngine:
         last-write-wins (content per block is still deterministic, so a
         merge conflict cannot change behaviour — only who pays compile()).
         """
-        bundle = self._bundles.get(timing)
-        if bundle is not None and entry in bundle[0]:
-            return self._install_block(entry, bundle[0][entry], timing)
-        source = generate_block_source(
-            entry, self._span_of(entry),
-            self._records, timing, self.tdm_depth, self.machine, self.profile)
+        codes, sources = self._bundle
+        if entry in codes:
+            return self._install_block(entry, codes[entry])
+        source = self._generate(entry)
         code = compile(source, f"<art9 block {entry}>", "exec")
         metrics.counter("compiled.suffix_compiles").inc()
-        if bundle is not None:
-            codes, sources = bundle
-            codes[entry] = code
-            sources[entry] = source
-            if self._cache is not None:
-                current = self._cache.get_json(
-                    "codegen", self._cache_key_material(timing))
-                if current is not None:
-                    try:
-                        loaded = marshal.loads(base64.b64decode(current["code"]))
-                        for other, other_code in loaded.items():
-                            codes.setdefault(int(other), other_code)
-                        for other, other_source in current.get("blocks", {}).items():
-                            sources.setdefault(int(other), other_source)
-                    except (KeyError, TypeError, ValueError, EOFError):
-                        pass  # unreadable entry: our fresh bundle replaces it
-            self._publish(codes, sources, timing)
-        return self._install_block(entry, code, timing)
-
-    # -- profile-guided traces ----------------------------------------------
-
-    def _plan_key_material(self) -> dict:
-        """Cache key of the chain plan (architectural — machine-free)."""
-        return {
-            "program_digest": self.content_digest(),
-            "plan_version": CHAIN_PLAN_VERSION,
-            "tdm_depth": self.tdm_depth,
-            "hot_share": PGO_HOT_SHARE,
-            "dominant_share": PGO_DOMINANT_SHARE,
-            "profile_budget": self._pgo_budget,
-            "max_blocks": CHAIN_MAX_BLOCKS,
-            "max_instructions": CHAIN_MAX_INSTRUCTIONS,
-        }
-
-    def _parse_plan(self, payload) -> Optional[Dict[int, List[int]]]:
-        """Validate a cached chain plan; ``None`` rejects the artifact."""
-        try:
-            raw = payload["traces"]
-            plan: Dict[int, List[int]] = {}
-            for head_str, chain in raw.items():
-                head = int(head_str)
-                chain = [int(block) for block in chain]
-                if (head not in self._leaders or len(chain) < 2
-                        or chain[0] != head
-                        or any(block not in self._leaders
-                               for block in chain)):
-                    continue
-                chain_span(self._records, self._leaders, chain)  # seams
-                plan[head] = chain
-            return plan
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-
-    def _profile_plan(self) -> Dict[int, List[int]]:
-        """First pass of the two-pass mode: profile, then plan."""
-        probe = CompiledEngine(
-            self.program, self.tdm_depth, cache=self._cache,
-            machine=self.machine, profile=True, chain=False,
-            record_edges=True)
-        try:
-            probe.run(max_instructions=self._pgo_budget)
-        except (SimulationError, MemoryError_):
-            # A program that cannot complete a profiling pass (budget,
-            # PC escape, memory fault) simply gets no hot traces.
-            return {}
-        return probe.pgo_plan_from_profile()
-
-    def _ensure_pgo_plan(self) -> Dict[int, List[int]]:
-        """Chain plan for this program: memo → artifact cache → profile."""
-        if self._pgo_plan is not None:
-            return self._pgo_plan
-        memo_key = (self.content_digest(), CHAIN_PLAN_VERSION,
-                    self.tdm_depth, self._pgo_budget)
-        plan = _PLAN_MEMO.get(memo_key)
-        if plan is not None:
-            _PLAN_MEMO.move_to_end(memo_key)
-        else:
-            material = self._plan_key_material()
-            if self._cache is not None:
-                hit = self._cache.get_json("chainplan", material)
-                if hit is not None:
-                    plan = self._parse_plan(hit)
-            if plan is None:
-                plan = self._profile_plan()
-                if self._cache is not None:
-                    self._cache.put_json("chainplan", material, {
-                        "traces": {str(head): list(chain)
-                                   for head, chain in sorted(plan.items())},
-                    })
-            _PLAN_MEMO[memo_key] = plan
-            while len(_PLAN_MEMO) > _PLAN_MEMO_CAP:
-                _PLAN_MEMO.popitem(last=False)
-        self._pgo_plan = plan
-        return plan
-
-    def pgo_plan_from_profile(self) -> Dict[int, List[int]]:
-        """Chain plan a PGO engine would derive from *this* engine's run.
-
-        Requires ``profile=True, chain=False`` (block-granularity counts
-        and edges).  Exposed so ``art9 profile --pgo-plan`` can dump the
-        plan without running the second pass.
-        """
-        if not self.profile or self.chain:
-            raise SimulationError(
-                "pgo_plan_from_profile() requires a "
-                "CompiledEngine(profile=True, chain=False)")
-        counts = {key: value for key, value in self._profile_counts.items()
-                  if isinstance(key, int) and key >= 0}
-        return pgo_chain_plan(self._records, self._leaders, counts,
-                              self._edge_counts)
-
-    def _install_pgo_overlay(self, timing: bool) -> None:
-        """Overlay hot-path trace functions onto the dispatch table."""
-        plan = self._ensure_pgo_plan()
-        traces: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        for head in sorted(plan):
-            chain = plan[head]
-            if head not in self._leaders or len(chain) < 2:
-                continue
-            if self.chain and list(chain) == list(self._chain_plan.get(head, ())):
-                continue  # static chaining already produced this trace
-            try:
-                span = chain_span(self._records, self._leaders, chain)
-            except ValueError:
-                continue
-            traces[head] = (tuple(chain), tuple(span))
-        self._pgo_installed = {head: list(chain)
-                               for head, (chain, _span) in traces.items()}
-        if not traces:
-            return
-        digest = chain_plan_digest(
-            {head: list(chain) for head, (chain, _span) in traces.items()})
-        memo_key = (tuple(self._records), CODEGEN_VERSION, timing,
-                    self.tdm_depth, self.machine.digest(), self.profile,
-                    "pgo", digest)
-        bundle = _CODE_MEMO.get(memo_key)
-        if bundle is not None:
-            _CODE_MEMO.move_to_end(memo_key)
-            metrics.counter("compiled.blocks_memo").inc(len(bundle[0]))
-        else:
-            material = self._cache_key_material(timing)
-            material["variant"] = "pgo-traces"
-            material["plan"] = digest
-            if self._cache is not None:
-                hit = self._cache.get_json("codegen", material)
-                if hit is not None:
-                    try:
-                        loaded = marshal.loads(base64.b64decode(hit["code"]))
-                        bundle = (
-                            {int(head): code
-                             for head, code in loaded.items()},
-                            {int(head): source for head, source
-                             in hit.get("blocks", {}).items()},
-                        )
-                    except (KeyError, TypeError, ValueError, EOFError):
-                        bundle = None
-                    else:
-                        metrics.counter("compiled.blocks_loaded").inc(
-                            len(bundle[0]))
-            if bundle is None:
-                sources = {
-                    head: generate_block_source(
-                        head, traces[head][1], self._records, timing,
-                        self.tdm_depth, self.machine, self.profile,
-                        name=f"_pgo_{head}", profile_key=-(head + 1))
-                    for head in sorted(traces)
-                }
-                codes = {
-                    head: compile(source, f"<art9 pgo trace {head}>", "exec")
-                    for head, source in sources.items()
-                }
-                bundle = (codes, sources)
-                metrics.counter("compiled.blocks_compiled").inc(len(codes))
-                if self._cache is not None:
-                    self._cache.put_json("codegen", material, {
-                        "code": base64.b64encode(
-                            marshal.dumps(codes)).decode("ascii"),
-                        "blocks": {str(head): source
-                                   for head, source in sources.items()},
-                    })
-            _CODE_MEMO[memo_key] = bundle
-            while len(_CODE_MEMO) > _CODE_MEMO_CAP:
-                _CODE_MEMO.popitem(last=False)
-        for head, code in bundle[0].items():
-            if head in traces:
-                self._install_trace(head, code, list(traces[head][1]), timing)
-
-    def _install_trace(self, head: int, code, span: List[int],
-                       timing: bool) -> tuple:
-        """Install one PGO trace over the base record at ``head``."""
-        key = -(head + 1)
-        if self.profile:
-            self._profile_counts.setdefault(key, 0)
-        exec(code, self._namespace)
-        name = f"_pgo_{head}_t" if timing else f"_pgo_{head}"
-        idx = self._entry_index.get(("pgo", head))
-        if idx is None:
-            idx = len(self._entries)
-            self._entry_index[("pgo", head)] = idx
-            self._entries.append((head, tuple(
-                _MNEMONIC_OF[self._records[pc][0]] for pc in span)))
-            self._counts.append(0)
-            metrics.counter("compiled.pgo.traces").inc()
-            metrics.histogram("compiled.chain.trace_instructions",
-                              bounds=_TRACE_LEN_BOUNDS).observe(len(span))
-        if self.profile:
-            self._profile_meta[key] = (head, len(span), idx)
-        variable = any(self._records[pc][0] in (OP_BEQ, OP_BNE)
-                       for pc in span[:-1])
-        record = (self._namespace[name], len(span),
-                  self._records[span[-1]][0] == OP_HALT, idx, variable)
-        table = self._tables[timing]
-        base = table.get(head)
-        if base is not None:
-            self._fallbacks[timing].setdefault(head, base)
-        table[head] = record
-        return record
+        codes[entry] = code
+        sources[entry] = source
+        if self._cache is not None:
+            current = _decode_bundle(
+                self._cache.get_json("codegen", self._cache_key_material()))
+            if current is not None:  # junk: our fresh bundle replaces it
+                for other, other_code in current[0].items():
+                    codes.setdefault(other, other_code)
+                for other, other_source in current[1].items():
+                    sources.setdefault(other, other_source)
+            self._publish(codes, sources)
+        return self._install_block(entry, code)
 
     # -- execution ----------------------------------------------------------
 
-    def prepare(self, timing: bool = True) -> None:
+    def prepare(self) -> None:
         """Build the block dispatch table now instead of on first execution.
 
         Purely a scheduling choice — ``_execute`` builds lazily anyway —
         but it lets callers (the sweep worker's phase breakdown) attribute
-        codegen/bundle-load time (and, for ``pgo=True``, the profiling
-        pass) separately from execution time.
+        codegen/bundle-load time separately from execution time.
         """
-        if not self._tables[timing] and self._records:
-            self._build_table(timing)
+        if not self._table and self._records:
+            self._build_table()
 
     def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
         """Run until HALT; same contract and limits as the fast engine."""
@@ -1520,22 +863,12 @@ class CompiledEngine:
 
     def _execute(self, max_instructions: int,
                  stats: Optional[PipelineStats]) -> None:
-        timing = stats is not None
-        table = self._tables[timing]
-        if not table and self._records:
-            self._build_table(timing)
-        if timing:
-            st = [0] * _TS_LEN
-            st[8] = st[13] = -1
-            st[14] = 1
-        else:
-            st = [0] * _ST_LEN
-        dyn = _DYN_T if timing else _DYN_U
-        table_get = table.get
-        fallbacks = self._fallbacks[timing]
-        record_edges = self._record_edges
-        edges = self._edge_counts
-        trace_bails = self._trace_bails
+        if not self._table and self._records:
+            self._build_table()
+        st = [0] * _TS_LEN
+        st[8] = st[13] = -1
+        st[14] = 1
+        table_get = self._table.get
         regs = self._regs
         mem = self._mem
         counts = self._counts
@@ -1543,8 +876,6 @@ class CompiledEngine:
         pc = self.pc
         executed = self.instructions_executed
         halted = self.halted
-        prev_entry = -1
-        bail_counter = None
 
         while not halted:
             if executed >= max_instructions:
@@ -1559,48 +890,26 @@ class CompiledEngine:
                 )
             entry = table_get(pc)
             if entry is None:
-                entry = self._compile_suffix(pc, timing)
+                entry = self._compile_suffix(pc)
                 counts = self._counts
-            fn, length, halts, idx, variable = entry
+            fn, length, halts, idx = entry
             if executed + length > max_instructions:
-                # A fixed trace commits all of its instructions, so the
-                # fast engine would raise too (identical message).  A
-                # variable trace might bail early and stay inside the
-                # budget: re-dispatch through its fixed base block so the
-                # check stays exact.
-                fallback = fallbacks.get(pc) if variable else None
-                if (fallback is None
-                        or executed + fallback[1] > max_instructions):
-                    self.pc, self.instructions_executed = pc, executed
-                    raise SimulationError(
-                        f"program did not halt within {max_instructions} "
-                        "instructions"
-                    )
-                fn, length, halts, idx, variable = fallback
-            if record_edges:
-                edge = (prev_entry, pc)
-                edges[edge] = edges.get(edge, 0) + 1
-                prev_entry = pc
+                # A block commits all of its instructions, so the fast
+                # engine would raise too (identical message).
+                self.pc, self.instructions_executed = pc, executed
+                raise SimulationError(
+                    f"program did not halt within {max_instructions} "
+                    "instructions"
+                )
             counts[idx] += 1
             try:
                 pc = fn(regs, mem, st)
             except MemoryError_:
-                base = _FAULT_PC if timing else 0
-                self.pc = st[base]
-                self.instructions_executed = executed + st[base + 1]
-                self._fault_partial = (idx, st[base + 1])
+                self.pc = st[_FAULT_PC]
+                self.instructions_executed = executed + st[_FAULT_OFF]
+                self._fault_partial = (idx, st[_FAULT_OFF])
                 self.halted = False
                 raise
-            if variable:
-                committed = st[dyn]
-                if committed != length:
-                    bails = trace_bails.setdefault(idx, {})
-                    bails[committed] = bails.get(committed, 0) + 1
-                    if bail_counter is None:
-                        bail_counter = metrics.counter("compiled.pgo.bailouts")
-                    bail_counter.inc()
-                    executed += committed
-                    continue
             executed += length
             if halts:
                 halted = True
@@ -1609,7 +918,7 @@ class CompiledEngine:
         self.instructions_executed = executed
         self.halted = halted
 
-        if timing:
+        if stats is not None:
             stats.instructions_committed = executed
             stats.cycles = executed + self.machine.fill_cycles + st[0] + st[1]
             stats.load_use_stalls = st[0]
@@ -1638,22 +947,15 @@ class CompiledEngine:
         return self.registers_snapshot()
 
     def instruction_mix(self) -> Dict[str, int]:
-        """Mnemonic → dynamic execution count (bail- and fault-aware)."""
+        """Mnemonic → dynamic execution count (fault-aware)."""
         mix: Dict[str, int] = {}
         for idx, count in enumerate(self._counts):
             if count:
-                for mnemonic in self._entries[idx][1]:
+                for mnemonic in self._mnemonics[idx]:
                     mix[mnemonic] = mix.get(mnemonic, 0) + count
-        for idx, bails in self._trace_bails.items():
-            mnemonics = self._entries[idx][1]
-            for committed, times in bails.items():
-                for mnemonic in mnemonics[committed:]:
-                    mix[mnemonic] -= times
-                    if not mix[mnemonic]:
-                        del mix[mnemonic]
         if self._fault_partial is not None:
             idx, offset = self._fault_partial
-            for mnemonic in self._entries[idx][1][offset:]:
+            for mnemonic in self._mnemonics[idx][offset:]:
                 mix[mnemonic] -= 1
                 if not mix[mnemonic]:
                     del mix[mnemonic]
@@ -1664,36 +966,22 @@ class CompiledEngine:
         return self.tdm.dump(base, count)
 
     def block_map(self) -> Dict[int, int]:
-        """Entry address → block length of the static (pre-chaining)
-        superblock partition."""
+        """Entry address → block length of the static superblock partition."""
         return {
             entry: len(superblock_span(self._records, self._leaders, entry))
             for entry in sorted(self._leaders)
         }
 
-    def chain_map(self) -> Dict[int, List[int]]:
-        """Leader → constituent block entries of multi-block static chains."""
-        return {entry: list(chain)
-                for entry, chain in sorted(self._chain_plan.items())
-                if len(chain) > 1}
-
-    def pgo_trace_map(self) -> Dict[int, List[int]]:
-        """Hot head → block chain of every installed PGO trace."""
-        return {head: list(chain)
-                for head, chain in sorted(self._pgo_installed.items())}
-
     def block_profile(self) -> List[dict]:
         """Execution profile rows from the generated-code ``_P`` counters.
 
-        Requires ``profile=True``; each row carries the trace's display
-        PC (its entry), how many times the generated function ran, its
-        installed length, and the dynamic instructions it accounts for.
-        The instruction totals sum to ``instructions_executed``: a
-        mid-trace memory fault charges the faulting trace only its
-        committed prefix, and every cold-path bail-out of a PGO trace
-        subtracts the un-committed suffix — both matching the driver's
-        accounting, which is what lets ``art9 profile`` cross-check the
-        table against the engine.
+        Requires ``profile=True``; each row carries the block's entry PC,
+        how many times the generated function ran, its length, and the
+        dynamic instructions it accounts for.  The instruction totals sum
+        to ``instructions_executed``: a mid-block memory fault charges the
+        faulting block only its committed prefix, matching the dispatch
+        loop's accounting, which is what lets ``art9 profile`` cross-check
+        the table against the engine.
         """
         if not self.profile:
             raise SimulationError(
@@ -1702,17 +990,12 @@ class CompiledEngine:
         if self._fault_partial is not None:
             fault_idx, fault_offset = self._fault_partial
         rows = []
-        for key, executions in self._profile_counts.items():
+        for pc, executions in self._profile_counts.items():
             if not executions:
-                # Compiled but never dispatched standalone — e.g. a block
-                # that only ever ran inlined as a chain interior.  The
-                # counter bumps at trace entry, so zero here means zero
-                # instructions to account for.
-                continue
-            pc, length, idx = self._profile_meta[key]
+                continue  # compiled (e.g. loaded from the bundle), never run
+            idx = self._entry_index[pc]
+            length = len(self._mnemonics[idx])
             instructions = executions * length
-            for committed, times in self._trace_bails.get(idx, {}).items():
-                instructions -= (length - committed) * times
             if idx == fault_idx:
                 instructions -= length - fault_offset
             rows.append({
@@ -1721,7 +1004,7 @@ class CompiledEngine:
                 "length": length,
                 "instructions": instructions,
             })
-        rows.sort(key=lambda row: (row["pc"], row["length"]))
+        rows.sort(key=lambda row: row["pc"])
         return rows
 
 

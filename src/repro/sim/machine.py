@@ -162,17 +162,6 @@ class MachineConfig:
             return 0
         return 0
 
-    def control_gaps(self, mnemonic: str, imm: int) -> Tuple[int, int]:
-        """``(taken_gap, not_taken_gap)`` for one control instruction.
-
-        Both outcomes of :meth:`redirect_gap` at once — the compile-time
-        seam constants the chained code generator folds into a trace
-        (the chained direction's gap becomes a constant flush, the other
-        the bail-out's pended redirect).
-        """
-        return (self.redirect_gap(mnemonic, imm, True),
-                self.redirect_gap(mnemonic, imm, False))
-
     # -- identity / serialisation -------------------------------------------
 
     def params_dict(self) -> Dict[str, object]:

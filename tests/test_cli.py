@@ -57,19 +57,15 @@ class TestRun:
 
         assert cycles_line(fast_out) == cycles_line(pipeline_out)
 
+    def test_run_compiled_engine_matches_fast(self, rv_file, capsys):
+        assert main(["run", rv_file, "--engine", "compiled"]) == 0
+        compiled_out = capsys.readouterr().out
+        assert main(["run", rv_file, "--engine", "fast"]) == 0
+        assert compiled_out == capsys.readouterr().out  # bit-identical summary
+
     def test_unknown_engine_rejected_by_argparse(self, rv_file):
         with pytest.raises(SystemExit):
             main(["run", rv_file, "--engine", "quantum"])
-
-    def test_run_pgo_matches_plain_compiled(self, rv_file, capsys):
-        assert main(["run", rv_file, "--engine", "compiled", "--pgo"]) == 0
-        pgo_out = capsys.readouterr().out
-        assert main(["run", rv_file, "--engine", "compiled"]) == 0
-        assert pgo_out == capsys.readouterr().out  # bit-identical summary
-
-    def test_run_pgo_requires_the_compiled_engine(self, rv_file, capsys):
-        assert main(["run", rv_file, "--pgo"]) == 2  # default engine is fast
-        assert "--pgo" in capsys.readouterr().err
 
 
 class TestBench:
@@ -91,48 +87,6 @@ class TestBench:
         compiled_out = capsys.readouterr().out
         assert main(["bench", "bubble_sort", "--engine", "fast"]) == 0
         assert compiled_out == capsys.readouterr().out
-
-    def test_bench_json_writes_the_perf_record(self, tmp_path, capsys):
-        import json
-
-        path = str(tmp_path / "bench.json")
-        assert main(["bench", "--json", path, "--repeat", "1",
-                     "--no-sweep-timing", "--batch-lanes", "8"]) == 0
-        assert "bench record written" in capsys.readouterr().out
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        assert record["format"] == 4
-        labels = {row["label"] for row in record["workloads"]}
-        assert "dhrystone[iterations=500]" in labels
-        for row in record["workloads"]:
-            assert row["engines_agree"] is True
-            assert row["fast_seconds"] > 0 and row["compiled_seconds"] > 0
-            assert row["compiled_speedup_vs_fast"] > 0
-            assert row["compiled_chained_seconds"] > 0
-            assert row["chained_speedup_vs_fast"] > 0
-            assert row["chained_speedup_vs_plain"] > 0
-        machines = {row["machine"] for row in record["machines"]}
-        assert "paper3stage" in machines and len(machines) >= 3
-        for row in record["machines"]:
-            assert row["engines_agree"] is True
-            assert row["cycles"] > 0
-        batch_workloads = {row["workload"] for row in record["batch"]}
-        assert batch_workloads == {"bubble_sort", "gemm"}
-        for row in record["batch"]:
-            assert row["engines_agree"] is True
-            assert row["lanes"] == 8
-            assert row["jobs_per_second"] > 0
-            assert row["serial_jobs_per_second"] > 0
-            assert row["batch_speedup"] > 0
-        assert "sweep" not in record  # --no-sweep-timing
-
-    def test_bench_json_rejects_workload_and_engine_selection(self, tmp_path,
-                                                              capsys):
-        path = str(tmp_path / "bench.json")
-        assert main(["bench", "dhrystone", "--json", path]) == 2
-        assert "drop the workload names" in capsys.readouterr().err
-        assert main(["bench", "--engine", "pipeline", "--json", path]) == 2
-        capsys.readouterr()
 
 
 class TestFuzz:
@@ -204,26 +158,6 @@ class TestMetaCommands:
         text = parser.format_help()
         for command in ("translate", "run", "bench", "fuzz", "hw", "workloads"):
             assert command in text
-
-
-class TestBenchJsonOverwrite:
-    def test_existing_record_is_refused_without_force(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text('{"format": 3}\n')
-        assert main(["bench", "--json", str(path)]) == 2
-        assert "--force" in capsys.readouterr().err
-        assert path.read_text() == '{"format": 3}\n'  # untouched
-
-    def test_force_overwrites(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "bench.json"
-        path.write_text("{}\n")
-        assert main(["bench", "--json", str(path), "--force", "--repeat", "1",
-                     "--no-sweep-timing", "--batch-lanes", "4"]) == 0
-        capsys.readouterr()
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["format"] == 4
 
 
 class TestStatus:
@@ -331,21 +265,6 @@ class TestProfile:
         assert document["superblocks"] == len(document["blocks"])
         for row in document["blocks"]:
             assert row["instructions"] == row["executions"] * row["length"]
-
-    def test_profile_pgo_plan_dump(self, tmp_path, capsys):
-        import json
-
-        path = str(tmp_path / "plan.json")
-        assert main(["profile", "dhrystone", "--pgo-plan", path]) == 0
-        captured = capsys.readouterr()
-        assert "pgo chain plan" in captured.err
-        with open(path, "r", encoding="utf-8") as handle:
-            plan = json.load(handle)
-        assert plan["workload"] == "dhrystone"
-        assert plan["traces"], "dhrystone's hot loops must yield traces"
-        for head, members in plan["traces"].items():
-            assert members[0] == int(head)
-            assert len(members) >= 2
 
 
 class TestCacheCommand:

@@ -8,7 +8,8 @@ structural reference).  Each test replays one executor against them:
 * the pipeline simulator itself (so the fixtures stay regenerable),
 * the fast engine (architectural state *and* its analytic timing model),
 * the compiled superblock-codegen engine (architectural state *and* its
-  fused timing model, plus the combined state digest),
+  fused timing model, plus the combined state digest; and the same state
+  from its stats-free ``run()``),
 * the functional simulator (architectural state; it has no cycle model).
 
 Any drift in architectural state or cycle accounting across a refactor
@@ -99,6 +100,23 @@ def test_compiled_engine_matches_golden(path):
     mismatches = trace_mismatches(
         trace, engine.register_snapshot(), engine.tdm.contents(), stats)
     assert not mismatches, "\n".join(mismatches)
+    assert state_digest(engine.register_snapshot(),
+                        engine.tdm.contents()) == trace["state_digest"]
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=_fixture_id)
+def test_compiled_engine_run_matches_golden_state(path):
+    """``run()`` executes the timed bundle and drops the stats; the
+    architectural result must still be the fixture's."""
+    trace = _load(path)
+    engine = CompiledEngine(_program_for(trace))
+    result = engine.run()
+    assert result.halted
+    mismatches = trace_mismatches(trace, result.registers, result.memory)
+    assert not mismatches, "\n".join(mismatches)
+    assert result.instructions_executed == \
+        trace["stats"]["instructions_committed"]
+    assert result.instruction_mix == trace["stats"]["instruction_mix"]
     assert state_digest(engine.register_snapshot(),
                         engine.tdm.contents()) == trace["state_digest"]
 

@@ -105,6 +105,23 @@ def test_compiled_engine_matches_machine_golden(path):
                         engine.tdm.contents()) == trace["state_digest"]
 
 
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=_fixture_id)
+def test_compiled_engine_run_matches_machine_golden_state(path):
+    """``run()`` executes the config's timed bundle and drops the stats;
+    no config may leak into the architectural result."""
+    trace = _load(path)
+    engine = CompiledEngine(_program_for(trace), machine=trace["machine"])
+    result = engine.run()
+    assert result.halted
+    mismatches = trace_mismatches(trace, result.registers, result.memory)
+    assert not mismatches, "\n".join(mismatches)
+    assert result.instructions_executed == \
+        trace["stats"]["instructions_committed"]
+    assert result.instruction_mix == trace["stats"]["instruction_mix"]
+    assert state_digest(engine.register_snapshot(),
+                        engine.tdm.contents()) == trace["state_digest"]
+
+
 def test_state_digests_agree_with_default_machine_fixtures():
     """Architectural state in every corner fixture matches the default's."""
     default_digests = {}

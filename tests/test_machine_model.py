@@ -224,7 +224,7 @@ class TestCacheKeying:
 
         other = CompiledEngine(program, cache=cache, machine="slowfetch5")
         assert cache.get_json(
-            "codegen", other._cache_key_material(True)) is None
+            "codegen", other._cache_key_material()) is None
         _CODE_MEMO.clear()
         other_stats = other.run_with_stats()
         # Both artifacts now coexist; the timings differ, proving the

@@ -13,6 +13,7 @@ from repro.cache import ArtifactCache
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
+from repro.obs import metrics
 from repro.sim import (
     CompiledEngine,
     FastEngine,
@@ -23,11 +24,13 @@ from repro.sim import (
 )
 from repro.sim.compiled import (
     _CODE_MEMO,
+    _decode_bundle,
     generate_block_source,
     superblock_leaders,
     superblock_span,
 )
-from repro.testing import generate_program
+from repro.sim.machine import MACHINES
+from repro.testing import generate_program, run_differential
 from repro.testing.differential import STATS_FIELDS
 from repro.workloads import all_workloads
 
@@ -62,6 +65,22 @@ ADDI T5, 1
 skip:
 HALT
 """
+
+
+def _marshalled(value, truncate=0):
+    """A codegen artifact's ``code`` field holding ``value`` (its last
+    ``truncate`` marshal bytes cut off)."""
+    import base64
+    import marshal
+
+    raw = marshal.dumps(value)
+    return base64.b64encode(raw[:len(raw) - truncate]).decode("ascii")
+
+
+def _compile_count():
+    counters = metrics.snapshot()["counters"]
+    return (counters.get("compiled.blocks_compiled", 0)
+            + counters.get("compiled.suffix_compiles", 0))
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +128,8 @@ class TestSuperblockPartition:
         leaders = superblock_leaders(records)
         entry = sorted(leaders)[1]
         span = superblock_span(records, leaders, entry)
-        first = generate_block_source(entry, span, records, True, 3 ** 9)
-        second = generate_block_source(entry, span, records, True, 3 ** 9)
+        first = generate_block_source(entry, span, records, 3 ** 9)
+        second = generate_block_source(entry, span, records, 3 ** 9)
         assert first == second
 
 
@@ -170,12 +189,41 @@ class TestEquivalence:
         fast = FastEngine(program).run()
         assert result.registers == fast.registers
         assert result.registers["T3"] == 0 and result.registers["T4"] == 2
-        assert 5 in engine._tables[False]  # the suffix entry materialised
+        assert 5 in engine._table  # the suffix entry materialised
         assert 5 not in engine.block_map()  # ...but is not a static leader
         compiled_stats = CompiledEngine(program, cache=None).run_with_stats()
         fast_stats = FastEngine(program).run_with_stats()
         for field in STATS_FIELDS:
             assert getattr(compiled_stats, field) == getattr(fast_stats, field)
+
+    def test_jalr_after_jal_lands_mid_block(self):
+        # The JAL at 2 enters the block [4..6]; on the second pass the JALR
+        # lands at 5, inside that block and not a leader, so the timing run
+        # compiles a suffix block between two statically compiled ones.
+        program = assemble(
+            "LI T1, 5\n"
+            "LI T5, 1\n"
+            "JAL T8, tail\n"
+            "HALT\n"
+            "tail:\n"
+            "ADDI T3, 1\n"
+            "ADDI T3, 1\n"
+            "BNE T5, 0, go\n"
+            "LI T1, 3\n"
+            "go:\n"
+            "LI T5, 0\n"
+            "JALR T2, T1, 0\n",
+            name="jalr-after-jal",
+        )
+        engine = CompiledEngine(program, cache=None)
+        fast = FastEngine(program)
+        fast_stats = fast.run_with_stats()
+        stats = engine.run_with_stats()
+        for field in STATS_FIELDS:
+            assert getattr(stats, field) == getattr(fast_stats, field), field
+        assert engine.register_snapshot() == fast.register_snapshot()
+        assert engine.register_snapshot()["T3"] == 3
+        assert 5 in engine._table and 5 not in engine.block_map()
 
 
 class TestEngineContract:
@@ -241,6 +289,28 @@ class TestEngineContract:
         assert compiled.registers_snapshot() == fast.registers_snapshot()
         assert compiled.instruction_mix() == fast.instruction_mix()
 
+    @pytest.mark.parametrize("method", ["run", "run_with_stats"])
+    def test_fault_in_jal_target_block_matches_fast_engine(self, method):
+        # The STORE faults in the second block executed (the JAL target),
+        # so the restored state must carry the first block's effects plus
+        # the faulting block's prefix, with or without the timing model.
+        program = assemble(
+            "LI T2, 100\nJAL T8, tail\nHALT\n"
+            "tail:\nADDI T3, 1\nSTORE T1, T2, 0\nHALT",
+            name="fault-after-jal")
+        fast = FastEngine(program, tdm_depth=64)
+        compiled = CompiledEngine(program, tdm_depth=64, cache=None)
+        with pytest.raises(MemoryError_) as fast_exc:
+            getattr(fast, method)()
+        with pytest.raises(MemoryError_) as compiled_exc:
+            getattr(compiled, method)()
+        assert str(compiled_exc.value) == str(fast_exc.value)
+        assert compiled.pc == fast.pc == 4
+        assert compiled.instructions_executed == fast.instructions_executed == 3
+        assert compiled.registers_snapshot() == fast.registers_snapshot()
+        assert compiled.registers_snapshot()["T8"] == 2
+        assert compiled.instruction_mix() == fast.instruction_mix()
+
     def test_data_segment_out_of_depth_rejected_like_fast_engine(self):
         from repro.isa.program import DataSegment
         program = assemble("HALT")
@@ -283,7 +353,16 @@ class TestCodegenArtifacts:
         assert cache.hits >= 1
         assert cache.writes == writes_before  # nothing regenerated
 
-    def test_corrupted_artifact_is_regenerated(self, tmp_path):
+    @pytest.mark.parametrize("payload", [
+        {"code": "not-base64-marshal"},
+        # Well-formed artifacts whose marshalled payload is not a dict of
+        # int -> code objects: a list, and a dict holding a non-code value.
+        {"code": _marshalled([1, 2, 3]), "blocks": {}},
+        {"code": _marshalled({0: 42}), "blocks": {"0": "x"}},
+    ], ids=["not-marshal", "list-payload", "non-code-value"])
+    def test_corrupted_artifact_is_regenerated(self, tmp_path, payload):
+        import json
+
         program = assemble(DIRECTED_SOURCE, name="cache-corrupt")
         cache = ArtifactCache(str(tmp_path / "artifacts"))
         engine = CompiledEngine(program, cache=cache)
@@ -295,11 +374,90 @@ class TestCodegenArtifacts:
             for name in sorted(entry.name for entry in sub.iterdir())
         ]
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"code": "not-base64-marshal"}')
+            json.dump(payload, handle)
         _CODE_MEMO.clear()
         stats = CompiledEngine(program, cache=cache).run_with_stats()
         fast_stats = FastEngine(program).run_with_stats()
         assert stats.cycles == fast_stats.cycles
+        # The junk entry was overwritten by a loadable bundle.
+        _CODE_MEMO.clear()
+        writes = cache.writes
+        reloaded = CompiledEngine(program, cache=cache).run_with_stats()
+        assert reloaded.cycles == fast_stats.cycles
+        assert cache.writes == writes
+
+    @pytest.mark.parametrize("payload", [
+        None,  # a cache miss
+        {},
+        {"code": "!!not base64!!"},
+        {"code": _marshalled({0: compile("", "<x>", "exec")}, truncate=3)},
+        {"code": _marshalled([1, 2, 3])},
+        {"code": _marshalled({"0": compile("", "<x>", "exec")})},
+        {"code": _marshalled({0: 42})},
+        {"code": _marshalled({}), "blocks": ["0"]},
+        {"code": _marshalled({}), "blocks": {"zero": "pass"}},
+    ], ids=["miss", "no-code", "not-base64", "truncated-marshal",
+            "list-payload", "str-entry", "non-code-value", "list-blocks",
+            "non-int-block-entry"])
+    def test_decode_bundle_rejects_junk(self, payload):
+        assert _decode_bundle(payload) is None
+
+    def test_decode_bundle_accepts_a_published_bundle(self, tmp_path):
+        from types import CodeType
+
+        program = assemble(DIRECTED_SOURCE, name="decode-roundtrip")
+        cache = ArtifactCache(str(tmp_path / "artifacts"))
+        engine = CompiledEngine(program, cache=cache)
+        engine.prepare()
+        codes, sources = _decode_bundle(
+            cache.get_json("codegen", engine._cache_key_material()))
+        assert set(codes) == set(sources) == set(engine.block_map())
+        assert all(isinstance(code, CodeType) for code in codes.values())
+        assert sources == engine._bundle[1]
+
+    @pytest.mark.parametrize("payload", [
+        {"code": "not-base64-marshal"},
+        {"code": _marshalled([1, 2, 3]), "blocks": {}},
+        {"code": _marshalled({3: 42}), "blocks": {"3": "x"}},
+    ], ids=["not-marshal", "list-payload", "non-code-value"])
+    def test_suffix_publish_replaces_junk_artifact(self, tmp_path, payload):
+        """The suffix merge reads the cache entry again; junk found there
+        is a miss, and never leaks into the republished bundle."""
+        import json
+
+        from repro.cache import cache_key
+
+        program = assemble(
+            "LI T1, 5\nJALR T2, T1, 0\nADDI T3, 1\nADDI T3, 1\nADDI T3, 1\n"
+            "ADDI T4, 2\nHALT\n", name="suffix-junk")
+        cache = ArtifactCache(str(tmp_path / "artifacts"))
+        engine = CompiledEngine(program, cache=cache)
+        engine.prepare()  # publishes the leader blocks
+        key_material = engine._cache_key_material()
+        path = cache.path_for("codegen", cache_key(key_material))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        result = engine.run()  # discovers suffix 5 and republishes
+        assert result.registers == FastEngine(program).run().registers
+        codes, sources = _decode_bundle(cache.get_json("codegen", key_material))
+        assert set(codes) == set(sources) == {0, 2, 5}
+        _CODE_MEMO.clear()  # a fresh process installs the republished bundle
+        writes = cache.writes
+        fresh = CompiledEngine(program, cache=cache)
+        assert fresh.run().registers == result.registers
+        assert cache.writes == writes  # suffix 5 came from the artifact
+
+    def test_profiled_and_plain_bundles_never_cross(self, tmp_path):
+        program = assemble(DIRECTED_SOURCE, name="profile-isolation")
+        cache = ArtifactCache(str(tmp_path / "artifacts"))
+        CompiledEngine(program, cache=cache).prepare()
+        CompiledEngine(program, cache=cache, profile=True).prepare()
+        assert cache.entry_count("codegen") == 2
+        _CODE_MEMO.clear()  # a fresh process loads the profiled bundle
+        engine = CompiledEngine(program, cache=cache, profile=True)
+        engine.run_with_stats()
+        assert sum(row["instructions"] for row in engine.block_profile()) \
+            == engine.instructions_executed > 0
 
     def test_suffix_republish_merges_other_workers_discoveries(self, tmp_path):
         """A suffix publisher must not erase suffixes another worker found."""
@@ -320,7 +478,7 @@ class TestCodegenArtifacts:
         cache = ArtifactCache(str(tmp_path / "artifacts"))
         engine = CE(program, cache=cache)
         engine.run()  # discovers and publishes suffix entry 5
-        key_material = engine._cache_key_material(False)
+        key_material = engine._cache_key_material()
         path = cache.path_for("codegen", cache_key(key_material))
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -330,7 +488,7 @@ class TestCodegenArtifacts:
         # different (valid) suffix at address 3 present.
         other_source = generate_block_source(
             3, superblock_span(engine._records, engine._leaders, 3),
-            engine._records, False, engine.tdm_depth)
+            engine._records, engine.tdm_depth)
         codes = {
             int(entry): code for entry, code in marshal.loads(
                 base64.b64decode(payload["code"])).items()
@@ -359,3 +517,30 @@ class TestCodegenArtifacts:
         memo_size = len(_CODE_MEMO)
         CompiledEngine(program, cache=None).run()
         assert len(_CODE_MEMO) == memo_size  # second engine reused the entry
+
+    def test_run_and_run_with_stats_share_one_codegen(self):
+        """``run()`` executes the timed bundle, so a fresh engine's timing
+        run on the same program compiles nothing."""
+        def counter(name):
+            return metrics.snapshot()["counters"].get(name, 0)
+
+        program = assemble(DIRECTED_SOURCE, name="one-codegen")
+        CompiledEngine(program, cache=None).run()
+        compiled, memo = (counter("compiled.blocks_compiled"),
+                          counter("compiled.blocks_memo"))
+        CompiledEngine(program, cache=None).run_with_stats()
+        assert counter("compiled.blocks_compiled") == compiled
+        assert counter("compiled.blocks_memo") > memo
+
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_differential_compiles_each_block_once(self, machine):
+        """The differential harness builds a compiled engine for ``run()``
+        and another for ``run_with_stats()``; they share one codegen."""
+        for seed in range(3):
+            program = generate_program(seed)
+            before = _compile_count()
+            outcome = run_differential(program, machine=machine)
+            assert outcome.ok and not outcome.budget_exhausted
+            engine = CompiledEngine(program, cache=None, machine=machine)
+            engine.prepare()  # a memo hit: compiles nothing more
+            assert _compile_count() - before == len(engine._bundle[0])
