@@ -62,17 +62,19 @@ class HardwareFramework:
     Three interchangeable execution engines back :meth:`simulate`:
 
     * ``"fast"`` (the default) — the pre-decoded integer engine of
-      :mod:`repro.sim.engine` with its analytic pipeline timing model.  It
+      :mod:`repro.sim.engine`, stepping the analytic timing model of
+      :mod:`repro.sim.timing` once per committed instruction.  It
       produces bit-identical :class:`PipelineStats` to the stage-by-stage
       simulator (asserted continuously by the differential test suite) at a
       fraction of the cost, which is what makes large workload sweeps viable.
     * ``"pipeline"`` — the original stage-by-stage 5-stage model, kept as
       the structural reference (it models latches, forwarding muxes and the
-      HDU explicitly, which the gate-level analyzer attributes against).
+      HDU explicitly, which the gate-level analyzer attributes against, and
+      it is the independent check on the analytic model).
     * ``"compiled"`` — the superblock code-generating engine of
       :mod:`repro.sim.compiled`: the program is compiled once per machine
-      config to specialized Python functions with the timing model fused
-      in, several times faster again than ``"fast"`` on loop-heavy
+      config to specialized Python functions with the same timing model
+      fused in, several times faster again than ``"fast"`` on loop-heavy
       workloads; its codegen artifacts are shared across worker processes
       through :mod:`repro.cache`.
     """

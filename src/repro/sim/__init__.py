@@ -15,19 +15,23 @@ Two simulators are provided:
 Two further executors trade the object-model fidelity of the reference
 simulators for speed while reproducing both the functional simulator's
 ``ExecutionResult`` and the pipeline simulator's ``PipelineStats``
-bit-identically (asserted continuously by the 4-way differential suite):
+bit-identically (asserted continuously by the 5-way differential suite).
+Their ``PipelineStats`` come from one analytic timing model,
+:mod:`repro.sim.timing`, which the structural ``PipelineSimulator`` checks:
 
 ``FastEngine`` (in :mod:`repro.sim.engine`)
     Pre-decodes the program into flat integer dispatch records and
-    interprets them on plain Python ints.
+    interprets them on plain Python ints, stepping the timing model once
+    per committed instruction.
 ``CompiledEngine`` (in :mod:`repro.sim.compiled`)
     Goes one step further: partitions the program into superblocks and
     ``compile()``s one specialized Python function per block (registers in
-    locals, immediates and the analytic timing model folded to constants),
-    dispatching block-to-block through a PC → function table.  Several
-    times faster again than ``FastEngine`` on loop-heavy workloads, and
-    its generated code is shareable across worker processes through the
-    artifact cache (:mod:`repro.cache`).
+    locals, immediates folded to constants, the timing model stepped at
+    run time only for the first two instructions and folded to constants
+    for the rest), dispatching block-to-block through a PC → function
+    table.  Several times faster again than ``FastEngine`` on loop-heavy
+    workloads, and its generated code is shareable across worker processes
+    through the artifact cache (:mod:`repro.cache`).
 
 Use them (directly, through :func:`execute_program` /
 :func:`compile_and_run`, or via ``HardwareFramework.simulate(engine="fast")``
@@ -41,8 +45,8 @@ observability.
     indirect jumps, halts, faults) are tracked as path groups and
     reconverge automatically; per-lane ``PipelineStats`` stay bit-identical
     to ``FastEngine`` because the timing model depends only on the
-    committed instruction stream.  Used by batched fuzzing and
-    same-grid-point sweep batching.
+    committed instruction stream, so each path group steps one timing
+    state.  Used by batched fuzzing and same-grid-point sweep batching.
 
 Shared component models (ternary register file, TIM/TDM memories, the TALU)
 live in their own modules so that both simulators — and the gate-level

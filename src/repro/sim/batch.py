@@ -28,15 +28,15 @@ target; HALT and per-lane errors (instruction budget, PC escape, TDM range
 faults) retire lanes out of their group.
 
 The cycle-accurate timing model rides on a key invariant of the analytic
-model in :mod:`repro.sim.engine`: every :class:`PipelineStats` quantity is a
+model in :mod:`repro.sim.timing`: every :class:`PipelineStats` quantity is a
 pure function of the *committed instruction stream* (opcodes, register
 indices and branch outcomes) — never of data values.  Lanes in the same
-path group therefore share one scalar rolling-window state (the same
-``p1_*``/``p2_dest`` window the fast engine keeps), and per-lane counters
-advance by group-wide scalar increments.  Groups merge only when both PC
-and window state coincide, so a merged group remains exact.  The result is
-bit-identical ``ExecutionResult`` *and* ``PipelineStats`` per lane — the
-5-way differential suite pins every lane against
+path group therefore share one timing state, stepped once per group step;
+a split copies it, and a group's counter increments move into its lanes'
+per-lane counters before its lanes join another group.  Groups merge only
+when both PC and timing window coincide, so a merged group remains exact.
+The result is bit-identical ``ExecutionResult`` *and* ``PipelineStats`` per
+lane — the 5-way differential suite pins every lane against
 FastEngine/CompiledEngine/FunctionalSimulator/PipelineSimulator.
 """
 
@@ -51,6 +51,7 @@ import repro.sim.engine as _engine
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.obs import metrics
+from repro.sim import timing
 from repro.sim.engine import (
     HALF,
     MOD,
@@ -61,7 +62,6 @@ from repro.sim.engine import (
     OP_BEQ,
     OP_BNE,
     OP_COMP,
-    OP_HALT,
     OP_JAL,
     OP_JALR,
     OP_LI,
@@ -82,8 +82,6 @@ from repro.sim.engine import (
     FastEngine,
     _MNEMONIC_OF,
     _POW3,
-    _READS,
-    _WRITERS,
     wrap,
 )
 from repro.sim.functional import ExecutionResult, SimulationError
@@ -157,47 +155,27 @@ class LaneOutcome:
 class _Group:
     """One set of lanes sharing a control path (and thus a PC).
 
-    The timing fields mirror the fast engine's rolling two-instruction
-    window; they are scalars because the window is a function of the
-    committed stream, which is common to every lane in the group.
-    ``max_exec`` conservatively upper-bounds the lanes' executed counts so
-    the per-step budget check stays a plain int comparison until the budget
-    is actually near.
+    ``state`` is the group's :mod:`repro.sim.timing` state: the timing
+    window is a function of the committed stream, which is common to every
+    lane in the group.  Its counters hold the increments since they were
+    last flushed into the per-lane counter arrays.  ``max_exec``
+    conservatively upper-bounds the lanes' executed counts so the per-step
+    budget check stays a plain int comparison until the budget is actually
+    near.
     """
 
-    __slots__ = ("pc", "lanes", "first_commit", "gap_prev", "p1_dest",
-                 "p1_load", "p1_alu", "p1_redirect_gap", "p2_dest", "max_exec")
+    __slots__ = ("pc", "lanes", "state", "max_exec")
 
-    def __init__(self, pc: int, lanes: np.ndarray):
+    def __init__(self, pc: int, lanes: np.ndarray, state: List[int],
+                 max_exec: int = 0):
         self.pc = pc
         self.lanes = lanes
-        self.first_commit = True
-        self.gap_prev = 0
-        self.p1_dest = -1
-        self.p1_load = False
-        self.p1_alu = False
-        self.p1_redirect_gap = 0
-        self.p2_dest = -1
-        self.max_exec = 0
+        self.state = state
+        self.max_exec = max_exec
 
     def split(self, lanes: np.ndarray) -> "_Group":
-        """A new group with identical window state over a lane subset."""
-        twin = _Group.__new__(_Group)
-        twin.pc = self.pc
-        twin.lanes = lanes
-        twin.first_commit = self.first_commit
-        twin.gap_prev = self.gap_prev
-        twin.p1_dest = self.p1_dest
-        twin.p1_load = self.p1_load
-        twin.p1_alu = self.p1_alu
-        twin.p1_redirect_gap = self.p1_redirect_gap
-        twin.p2_dest = self.p2_dest
-        twin.max_exec = self.max_exec
-        return twin
-
-    def window_key(self) -> tuple:
-        return (self.first_commit, self.gap_prev, self.p1_dest, self.p1_load,
-                self.p1_alu, self.p1_redirect_gap, self.p2_dest)
+        """A new group with a copy of this one's state over a lane subset."""
+        return _Group(self.pc, lanes, list(self.state), self.max_exec)
 
 
 class BatchEngine:
@@ -248,10 +226,9 @@ class BatchEngine:
         self._error_kinds: List[Optional[str]] = [None] * batch
         self._rows = np.arange(batch)
         self._consumed = False
-        # Timing counter arrays, allocated on the run_with_stats path.
-        self._t_stalls = self._t_flushes = None
-        self._t_taken = self._t_not_taken = self._t_jumps = None
-        self._t_exf = self._t_memf = self._t_idf = None
+        # Per-lane timing counters (one row per timing-state counter),
+        # allocated on the run_with_stats path.
+        self._lane_counters: Optional[np.ndarray] = None
 
         for lane, program in enumerate(self.programs):
             for segment in program.data:
@@ -275,7 +252,7 @@ class BatchEngine:
     def run(self, max_instructions: int = 10_000_000) -> List[LaneOutcome]:
         """Architectural execution of every lane; per-lane ``LaneOutcome``."""
         self._consume()
-        self._execute(max_instructions, timing=False)
+        self._execute(max_instructions, with_stats=False)
         return self._outcomes(stats_limit=None)
 
     def run_with_stats(self, max_cycles: int = 50_000_000,
@@ -294,7 +271,7 @@ class BatchEngine:
         if not self.programs[0].instructions:
             raise SimulationError("cannot simulate an empty program")
         self._consume()
-        self._execute(max_cycles, timing=True)
+        self._execute(max_cycles, with_stats=True)
         return self._outcomes(stats_limit=max_cycles,
                               include_results=include_results)
 
@@ -307,7 +284,7 @@ class BatchEngine:
 
     # -- the vectorized interpreter -----------------------------------------
 
-    def _execute(self, max_instructions: int, timing: bool) -> None:
+    def _execute(self, max_instructions: int, with_stats: bool) -> None:
         records = self._records
         program_length = len(records)
         regs = self._regs
@@ -326,49 +303,23 @@ class BatchEngine:
         scratch = np.empty(batch, dtype=np.int64)
         bool_scratch = np.empty(batch, dtype=bool)
 
-        machine = self.machine
-        redirect_penalty = machine.redirect_penalty
-        load_penalty = machine.load_use_penalty
-        btfn = machine.branch_policy == "static-btfn"
-        jal_redirects = not machine.folds_jal
-        reads_table = _READS
+        if with_stats:
+            attrs = timing.attributes(self.programs[0].instructions,
+                                      self.machine)
+            step = timing.step
+            lane_counters = self._lane_counters = np.zeros(
+                (timing.N_COUNTERS, batch), dtype=np.int64)
 
-        if timing:
-            stalls = self._t_stalls = np.zeros(batch, dtype=np.int64)
-            flushes = self._t_flushes = np.zeros(batch, dtype=np.int64)
-            taken_arr = self._t_taken = np.zeros(batch, dtype=np.int64)
-            not_taken_arr = self._t_not_taken = np.zeros(batch, dtype=np.int64)
-            jumps_arr = self._t_jumps = np.zeros(batch, dtype=np.int64)
-            exf = self._t_exf = np.zeros(batch, dtype=np.int64)
-            memf = self._t_memf = np.zeros(batch, dtype=np.int64)
-            idf = self._t_idf = np.zeros(batch, dtype=np.int64)
+        def flush(grp: _Group) -> None:
+            # Move a group's counter increments into its lanes' rows.  Due
+            # when the group halts or merges; a split needs none, since both
+            # halves keep the increments for their own lanes.
+            increments = grp.state[timing.COUNTERS]
+            if any(increments):
+                lane_counters[:, grp.lanes] += np.array(increments)[:, None]
+                grp.state[timing.COUNTERS] = [0] * timing.N_COUNTERS
 
-        def post_update(grp: _Group, op: int, ta: int, taken: bool,
-                        imm: int) -> None:
-            # The fast engine's end-of-commit window update, verbatim.
-            if op == OP_BEQ or op == OP_BNE:
-                if btfn:
-                    mispredicted = taken != (imm <= 0)
-                else:
-                    mispredicted = taken
-                grp.p1_redirect_gap = redirect_penalty if mispredicted else 0
-            elif op == OP_JAL or op == OP_JALR:
-                if op == OP_JALR or jal_redirects:
-                    grp.p1_redirect_gap = redirect_penalty
-                else:
-                    grp.p1_redirect_gap = 0
-            else:
-                grp.p1_redirect_gap = 0
-            grp.p2_dest = grp.p1_dest
-            if op in _WRITERS:
-                grp.p1_dest = ta
-                grp.p1_alu = op != OP_LOAD
-            else:
-                grp.p1_dest = -1
-                grp.p1_alu = False
-            grp.p1_load = op == OP_LOAD
-
-        groups: List[_Group] = [_Group(0, rows.copy())]
+        groups: List[_Group] = [_Group(0, rows.copy(), timing.new_state())]
 
         # Group-dynamics telemetry accumulates in local ints (the hot loop
         # must not pay for metric lookups) and flushes once at the end.
@@ -422,61 +373,6 @@ class BatchEngine:
                 continue
 
             op, ta, tb, imm, bt = records[pc]
-
-            if timing:
-                # Scalar pre-commit pass: gaps, stalls, flushes and the
-                # forwarding events depend only on the window and the
-                # operand indices, never on lane data, so one computation
-                # covers the whole group (counters advance by scatter-add).
-                reads_ta, reads_tb, id_reads = reads_table[op]
-                gap = 0
-                if group.first_commit:
-                    group.first_commit = False
-                elif group.p1_redirect_gap:
-                    gap = group.p1_redirect_gap
-                    flushes[sel] += gap
-                elif group.p1_load and group.p1_dest >= 0 and (
-                    (reads_ta and ta == group.p1_dest)
-                    or (reads_tb and tb == group.p1_dest)
-                ):
-                    if load_penalty or (id_reads and tb == group.p1_dest):
-                        gap = 1
-                        stalls[sel] += 1
-
-                if gap == 1:
-                    wb_dest = group.p1_dest
-                elif gap == 0 and group.gap_prev == 0:
-                    wb_dest = group.p2_dest
-                else:
-                    wb_dest = -1
-
-                ex_events = mem_events = id_events = 0
-                if reads_ta:
-                    if gap == 0 and group.p1_alu and group.p1_dest == ta:
-                        ex_events += 1
-                    elif gap == 0 and group.p1_load and group.p1_dest == ta:
-                        mem_events += 1
-                    elif wb_dest >= 0 and wb_dest == ta:
-                        mem_events += 1
-                if reads_tb:
-                    if gap == 0 and group.p1_alu and group.p1_dest == tb:
-                        ex_events += 1
-                    elif gap == 0 and group.p1_load and group.p1_dest == tb:
-                        mem_events += 1
-                    elif wb_dest >= 0 and wb_dest == tb:
-                        mem_events += 1
-                if id_reads:
-                    if gap == 0 and group.p1_alu and group.p1_dest == tb:
-                        id_events += 1
-                    elif wb_dest >= 0 and wb_dest == tb:
-                        id_events += 1
-                if ex_events:
-                    exf[sel] += ex_events
-                if mem_events:
-                    memf[sel] += mem_events
-                if id_events:
-                    idf[sel] += id_events
-                group.gap_prev = gap
 
             # -- lane-parallel semantics (FastEngine per-opcode code, lifted
             # to arrays; wrap() becomes in-place add/mod/sub).  Full-batch
@@ -690,8 +586,14 @@ class BatchEngine:
             else:
                 counts_row[lanes] += 1
             group.max_exec += 1
+            if with_stats and taken_mask is None:
+                # Non-branches step before any JALR split, so every twin
+                # inherits the stepped state.
+                step(group.state, attrs[pc], False)
 
             if halt_now:
+                if with_stats:
+                    flush(group)
                 halted[lanes] = True
                 final_pc[lanes] = pc + 1
                 groups.remove(group)
@@ -699,26 +601,17 @@ class BatchEngine:
 
             if taken_mask is not None:
                 n_taken = int(taken_mask.sum())
-                if n_taken == 0:
-                    if timing:
-                        not_taken_arr[sel] += 1
-                        post_update(group, op, ta, False, imm)
-                    group.pc = pc + 1
-                elif n_taken == lanes.shape[0]:
-                    if timing:
-                        taken_arr[sel] += 1
-                        post_update(group, op, ta, True, imm)
-                    group.pc = pc + imm
+                if n_taken == 0 or n_taken == lanes.shape[0]:
+                    taken = n_taken > 0
+                    if with_stats:
+                        step(group.state, attrs[pc], taken)
+                    group.pc = pc + imm if taken else pc + 1
                 else:
-                    taken_lanes = lanes[taken_mask]
-                    fall_lanes = lanes[~taken_mask]
-                    twin = group.split(taken_lanes)
-                    group.lanes = fall_lanes
-                    if timing:
-                        taken_arr[taken_lanes] += 1
-                        not_taken_arr[fall_lanes] += 1
-                        post_update(group, op, ta, False, imm)
-                        post_update(twin, op, ta, True, imm)
+                    twin = group.split(lanes[taken_mask])
+                    group.lanes = lanes[~taken_mask]
+                    if with_stats:
+                        step(group.state, attrs[pc], False)
+                        step(twin.state, attrs[pc], True)
                     group.pc = pc + 1
                     twin.pc = pc + imm
                     groups.append(twin)
@@ -726,11 +619,6 @@ class BatchEngine:
                     if len(groups) > max_groups:
                         max_groups = len(groups)
             elif jalr_targets is not None:
-                if timing:
-                    jumps_arr[sel] += 1
-                    # The window update is target-independent, so apply it
-                    # before splitting and let every twin inherit it.
-                    post_update(group, op, ta, False, imm)
                 targets = np.unique(jalr_targets)
                 if targets.shape[0] == 1:
                     group.pc = int(targets[0])
@@ -748,10 +636,6 @@ class BatchEngine:
                     if len(groups) > max_groups:
                         max_groups = len(groups)
             else:
-                if timing:
-                    if op == OP_JAL:
-                        jumps_arr[sel] += 1
-                    post_update(group, op, ta, False, imm)
                 group.pc = pc + imm if op == OP_JAL else pc + 1
 
             # Reconverge: groups whose PC and timing window coincide are
@@ -759,11 +643,15 @@ class BatchEngine:
             if len(groups) > 1:
                 merged: Dict[tuple, _Group] = {}
                 for grp in groups:
-                    key = ((grp.pc,) + grp.window_key()) if timing else grp.pc
+                    key = ((grp.pc, *grp.state[timing.WINDOW]) if with_stats
+                           else grp.pc)
                     kept = merged.get(key)
                     if kept is None:
                         merged[key] = grp
                     else:
+                        if with_stats:
+                            flush(kept)
+                            flush(grp)
                         kept.lanes = np.sort(
                             np.concatenate((kept.lanes, grp.lanes)))
                         kept.max_exec = max(kept.max_exec, grp.max_exec)
@@ -786,7 +674,6 @@ class BatchEngine:
     def _outcomes(self, stats_limit: Optional[int],
                   include_results: bool = True) -> List[LaneOutcome]:
         counts = self._counts
-        fill = self.machine.fill_cycles
         # Aggregate the (L, B) mix matrix to per-mnemonic lane vectors once,
         # so per-lane mix assembly touches <= 25 entries instead of scanning
         # an L-row column for every lane.
@@ -801,14 +688,7 @@ class BatchEngine:
         halted_list = self._halted.tolist()
         final_pcs = self._final_pc.tolist()
         if stats_limit is not None:
-            stalls = self._t_stalls.tolist()
-            flushes = self._t_flushes.tolist()
-            taken = self._t_taken.tolist()
-            not_taken = self._t_not_taken.tolist()
-            jumps = self._t_jumps.tolist()
-            exf = self._t_exf.tolist()
-            memf = self._t_memf.tolist()
-            idf = self._t_idf.tolist()
+            lane_counters = self._lane_counters.T.tolist()
         outcomes: List[LaneOutcome] = []
         for lane in range(self._batch):
             if self._errors[lane] is not None:
@@ -824,27 +704,15 @@ class BatchEngine:
             committed = executed[lane]
             stats = None
             if stats_limit is not None:
-                cycles = committed + fill + stalls[lane] + flushes[lane]
-                if cycles > stats_limit:
+                stats = timing.stats(lane_counters[lane], committed, dict(mix),
+                                     self.machine)
+                if stats.cycles > stats_limit:
                     outcomes.append(LaneOutcome(
                         lane=lane,
                         error=f"program did not halt within {stats_limit} cycles",
                         error_kind="SimulationError",
                     ))
                     continue
-                stats = PipelineStats(
-                    cycles=cycles,
-                    instructions_committed=committed,
-                    load_use_stalls=stalls[lane],
-                    control_flush_bubbles=flushes[lane],
-                    taken_branches=taken[lane],
-                    not_taken_branches=not_taken[lane],
-                    jumps=jumps[lane],
-                    ex_forwards=exf[lane],
-                    mem_forwards=memf[lane],
-                    id_forwards=idf[lane],
-                    instruction_mix=dict(mix),
-                )
             result = None
             if include_results:
                 addresses = np.nonzero(self._touched[lane])[0]

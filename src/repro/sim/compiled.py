@@ -20,16 +20,14 @@ that cost by *compiling the program to Python*:
    the instruction after a call site, and a computed ``JALR`` can target
    any address) are compiled lazily as *suffix* blocks on first dispatch.
 
-The analytic timing model of ``FastEngine.run_with_stats`` is **fused
-into the generated code**.  Inside a block the committed instruction
-stream is statically known, so every stall/forwarding decision between
-interior instructions folds to a compile-time constant: a block
-contributes one constant increment per :class:`PipelineStats` counter,
-plus dynamic terms only for (a) its first two instructions, whose hazards
-depend on the rolling two-instruction window carried in from the previous
-block, and (b) its terminal branch outcome.  The carried window (previous
-destination/load/ALU flags, pending redirect gap, previous gap and the
-destination two instructions back) crosses block boundaries in a small
+The analytic timing model of :mod:`repro.sim.timing` is **fused into the
+generated code**.  Inside a block the committed instruction stream is
+statically known, so only the block's first two instructions, whose
+hazards depend on the two-instruction window carried in from the previous
+block, call the model's ``step`` at run time.  For the rest of the block
+the codegen runs the same ``step`` at compile time and emits constant
+counter increments plus the window the block leaves behind on its taken
+and not-taken exits.  The timing state crosses block boundaries in a small
 mutable state vector.
 
 There is exactly one generated variant per (program, TDM depth, machine,
@@ -72,10 +70,12 @@ from collections import OrderedDict
 from types import CodeType
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.obs import metrics
 from repro.sim import engine as _fast
+from repro.sim import timing
 from repro.sim.engine import (
     HALF,
     MOD,
@@ -108,8 +108,6 @@ from repro.sim.engine import (
     _MemoryView,
     _MNEMONIC_OF,
     _POW3,
-    _READS,
-    _WRITERS,
     wrap,
 )
 from repro.sim.functional import ExecutionResult, SimulationError
@@ -123,7 +121,9 @@ from repro.sim.pipeline.stats import PipelineStats
 #: v4: chained traces (seam flush constants, interior-branch bail-outs,
 #: committed-count cell for variable-length traces).
 #: v5: one variant — unchained superblocks, timing model always fused.
-CODEGEN_VERSION = 5
+#: v6: timing through :mod:`repro.sim.timing` (run-time ``_step`` calls for
+#: the carried prefix, compile-time constants for the rest).
+CODEGEN_VERSION = 6
 
 #: Interpreter identity for the marshalled code objects stored alongside
 #: the sources: ``marshal`` payloads are only valid for the exact bytecode
@@ -146,19 +146,10 @@ _CODE_MEMO_CAP = 64
 #: Opcodes that terminate a superblock.
 _TERMINALS = frozenset((OP_BEQ, OP_BNE, OP_JAL, OP_JALR, OP_HALT))
 
-# Timing state-vector layout (one flat list of ints, shared between the
-# driver loop and every generated block function):
-#   [0] load-use stalls        [1] control-flush bubbles
-#   [2] taken branches         [3] not-taken branches
-#   [4] jumps                  [5] EX forwards
-#   [6] MEM forwards           [7] ID forwards
-#   [8] p1 dest (-1 none)      [9] p1 is-load
-#   [10] p1 is-ALU-writer      [11] p1 pending redirect gap (0 or R)
-#   [12] previous gap          [13] p2 dest (-1 none)
-#   [14] first-commit flag
-#   [15] fault pc              [16] fault offset in block
-_TS_LEN = 17
-_FAULT_PC, _FAULT_OFF = 15, 16
+# The state vector shared by the dispatch loop and every generated block is
+# a :mod:`repro.sim.timing` state followed by two fault slots: the pc of a
+# faulting access and its offset in the block.
+_FAULT_PC, _FAULT_OFF = timing.STATE_LEN, timing.STATE_LEN + 1
 
 
 def superblock_leaders(records: Sequence[tuple]) -> set:
@@ -191,36 +182,6 @@ def superblock_span(records: Sequence[tuple], leaders: set, entry: int) -> List[
     return span
 
 
-class _Attrs:
-    """Static dataflow attributes of one pre-decoded record."""
-
-    __slots__ = ("op", "ta", "tb", "imm", "bt", "reads_ta", "reads_tb",
-                 "id_reads", "dest", "load", "alu")
-
-    def __init__(self, record: tuple):
-        self.op, self.ta, self.tb, self.imm, self.bt = record
-        self.reads_ta, self.reads_tb, self.id_reads = _READS[self.op]
-        self.dest = self.ta if self.op in _WRITERS else -1
-        self.load = self.op == OP_LOAD
-        self.alu = self.op in _WRITERS and self.op != OP_LOAD
-
-
-def _static_gap(prev: _Attrs, cur: _Attrs, machine: MachineConfig) -> int:
-    """Load-use gap between two adjacent straight-line instructions.
-
-    Straight-line predecessors are never control transfers (those end the
-    superblock), so the only possible bubble is the one-cycle load-use
-    stall — waived for EX-path consumers when the machine has the
-    zero-penalty MEM-output bypass (ID-path consumers always stall).
-    """
-    if prev.load and ((cur.reads_ta and cur.ta == prev.dest)
-                      or (cur.reads_tb and cur.tb == prev.dest)):
-        if machine.load_use_penalty >= 1 or (cur.id_reads
-                                             and cur.tb == prev.dest):
-            return 1
-    return 0
-
-
 class _BlockWriter:
     """Line buffer with indentation for one generated function."""
 
@@ -238,32 +199,27 @@ def generate_block_source(
     entry: int,
     span: Sequence[int],
     records: Sequence[tuple],
+    attrs: Sequence[tuple],
     tdm_depth: int,
-    machine: Optional[MachineConfig] = None,
     profile: bool = False,
 ) -> str:
     """Emit the Python source of one superblock function.
 
     The function is named ``_blk_<entry>`` and has the signature
-    ``(regs, mem, st) -> next_pc``.  The machine config's constants —
-    redirect penalty, branch-policy prediction, load-use bypass — are
-    folded into the emitted timing code.
+    ``(regs, mem, st) -> next_pc``.  ``attrs`` are the program's
+    :func:`repro.sim.timing.attributes`: the block steps the timing model
+    at run time for its first :data:`~repro.sim.timing.CARRIED`
+    instructions and adds the compile-time :func:`~repro.sim.timing.static_exits`
+    for the rest.
 
     With ``profile=True`` the block's first statement bumps its ``entry``
     slot in the shared ``_P`` execution-count dict — the per-block
     profile that ``art9 profile`` reports.
     """
-    machine = resolve_machine(machine)
-    redirect = machine.redirect_penalty
-    bypass = machine.load_use_penalty == 0
-    recs = [_Attrs(records[pc]) for pc in span]
+    recs = [records[pc] for pc in span]
     n = len(recs)
-    last = recs[-1]
+    last_op = recs[-1][0]
     check_depth = tdm_depth != MOD
-
-    # gaps[k] is the load-use bubble instruction k pays behind k-1.
-    gaps = [0] + [_static_gap(recs[k - 1], recs[k], machine)
-                  for k in range(1, n)]
 
     w = _BlockWriter()
     w.emit(f"def _blk_{entry}(regs, mem, st):", 0)
@@ -272,20 +228,17 @@ def generate_block_source(
 
     # -- register locals ----------------------------------------------------
     used = set()
-    for a in recs:
-        if a.reads_ta or a.dest >= 0:
-            used.add(a.ta)
-        if a.reads_tb:
-            used.add(a.tb)
+    for op, ta, tb, _imm, _bt in recs:
+        spec = INSTRUCTION_SPECS[_MNEMONIC_OF[op]]
+        if spec.reads_ta or spec.writes_ta:
+            used.add(ta)
+        if spec.reads_tb:
+            used.add(tb)
     for reg in sorted(used):
         w.emit(f"r{reg} = regs[{reg}]")
-    if any(a.load for a in recs):
+    if any(op == OP_LOAD for op, *_ in recs):
         w.emit("_mg = mem.get")
     written: set = set()
-
-    # -- timing bookkeeping -------------------------------------------------
-    s_stall = s_ex = s_mem = s_id = 0
-    w.emit("_e8 = st[8]")
 
     def fault_guard(addr_var: str, pc: int, offset: int) -> None:
         w.emit(f"if {addr_var} >= {tdm_depth}:")
@@ -297,138 +250,9 @@ def generate_block_source(
             f"raise MemoryError_('TDM: address %d out of range 0..{tdm_depth - 1}'"
             f" % {addr_var})", 2)
 
-    def emit_forward_checks(cur: _Attrs, gap_expr, p1: Optional[_Attrs],
-                            wb_expr) -> None:
-        """EX/MEM/ID forwarding for the first two (dynamic) instructions.
-
-        ``gap_expr``/``wb_expr`` are either ints (statically known) or
-        variable names; ``p1`` is None when the predecessor is the carried
-        window (entry instruction), in which case its flags live in ``st``.
-        """
-        nonlocal s_ex, s_mem, s_id
-
-        def one(reads: bool, reg: int, stat_bucket: str) -> None:
-            nonlocal s_ex, s_mem, s_id
-            if not reads:
-                return
-            # EX-stage forward from the immediately preceding ALU writer.
-            if p1 is None:
-                ex_cond = f"{gap_expr} == 0 and st[10] and st[8] == {reg}" \
-                    if not isinstance(gap_expr, int) else (
-                        f"st[10] and st[8] == {reg}" if gap_expr == 0 else None)
-            else:
-                ex_hit = (isinstance(gap_expr, int) and gap_expr == 0
-                          and p1.alu and p1.dest == reg)
-                ex_cond = None
-                if ex_hit:
-                    if stat_bucket == "ex":
-                        s_ex += 1
-                    else:
-                        s_id += 1
-                    return
-                # Zero-penalty machines bypass a fresh load value into EX in
-                # the same cycle; this is a MEM forward (the ID path never
-                # gets here: its consumers force the stall instead).
-                if (bypass and isinstance(gap_expr, int) and gap_expr == 0
-                        and p1.load and p1.dest == reg
-                        and stat_bucket == "ex"):
-                    s_mem += 1
-                    return
-            if ex_cond is not None:
-                w.emit(f"if {ex_cond}:")
-                w.emit(f"st[{5 if stat_bucket == 'ex' else 7}] += 1", 2)
-                prefix_elif = True
-            else:
-                prefix_elif = False
-            if (bypass and p1 is None and stat_bucket == "ex"
-                    and not isinstance(gap_expr, int)):
-                w.emit(f"{'elif' if prefix_elif else 'if'} {gap_expr} == 0 "
-                       f"and st[9] and st[8] == {reg}:")
-                w.emit("st[6] += 1", 2)
-                prefix_elif = True
-            # MEM/WB forward from two slots back.
-            if isinstance(wb_expr, int):
-                if wb_expr >= 0 and wb_expr == reg:
-                    if stat_bucket == "ex":
-                        s_mem += 1
-                    else:
-                        s_id += 1
-                return
-            mem_counter = 6 if stat_bucket == "ex" else 7
-            if prefix_elif:
-                w.emit(f"elif {wb_expr} == {reg}:")
-            else:
-                w.emit(f"if {wb_expr} == {reg}:")
-            w.emit(f"st[{mem_counter}] += 1", 2)
-
-        one(cur.reads_ta, cur.ta, "ex")
-        one(cur.reads_tb, cur.tb, "ex")
-        one(cur.id_reads, cur.tb, "id")
-
-    def emit_timing(k: int) -> None:
-        """Per-instruction stall/forward accounting, constants folded."""
-        nonlocal s_stall
-        cur = recs[k]
-        if k == 0:
-            # Fully dynamic: hazards against the carried window.  st[11] is
-            # the redirect gap pended by the previous block's terminal
-            # (0 or the machine's redirect penalty).
-            w.emit("_g0 = 0")
-            w.emit("if st[14]:")
-            w.emit("st[14] = 0", 2)
-            w.emit("elif st[11]:")
-            w.emit("_g0 = st[11]", 2)
-            w.emit("st[1] += st[11]", 2)
-            read_regs = []
-            if bypass:
-                # Only ID-path consumers stall on this machine; EX-path
-                # consumers take the same-cycle MEM-output bypass instead.
-                if cur.id_reads:
-                    read_regs.append(cur.tb)
-            else:
-                if cur.reads_ta:
-                    read_regs.append(cur.ta)
-                if cur.reads_tb and cur.tb not in read_regs:
-                    read_regs.append(cur.tb)
-            if read_regs:
-                cond = " or ".join(f"st[8] == {reg}" for reg in read_regs)
-                w.emit(f"elif st[9] and ({cond}):")
-                w.emit("_g0 = 1", 2)
-                w.emit("st[0] += 1", 2)
-            if cur.reads_ta or cur.reads_tb or cur.id_reads:
-                w.emit("if _g0 == 1:")
-                w.emit("_wb = st[8]", 2)
-                w.emit("elif _g0 == 0 and st[12] == 0:")
-                w.emit("_wb = st[13]", 2)
-                w.emit("else:")
-                w.emit("_wb = -1", 2)
-                emit_forward_checks(cur, "_g0", None, "_wb")
-            return
-        prev = recs[k - 1]
-        gap = gaps[k]
-        s_stall += gap
-        if k == 1:
-            # gap and the EX-forward source are static; the MEM/WB slot may
-            # still be occupied by the carried predecessor when both gaps
-            # around it are empty.
-            if gap == 1:
-                emit_forward_checks(cur, gap, prev, prev.dest)
-            else:
-                emit_forward_checks(cur, gap, prev, "(_e8 if _g0 == 0 else -1)")
-            return
-        if gap == 1:
-            wb = prev.dest
-        elif gaps[k - 1] == 0:
-            wb = recs[k - 2].dest
-        else:
-            wb = -1
-        emit_forward_checks(cur, gap, prev, wb)
-
     # -- per-instruction emission -------------------------------------------
     for k, pc in enumerate(span):
-        a = recs[k]
-        emit_timing(k)
-        op, ta, tb, imm = a.op, a.ta, a.tb, a.imm
+        op, ta, tb, imm, bt = recs[k]
         A, B = f"r{ta}", f"r{tb}"
 
         if op == OP_ADDI:
@@ -463,7 +287,7 @@ def generate_block_source(
                 w.emit(f"mem[{addr}] = {A}")
         elif op in (OP_BEQ, OP_BNE):
             cmp = "==" if op == OP_BEQ else "!="
-            w.emit(f"_tk = ({B} + 1) % 3 - 1 {cmp} {a.bt}")
+            w.emit(f"_tk = ({B} + 1) % 3 - 1 {cmp} {bt}")
         elif op == OP_LI:
             w.emit(f"{A} = {imm} + {A} - (({A} + 121) % 243 - 121)")
             written.add(ta)
@@ -561,48 +385,36 @@ def generate_block_source(
         # OP_HALT emits nothing: the driver reads the halt flag from the
         # block metadata and the fall-through return below yields pc + 1.
 
-    # -- terminal accounting and carried-window epilogue --------------------
-    if last.op in (OP_BEQ, OP_BNE):
-        w.emit("if _tk:")
-        w.emit("st[2] += 1", 2)
-        w.emit("else:")
-        w.emit("st[3] += 1", 2)
-    s_jump = 1 if last.op in (OP_JAL, OP_JALR) else 0
-    for slot, value in ((0, s_stall), (4, s_jump), (5, s_ex), (6, s_mem),
-                        (7, s_id)):
-        if value:
-            w.emit(f"st[{slot}] += {value}")
-    # p2 dest before p1 dest: for single-instruction blocks the new p2
-    # is the carried p1, captured in _e8 at entry.
-    w.emit(f"st[13] = {recs[-2].dest}" if n >= 2 else "st[13] = _e8")
-    w.emit(f"st[8] = {last.dest}")
-    w.emit(f"st[9] = {1 if last.load else 0}")
-    w.emit(f"st[10] = {1 if last.alu else 0}")
-    # Pend the redirect gap for the next block's first instruction.
-    # Folded JALs and correctly-predicted conditionals cost nothing;
-    # JALR is indirect and always redirects.
-    if last.op == OP_JALR or (last.op == OP_JAL and not machine.folds_jal):
-        w.emit(f"st[11] = {redirect}")
-    elif last.op in (OP_BEQ, OP_BNE) and redirect:
-        predicted_taken = machine.predicts_taken(
-            "BEQ" if last.op == OP_BEQ else "BNE", last.imm)
-        if predicted_taken:
-            w.emit(f"st[11] = 0 if _tk else {redirect}")
-        else:
-            w.emit(f"st[11] = {redirect} if _tk else 0")
-    else:
-        w.emit("st[11] = 0")
-    w.emit(f"st[12] = {gaps[-1]}" if n >= 2 else "st[12] = _g0")
+    # -- timing: the carried prefix steps the model at run time; the rest
+    # of the block adds constant counters and leaves a constant window ------
+    block = [attrs[pc] for pc in span]
+    taken = "_tk" if last_op in (OP_BEQ, OP_BNE) else "0"
+    for k, step_attrs in enumerate(block[:timing.CARRIED]):
+        w.emit(f"_step(st, {step_attrs!r}, {taken if k == n - 1 else 0})")
+    if n > timing.CARRIED:
+        taken_exit, fall_exit = timing.static_exits(block)
+        arms = ([("", taken_exit)] if taken_exit == fall_exit
+                else [("if _tk:", taken_exit), ("else:", fall_exit)])
+        window = f"st[{timing.WINDOW.start}:{timing.WINDOW.stop}]"
+        for head, (deltas, values) in arms:
+            indent = 2 if head else 1
+            if head:
+                w.emit(head)
+            for slot, delta in enumerate(deltas):
+                if delta:
+                    w.emit(f"st[{slot}] += {delta}", indent)
+            w.emit(f"{window} = {values!r}", indent)
 
     for reg in sorted(written):
         w.emit(f"regs[{reg}] = r{reg}")
 
     last_pc = span[-1]
-    if last.op in (OP_BEQ, OP_BNE):
-        w.emit(f"return {last_pc + last.imm} if _tk else {last_pc + 1}")
-    elif last.op == OP_JAL:
-        w.emit(f"return {last_pc + last.imm}")
-    elif last.op == OP_JALR:
+    last_imm = recs[-1][3]
+    if last_op in (OP_BEQ, OP_BNE):
+        w.emit(f"return {last_pc + last_imm} if _tk else {last_pc + 1}")
+    elif last_op == OP_JAL:
+        w.emit(f"return {last_pc + last_imm}")
+    elif last_op == OP_JALR:
         w.emit("return _nx")
     else:  # HALT or fall-through into the next leader
         w.emit(f"return {last_pc + 1}")
@@ -653,6 +465,7 @@ class CompiledEngine:
         self.profile = profile
         self._profile_counts: Dict[int, int] = {}
         self._records = FastEngine._predecode(program)
+        self._attrs = timing.attributes(program.instructions, self.machine)
         self._mem: Dict[int, int] = {}
         for segment in program.data:
             for offset, value in enumerate(segment.values):
@@ -675,6 +488,7 @@ class CompiledEngine:
             "NTIT": _fast._NTI_WORD,
             "P3": _POW3,
             "_P": self._profile_counts,
+            "_step": timing.step,
         }
         # entry pc → (fn, length, halts, entry idx)
         self._table: Dict[int, tuple] = {}
@@ -716,8 +530,8 @@ class CompiledEngine:
 
     def _generate(self, entry: int) -> str:
         return generate_block_source(
-            entry, self._span_of(entry), self._records, self.tdm_depth,
-            self.machine, self.profile)
+            entry, self._span_of(entry), self._records, self._attrs,
+            self.tdm_depth, self.profile)
 
     def _publish(self, codes: Dict[int, object],
                  sources: Dict[int, str]) -> None:
@@ -834,7 +648,7 @@ class CompiledEngine:
 
     def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
         """Run until HALT; same contract and limits as the fast engine."""
-        self._execute(max_instructions, None)
+        self._execute(max_instructions)
         return ExecutionResult(
             instructions_executed=self.instructions_executed,
             halted=self.halted,
@@ -853,21 +667,20 @@ class CompiledEngine:
                 "engine state already consumed; build a fresh CompiledEngine "
                 "for timing statistics"
             )
-        stats = PipelineStats()
-        self._execute(max_cycles, stats)
+        state = self._execute(max_cycles)
+        stats = timing.stats(state, self.instructions_executed,
+                             self.instruction_mix(), self.machine)
         if stats.cycles > max_cycles:
             raise SimulationError(
                 f"program did not halt within {max_cycles} cycles"
             )
         return stats
 
-    def _execute(self, max_instructions: int,
-                 stats: Optional[PipelineStats]) -> None:
+    def _execute(self, max_instructions: int) -> List[int]:
+        """Run the block loop; returns the timing state it advanced."""
         if not self._table and self._records:
             self._build_table()
-        st = [0] * _TS_LEN
-        st[8] = st[13] = -1
-        st[14] = 1
+        st = timing.new_state() + [0, 0]
         table_get = self._table.get
         regs = self._regs
         mem = self._mem
@@ -917,19 +730,7 @@ class CompiledEngine:
         self.pc = pc
         self.instructions_executed = executed
         self.halted = halted
-
-        if stats is not None:
-            stats.instructions_committed = executed
-            stats.cycles = executed + self.machine.fill_cycles + st[0] + st[1]
-            stats.load_use_stalls = st[0]
-            stats.control_flush_bubbles = st[1]
-            stats.taken_branches = st[2]
-            stats.not_taken_branches = st[3]
-            stats.jumps = st[4]
-            stats.ex_forwards = st[5]
-            stats.mem_forwards = st[6]
-            stats.id_forwards = st[7]
-            stats.instruction_mix = self.instruction_mix()
+        return st
 
     # -- inspection helpers -------------------------------------------------
 

@@ -23,15 +23,13 @@ Two entry points are exposed:
     PC, halt flag and instruction mix).
 
 ``run_with_stats()``
-    Architectural execution plus an analytic timing model of the 5-stage
-    pipeline.  The ART-9 pipeline has only two stall sources — load-use
-    hazards (one bubble) and taken control transfers (one flushed fetch) —
-    so its cycle count and every :class:`PipelineStats` counter are a pure
-    function of the dynamic instruction stream.  The model reproduces the
-    pipeline simulator's statistics bit-identically (this is asserted by the
-    differential tests in ``repro.testing``) at a fraction of the cost,
-    which is what lets :class:`~repro.framework.hwflow.HardwareFramework`
-    opt into the fast path for benchmarking.
+    Architectural execution plus the analytic timing model of
+    :mod:`repro.sim.timing`, stepped once per committed instruction.  It
+    reproduces the pipeline simulator's statistics bit-identically (this is
+    asserted by the differential tests in ``repro.testing``) at a fraction
+    of the cost, which is what lets
+    :class:`~repro.framework.hwflow.HardwareFramework` opt into the fast
+    path for benchmarking.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from repro.isa.encoder import EncodeError
 from repro.isa.formats import imm_range
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
+from repro.sim import timing
 from repro.sim.functional import ExecutionResult, SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.memory import MemoryError_
@@ -91,13 +90,6 @@ _OPCODES = {
 }
 
 _MNEMONIC_OF = {code: name for name, code in _OPCODES.items()}
-
-#: Opcodes whose EX-stage product can be forwarded (R/I-type results and the
-#: JAL/JALR link value; loads produce their value one stage later).
-_ALU_WRITERS = frozenset(
-    code for name, code in _OPCODES.items()
-    if name not in ("LOAD", "STORE", "BEQ", "BNE", "HALT")
-)
 
 _POW3 = tuple(3 ** k for k in range(WORD_TRITS))
 
@@ -250,7 +242,7 @@ class FastEngine:
 
     def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
         """Run until HALT; same contract and limits as the functional model."""
-        self._execute(max_instructions, timing=None)
+        self._execute(max_instructions, None)
         return self._result()
 
     def _result(self) -> ExecutionResult:
@@ -263,7 +255,7 @@ class FastEngine:
             memory=dict(self._mem),
         )
 
-    def _execute(self, max_instructions, timing: Optional[PipelineStats]) -> None:
+    def _execute(self, max_instructions, state: Optional[List[int]]) -> None:
         # Hot loop: every mutable piece of state is bound to a local.
         records = self._records
         program_length = len(records)
@@ -278,31 +270,11 @@ class FastEngine:
         pc = self.pc
         executed = self.instructions_executed
         halted = self.halted
-        reads_table = _READS
-
-        # Analytic pipeline timing (only when ``timing`` is a stats object):
-        # a rolling two-instruction window over the committed stream is all
-        # the pipe's stall/forwarding behaviour depends on, so the model is
-        # O(1) in memory and single-pass.  p1_* describe I_{k-1}, p2_dest
-        # describes I_{k-2}; gap_prev is the bubble count between them.  The
-        # machine config contributes only constants: the pipe fill, the
-        # per-redirect penalty, which transfers redirect under the branch
-        # policy, and whether adjacent load consumers stall or bypass.
-        model_timing = timing is not None
-        machine = self.machine
-        fill = machine.fill_cycles
-        redirect_penalty = machine.redirect_penalty
-        load_penalty = machine.load_use_penalty
-        btfn = machine.branch_policy == "static-btfn"
-        jal_redirects = not machine.folds_jal
-        stalls = flushes = 0
-        taken_branches = not_taken = jumps = 0
-        ex_forwards = mem_forwards = id_forwards = 0
-        p1_dest = p2_dest = -1
-        p1_load = p1_alu = False
-        p1_redirect_gap = 0
-        gap_prev = 0
-        first_commit = True
+        # Analytic timing (only when ``state`` is a timing state): one
+        # model step per committed instruction.
+        if state is not None:
+            step = timing.step
+            attrs = timing.attributes(self.program.instructions, self.machine)
 
         while not halted:
             if executed >= max_instructions:
@@ -320,64 +292,6 @@ class FastEngine:
             executed += 1
             next_pc = pc + 1
             branch_was_taken = False
-
-            if model_timing:
-                reads_ta, reads_tb, id_reads = reads_table[op]
-                gap = 0
-                if first_commit:
-                    first_commit = False
-                elif p1_redirect_gap:
-                    gap = p1_redirect_gap
-                    flushes += p1_redirect_gap
-                elif p1_load and p1_dest >= 0 and (
-                    (reads_ta and ta == p1_dest) or (reads_tb and tb == p1_dest)
-                ):
-                    # EX-path consumers bypass the fresh MEM output when the
-                    # config waives the penalty; ID-path consumers (branch
-                    # condition / JALR base) read a stage earlier and always
-                    # stall one bubble.
-                    if load_penalty or (id_reads and tb == p1_dest):
-                        gap = 1
-                        stalls += 1
-
-                # Occupant of the MEM/WB slot two stages ahead (the same
-                # instruction feeds the EX-stage MEM/WB mux and the ID-stage
-                # memory-output path): I_{k-1} when one bubble separates
-                # them, I_{k-2} when both gaps are empty, nobody when the
-                # gap is a multi-bubble redirect shadow.
-                if gap == 1:
-                    wb_dest = p1_dest
-                elif gap == 0 and gap_prev == 0:
-                    wb_dest = p2_dest
-                else:
-                    wb_dest = -1
-
-                # EX-stage forwarding events (one per matched operand read).
-                # The middle branch is the zero-penalty load bypass: a fresh
-                # MEM output feeding EX in the same cycle (unreachable when
-                # the config charges a load-use bubble).
-                if reads_ta:
-                    if gap == 0 and p1_alu and p1_dest == ta:
-                        ex_forwards += 1
-                    elif gap == 0 and p1_load and p1_dest == ta:
-                        mem_forwards += 1
-                    elif wb_dest >= 0 and wb_dest == ta:
-                        mem_forwards += 1
-                if reads_tb:
-                    if gap == 0 and p1_alu and p1_dest == tb:
-                        ex_forwards += 1
-                    elif gap == 0 and p1_load and p1_dest == tb:
-                        mem_forwards += 1
-                    elif wb_dest >= 0 and wb_dest == tb:
-                        mem_forwards += 1
-
-                # ID-stage forwarding (branch condition / JALR base path).
-                if id_reads:
-                    if gap == 0 and p1_alu and p1_dest == tb:
-                        id_forwards += 1
-                    elif wb_dest >= 0 and wb_dest == tb:
-                        id_forwards += 1
-                gap_prev = gap
 
             if op == OP_ADDI:
                 v = regs[ta] + imm
@@ -499,34 +413,8 @@ class FastEngine:
             else:  # OP_HALT
                 halted = True
 
-            if model_timing:
-                if op == OP_BEQ or op == OP_BNE:
-                    if branch_was_taken:
-                        taken_branches += 1
-                    else:
-                        not_taken += 1
-                    if btfn:
-                        # Static BTFN predicts backward branches taken.
-                        mispredicted = branch_was_taken != (imm <= 0)
-                    else:
-                        mispredicted = branch_was_taken
-                    p1_redirect_gap = redirect_penalty if mispredicted else 0
-                elif op == OP_JAL or op == OP_JALR:
-                    jumps += 1
-                    if op == OP_JALR or jal_redirects:
-                        p1_redirect_gap = redirect_penalty
-                    else:
-                        p1_redirect_gap = 0
-                else:
-                    p1_redirect_gap = 0
-                p2_dest = p1_dest
-                if op in _WRITERS:
-                    p1_dest = ta
-                    p1_alu = op != OP_LOAD
-                else:
-                    p1_dest = -1
-                    p1_alu = False
-                p1_load = op == OP_LOAD
+            if state is not None:
+                step(state, attrs[pc], branch_was_taken)
 
             pc = next_pc
 
@@ -534,34 +422,13 @@ class FastEngine:
         self.instructions_executed = executed
         self.halted = halted
 
-        if model_timing:
-            timing.instructions_committed = executed
-            timing.cycles = executed + fill + stalls + flushes
-            timing.load_use_stalls = stalls
-            timing.control_flush_bubbles = flushes
-            timing.taken_branches = taken_branches
-            timing.not_taken_branches = not_taken
-            timing.jumps = jumps
-            timing.ex_forwards = ex_forwards
-            timing.mem_forwards = mem_forwards
-            timing.id_forwards = id_forwards
-            timing.instruction_mix = self.instruction_mix()
-
     # -- analytic pipeline timing -------------------------------------------
 
     def run_with_stats(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Execute and return pipeline statistics identical to the pipeline model.
 
-        The ART-9 pipeline commits exactly one instruction per cycle except
-        for the two hardware stall sources (Sec. IV-B): a load-use stall and
-        a flush shadow behind every front-end redirect, plus the machine
-        config's constant pipe fill.  Under the default ``paper3stage``
-        config these are one bubble per adjacent load consumer, one bubble
-        per taken control transfer and a four-cycle fill — the paper's
-        numbers.  Both stall sources and all forwarding events are
-        determined by adjacency in the dynamic instruction stream, so the
-        model runs single-pass inside the execution loop with a
-        constant-size rolling window for any :class:`MachineConfig`.
+        Every counter comes from :mod:`repro.sim.timing`, stepped once per
+        committed instruction inside the execution loop.
         """
         if not self.program.instructions:
             raise SimulationError("cannot simulate an empty program")
@@ -570,8 +437,10 @@ class FastEngine:
                 "engine state already consumed; build a fresh FastEngine for "
                 "timing statistics"
             )
-        stats = PipelineStats()
-        self._execute(max_cycles, stats)
+        state = timing.new_state()
+        self._execute(max_cycles, state)
+        stats = timing.stats(state, self.instructions_executed,
+                             self.instruction_mix(), self.machine)
         if stats.cycles > max_cycles:
             raise SimulationError(
                 f"program did not halt within {max_cycles} cycles"
@@ -606,28 +475,6 @@ class FastEngine:
     def memory_values(self, base: int, count: int) -> List[int]:
         """Read ``count`` consecutive TDM words starting at ``base``."""
         return self.tdm.dump(base, count)
-
-
-#: Opcodes that write their Ta register (used by the timing model).
-_WRITERS = frozenset(
-    code for name, code in _OPCODES.items()
-    if name not in ("STORE", "BEQ", "BNE", "HALT")
-)
-
-#: Per-opcode operand-read profile: (reads_ta, reads_tb, id_reads_tb).
-#: ``id_reads_tb`` marks the control instructions whose Tb value is consumed
-#: by the ID-stage branch unit (BEQ/BNE condition trit, JALR base address).
-def _build_reads() -> Dict[int, Tuple[bool, bool, bool]]:
-    from repro.isa.instructions import INSTRUCTION_SPECS
-
-    reads = {}
-    for name, code in _OPCODES.items():
-        spec = INSTRUCTION_SPECS[name]
-        reads[code] = (spec.reads_ta, spec.reads_tb, spec.is_control and spec.reads_tb)
-    return reads
-
-
-_READS = _build_reads()
 
 
 def execute_program(program: Program, max_instructions: int = 10_000_000) -> ExecutionResult:

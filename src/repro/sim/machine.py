@@ -2,18 +2,17 @@
 
 A :class:`MachineConfig` captures the *timing* shape of an ART-9 core —
 pipeline depth, branch-handling policy, load-use penalty and instruction
-fetch latency — as pure data.  All three cycle-accurate executors consume
-the same config object:
+fetch latency — as pure data.  Two models of the core consume it:
 
 * the stage-by-stage :class:`~repro.sim.pipeline.PipelineSimulator`
   derives its fetch steering, hazard-detection wiring, redirect penalty
   and retire stage from it;
-* :meth:`FastEngine.run_with_stats <repro.sim.engine.FastEngine>`
-  parameterizes its single-pass analytic model with the same constants;
-* :class:`~repro.sim.compiled.CompiledEngine` folds whichever hazard
-  decisions are static *for that config* into its generated code, and the
-  config digest joins the codegen artifact-cache key so compiled timing
-  can never leak between configs.
+* the analytic timing model of :mod:`repro.sim.timing` derives its
+  per-instruction attributes from it (the redirect gaps come from
+  :meth:`MachineConfig.redirect_gap`).  ``FastEngine``, ``BatchEngine``
+  and ``CompiledEngine`` all step that one model, and the config digest
+  joins the codegen artifact-cache key so compiled timing can never leak
+  between configs.
 
 Because every engine reads the identical description, the config-matrix
 differential suite (``tests/test_machine_differential.py``) can assert

@@ -11,14 +11,23 @@ issue pins:
 * the cycle identity ``cycles == instructions + fill + stalls + flushes``
   holds for every built-in config;
 * the codegen artifact cache is keyed by the machine digest, so compiled
-  artifacts can never cross configs (the cache-poisoning regression).
+  artifacts can never cross configs (the cache-poisoning regression);
+* :mod:`repro.sim.timing` is the only analytic-timing code: no other
+  simulator module outside the config and the structural pipeline reads
+  the config's timing fields.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro.sim
 
 from repro.cache import ArtifactCache
 from repro.framework import SoftwareFramework
 from repro.isa.assembler import assemble
+from repro.sim import timing
 from repro.sim.compiled import _CODE_MEMO, CompiledEngine
 from repro.sim.engine import FastEngine
 from repro.sim.machine import (
@@ -149,6 +158,47 @@ class TestBranchPrediction:
         assert not config.predicts_taken("JALR", -4)  # indirect never
 
 
+    #: (mnemonic, imm, taken) -> redirect gap with a 3-bubble penalty.
+    REDIRECT_GAPS = {
+        "flush-on-taken": {
+            ("BEQ", 4, True): 3, ("BEQ", 4, False): 0,
+            ("BNE", -4, True): 3, ("BNE", -4, False): 0,
+            ("JAL", 5, False): 3, ("JALR", -2, False): 3, ("ADD", 0, False): 0,
+        },
+        "predict-not-taken": {
+            ("BEQ", 4, True): 3, ("BEQ", 4, False): 0,
+            ("BNE", -4, True): 3, ("BNE", -4, False): 0,
+            ("JAL", 5, False): 0, ("JALR", -2, False): 3, ("ADD", 0, False): 0,
+        },
+        "static-btfn": {
+            ("BEQ", 4, True): 3, ("BEQ", 4, False): 0,
+            ("BNE", -4, True): 0, ("BNE", -4, False): 3,
+            ("BEQ", 0, True): 0, ("BEQ", 0, False): 3,
+            ("JAL", 5, False): 0, ("JALR", -2, False): 3, ("ADD", 0, False): 0,
+        },
+    }
+
+    @pytest.mark.parametrize("policy", BRANCH_POLICIES)
+    def test_redirect_gap_is_the_timing_models_redirect_rule(self, policy):
+        config = MachineConfig(branch_policy=policy, branch_penalty=2,
+                               fetch_latency=1)
+        assert config.redirect_penalty == 3
+        cases = self.REDIRECT_GAPS[policy]
+        for (mnemonic, imm, taken), gap in cases.items():
+            assert config.redirect_gap(mnemonic, imm, taken) == gap, (
+                mnemonic, imm, taken)
+        # The timing model's per-PC gaps after a taken and a not-taken
+        # outcome come from the same rule.
+        program = assemble("BEQ T1, 0, 4\nBNE T1, 1, -4\nBEQ T1, 0, 0\n"
+                           "JAL T2, 5\nJALR T2, T3, -2\nADD T1, T2")
+        for instruction, attrs in zip(program.instructions,
+                                      timing.attributes(program.instructions,
+                                                        config)):
+            mnemonic, imm = instruction.mnemonic, instruction.imm
+            assert attrs[8:10] == (config.redirect_gap(mnemonic, imm, True),
+                                   config.redirect_gap(mnemonic, imm, False))
+
+
 BRANCH_HEAVY_SEEDS = [2, 5, 11, 17, 23]
 
 
@@ -249,3 +299,25 @@ class TestCacheKeying:
         CompiledEngine(program, cache=cache, machine=alias).run_with_stats()
         assert cache.hits >= 1
         assert cache.writes == writes_before
+
+
+#: The config's timing fields.  Only the analytic model, the config itself
+#: and the structural pipeline (the independent reference) may read them.
+TIMING_FIELDS = {"redirect_penalty", "load_use_penalty", "branch_policy",
+                 "folds_jal", "predicts_taken", "redirect_gap", "fill_cycles"}
+TIMING_OWNERS = ("timing.py", "machine.py", "pipeline/")
+
+
+def test_only_the_timing_model_reads_machine_timing_fields():
+    sim_dir = Path(repro.sim.__file__).parent
+    readers = []
+    for path in sorted(sim_dir.rglob("*.py")):
+        relative = path.relative_to(sim_dir).as_posix()
+        if relative.startswith(TIMING_OWNERS):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers.extend(f"{relative}:{node.lineno} reads .{node.attr}"
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in TIMING_FIELDS)
+    assert not readers, "\n".join(readers)

@@ -11,11 +11,13 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.isa.program import DataSegment, Program
+from repro.obs import metrics
 from repro.sim import (
     BatchEngine,
     BatchError,
     FastEngine,
     MemoryError_,
+    PipelineSimulator,
     SimulationError,
     batchable_programs,
 )
@@ -32,6 +34,32 @@ LOAD T1, T0, 0
 loop:
 ADDI T1, -1
 BNE T1, 0, loop
+HALT
+"""
+
+
+#: A diamond inside a six-iteration loop: each iteration the low trit of the
+#: lane's data word picks an arm — a load-use pair, or an EX-forward pair
+#: closed by a jump — and both arms join before the loop branch.  Lanes
+#: whose trits differ split at the BEQ and, once their timing windows agree
+#: again past the join, merge.
+DIAMOND_SOURCE = """
+LOAD T1, T0, 0
+LI T2, 6
+loop:
+BEQ T1, 0, armb
+LOAD T3, T0, 1
+ADD T3, T3
+JAL T4, join
+armb:
+ADDI T3, 1
+ADD T3, T3
+join:
+SRI T1, 1
+ADDI T2, -1
+MV T5, T2
+COMP T5, T0
+BNE T5, 0, loop
 HALT
 """
 
@@ -101,6 +129,24 @@ class TestLockstepParity:
         assert outcomes[0].result is None
         serial_stats = FastEngine(program).run_with_stats()
         assert outcomes[0].stats.to_dict() == serial_stats.to_dict()
+
+
+class TestReconvergence:
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_diamond_lanes_merge_and_match_both_references(self, machine):
+        programs = [_data_program(f"diamond-{v}", [v, 4], source=DIAMOND_SOURCE)
+                    for v in (0, 1, -1, 2, 5, 13, -41, 100)]
+
+        def merges():
+            return metrics.snapshot()["counters"].get("batch.group_merges", 0)
+
+        before = merges()
+        outcomes = BatchEngine(programs, machine=machine).run_with_stats()
+        assert merges() > before
+        for outcome, program in zip(outcomes, programs):
+            _assert_lane_matches(outcome, program, machine=machine)
+            pipeline = PipelineSimulator(program, machine=machine).run()
+            assert outcome.stats.to_dict() == pipeline.to_dict()
 
 
 class TestErrorParity:

@@ -29,6 +29,7 @@ from repro.sim.compiled import (
     superblock_leaders,
     superblock_span,
 )
+from repro.sim import timing
 from repro.sim.machine import MACHINES
 from repro.testing import generate_program, run_differential
 from repro.testing.differential import STATS_FIELDS
@@ -125,11 +126,12 @@ class TestSuperblockPartition:
     def test_codegen_is_deterministic(self, translated_workloads):
         program = translated_workloads["sobel"]
         records = FastEngine._predecode(program)
+        attrs = timing.attributes(program.instructions, MACHINES["paper3stage"])
         leaders = superblock_leaders(records)
         entry = sorted(leaders)[1]
         span = superblock_span(records, leaders, entry)
-        first = generate_block_source(entry, span, records, 3 ** 9)
-        second = generate_block_source(entry, span, records, 3 ** 9)
+        first = generate_block_source(entry, span, records, attrs, 3 ** 9)
+        second = generate_block_source(entry, span, records, attrs, 3 ** 9)
         assert first == second
 
 
@@ -488,7 +490,7 @@ class TestCodegenArtifacts:
         # different (valid) suffix at address 3 present.
         other_source = generate_block_source(
             3, superblock_span(engine._records, engine._leaders, 3),
-            engine._records, engine.tdm_depth)
+            engine._records, engine._attrs, engine.tdm_depth)
         codes = {
             int(entry): code for entry, code in marshal.loads(
                 base64.b64decode(payload["code"])).items()
