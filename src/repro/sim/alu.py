@@ -9,6 +9,7 @@ and (b) the gate-level analyzer can attribute hardware resources to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.ternary.arithmetic import (
@@ -38,6 +39,44 @@ class ALUResult:
     operation: str
 
 
+@lru_cache(maxsize=1024)
+def _constant_word(value: int, width: int) -> TernaryWord:
+    """The ``width``-trit word of an immediate or COMP result.
+
+    ``TernaryWord`` is immutable, so one instance per value is shared by
+    every operation that needs it.
+    """
+    return TernaryWord(value, width)
+
+
+def _imm_shift_amount(imm: int) -> int:
+    """Decode the 2-trit immediate shift amount of SRI/SLI (mod 9)."""
+    return imm % 9
+
+
+#: Mnemonic → ``handler(operand_a, operand_b, imm)`` for every TALU operation.
+_HANDLERS = {
+    "MV": lambda a, b, imm: b,
+    "PTI": lambda a, b, imm: word_pti(b),
+    "NTI": lambda a, b, imm: word_nti(b),
+    "STI": lambda a, b, imm: word_sti(b),
+    "AND": lambda a, b, imm: word_and(a, b),
+    "OR": lambda a, b, imm: word_or(a, b),
+    "XOR": lambda a, b, imm: word_xor(a, b),
+    "ADD": lambda a, b, imm: add_words(a, b),
+    "SUB": lambda a, b, imm: sub_words(a, b),
+    "SR": lambda a, b, imm: shift_right(a, shift_amount_from_word(b)),
+    "SL": lambda a, b, imm: shift_left(a, shift_amount_from_word(b)),
+    "COMP": lambda a, b, imm: _constant_word(compare_words(a, b), WORD_TRITS),
+    "ANDI": lambda a, b, imm: word_and(a, _constant_word(imm, WORD_TRITS)),
+    "ADDI": lambda a, b, imm: add_words(a, _constant_word(imm, WORD_TRITS)),
+    "SRI": lambda a, b, imm: shift_right(a, _imm_shift_amount(imm)),
+    "SLI": lambda a, b, imm: shift_left(a, _imm_shift_amount(imm)),
+    "LUI": lambda a, b, imm: shift_left(_constant_word(imm, WORD_TRITS), 5),
+    "LI": lambda a, b, imm: a.replace_low(_constant_word(imm, 5)),
+}
+
+
 class TernaryALU:
     """Executes the arithmetic/logic portion of the ART-9 ISA.
 
@@ -47,10 +86,7 @@ class TernaryALU:
     """
 
     #: Mnemonics handled by the TALU (everything that produces its result in EX).
-    OPERATIONS = (
-        "MV", "PTI", "NTI", "STI", "AND", "OR", "XOR", "ADD", "SUB", "SR", "SL",
-        "COMP", "ANDI", "ADDI", "SRI", "SLI", "LUI", "LI",
-    )
+    OPERATIONS = tuple(_HANDLERS)
 
     def __init__(self):
         self.operation_counts = {op: 0 for op in self.OPERATIONS}
@@ -62,57 +98,19 @@ class TernaryALU:
         operand_b: Optional[TernaryWord] = None,
         imm: Optional[int] = None,
     ) -> ALUResult:
-        """Compute one operation and return its :class:`ALUResult`."""
-        mnemonic = mnemonic.upper()
-        if mnemonic not in self.operation_counts:
-            raise ValueError(f"TALU does not implement {mnemonic!r}")
+        """Compute one operation and return its :class:`ALUResult`.
+
+        ``mnemonic`` is case-insensitive; anything outside
+        :attr:`OPERATIONS` raises ``ValueError``.
+        """
+        handler = _HANDLERS.get(mnemonic)
+        if handler is None:
+            mnemonic = mnemonic.upper()
+            handler = _HANDLERS.get(mnemonic)
+            if handler is None:
+                raise ValueError(f"TALU does not implement {mnemonic!r}")
         self.operation_counts[mnemonic] += 1
-
-        if mnemonic == "MV":
-            result = operand_b
-        elif mnemonic == "PTI":
-            result = word_pti(operand_b)
-        elif mnemonic == "NTI":
-            result = word_nti(operand_b)
-        elif mnemonic == "STI":
-            result = word_sti(operand_b)
-        elif mnemonic == "AND":
-            result = word_and(operand_a, operand_b)
-        elif mnemonic == "OR":
-            result = word_or(operand_a, operand_b)
-        elif mnemonic == "XOR":
-            result = word_xor(operand_a, operand_b)
-        elif mnemonic == "ADD":
-            result = add_words(operand_a, operand_b)
-        elif mnemonic == "SUB":
-            result = sub_words(operand_a, operand_b)
-        elif mnemonic == "SR":
-            result = shift_right(operand_a, shift_amount_from_word(operand_b))
-        elif mnemonic == "SL":
-            result = shift_left(operand_a, shift_amount_from_word(operand_b))
-        elif mnemonic == "COMP":
-            result = TernaryWord(compare_words(operand_a, operand_b), WORD_TRITS)
-        elif mnemonic == "ANDI":
-            result = word_and(operand_a, TernaryWord(imm, WORD_TRITS))
-        elif mnemonic == "ADDI":
-            result = add_words(operand_a, TernaryWord(imm, WORD_TRITS))
-        elif mnemonic == "SRI":
-            result = shift_right(operand_a, self._imm_shift_amount(imm))
-        elif mnemonic == "SLI":
-            result = shift_left(operand_a, self._imm_shift_amount(imm))
-        elif mnemonic == "LUI":
-            result = shift_left(TernaryWord(imm, WORD_TRITS), 5)
-        elif mnemonic == "LI":
-            low = TernaryWord(imm, 5)
-            result = operand_a.replace_low(low)
-        else:  # pragma: no cover - guarded by the membership test above
-            raise AssertionError(mnemonic)
-        return ALUResult(value=result, operation=mnemonic)
-
-    @staticmethod
-    def _imm_shift_amount(imm: int) -> int:
-        """Decode the 2-trit immediate shift amount of SRI/SLI (mod 9)."""
-        return imm % 9
+        return ALUResult(handler(operand_a, operand_b, imm), mnemonic)
 
     def effective_address(self, base: TernaryWord, offset: int) -> int:
         """Address computation of the M-type instructions (shared adder)."""

@@ -45,6 +45,7 @@ class TernaryMemory:
         self.name = name
         self.width = width
         self._cells: Dict[int, TernaryWord] = {}
+        self._zero = TernaryWord.zero(width)
         self.reads = 0
         self.writes = 0
 
@@ -74,7 +75,8 @@ class TernaryMemory:
         """Read the word at ``address`` (uninitialised cells read as zero)."""
         address = self._check(address)
         self.reads += 1
-        return self._cells.get(address, TernaryWord.zero(self.width))
+        word = self._cells.get(address)
+        return self._zero if word is None else word
 
     def write(self, address: int, value: TernaryWord) -> None:
         """Write ``value`` at ``address``."""

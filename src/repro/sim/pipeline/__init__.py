@@ -3,8 +3,8 @@
 The package is organised like the block diagram of the paper:
 
 ``stages``
-    The pipeline latch payloads carried between IF/ID, ID/EX, EX/MEM and
-    MEM/WB.
+    The predecoded per-PC instruction records and the pipeline latches
+    that carry them between IF/ID, ID/EX, EX/MEM and MEM/WB.
 ``hazards``
     The hazard detection unit (HDU) of the ID stage: load-use stall
     detection and the stall control signal that selects a NOP at the next
@@ -19,6 +19,18 @@ The package is organised like the block diagram of the paper:
 ``core``
     The :class:`PipelineSimulator` that wires everything together and
     advances the machine cycle by cycle.
+
+The simulator decodes TIM once, when it is built, into one
+:class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC (the
+predecode step of instruction-set compiled simulation; Reshadi, Mishra and
+Dutt, DAC 2003), applied inside the structural model rather than in its
+place.  Every stage, the HDU, the forwarding multiplexers and the branch
+unit read the fields of the record their latch carries; nothing looks up an
+instruction spec or renders assembly while the clock runs.  The stages,
+latches, counters and the trit-level TALU are unchanged by it.  This
+package imports none of the analytic engines (``engine``, ``timing``,
+``compiled``, ``batch``): it is the independent reference they are checked
+against.
 """
 
 from repro.sim.pipeline.core import PipelineSimulator

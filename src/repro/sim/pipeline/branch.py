@@ -11,9 +11,10 @@ A taken branch or jump therefore squashes exactly one fetched instruction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.isa.instructions import Instruction
+from repro.sim.pipeline.stages import PredecodedInstruction
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 
@@ -37,12 +38,14 @@ class BranchUnit:
 
     def evaluate(
         self,
-        instruction: Instruction,
+        instruction: Union[Instruction, PredecodedInstruction],
         pc: int,
         tb_value: Optional[TernaryWord],
     ) -> BranchOutcome:
         """Return the control-flow outcome of ``instruction`` at ``pc``.
 
+        ``instruction`` needs only ``mnemonic``, ``imm`` and
+        ``branch_trit``; the pipeline passes its predecoded record.
         ``tb_value`` is the forwarded value of the Tb register (None for
         JAL, which has no register source).
         """

@@ -20,6 +20,20 @@ The only hardware-inserted stall cycles are load-use hazards (one bubble)
 and taken branches/jumps (one flushed fetch), matching the statement in
 Sec. IV-B that those are the only observed stall sources.
 
+Predecoded records
+------------------
+
+The constructor decodes TIM once into :attr:`PipelineSimulator.predecoded`,
+one :class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC.  A
+record holds the mnemonic, the operand fields, the register dataflow
+(destination and sources), the load/store/control/jump/ALU/HALT flags and
+the machine's static fetch steering (the predicted-taken bit and the
+fixed-mispredict rule of JAL/JALR).  IF puts the record of the fetched PC
+into the IF/ID latch, and it rides the latches to WB: the HDU, the
+forwarding multiplexers, the ID branch unit, the TALU dispatch and the
+retire accounting all read its fields.  Empty stages share one bubble latch
+per latch type, since nothing mutates a latch once it is built.
+
 Machine configs
 ---------------
 
@@ -39,7 +53,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim.alu import TernaryALU
 from repro.sim.functional import SimulationError
@@ -48,7 +61,17 @@ from repro.sim.pipeline.branch import BranchUnit
 from repro.sim.pipeline.forwarding import ForwardingUnit
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.pipeline.hazards import HazardDetectionUnit
-from repro.sim.pipeline.stages import DecodeLatch, ExecuteLatch, FetchLatch, MemoryLatch
+from repro.sim.pipeline.stages import (
+    DECODE_BUBBLE,
+    EXECUTE_BUBBLE,
+    FETCH_BUBBLE,
+    MEMORY_BUBBLE,
+    DecodeLatch,
+    ExecuteLatch,
+    FetchLatch,
+    MemoryLatch,
+    PredecodedInstruction,
+)
 from repro.sim.pipeline.stats import PipelineStats
 from repro.sim.regfile import TernaryRegisterFile
 from repro.ternary.word import WORD_TRITS, TernaryWord
@@ -63,6 +86,10 @@ class PipelineSimulator:
         self.machine = resolve_machine(machine)
         self.registers = TernaryRegisterFile()
         self.tim_words = program.encode()  # validates that the program encodes
+        #: TIM predecoded once: one record per PC, carried by the latches.
+        self.predecoded = tuple(
+            PredecodedInstruction(instruction, self.machine)
+            for instruction in program.instructions)
         self.tdm = TernaryMemory(depth=tdm_depth, name="TDM")
         self.alu = TernaryALU()
         self.hdu = HazardDetectionUnit(
@@ -72,6 +99,8 @@ class PipelineSimulator:
         self.stats = PipelineStats()
         #: Stage (1=IF .. 5=WB) at which instructions count as committed.
         self.retire_stage = self.machine.depth
+        # A load-use penalty of 0 means a same-cycle MEM-output bypass.
+        self._mem_bypass = self.machine.load_use_penalty == 0
 
         self.pc = 0
         self.halted = False
@@ -80,10 +109,10 @@ class PipelineSimulator:
         # can deliver (initial fill, and redirect_penalty after a redirect).
         self._fetch_bubbles = self.machine.fetch_latency
 
-        self.if_id = FetchLatch.bubble()
-        self.id_ex = DecodeLatch.bubble()
-        self.ex_mem = ExecuteLatch.bubble()
-        self.mem_wb = MemoryLatch.bubble()
+        self.if_id = FETCH_BUBBLE
+        self.id_ex = DECODE_BUBBLE
+        self.ex_mem = EXECUTE_BUBBLE
+        self.mem_wb = MEMORY_BUBBLE
 
         for segment in program.data:
             self.tdm.load_words(segment.values, base=segment.base_address)
@@ -95,44 +124,39 @@ class PipelineSimulator:
         latch = self.mem_wb
         if not latch.valid:
             return
-        destination = latch.destination
+        destination = latch.decoded.destination
         if destination is not None and latch.writeback_value is not None:
             self.registers.write(destination, latch.writeback_value)
         if self.retire_stage == 5:
-            self._retire(latch.instruction)
+            self._retire(latch.decoded)
 
-    def _retire(self, instruction: Instruction) -> None:
+    def _retire(self, decoded: PredecodedInstruction) -> None:
         """Commit accounting at the configured retire stage.
 
         Register/memory side effects always happen in their structural
         stages; this hook only decides *when* an instruction counts as
         committed and when HALT stops the cycle counter.
         """
-        self.stats.instructions_committed += 1
-        self.stats.instruction_mix[instruction.mnemonic] = (
-            self.stats.instruction_mix.get(instruction.mnemonic, 0) + 1
-        )
-        if instruction.mnemonic == "HALT":
+        stats = self.stats
+        stats.instructions_committed += 1
+        mix = stats.instruction_mix
+        mix[decoded.mnemonic] = mix.get(decoded.mnemonic, 0) + 1
+        if decoded.is_halt:
             self.halted = True
 
     def _memory(self) -> MemoryLatch:
         """MEM: perform the TDM access of the EX/MEM latch."""
         latch = self.ex_mem
         if not latch.valid:
-            return MemoryLatch.bubble()
-        instruction = latch.instruction
+            return MEMORY_BUBBLE
+        decoded = latch.decoded
         writeback_value = latch.alu_result
-        if instruction.spec.is_load:
+        if decoded.is_load:
             writeback_value = self.tdm.read(latch.memory_address)
-        elif instruction.spec.is_store:
+        elif decoded.is_store:
             self.tdm.write(latch.memory_address, latch.store_value)
             writeback_value = None
-        return MemoryLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            writeback_value=writeback_value,
-        )
+        return MemoryLatch(True, latch.pc, decoded, writeback_value)
 
     def _execute(self, mem_output: Optional[MemoryLatch] = None) -> ExecuteLatch:
         """EX: run the TALU (with forwarding) or compute the memory address.
@@ -143,48 +167,41 @@ class PipelineSimulator:
         """
         latch = self.id_ex
         if not latch.valid:
-            return ExecuteLatch.bubble()
-        instruction = latch.instruction
-        spec = instruction.spec
+            return EXECUTE_BUBBLE
+        decoded = latch.decoded
 
         operand_a = latch.operand_a
         operand_b = latch.operand_b
-        if spec.reads_ta:
+        if decoded.reads_ta:
             operand_a = self.forwarding.forward_operand(
-                instruction.ta, operand_a, self.ex_mem, self.mem_wb, mem_output
+                decoded.ta, operand_a, self.ex_mem, self.mem_wb, mem_output
             )
-        if spec.reads_tb:
+        if decoded.reads_tb:
             operand_b = self.forwarding.forward_operand(
-                instruction.tb, operand_b, self.ex_mem, self.mem_wb, mem_output
+                decoded.tb, operand_b, self.ex_mem, self.mem_wb, mem_output
             )
 
         alu_result: Optional[TernaryWord] = None
         store_value: Optional[TernaryWord] = None
         memory_address: Optional[int] = None
 
-        if spec.category in ("R", "I"):
+        if decoded.is_alu:
             alu_result = self.alu.execute(
-                instruction.mnemonic, operand_a, operand_b, imm=instruction.imm
+                decoded.mnemonic, operand_a, operand_b, decoded.imm
             ).value
-        elif spec.is_load or spec.is_store:
-            memory_address = self.alu.effective_address(operand_b, instruction.imm)
-            if spec.is_store:
+        elif decoded.is_load or decoded.is_store:
+            memory_address = self.alu.effective_address(operand_b, decoded.imm)
+            if decoded.is_store:
                 store_value = operand_a
-        elif spec.is_jump:
+        elif decoded.is_jump:
             # The link value (PC + 1) was computed in ID; it rides down the
             # pipeline as the writeback value.
             alu_result = TernaryWord(latch.link_value, WORD_TRITS)
         # Conditional branches and HALT carry nothing: they were fully
         # resolved in ID and only flow through for commit accounting.
 
-        return ExecuteLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            alu_result=alu_result,
-            store_value=store_value,
-            memory_address=memory_address,
-        )
+        return ExecuteLatch(True, latch.pc, decoded, alu_result, store_value,
+                            memory_address)
 
     def _decode(self, ex_output: ExecuteLatch, mem_output: MemoryLatch):
         """ID: hazard check, register read, branch resolution.
@@ -193,54 +210,42 @@ class PipelineSimulator:
         """
         latch = self.if_id
         if not latch.valid:
-            return DecodeLatch.bubble(), False, None
-        instruction = latch.instruction
-        spec = instruction.spec
+            return DECODE_BUBBLE, False, None
+        decoded = latch.decoded
 
-        hazard = self.hdu.check(instruction, self.id_ex)
-        if hazard.stall:
-            self.stats.load_use_stalls += 1
-            return DecodeLatch.bubble(), True, None
+        if self.hdu.check(decoded, self.id_ex).stall:
+            return DECODE_BUBBLE, True, None
 
-        operand_a = self.registers.read(instruction.ta) if spec.reads_ta else None
-        operand_b = self.registers.read(instruction.tb) if spec.reads_tb else None
+        registers = self.registers
+        operand_a = registers.read(decoded.ta) if decoded.reads_ta else None
+        operand_b = registers.read(decoded.tb) if decoded.reads_tb else None
 
         redirect_target = None
         link_value = None
-        if spec.is_control:
+        if decoded.is_control:
             tb_value = None
-            if spec.reads_tb:
+            if decoded.reads_tb:
                 tb_value = self.forwarding.forward_for_id(
-                    instruction.tb, self.registers, ex_output, mem_output
+                    decoded.tb, registers, ex_output, mem_output
                 )
-            outcome = self.branch_unit.evaluate(instruction, latch.pc, tb_value)
+            outcome = self.branch_unit.evaluate(decoded, latch.pc, tb_value)
             # The front end already steered fetch by the static prediction;
             # redirect only on a mispredict.  JALR is indirect, so its
             # target is never known at fetch time and it always redirects
             # (even when the computed target happens to equal PC + 1).
-            if instruction.mnemonic == "JALR":
-                mispredicted = True
-            elif instruction.mnemonic == "JAL":
-                mispredicted = not self.machine.folds_jal
-            else:
-                mispredicted = outcome.taken != self.machine.predicts_taken(
-                    instruction.mnemonic, instruction.imm)
+            mispredicted = decoded.fixed_mispredict
+            if mispredicted is None:
+                mispredicted = outcome.taken != decoded.predicted_taken
             if mispredicted:
                 redirect_target = (
                     outcome.target if outcome.taken else latch.pc + 1)
             link_value = outcome.link_value
-        elif instruction.mnemonic == "HALT":
+        elif decoded.is_halt:
             # Stop fetching; let the HALT drain to WB to finish the run.
             self._draining = True
 
-        id_ex_next = DecodeLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            operand_a=operand_a,
-            operand_b=operand_b,
-            link_value=link_value,
-        )
+        id_ex_next = DecodeLatch(True, latch.pc, decoded, operand_a, operand_b,
+                                 link_value)
         return id_ex_next, False, redirect_target
 
     def _fetch(self, stall: bool, redirect_target: Optional[int]) -> FetchLatch:
@@ -254,17 +259,13 @@ class PipelineSimulator:
             self._fetch_bubbles = penalty
         if self._fetch_bubbles > 0:
             self._fetch_bubbles -= 1
-            return FetchLatch.bubble()
-        if self._draining or not 0 <= self.pc < len(self.program.instructions):
-            return FetchLatch.bubble()
-        instruction = self.program.instructions[self.pc]
-        fetched = FetchLatch(valid=True, pc=self.pc, instruction=instruction)
-        if self.machine.predicts_taken(instruction.mnemonic,
-                                       instruction.imm or 0):
-            self.pc += instruction.imm
-        else:
-            self.pc += 1
-        return fetched
+            return FETCH_BUBBLE
+        pc = self.pc
+        if self._draining or not 0 <= pc < len(self.predecoded):
+            return FETCH_BUBBLE
+        decoded = self.predecoded[pc]
+        self.pc = pc + decoded.imm if decoded.predicted_taken else pc + 1
+        return FetchLatch(True, pc, decoded)
 
     # ------------------------------------------------------------------ driver
 
@@ -274,18 +275,17 @@ class PipelineSimulator:
 
         self._writeback()
         mem_wb_next = self._memory()
-        ex_mem_next = self._execute(
-            mem_wb_next if self.machine.load_use_penalty == 0 else None)
+        ex_mem_next = self._execute(mem_wb_next if self._mem_bypass else None)
         id_ex_next, stall, redirect_target = self._decode(ex_mem_next, mem_wb_next)
         if_id_next = self._fetch(stall, redirect_target)
 
         retire_stage = self.retire_stage
         if retire_stage == 4 and mem_wb_next.valid:
-            self._retire(mem_wb_next.instruction)
+            self._retire(mem_wb_next.decoded)
         elif retire_stage == 3 and ex_mem_next.valid:
-            self._retire(ex_mem_next.instruction)
+            self._retire(ex_mem_next.decoded)
         elif retire_stage == 2 and id_ex_next.valid:
-            self._retire(id_ex_next.instruction)
+            self._retire(id_ex_next.decoded)
 
         self.mem_wb = mem_wb_next
         self.ex_mem = ex_mem_next
@@ -305,10 +305,10 @@ class PipelineSimulator:
             self._writeback()
             mem_wb_next = self._memory()
             ex_mem_next = self._execute(
-                mem_wb_next if self.machine.load_use_penalty == 0 else None)
+                mem_wb_next if self._mem_bypass else None)
             self.mem_wb = mem_wb_next
             self.ex_mem = ex_mem_next
-            self.id_ex = DecodeLatch.bubble()
+            self.id_ex = DECODE_BUBBLE
 
     def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Run until the HALT instruction commits (or ``max_cycles``)."""
@@ -325,6 +325,7 @@ class PipelineSimulator:
         return self.stats
 
     def _finalize_stats(self) -> None:
+        self.stats.load_use_stalls = self.hdu.load_use_stalls
         self.stats.taken_branches = self.branch_unit.taken_branches
         self.stats.not_taken_branches = self.branch_unit.not_taken_branches
         self.stats.jumps = self.branch_unit.jumps

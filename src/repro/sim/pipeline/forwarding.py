@@ -14,20 +14,11 @@ Two forwarding paths exist in the design of Fig. 4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.pipeline.stages import ExecuteLatch, MemoryLatch
 from repro.sim.regfile import TernaryRegisterFile
 from repro.ternary.word import TernaryWord
-
-
-@dataclass
-class ForwardingEvent:
-    """Book-keeping record of a single forwarded operand (for statistics)."""
-
-    register: int
-    source: str  # "EX/MEM", "MEM/WB" or "EX-output"
 
 
 class ForwardingUnit:

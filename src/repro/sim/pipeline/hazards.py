@@ -15,18 +15,40 @@ the mechanism described for the main decoder in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
-from repro.isa.instructions import Instruction
-from repro.sim.pipeline.stages import DecodeLatch
+from repro.sim.pipeline.stages import DecodeLatch, PredecodedInstruction
 
 
-@dataclass
 class HazardDecision:
-    """Outcome of the HDU for the instruction currently in ID."""
+    """Outcome of the HDU for the instruction currently in ID.
 
-    stall: bool = False
-    reason: str = ""
+    ``reason`` is rendered from the two instructions only when something
+    reads it, so a stall costs no assembly rendering.
+    """
+
+    __slots__ = ("stall", "_register", "_producer", "_consumer")
+
+    def __init__(self, stall: bool = False, register: Optional[int] = None,
+                 producer: Optional[PredecodedInstruction] = None,
+                 consumer: Optional[PredecodedInstruction] = None):
+        self.stall = stall
+        self._register = register
+        self._producer = producer
+        self._consumer = consumer
+
+    @property
+    def reason(self) -> str:
+        """Why the HDU stalled (empty when it did not)."""
+        if not self.stall:
+            return ""
+        return (f"load-use hazard on T{self._register} "
+                f"({self._producer.instruction.render()} -> "
+                f"{self._consumer.instruction.render()})")
+
+
+#: The decision of every cycle that does not stall.
+NO_STALL = HazardDecision()
 
 
 class HazardDetectionUnit:
@@ -43,7 +65,8 @@ class HazardDetectionUnit:
         self.load_use_penalty = load_use_penalty
         self.load_use_stalls = 0
 
-    def check(self, decoding: Instruction, id_ex: DecodeLatch) -> HazardDecision:
+    def check(self, decoding: PredecodedInstruction,
+              id_ex: DecodeLatch) -> HazardDecision:
         """Decide whether the instruction entering ID must stall one cycle.
 
         ``decoding`` is the instruction in ID; ``id_ex`` is the latch feeding
@@ -53,24 +76,20 @@ class HazardDetectionUnit:
         resolved by the forwarding multiplexers.
         """
         if not id_ex.is_load:
-            return HazardDecision(stall=False)
+            return NO_STALL
         load_destination = id_ex.destination
         if load_destination is None:
-            return HazardDecision(stall=False)
-        if load_destination in decoding.sources() and (
-            self.load_use_penalty >= 1 or decoding.spec.is_control
+            return NO_STALL
+        if load_destination in decoding.sources and (
+            self.load_use_penalty >= 1 or decoding.is_control
         ):
             self.load_use_stalls += 1
-            return HazardDecision(
-                stall=True,
-                reason=f"load-use hazard on T{load_destination} "
-                f"({id_ex.instruction.render()} -> {decoding.render()})",
-            )
+            return HazardDecision(True, load_destination, id_ex.decoded, decoding)
         # Branches and JALR consume register values in ID itself (the
         # condition trit / jump base); a LOAD one slot ahead is also a
-        # load-use hazard for them and is caught by the sources() check
+        # load-use hazard for them and is caught by the sources check
         # above, because B-type and JALR instructions list Tb as a source.
-        return HazardDecision(stall=False)
+        return NO_STALL
 
     def reset_statistics(self) -> None:
         """Zero the stall counter."""

@@ -1,8 +1,15 @@
-"""Pipeline latch payloads for the 5-stage ART-9 core.
+"""Predecoded instructions and the pipeline latches of the 5-stage ART-9 core.
 
-Each dataclass models the ternary pipeline register between two stages.  A
+:class:`PredecodedInstruction` is one TIM word decoded once, before the
+run: the fields and flags the stages would otherwise re-derive from the
+:class:`~repro.isa.instructions.Instruction` and its spec on every cycle.
+The latches carry it from IF to WB.
+
+Each latch models the ternary pipeline register between two stages.  A
 latch whose ``valid`` flag is False carries a bubble (the hardware would be
 holding the NOP selected by the stall control signal of the main decoder).
+Nothing mutates a latch once it is built, so every empty stage shares one
+bubble instance per latch type.
 """
 
 from __future__ import annotations
@@ -11,24 +18,82 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.instructions import Instruction
+from repro.sim.machine import MachineConfig, resolve_machine
 from repro.ternary.word import TernaryWord
 
 
-@dataclass
+class PredecodedInstruction:
+    """The per-PC record that rides the latches in place of the instruction.
+
+    It copies the operand fields, the dataflow of the spec (``reads_ta``,
+    ``reads_tb``, ``destination``, ``sources``) and the class flags, and
+    adds the machine's static fetch steering:
+
+    ``predicted_taken``
+        IF steers fetch to ``PC + imm`` instead of ``PC + 1``.
+    ``fixed_mispredict``
+        Whether ID redirects fetch regardless of the outcome: always for
+        JALR (indirect, so fetch never has its target), for JAL unless the
+        machine folds it at fetch; None for conditional branches, which
+        redirect when the outcome differs from ``predicted_taken``.
+    """
+
+    __slots__ = (
+        "instruction", "mnemonic", "ta", "tb", "imm", "branch_trit",
+        "reads_ta", "reads_tb", "destination", "sources",
+        "is_load", "is_store", "is_control", "is_jump", "is_alu", "is_halt",
+        "predicted_taken", "fixed_mispredict",
+    )
+
+    def __init__(self, instruction: Instruction,
+                 machine: Optional[MachineConfig] = None):
+        machine = resolve_machine(machine)
+        spec = instruction.spec
+        mnemonic = instruction.mnemonic
+        self.instruction = instruction
+        self.mnemonic = mnemonic
+        self.ta = instruction.ta
+        self.tb = instruction.tb
+        self.imm = instruction.imm
+        self.branch_trit = instruction.branch_trit
+        self.reads_ta = spec.reads_ta
+        self.reads_tb = spec.reads_tb
+        self.destination = instruction.destination()
+        self.sources = instruction.sources()
+        self.is_load = spec.is_load
+        self.is_store = spec.is_store
+        self.is_control = spec.is_control
+        self.is_jump = spec.is_jump
+        self.is_alu = spec.category in ("R", "I")
+        self.is_halt = mnemonic == "HALT"
+        self.predicted_taken = machine.predicts_taken(
+            mnemonic, instruction.imm or 0)
+        if mnemonic == "JALR":
+            self.fixed_mispredict = True
+        elif mnemonic == "JAL":
+            self.fixed_mispredict = not machine.folds_jal
+        else:
+            self.fixed_mispredict = None
+
+    def __repr__(self) -> str:
+        return f"PredecodedInstruction({self.instruction.render()!r})"
+
+
+@dataclass(slots=True)
 class FetchLatch:
     """IF/ID pipeline register: the fetched instruction and its PC."""
 
     valid: bool = False
     pc: int = 0
-    instruction: Optional[Instruction] = None
+    decoded: Optional[PredecodedInstruction] = None
 
     @classmethod
     def bubble(cls) -> "FetchLatch":
-        """An empty slot (inserted after a taken branch flush)."""
-        return cls(valid=False)
+        """The shared empty slot (inserted after a taken branch flush)."""
+        return FETCH_BUBBLE
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeLatch:
     """ID/EX pipeline register: decoded fields and register operands.
 
@@ -38,73 +103,75 @@ class DecodeLatch:
 
     valid: bool = False
     pc: int = 0
-    instruction: Optional[Instruction] = None
+    decoded: Optional[PredecodedInstruction] = None
     operand_a: Optional[TernaryWord] = None
     operand_b: Optional[TernaryWord] = None
     link_value: Optional[int] = None
 
     @classmethod
     def bubble(cls) -> "DecodeLatch":
-        """The NOP inserted by the stall control signal."""
-        return cls(valid=False)
+        """The shared NOP inserted by the stall control signal."""
+        return DECODE_BUBBLE
 
     @property
     def destination(self) -> Optional[int]:
         """Destination register of the instruction in flight, if any."""
-        if not self.valid or self.instruction is None:
-            return None
-        return self.instruction.destination()
+        return self.decoded.destination if self.valid else None
 
     @property
     def is_load(self) -> bool:
         """True when the latch carries a LOAD (needed by the HDU)."""
-        return self.valid and self.instruction is not None and self.instruction.spec.is_load
+        return self.valid and self.decoded.is_load
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecuteLatch:
     """EX/MEM pipeline register: the TALU result or memory request."""
 
     valid: bool = False
     pc: int = 0
-    instruction: Optional[Instruction] = None
+    decoded: Optional[PredecodedInstruction] = None
     alu_result: Optional[TernaryWord] = None
     store_value: Optional[TernaryWord] = None
     memory_address: Optional[int] = None
 
     @classmethod
     def bubble(cls) -> "ExecuteLatch":
-        return cls(valid=False)
+        """The shared empty EX/MEM slot."""
+        return EXECUTE_BUBBLE
 
     @property
     def destination(self) -> Optional[int]:
         """Destination register of the instruction in flight, if any."""
-        if not self.valid or self.instruction is None:
-            return None
-        return self.instruction.destination()
+        return self.decoded.destination if self.valid else None
 
     @property
     def is_load(self) -> bool:
         """True when the latch carries a LOAD whose data is not yet available."""
-        return self.valid and self.instruction is not None and self.instruction.spec.is_load
+        return self.valid and self.decoded.is_load
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryLatch:
     """MEM/WB pipeline register: the value to commit to the TRF."""
 
     valid: bool = False
     pc: int = 0
-    instruction: Optional[Instruction] = None
+    decoded: Optional[PredecodedInstruction] = None
     writeback_value: Optional[TernaryWord] = None
 
     @classmethod
     def bubble(cls) -> "MemoryLatch":
-        return cls(valid=False)
+        """The shared empty MEM/WB slot."""
+        return MEMORY_BUBBLE
 
     @property
     def destination(self) -> Optional[int]:
         """Destination register of the instruction in flight, if any."""
-        if not self.valid or self.instruction is None:
-            return None
-        return self.instruction.destination()
+        return self.decoded.destination if self.valid else None
+
+
+FETCH_BUBBLE = FetchLatch()
+DECODE_BUBBLE = DecodeLatch()
+EXECUTE_BUBBLE = ExecuteLatch()
+MEMORY_BUBBLE = MemoryLatch()

@@ -77,7 +77,11 @@ class Trit:
     @staticmethod
     def validate_all(values: Iterable[int]) -> tuple:
         """Validate every element of ``values`` and return them as a tuple."""
-        return tuple(Trit.validate(v) for v in values)
+        trits = tuple(values)
+        for value in trits:
+            if value not in VALID_TRITS:
+                raise ValueError(f"not a balanced trit: {value!r}")
+        return trits
 
     @staticmethod
     def to_symbol(value: int) -> str:

@@ -36,12 +36,15 @@ class TernaryWord:
         Word width in trits; defaults to the ART-9 datapath width of 9.
     """
 
-    __slots__ = ("_trits", "_width")
+    __slots__ = ("_trits", "_width", "_value")
 
     def __init__(self, value: Union[int, Sequence[int]] = 0, width: int = WORD_TRITS):
         if width < 1:
             raise ValueError(f"word width must be positive, got {width}")
         self._width = width
+        # The integer value, summed from the trits on first read; the word
+        # is immutable, so the cache never goes stale.
+        self._value = None
         if isinstance(value, int):
             self._trits = tuple(int_to_trits(value, width))
         else:
@@ -89,7 +92,10 @@ class TernaryWord:
     @property
     def value(self) -> int:
         """The signed integer value of the word."""
-        return trits_to_int(self._trits)
+        value = self._value
+        if value is None:
+            value = self._value = trits_to_int(self._trits)
+        return value
 
     @property
     def unsigned(self) -> int:

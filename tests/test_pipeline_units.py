@@ -11,7 +11,7 @@ import pytest
 from repro.isa.instructions import Instruction
 from repro.sim.pipeline.branch import BranchUnit
 from repro.sim.pipeline.hazards import HazardDetectionUnit
-from repro.sim.pipeline.stages import DecodeLatch
+from repro.sim.pipeline.stages import DecodeLatch, PredecodedInstruction
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 MOD = 3 ** WORD_TRITS
@@ -101,7 +101,8 @@ class TestBranchUnitJumps:
 
 
 def latch_for(instruction: Instruction) -> DecodeLatch:
-    return DecodeLatch(valid=True, pc=0, instruction=instruction)
+    return DecodeLatch(valid=True, pc=0,
+                       decoded=PredecodedInstruction(instruction))
 
 
 class TestHazardDetectionUnit:
@@ -109,7 +110,7 @@ class TestHazardDetectionUnit:
         hdu = HazardDetectionUnit()
         load = Instruction("LOAD", ta=3, tb=1, imm=0)
         consumer = Instruction("ADD", ta=2, tb=3)  # reads T3 via tb
-        decision = hdu.check(consumer, latch_for(load))
+        decision = hdu.check(PredecodedInstruction(consumer), latch_for(load))
         assert decision.stall
         assert "load-use" in decision.reason
         assert hdu.load_use_stalls == 1
@@ -118,19 +119,19 @@ class TestHazardDetectionUnit:
         hdu = HazardDetectionUnit()
         load = Instruction("LOAD", ta=3, tb=1, imm=0)
         independent = Instruction("ADD", ta=2, tb=4)
-        assert not hdu.check(independent, latch_for(load)).stall
+        assert not hdu.check(PredecodedInstruction(independent), latch_for(load)).stall
         assert hdu.load_use_stalls == 0
 
     def test_non_load_producer_never_stalls(self):
         hdu = HazardDetectionUnit()
         add = Instruction("ADD", ta=3, tb=1)
         consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(consumer, latch_for(add)).stall
+        assert not hdu.check(PredecodedInstruction(consumer), latch_for(add)).stall
 
     def test_bubble_latch_never_stalls(self):
         hdu = HazardDetectionUnit()
         consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(consumer, DecodeLatch.bubble()).stall
+        assert not hdu.check(PredecodedInstruction(consumer), DecodeLatch.bubble()).stall
 
     def test_branch_reading_loaded_register_stalls(self):
         # BEQ consumes its Tb condition trit in ID itself, so a LOAD one
@@ -138,18 +139,19 @@ class TestHazardDetectionUnit:
         hdu = HazardDetectionUnit()
         load = Instruction("LOAD", ta=5, tb=1, imm=0)
         branch = Instruction("BEQ", tb=5, branch_trit=0, imm=2)
-        assert hdu.check(branch, latch_for(load)).stall
+        assert hdu.check(PredecodedInstruction(branch), latch_for(load)).stall
         assert hdu.load_use_stalls == 1
 
     def test_store_of_loaded_value_stalls(self):
         hdu = HazardDetectionUnit()
         load = Instruction("LOAD", ta=5, tb=1, imm=0)
         store = Instruction("STORE", ta=5, tb=2, imm=0)  # reads T5 as data
-        assert hdu.check(store, latch_for(load)).stall
+        assert hdu.check(PredecodedInstruction(store), latch_for(load)).stall
 
     def test_reset_statistics(self):
         hdu = HazardDetectionUnit()
         load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        hdu.check(Instruction("ADD", ta=2, tb=3), latch_for(load))
+        hdu.check(PredecodedInstruction(Instruction("ADD", ta=2, tb=3)),
+                  latch_for(load))
         hdu.reset_statistics()
         assert hdu.load_use_stalls == 0

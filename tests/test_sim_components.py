@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import MemoryError_, TernaryALU, TernaryMemory, TernaryRegisterFile
-from repro.ternary import TernaryWord, to_balanced_range
+from repro.ternary import TernaryWord, to_balanced_range, trits_to_int
 
 values = st.integers(min_value=-9841, max_value=9841)
 
@@ -42,6 +42,18 @@ class TestTernaryMemory:
         assert memory.reads == 0
         memory.clear()
         assert memory.occupied_words() == 0
+
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=9),
+           st.data())
+    def test_unwritten_cell_reads_a_zero_word_and_counts(self, depth, width, data):
+        memory = TernaryMemory(depth=depth, width=width)
+        address = data.draw(st.integers(min_value=0, max_value=depth - 1))
+        if depth > 1:
+            memory.write_int((address + 1) % depth, 1)
+        first = memory.read(address)
+        assert first == TernaryWord.zero(width) and first.width == width
+        assert memory.read(address).value == 0
+        assert memory.reads == 2
 
     def test_width_mismatch_rejected(self):
         memory = TernaryMemory(depth=8)
@@ -124,3 +136,19 @@ class TestTernaryALU:
 
     def test_effective_address(self):
         assert self.alu.effective_address(TernaryWord(-2), 1) == 3 ** 9 - 1
+
+    def test_mnemonics_are_case_insensitive(self):
+        assert self.alu.execute("add", TernaryWord(1), TernaryWord(2)).value.value == 3
+        assert self.alu.execute("Addi", TernaryWord(1), imm=4).operation == "ADDI"
+        assert self.alu.operation_counts["ADD"] == 1
+        assert self.alu.operation_counts["ADDI"] == 1
+        with pytest.raises(ValueError):
+            self.alu.execute("jal", TernaryWord(0))
+
+    @given(st.sampled_from(TernaryALU.OPERATIONS), values, values,
+           st.integers(min_value=-121, max_value=121))
+    def test_every_result_caches_its_trit_value(self, mnemonic, a, b, imm):
+        result = self.alu.execute(mnemonic, TernaryWord(a), TernaryWord(b), imm=imm).value
+        expected = trits_to_int(result.trits)
+        assert result.value == expected
+        assert result.value == expected

@@ -6,11 +6,15 @@ equivalence with the functional simulator on random straight-line and
 control-flow-heavy programs.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.framework import SoftwareFramework
 from repro.isa import Instruction, Program, assemble
 from repro.sim import FunctionalSimulator, PipelineSimulator, SimulationError
+from repro.workloads import get_workload
 
 
 def run_both(source):
@@ -120,6 +124,36 @@ class TestCycleCounts:
         _, stats = run_both("ADDI T1, 1\nHALT")
         assert stats.cpi == stats.cycles / stats.instructions_committed
         assert 0 < stats.ipc <= 1
+
+
+class TestPredecodedRun:
+    """A run reads only the per-PC records built when the simulator is."""
+
+    @pytest.fixture(scope="class")
+    def dhrystone(self):
+        return SoftwareFramework().compile_workload(get_workload("dhrystone"))[0]
+
+    @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
+    def test_run_never_consults_the_spec_or_renders(self, dhrystone, machine,
+                                                   monkeypatch):
+        pipeline = PipelineSimulator(dhrystone, machine=machine)
+        calls = Counter()
+        spec, render = Instruction.spec, Instruction.render
+
+        def counted_spec(instruction):
+            calls["spec"] += 1
+            return spec.fget(instruction)
+
+        def counted_render(instruction):
+            calls["render"] += 1
+            return render(instruction)
+
+        monkeypatch.setattr(Instruction, "spec", property(counted_spec))
+        monkeypatch.setattr(Instruction, "render", counted_render)
+        stats = pipeline.run()
+        # The load-use stall and redirect paths both ran.
+        assert stats.load_use_stalls > 0 and stats.control_flush_bubbles > 0
+        assert (calls["spec"], calls["render"]) == (0, 0)
 
 
 class TestErrorHandling:

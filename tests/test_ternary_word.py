@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ternary import TernaryWord, WORD_TRITS
+from repro.ternary import TernaryWord, WORD_TRITS, to_balanced_range, trits_to_int
 
 word_values = st.integers(min_value=-9841, max_value=9841)
+widths = st.integers(min_value=1, max_value=12)
+trits = st.sampled_from((-1, 0, 1))
 
 
 class TestConstruction:
@@ -102,3 +104,61 @@ class TestWordProperties:
     def test_slice_single_trit_matches_trit(self, value, index):
         word = TernaryWord(value)
         assert word.slice(index, index).value == word.trit(index)
+
+
+def assert_cached_value(word):
+    """The first read fills the value cache; both reads match the trits."""
+    expected = trits_to_int(word.trits)
+    assert word.value == expected
+    assert word.value == expected
+
+
+class TestCachedValue:
+    @given(st.integers(), widths)
+    def test_from_int(self, value, width):
+        word = TernaryWord(value, width)
+        assert_cached_value(word)
+        assert word.value == to_balanced_range(value, width)
+
+    @given(st.lists(trits, min_size=1, max_size=12))
+    def test_from_trit_sequence(self, digits):
+        assert_cached_value(TernaryWord(digits, len(digits)))
+        assert_cached_value(TernaryWord(tuple(digits), len(digits)))
+
+    @given(st.lists(trits, min_size=1, max_size=12))
+    def test_from_generator(self, digits):
+        word = TernaryWord((digit for digit in digits), len(digits))
+        assert word.trits == tuple(digits)
+        assert_cached_value(word)
+
+    @given(word_values, st.data())
+    def test_slice(self, value, data):
+        word = TernaryWord(value)
+        assert_cached_value(word)  # a cached parent must not leak into the slice
+        lo = data.draw(st.integers(min_value=0, max_value=WORD_TRITS - 1))
+        hi = data.draw(st.integers(min_value=lo, max_value=WORD_TRITS - 1))
+        assert_cached_value(word.slice(hi, lo))
+
+    @given(word_values, st.integers(min_value=-121, max_value=121))
+    def test_replace_low(self, value, low):
+        word = TernaryWord(value)
+        assert_cached_value(word)
+        assert_cached_value(word.replace_low(TernaryWord(low, 5)))
+
+    @given(word_values, widths)
+    def test_resize(self, value, width):
+        resized = TernaryWord(value).resize(width)
+        assert_cached_value(resized)
+        assert resized.value == to_balanced_range(value, width)
+
+
+class TestTritValidation:
+    @given(st.lists(trits, min_size=1, max_size=12), st.data())
+    def test_non_trit_elements_raise(self, digits, data):
+        bad = data.draw(st.integers().filter(lambda v: v not in (-1, 0, 1)))
+        index = data.draw(st.integers(min_value=0, max_value=len(digits) - 1))
+        digits[index] = bad
+        with pytest.raises(ValueError):
+            TernaryWord(digits, len(digits))
+        with pytest.raises(ValueError):
+            TernaryWord(iter(digits), len(digits))
