@@ -28,7 +28,7 @@ constant), invalidation is automatic: bump ``TRANSLATOR_VERSION`` or
 ``CODEGEN_VERSION`` and every stale entry simply stops being addressed —
 no deletion pass is needed (``clear()`` exists for reclaiming disk).
 
-Writes go through a same-directory temp file + :func:`os.replace`, so
+Writes are atomic replaces (:func:`repro.durable.replace`, no fsync), so
 concurrent writers are safe: for a given key, any worker's payload is
 behaviourally equivalent (each block's content is deterministic), so the
 last atomic rename winning is always correct.  Translation entries are in
@@ -54,10 +54,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from typing import Dict, Optional
 
+from repro import durable
 from repro.obs import metrics
 
 #: Environment variable overriding the default cache root.
@@ -137,19 +137,7 @@ class ArtifactCache:
         blob = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.remove(temp_path)
-                except OSError:
-                    pass
-                raise
+            durable.replace(path, blob, sync=False)
             self.writes += 1
             self._record(kind, "writes", len(blob))
         except OSError:
@@ -244,7 +232,7 @@ class ArtifactCache:
             for dirpath, _dirnames, filenames in os.walk(base):
                 for name in filenames:
                     # .tmp files from in-flight writers are not entries;
-                    # leave them for their owner's os.replace().
+                    # leave them for their owner's durable.replace().
                     if not name.endswith(".json"):
                         continue
                     path = os.path.join(dirpath, name)

@@ -296,8 +296,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recovered = 0
     journal = RunJournal(journal_path(args.out))
     if not args.no_resume:
-        recovery = recover_run(args.out,
-                               completed_ids=RunStore(args.out).completed_ids())
+        stored_ids = [record["job_id"]
+                      for record in RunStore(args.out).records()]
+        recovery = recover_run(args.out, stored_ids=stored_ids)
         if recovery.events_replayed:
             print(recovery.summary())
         for job_id, worker in sorted(recovery.leased.items()):
@@ -308,9 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            kind="restart")
         dispatch_counts = recovery.dispatch_counts
         recovered = len(recovery.leased)
-        if recovered:
-            from repro.obs import metrics
-            metrics.counter("coordinator.recovered_jobs").inc(recovered)
     backend = AsyncQueueBackend(
         workers=args.local_workers,
         host=args.host,
@@ -330,8 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (CoordinatorBindError, SpecError, StoreError) as exc:
         print(f"art9 serve: {exc}", file=sys.stderr)
         return 2
-    finally:
-        journal.close()
     if backend.stats is not None:
         print()
         print(backend.stats.summary())

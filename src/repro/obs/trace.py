@@ -15,9 +15,10 @@ when off.  It is enabled per-run:
 * ``ART9_TRACE=1`` (with ``ART9_TRACE_FILE=<path>``) does the same by
   hand for ad-hoc runs.
 
-Each process appends with ``O_APPEND`` semantics and writes whole lines,
-which POSIX keeps atomic for the short records involved, so concurrent
-workers can share one span file.
+Each span is appended through :func:`repro.durable.append` (no fsync):
+whole lines under an exclusive lock, with a torn final line sealed first,
+so concurrent workers can share one span file and a worker killed
+mid-span costs only its own line.
 
 Non-perturbation is a hard requirement (see the conformance tests):
 spans observe timing only — no simulation state, no record fields, no
@@ -26,12 +27,13 @@ scheduling decisions flow through this module.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
+
+from repro import durable
 
 #: Environment variable switching tracing on ("1"/"true"/anything non-0).
 TRACE_ENV = "ART9_TRACE"
@@ -97,13 +99,8 @@ def _emit(record: dict) -> None:
     path = _path
     if path is None:
         return
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     try:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        durable.append(path, [record], sync=False)
     except OSError:
         # Telemetry must never take down the run it is observing.
         pass
@@ -144,18 +141,7 @@ def span(name: str, **attributes) -> Iterator[Optional[dict]]:
 
 
 def read_spans(path: str) -> List[dict]:
-    """Load a span JSONL file, skipping torn lines (a worker may have died
-    mid-write; the surviving spans are still useful)."""
-    spans: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                spans.append(record)
-    return spans
+    """Load a span JSONL file (``[]`` when missing), skipping torn lines: a
+    worker may have died mid-write, and the surviving spans are still
+    useful."""
+    return durable.read(path, "span_id")

@@ -6,30 +6,22 @@ One run lives in one directory::
     <run>/results.jsonl   one JSON record per finished job, append-only
     <run>/summary.txt     human-readable table, rewritten after each run
 
-Records are flushed line-by-line as jobs finish, so a killed run loses at
-most the job that was in flight; :meth:`RunStore.records` tolerates a
-truncated final line for exactly that reason.  Resume semantics fall out of
-the content-addressed job IDs: a rerun skips every ``job_id`` that already
-has an ``ok`` record.
+Records are fsync'd line by line as jobs finish, so a killed run loses at
+most the job that was in flight.  Both files go through
+:mod:`repro.durable`: an append seals a torn final line,
+:meth:`RunStore.records` skips it, and the summary is replaced atomically.
+Resume semantics fall out of the content-addressed job IDs: a rerun skips
+every ``job_id`` that already has an ``ok`` record.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import logging
 import os
-import tempfile
 from typing import Dict, List, Optional, Set
 
+from repro import durable
 from repro.runner.spec import SweepSpec
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX hosts: appends are not serialised
-    fcntl = None
-
-logger = logging.getLogger(__name__)
 
 SPEC_FILENAME = "spec.json"
 RESULTS_FILENAME = "results.jsonl"
@@ -121,26 +113,8 @@ class RunStore:
     # -- records ------------------------------------------------------------
 
     def append(self, record: dict) -> None:
-        """Append one job record and flush it to disk immediately."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.results_path, "a+b") as handle:
-            if fcntl is not None:
-                # Another process's append can be caught half-visible, and
-                # the check below would then seal a line that is not torn
-                # (leaving an empty line); appenders take turns instead.
-                fcntl.flock(handle, fcntl.LOCK_EX)
-            # A killed run can leave a truncated final line with no newline;
-            # seal it off first so the new record does not concatenate onto
-            # it (the torn line is then skipped by ``records`` instead of
-            # eating both).
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    line = "\n" + line
-            handle.write((line + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Append one job record and fsync it (:func:`repro.durable.append`)."""
+        durable.append(self.results_path, [record])
 
     def records(self) -> List[dict]:
         """All parseable records, newest occurrence of each job winning.
@@ -148,38 +122,10 @@ class RunStore:
         A truncated trailing line (from a killed run) is skipped rather than
         raised, so an interrupted sweep stays resumable.
         """
-        if not os.path.exists(self.results_path):
-            return []
-        by_job: Dict[str, dict] = {}
-        order: List[str] = []
-        with open(self.results_path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning(
-                        "skipping torn record on line %d of %s "
-                        "(partial write from an interrupted run)",
-                        lineno, self.results_path)
-                    continue
-                if not isinstance(record, dict):
-                    logger.warning(
-                        "skipping non-record JSON on line %d of %s",
-                        lineno, self.results_path)
-                    continue
-                job_id = record.get("job_id")
-                if not job_id:
-                    logger.warning(
-                        "skipping record without a job_id on line %d of %s",
-                        lineno, self.results_path)
-                    continue
-                if job_id not in by_job:
-                    order.append(job_id)
-                by_job[job_id] = record
-        return [by_job[job_id] for job_id in order]
+        by_job: Dict[str, dict] = {}  # a dict keeps first-seen job order
+        for record in durable.read(self.results_path, "job_id"):
+            by_job[record["job_id"]] = record
+        return list(by_job.values())
 
     def completed_ids(self) -> Set[str]:
         """Job IDs that finished successfully (errors are retried on resume)."""
@@ -225,23 +171,11 @@ class RunStore:
     def write_summary(self) -> str:
         """Rewrite ``summary.txt`` from the current records; returns the table.
 
-        The rewrite is atomic (same-directory tempfile + ``os.replace``,
-        the :class:`~repro.cache.ArtifactCache` pattern): a crash mid-write
-        leaves either the previous summary or the new one, never a torn
-        half-table shadowing a complete ``results.jsonl``.
+        The rewrite is atomic (:func:`repro.durable.replace`): a crash
+        mid-write leaves either the previous summary or the new one, never
+        a torn half-table shadowing a complete ``results.jsonl``.
         """
         table = self.summary_table()
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.root, prefix=SUMMARY_FILENAME + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(table)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.summary_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp_path)
-            raise
+        durable.replace(self.summary_path, (table + "\n").encode("utf-8"),
+                        sync=True)
         return table

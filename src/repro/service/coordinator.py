@@ -27,9 +27,10 @@ Crash tolerance is entirely the coordinator's job:
   stray client can fabricate records; neither may disturb accounting;
 * the **coordinator's own death** is covered by the write-ahead journal
   (:mod:`repro.service.journal`, wired in by the caller): every enqueue /
-  lease / accept / requeue is an fsync'd event next to ``results.jsonl``,
-  so ``art9 serve --resume`` rebuilds the pending set, requeues formerly
-  leased jobs, and keeps the poison budget counting across the crash.
+  lease / requeue / loss is an fsync'd event, and an accepted job is
+  settled by its fsync'd record in ``results.jsonl``, so ``art9 serve
+  --resume`` rebuilds the pending set, requeues formerly leased jobs, and
+  keeps the poison budget counting across the crash.
 
 When constructed with an ``auth_token``, every connection must present it
 in its first message (constant-time compare) or it is refused with a
@@ -48,7 +49,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
 
-from repro.obs import metrics
 from repro.runner.spec import SweepJob
 from repro.service.journal import RunJournal
 from repro.service.protocol import (
@@ -349,7 +349,6 @@ class Coordinator:
             return False
         if job_id not in self._known_jobs:
             self.stats.unknown_results += 1
-            metrics.counter("coordinator.unknown_results").inc()
             logger.warning("dropping result for job this run never enqueued: "
                            "job_id=%s", job_id,
                            extra={"job_id": job_id})
@@ -376,8 +375,6 @@ class Coordinator:
             self._pending = deque(
                 job for job in self._pending if job.job_id != job_id)
         self.stats.results_accepted += 1
-        self._journal_event("result-accepted", job_id=job_id,
-                            status=str(record.get("status") or "?"))
         if self.outstanding <= 0:
             self._all_done.set()
         return True
@@ -414,7 +411,6 @@ class Coordinator:
         reasons[kind] = reasons.get(kind, 0) + 1
         if attempts > self._max_requeues:
             self.stats.lost_jobs += 1
-            metrics.counter("coordinator.lost_jobs").inc()
             logger.info(
                 "poison job declared lost: worker=%s job_id=%s attempts=%d "
                 "reason=%s", entry.worker, entry.job.job_id, attempts, reason,
@@ -426,7 +422,6 @@ class Coordinator:
             self._accept(lost_job_record(entry.job, attempts, reason))
             return
         self.stats.requeues += 1
-        metrics.counter("coordinator.requeues").inc()
         logger.info(
             "job requeued: worker=%s job_id=%s attempt=%d reason=%s",
             entry.worker, entry.job.job_id, attempts, reason,
@@ -470,7 +465,6 @@ class Coordinator:
                       error: str) -> None:
         """Send a deterministic rejection; the client must not retry."""
         self.stats.auth_failures += 1
-        metrics.counter("coordinator.auth_failures").inc()
         with contextlib.suppress(ConnectionError, OSError):
             await send_and_drain(writer, {"type": "error", "error": error})
 
@@ -515,7 +509,6 @@ class Coordinator:
                         # socket loss (or the coordinator a restart) and
                         # rejoined.
                         self.stats.reconnects += 1
-                        metrics.counter("coordinator.reconnects").inc()
                         logger.info("worker reconnected: worker=%s", worker,
                                     extra={"worker_id": worker})
                     self._seen_worker_names.add(worker)

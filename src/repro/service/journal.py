@@ -6,14 +6,17 @@ coordinator appends one fsync'd whole-line JSON event per queue-lifecycle
 transition, so after a ``kill -9`` the exact scheduling state can be
 rebuilt from disk.  Events, in the order a healthy job produces them::
 
-    {"event": "enqueued",        "job_id": ...}
-    {"event": "leased",          "job_id": ..., "worker": ..., "attempt": n}
-    {"event": "result-accepted", "job_id": ..., "status": "ok"|"error"}
+    {"event": "enqueued", "job_id": ...}
+    {"event": "leased",   "job_id": ..., "worker": ..., "attempt": n}
 
 and on the unhappy paths::
 
     {"event": "requeued", "job_id": ..., "reason": ..., "worker": ...}
     {"event": "lost",     "job_id": ..., "reason": ..., "attempts": n}
+
+A healthy job's lease is settled by its record in ``results.jsonl``: the
+coordinator stores a record (fsync'd) before it counts the job done, so a
+journal event for the acceptance would only repeat it.
 
 ``art9 serve --resume RUN_DIR`` replays the journal together with
 ``results.jsonl``:
@@ -21,31 +24,30 @@ and on the unhappy paths::
 * the **pending set** is every expanded job without an ``ok`` record —
   exactly the orchestrator's normal resume rule, so a journal-less run
   directory still resumes;
-* **formerly-leased jobs** (a ``leased`` with no later ``result-accepted``
-  / ``requeued`` / ``lost``) were in a dead worker's hands when the
+* **formerly-leased jobs** (a ``leased`` with no later ``requeued`` /
+  ``lost`` and no stored record) were in a dead worker's hands when the
   coordinator died; recovery writes an explicit
   ``requeued (coordinator restart)`` event for each, so the journal reads
-  as a complete history across the crash;
+  as a complete history across the crash.  A job leased again after an
+  earlier run stored an ``error`` record for it also counts as settled;
+  it is still pending, so it runs again all the same;
 * **dispatch counts** (number of ``leased`` events per job) survive the
   restart, so the ``max_requeues`` poison-job budget cannot be reset by
   crashing the coordinator.
 
-Torn tails are expected — the coordinator may die mid-append — so
-:func:`replay_journal` skips unparseable trailing garbage exactly like
-:meth:`repro.runner.store.RunStore.records`, and :meth:`RunJournal.append`
-seals a torn final line before writing so one interrupted write can never
-eat the next event.
+Torn tails are expected — the coordinator may die mid-append — so both
+writing and replay go through :mod:`repro.durable`: an append seals a
+torn final line first, and replay skips it, so one interrupted write can
+never eat the next event.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List
 
-logger = logging.getLogger(__name__)
+from repro import durable
 
 #: Journal file name inside a run directory (next to ``results.jsonl``).
 JOURNAL_FILENAME = "journal.jsonl"
@@ -59,37 +61,14 @@ def journal_path(run_dir: str) -> str:
 class RunJournal:
     """Append-only, fsync'd JSONL journal of coordinator lifecycle events.
 
-    The file handle stays open across appends (the coordinator journals
-    every dispatch); each event is flushed and fsync'd before ``append``
-    returns, so an event the coordinator acted on is on disk before the
-    action's consequences can be observed elsewhere.
+    Every append goes through :func:`repro.durable.append`, so an event the
+    coordinator acted on is on disk before the action's consequences can
+    be observed elsewhere.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._handle = None
         self.events_written = 0
-
-    def _open(self):
-        if self._handle is not None:
-            return self._handle
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        # Seal a torn final line (a previous coordinator died mid-append)
-        # so the next event starts on its own line and replay drops only
-        # the torn fragment — the same discipline RunStore.append uses.
-        needs_newline = False
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    needs_newline = existing.read(1) != b"\n"
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if needs_newline:
-            self._handle.write("\n")
-        return self._handle
 
     def append(self, event: str, **fields) -> None:
         """Durably append one lifecycle event (whole line, fsync'd)."""
@@ -102,59 +81,17 @@ class RunJournal:
         would serialize startup on disk latency for large grids, and the
         batch is all-or-nothing from the scheduler's point of view anyway.
         """
-        handle = self._open()
-        count = 0
-        for payload in events:
-            handle.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")))
-            handle.write("\n")
-            count += 1
-        if not count:
-            return
-        handle.flush()
-        os.fsync(handle.fileno())
-        self.events_written += count
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.events_written += durable.append(self.path, events)
 
 
 def replay_journal(path: str) -> List[dict]:
     """All parseable events of a journal file, in append order.
 
-    A truncated trailing line (the coordinator died mid-append) is skipped
-    with a warning rather than raised — recovery must work precisely when
-    the previous run ended badly.
+    Torn, non-object and event-less lines (the coordinator died
+    mid-append) are skipped with a warning rather than raised — recovery
+    must work precisely when the previous run ended badly.
     """
-    if not os.path.exists(path):
-        return []
-    events: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning(
-                    "skipping torn journal event on line %d of %s "
-                    "(partial write from a killed coordinator)", lineno, path)
-                continue
-            if not isinstance(event, dict) or not event.get("event"):
-                logger.warning("skipping non-event JSON on line %d of %s",
-                               lineno, path)
-                continue
-            events.append(event)
-    return events
+    return durable.read(path, "event")
 
 
 @dataclass
@@ -164,7 +101,7 @@ class JournalRecovery:
     #: ``leased`` events per job — restores the poison-job budget.
     dispatch_counts: Dict[str, int] = field(default_factory=dict)
     #: Jobs a worker was holding when the coordinator died (job_id ->
-    #: worker name), minus anything ``results.jsonl`` shows completed.
+    #: worker name), minus anything ``results.jsonl`` holds a record for.
     leased: Dict[str, str] = field(default_factory=dict)
     #: Events the replay parsed (for logs and tests).
     events_replayed: int = 0
@@ -176,17 +113,15 @@ class JournalRecovery:
 
 
 def recover_from_events(events: Iterable[dict],
-                        completed_ids: Optional[Set[str]] = None
-                        ) -> JournalRecovery:
+                        stored_ids: Iterable[str] = ()) -> JournalRecovery:
     """Fold a journal replay into restart state.
 
-    ``completed_ids`` — job IDs with an ``ok`` record in ``results.jsonl``
-    — always wins over the journal: a job whose record was persisted but
-    whose ``result-accepted`` event was lost to a torn tail must not be
-    treated as leased.
+    ``stored_ids`` — job IDs with a record (``ok`` or ``error``) in
+    ``results.jsonl`` — settle those jobs' leases: the coordinator stores
+    a record before it counts the job done.  Otherwise only ``requeued``
+    and ``lost`` events settle a lease.
     """
     recovery = JournalRecovery()
-    completed = completed_ids or set()
     for event in events:
         recovery.events_replayed += 1
         kind = event.get("event")
@@ -197,20 +132,19 @@ def recover_from_events(events: Iterable[dict],
             recovery.dispatch_counts[job_id] = \
                 recovery.dispatch_counts.get(job_id, 0) + 1
             recovery.leased[job_id] = str(event.get("worker") or "?")
-        elif kind in ("result-accepted", "requeued", "lost"):
+        elif kind in ("requeued", "lost"):
             recovery.leased.pop(job_id, None)
-    for job_id in completed:
+    for job_id in stored_ids:
         recovery.leased.pop(job_id, None)
     return recovery
 
 
 def recover_run(run_dir: str,
-                completed_ids: Optional[Set[str]] = None) -> JournalRecovery:
+                stored_ids: Iterable[str] = ()) -> JournalRecovery:
     """Replay ``run_dir``'s journal and return the restart state.
 
     Pure read — writing the explicit ``requeued (coordinator restart)``
-    events for the recovered leases is the caller's job (it owns the live
-    :class:`RunJournal` handle).
+    events for the recovered leases is the caller's job.
     """
     return recover_from_events(replay_journal(journal_path(run_dir)),
-                               completed_ids=completed_ids)
+                               stored_ids=stored_ids)

@@ -212,6 +212,17 @@ class TestSpans:
         spans = trace.read_spans(traced)
         assert [span["name"] for span in spans] == ["ok"]
 
+    def test_span_after_a_torn_tail_is_kept(self, traced):
+        with open(traced, "w", encoding="utf-8") as handle:
+            handle.write('{"name":"job","span_id":"1-1"')  # died mid-span
+        with trace.span("next") as record:
+            pass
+        # The torn tail is sealed off, so the new span is not joined to it.
+        assert trace.read_spans(traced) == [record]
+
+    def test_read_spans_of_a_missing_file_is_empty(self, tmp_path):
+        assert trace.read_spans(str(tmp_path / "spans.jsonl")) == []
+
     def test_emit_failure_never_raises(self, tmp_path):
         trace.configure(str(tmp_path))  # a directory: open() will fail
         try:

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.runner.spec import SweepJob
+from repro.runner.store import RunStore
 from repro.service.coordinator import Coordinator
 from repro.service.journal import (
     JournalRecovery,
@@ -41,9 +42,9 @@ def _stub_executor(job):
 class TestRunJournal:
     def test_append_writes_whole_fsynced_lines(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        with RunJournal(path) as journal:
-            journal.append("enqueued", job_id="a")
-            journal.append("leased", job_id="a", worker="w1", attempt=1)
+        journal = RunJournal(path)
+        journal.append("enqueued", job_id="a")
+        journal.append("leased", job_id="a", worker="w1", attempt=1)
         lines = open(path).read().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0]) == {"event": "enqueued", "job_id": "a"}
@@ -51,10 +52,10 @@ class TestRunJournal:
 
     def test_append_many_batches_under_one_flush(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        with RunJournal(path) as journal:
-            journal.append_many({"event": "enqueued", "job_id": f"j{i}"}
-                                for i in range(5))
-            assert journal.events_written == 5
+        journal = RunJournal(path)
+        journal.append_many({"event": "enqueued", "job_id": f"j{i}"}
+                            for i in range(5))
+        assert journal.events_written == 5
         assert len(replay_journal(path)) == 5
 
     def test_append_seals_a_torn_tail_first(self, tmp_path):
@@ -62,8 +63,7 @@ class TestRunJournal:
         with open(path, "w") as handle:
             handle.write('{"event":"enqueued","job_id":"a"}\n')
             handle.write('{"event":"leased","job_id":"a"')  # no newline
-        with RunJournal(path) as journal:
-            journal.append("requeued", job_id="a", reason="restart")
+        RunJournal(path).append("requeued", job_id="a", reason="restart")
         events = replay_journal(path)
         # The torn lease is dropped; the sealed append is intact.
         assert [event["event"] for event in events] == ["enqueued", "requeued"]
@@ -87,16 +87,33 @@ class TestRunJournal:
 
 
 class TestRecovery:
-    def test_lease_without_outcome_is_recovered(self):
-        recovery = recover_from_events([
+    @pytest.mark.parametrize("b_status, parent_format", [
+        pytest.param("ok", False, id="ok-record"),
+        pytest.param("error", False, id="error-record"),
+        # Journals written while the coordinator still logged a
+        # result-accepted event after each stored record replay the same.
+        pytest.param("ok", True, id="parent-format-journal"),
+    ])
+    def test_lease_without_outcome_is_recovered(self, tmp_path, b_status,
+                                                parent_format):
+        # b's outcome is its record in results.jsonl, whatever its status.
+        store = RunStore(str(tmp_path))
+        store.append({"job_id": "b", "status": b_status})
+        events = [
             {"event": "enqueued", "job_id": "a"},
             {"event": "leased", "job_id": "a", "worker": "w1"},
             {"event": "leased", "job_id": "b", "worker": "w2"},
-            {"event": "result-accepted", "job_id": "b", "status": "ok"},
-        ])
+        ]
+        if parent_format:
+            events.append({"event": "result-accepted", "job_id": "b",
+                           "status": b_status})
+        RunJournal(journal_path(str(tmp_path))).append_many(events)
+        recovery = recover_run(
+            str(tmp_path),
+            stored_ids=[record["job_id"] for record in store.records()])
         assert recovery.leased == {"a": "w1"}
         assert recovery.dispatch_counts == {"a": 1, "b": 1}
-        assert recovery.events_replayed == 4
+        assert recovery.events_replayed == len(events)
 
     def test_requeue_and_lost_clear_the_lease(self):
         recovery = recover_from_events([
@@ -110,11 +127,12 @@ class TestRecovery:
         assert recovery.dispatch_counts == {"a": 2, "b": 1}
 
     def test_results_file_wins_over_a_torn_accept_event(self):
-        # The record hit results.jsonl but the result-accepted event was
-        # lost to the crash: the job must NOT be treated as leased.
+        # The record hit results.jsonl and the coordinator died before any
+        # later event (in an older journal, a result-accepted lost to the
+        # torn tail): the job must NOT be treated as leased.
         recovery = recover_from_events(
             [{"event": "leased", "job_id": "a", "worker": "w1"}],
-            completed_ids={"a"})
+            stored_ids={"a"})
         assert recovery.leased == {}
         assert recovery.dispatch_counts == {"a": 1}
 
@@ -127,8 +145,8 @@ class TestRecovery:
         assert recovery.leased == {"ok": "w"}
 
     def test_recover_run_reads_the_run_directory(self, tmp_path):
-        with RunJournal(journal_path(str(tmp_path))) as journal:
-            journal.append("leased", job_id="a", worker="w1")
+        RunJournal(journal_path(str(tmp_path))).append(
+            "leased", job_id="a", worker="w1")
         recovery = recover_run(str(tmp_path))
         assert isinstance(recovery, JournalRecovery)
         assert recovery.leased == {"a": "w1"}
@@ -136,12 +154,21 @@ class TestRecovery:
 
 
 class TestCoordinatorJournaling:
-    def test_full_run_journals_every_lifecycle_transition(self, tmp_path):
+    def test_full_run_journals_every_lifecycle_transition(self, tmp_path,
+                                                          monkeypatch):
         path = journal_path(str(tmp_path))
         jobs = _jobs(3)
-        journal = RunJournal(path)
-        coordinator = Coordinator(jobs, on_result=lambda record: None,
-                                  journal=journal)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        coordinator = Coordinator(jobs,
+                                  on_result=RunStore(str(tmp_path)).append,
+                                  journal=RunJournal(path))
 
         async def scenario():
             serve = asyncio.create_task(coordinator.serve())
@@ -153,12 +180,15 @@ class TestCoordinatorJournaling:
             )
 
         asyncio.run(scenario())
-        journal.close()
+        # One enqueue batch, then a lease and a stored record per job:
+        # 2N+1 fsyncs.  A stored record settles its job, so the journal
+        # logs no separate acceptance event.
+        assert len(fsyncs) == 2 * len(jobs) + 1
         events = replay_journal(path)
         kinds = [event["event"] for event in events]
         assert kinds.count("enqueued") == 3
         assert kinds.count("leased") == 3
-        assert kinds.count("result-accepted") == 3
+        assert "result-accepted" not in kinds
         # Nothing was requeued or lost in a healthy run.
         assert "requeued" not in kinds and "lost" not in kinds
         # Every lease is attributed to the worker that got the job.
