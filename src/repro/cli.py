@@ -62,18 +62,6 @@ from repro.runner import (
     run_parallel_fuzz,
     run_sweep,
 )
-from repro.service import (
-    AsyncQueueBackend,
-    CoordinatorBindError,
-    MultiprocessingBackend,
-    ResultsDB,
-    SerialBackend,
-    build_report,
-    render_report,
-    request_status,
-    work,
-)
-from repro.service.journal import RunJournal, journal_path, recover_run
 from repro.service.protocol import AUTH_TOKEN_ENV, DEFAULT_PORT
 from repro.sim.machine import DEFAULT_MACHINE_NAME, machine_names
 from repro.testing.chaos import CHAOS_SCENARIOS
@@ -229,6 +217,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         raise SpecError(
             "--batch groups jobs inside a local worker; the queue backend "
             "dispatches single jobs to remote workers — drop one flag")
+    from repro.service.backends import MultiprocessingBackend, SerialBackend
+
     backend = None
     if args.backend == "serial":
         backend = SerialBackend(batch=args.batch)
@@ -236,6 +226,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         backend = MultiprocessingBackend(processes=max(1, args.jobs),
                                          batch=args.batch)
     elif args.backend == "queue":
+        from repro.service.queue_backend import AsyncQueueBackend
+
         backend = AsyncQueueBackend(workers=max(1, args.jobs))
     elif args.batch:
         # auto + --batch: same serial/pool choice run_sweep would make,
@@ -259,6 +251,10 @@ def _auth_token_from(args: argparse.Namespace) -> Optional[str]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.coordinator import CoordinatorBindError
+    from repro.service.journal import RunJournal, journal_path, recover_run
+    from repro.service.queue_backend import AsyncQueueBackend
+
     try:
         if args.resume_dir:
             if args.no_resume:
@@ -335,6 +331,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
+    from repro.service.workerclient import work
+
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         print(f"art9 work: --connect expects HOST:PORT, got {args.connect!r}",
@@ -363,6 +361,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.service.report import build_report, render_report
+    from repro.service.resultsdb import ResultsDB
+
     try:
         with ResultsDB(args.db) as db:
             for run_dir in args.runs:
@@ -396,6 +397,8 @@ def _split_address(command: str, address: str):
 
 
 def _status_live(address: str, token: Optional[str] = None) -> int:
+    from repro.service.workerclient import request_status
+
     parsed = _split_address("status", address)
     if parsed is None:
         return 2

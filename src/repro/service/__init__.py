@@ -29,54 +29,48 @@ to the records afterwards*:
   axes, latest-per-job dedup, cross-run deltas);
 * :mod:`repro.service.report` — ``art9 report``: the paper's Tables II–V
   and the Fig. 5 memory-cell series regenerated from a :class:`ResultsDB`.
+
+Submodules load on first use: the names below resolve through a module
+``__getattr__`` (PEP 562), so importing the package costs nothing, and a
+process pulls in asyncio only with the coordinator or worker client and
+sqlite3 only with the results database.
 """
 
-from repro.service.backends import (
-    ExecutionBackend,
-    MultiprocessingBackend,
-    SerialBackend,
-)
-from repro.service.coordinator import (
-    Coordinator,
-    CoordinatorBindError,
-    CoordinatorStats,
-)
-from repro.service.journal import (
-    JournalRecovery,
-    RunJournal,
-    journal_path,
-    recover_run,
-    replay_journal,
-)
-from repro.service.protocol import AUTH_TOKEN_ENV, DEFAULT_PORT, PROTOCOL_VERSION
-from repro.service.queue_backend import AsyncQueueBackend
-from repro.service.report import ReportError, ReportTable, build_report, render_report
-from repro.service.resultsdb import IngestReport, ResultsDB
-from repro.service.workerclient import WorkerSummary, request_status, work
+import importlib
 
-__all__ = [
-    "ExecutionBackend",
-    "SerialBackend",
-    "MultiprocessingBackend",
-    "AsyncQueueBackend",
-    "Coordinator",
-    "CoordinatorBindError",
-    "CoordinatorStats",
-    "AUTH_TOKEN_ENV",
-    "DEFAULT_PORT",
-    "PROTOCOL_VERSION",
-    "JournalRecovery",
-    "RunJournal",
-    "journal_path",
-    "recover_run",
-    "replay_journal",
-    "ResultsDB",
-    "IngestReport",
-    "ReportError",
-    "ReportTable",
-    "build_report",
-    "render_report",
-    "WorkerSummary",
-    "request_status",
-    "work",
-]
+#: Public name → submodule that defines it.
+_EXPORTS = {
+    "ExecutionBackend": "backends",
+    "MultiprocessingBackend": "backends",
+    "SerialBackend": "backends",
+    "Coordinator": "coordinator",
+    "CoordinatorBindError": "coordinator",
+    "CoordinatorStats": "coordinator",
+    "JournalRecovery": "journal",
+    "RunJournal": "journal",
+    "journal_path": "journal",
+    "recover_run": "journal",
+    "replay_journal": "journal",
+    "AUTH_TOKEN_ENV": "protocol",
+    "DEFAULT_PORT": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "AsyncQueueBackend": "queue_backend",
+    "ReportError": "report",
+    "ReportTable": "report",
+    "build_report": "report",
+    "render_report": "report",
+    "IngestReport": "resultsdb",
+    "ResultsDB": "resultsdb",
+    "WorkerSummary": "workerclient",
+    "request_status": "workerclient",
+    "work": "workerclient",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)

@@ -145,6 +145,8 @@ class Coordinator:
     poison-job budget from a journal replay so a ``--resume`` restart does
     not hand a crashing job a fresh set of attempts; ``auth_token``
     requires every connection to authenticate its first message.
+    ``expected_workers`` holds dispatch until that many distinct workers
+    have said hello (see :meth:`lift_worker_hold`).
     """
 
     def __init__(
@@ -159,6 +161,7 @@ class Coordinator:
         auth_token: Optional[str] = None,
         dispatch_counts: Optional[Mapping[str, int]] = None,
         recovered_jobs: int = 0,
+        expected_workers: int = 0,
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
         self._on_result = on_result
@@ -181,6 +184,10 @@ class Coordinator:
         # "last_seen"} for the live status snapshot; purely observational.
         self._worker_stats: Dict[str, dict] = {}
         self._seen_worker_names: set = set()
+        # The local-worker backend passes the number of processes it
+        # spawned: holding dispatch until they have all said hello keeps
+        # the first one to start from draining a short queue alone.
+        self._expected_workers = expected_workers
         self._connection_ids = itertools.count(1)
         self._handler_tasks: set = set()
         self._writers: set = set()
@@ -402,6 +409,14 @@ class Coordinator:
             self._accept(lost_job_record(job, attempts, reason))
         self._all_done.set()
 
+    def lift_worker_hold(self) -> None:
+        """Dispatch to the connected workers without waiting for more.
+
+        The local-worker backend calls this once any spawned process has
+        exited, so a worker that dies at start cannot stall the run.
+        """
+        self._expected_workers = 0
+
     def _requeue(self, entry: _InFlight, reason: str,
                  kind: str = "disconnect") -> None:
         attempts = self._dispatch_counts.get(entry.job.job_id, 1)
@@ -434,7 +449,8 @@ class Coordinator:
 
     def _assign(self, connection_id: int, worker: str) -> dict:
         """Next reply for an idle worker: a job, a wait, or done."""
-        if self._pending:
+        if (self._pending
+                and len(self._seen_worker_names) >= self._expected_workers):
             job = self._pending.popleft()
             now = time.monotonic()
             self._in_flight[job.job_id] = _InFlight(
@@ -454,8 +470,9 @@ class Coordinator:
             }
         if self.outstanding <= 0:
             return {"type": "done"}
-        # Jobs are in flight on other connections; poll back soon in case
-        # one of them is requeued.
+        # Jobs are in flight on other connections (poll back soon in case
+        # one of them is requeued), or dispatch is held until the expected
+        # workers have said hello.
         return {"type": "wait",
                 "delay": max(0.05, min(0.5, self._heartbeat_timeout / 8))}
 

@@ -69,7 +69,6 @@ a killed-and-``--resume``-restarted coordinator pick its fleet back up.
 
 from __future__ import annotations
 
-import asyncio
 import hmac
 import json
 from typing import Optional
@@ -110,6 +109,10 @@ def token_matches(expected: Optional[str], presented: object) -> bool:
 
 async def read_message(reader: asyncio.StreamReader) -> Optional[dict]:
     """Read one message; ``None`` means disconnect (EOF or a garbled line)."""
+    # Imported here: the constants above are read by the CLI parser,
+    # which must not pay for asyncio.
+    import asyncio
+
     try:
         line = await reader.readline()
     except (ConnectionError, asyncio.IncompleteReadError, ValueError):

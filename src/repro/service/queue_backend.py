@@ -109,6 +109,7 @@ class AsyncQueueBackend(ExecutionBackend):
             auth_token=self.auth_token,
             dispatch_counts=self.dispatch_counts,
             recovered_jobs=self.recovered_jobs,
+            expected_workers=self.workers,
         )
         serve_task = asyncio.create_task(coordinator.serve())
         await coordinator.wait_started()
@@ -138,16 +139,21 @@ class AsyncQueueBackend(ExecutionBackend):
     async def _monitor(processes: List, coordinator: Coordinator) -> None:
         """Abort the run instead of hanging if every worker is gone.
 
-        External workers may coexist with the spawned local ones (``art9
-        serve --local-workers N``), so dead local processes only abort the
-        run when no worker connection is open either.
+        The coordinator holds dispatch until every spawned worker has said
+        hello; once any of them has exited, that hold is lifted so a worker
+        that died at start cannot stall the run.  External workers may
+        coexist with the spawned local ones (``art9 serve --local-workers
+        N``), so dead local processes only abort the run when no worker
+        connection is open either.
         """
         while True:
             await asyncio.sleep(0.5)
             if coordinator.outstanding <= 0:
                 return
-            if (all(not process.is_alive() for process in processes)
-                    and coordinator.connected_workers == 0):
+            alive = [process.is_alive() for process in processes]
+            if not all(alive):
+                coordinator.lift_worker_hold()
+            if not any(alive) and coordinator.connected_workers == 0:
                 coordinator.abort("all local worker processes exited and "
                                   "no external workers are connected")
                 return

@@ -47,6 +47,9 @@ observability.
     to ``FastEngine`` because the timing model depends only on the
     committed instruction stream, so each path group steps one timing
     state.  Used by batched fuzzing and same-grid-point sweep batching.
+    It is the one numpy user, so ``BatchEngine``, ``BatchError``,
+    ``LaneOutcome`` and ``batchable_programs`` load on first access: a
+    process that never batches never imports numpy.
 
 Shared component models (ternary register file, TIM/TDM memories, the TALU)
 live in their own modules so that both simulators — and the gate-level
@@ -70,7 +73,6 @@ from repro.sim.functional import ExecutionResult, FunctionalSimulator, Simulatio
 from repro.sim.pipeline import PipelineSimulator, PipelineStats
 from repro.sim.engine import FastEngine, execute_program
 from repro.sim.compiled import CompiledEngine, compile_and_run
-from repro.sim.batch import BatchEngine, BatchError, LaneOutcome, batchable_programs
 from repro.sim.trace import capture_golden_trace, memory_digest, state_digest, trace_mismatches
 
 __all__ = [
@@ -105,3 +107,16 @@ __all__ = [
     "state_digest",
     "trace_mismatches",
 ]
+
+_BATCH_EXPORTS = ("BatchEngine", "BatchError", "LaneOutcome",
+                  "batchable_programs")
+
+
+def __getattr__(name):
+    # The batch engine is the only numpy user; resolving its exports
+    # lazily (PEP 562) keeps numpy out of every process that never
+    # batches.
+    if name in _BATCH_EXPORTS:
+        from repro.sim import batch
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,8 @@ batch dimension:
 * registers as a ``(NUM_REGISTERS, B)`` int64 array, so one vectorized op
   retires the same instruction for every lane at once (balanced-ternary
   wraparound is three in-place array ops; the trit-wise gate ops go through
-  precomputed ``(3**9, 9)`` trit-plane tables);
+  ``(3**9, 9)`` trit-plane tables, built vectorised from ``np.arange(3**9)``
+  when the first engine is constructed);
 * data memory as a dense ``(B, depth)`` int16 plane plus a ``touched`` mask
   that reproduces the sparse engines' touched-cell ``memory`` dict exactly.
 
@@ -47,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.sim.engine as _engine
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.obs import metrics
@@ -88,6 +88,7 @@ from repro.sim.functional import ExecutionResult, SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.memory import MemoryError_
 from repro.sim.pipeline.stats import PipelineStats
+from repro.ternary.word import WORD_TRITS
 
 
 class BatchError(SimulationError):
@@ -102,12 +103,19 @@ _NP_TABLES: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = No
 def _np_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     global _NP_TABLES
     if _NP_TABLES is None:
-        _engine._build_tables()
+        unsigned = np.arange(MOD, dtype=np.int64)
+        value = np.where(unsigned > HALF, unsigned - MOD, unsigned)
+        trits = np.empty((MOD, WORD_TRITS), dtype=np.int8)
+        for k in range(WORD_TRITS):
+            digit = (value + 1) % 3 - 1
+            trits[:, k] = digit
+            value = (value - digit) // 3
+        pow3 = np.array(_POW3, dtype=np.int64)
         _NP_TABLES = (
-            np.array(_engine._TRITS, dtype=np.int8),
-            np.array(_engine._PTI_WORD, dtype=np.int64),
-            np.array(_engine._NTI_WORD, dtype=np.int64),
-            np.array(_POW3, dtype=np.int64),
+            trits,
+            np.where(trits == 1, -1, 1) @ pow3,
+            np.where(trits == -1, 1, -1) @ pow3,
+            pow3,
         )
     return _NP_TABLES
 

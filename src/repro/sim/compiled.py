@@ -13,8 +13,8 @@ that cost by *compiling the program to Python*:
    ``compile()``/``exec``: registers live in local variables for the
    duration of the block, balanced-ternary wraparound is inlined
    arithmetically, immediates/targets/link values are folded to literal
-   constants, and the trit-wise gates index the same precomputed value
-   tables the fast engine uses;
+   constants, and the trit-wise gates index the same value tables the
+   fast engine uses (filled on first lookup);
 3. execution dispatches block-to-block through a PC → function table.
    Entry points that are not statically visible (``JALR`` returns land on
    the instruction after a call site, and a computed ``JALR`` can target
@@ -458,7 +458,6 @@ class CompiledEngine:
                  cache: object = "default",
                  machine: Optional[MachineConfig] = None,
                  profile: bool = False):
-        _fast._build_tables()
         self.program = program
         self.tdm_depth = tdm_depth
         self.machine = resolve_machine(machine)

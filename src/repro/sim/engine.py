@@ -12,8 +12,9 @@ workload sweeps.
 opcode tag, register indices, plain-int immediate) and then executes on Python
 integers, with balanced-ternary wraparound done arithmetically instead of
 digit-by-digit.  Per-trit operations (the AND/OR/XOR gates and the PTI/NTI
-inverters) use precomputed word tables over the 3**9 = 19 683 value universe,
-so no ``TernaryWord`` is allocated anywhere on the hot path.
+inverters) index word tables over the 3**9 = 19 683 value universe that fill
+one entry on its first lookup, so no ``TernaryWord`` is allocated anywhere on
+the hot path and a process pays only for the words it actually gates.
 
 Two entry points are exposed:
 
@@ -45,6 +46,7 @@ from repro.sim.functional import ExecutionResult, SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.memory import MemoryError_
 from repro.sim.pipeline.stats import PipelineStats
+from repro.ternary.conversion import int_to_trits, trits_to_int
 from repro.ternary.word import WORD_TRITS
 
 #: Modulus and half-range of the 9-trit balanced datapath.
@@ -93,14 +95,6 @@ _MNEMONIC_OF = {code: name for name, code in _OPCODES.items()}
 
 _POW3 = tuple(3 ** k for k in range(WORD_TRITS))
 
-# Lazily built value tables, shared by every engine instance:
-#   _TRITS[u]     little-endian 9-trit tuple of the word with unsigned index u
-#   _PTI_WORD[u]  balanced value of the trit-wise PTI of that word
-#   _NTI_WORD[u]  balanced value of the trit-wise NTI of that word
-_TRITS: Optional[List[tuple]] = None
-_PTI_WORD: Optional[List[int]] = None
-_NTI_WORD: Optional[List[int]] = None
-
 
 def wrap(value: int) -> int:
     """Wrap ``value`` into the balanced range of a 9-trit word.
@@ -111,34 +105,36 @@ def wrap(value: int) -> int:
     return (value + HALF) % MOD - HALF
 
 
-def _build_tables() -> None:
-    global _TRITS, _PTI_WORD, _NTI_WORD
-    if _TRITS is not None:
-        return
-    trits_table: List[tuple] = [()] * MOD
-    pti_table = [0] * MOD
-    nti_table = [0] * MOD
-    for unsigned in range(MOD):
-        value = unsigned if unsigned <= HALF else unsigned - MOD
-        remaining = value
-        trits = []
-        for _ in range(WORD_TRITS):
-            digit = remaining % 3
-            if digit == 2:
-                digit = -1
-            remaining = (remaining - digit) // 3
-            trits.append(digit)
-        trits_table[unsigned] = tuple(trits)
-        pti = nti = 0
-        for k in range(WORD_TRITS - 1, -1, -1):
-            t = trits[k]
-            pti = pti * 3 + (-1 if t == 1 else 1)
-            nti = nti * 3 + (1 if t == -1 else -1)
-        pti_table[unsigned] = pti
-        nti_table[unsigned] = nti
-    _TRITS = trits_table
-    _PTI_WORD = pti_table
-    _NTI_WORD = nti_table
+class _LazyTable(dict):
+    """Word table keyed by unsigned index ``0 <= u < 3**9``.
+
+    An entry is computed by ``build(u)`` on its first lookup and kept, so
+    ``table[u]`` stays one subscript on the hot paths (and in generated
+    code) without building all 19 683 entries up front.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, unsigned: int):
+        if not 0 <= unsigned < MOD:
+            raise KeyError(unsigned)
+        entry = self[unsigned] = self._build(unsigned)
+        return entry
+
+
+# Value tables shared by every engine instance:
+#   _TRITS[u]     little-endian 9-trit tuple of the word with unsigned index u
+#   _PTI_WORD[u]  balanced value of the trit-wise PTI of that word
+#   _NTI_WORD[u]  balanced value of the trit-wise NTI of that word
+_TRITS = _LazyTable(lambda unsigned: tuple(int_to_trits(unsigned, WORD_TRITS)))
+_PTI_WORD = _LazyTable(lambda unsigned: trits_to_int(
+    [-1 if t == 1 else 1 for t in _TRITS[unsigned]]))
+_NTI_WORD = _LazyTable(lambda unsigned: trits_to_int(
+    [1 if t == -1 else -1 for t in _TRITS[unsigned]]))
 
 
 class _MemoryView:
@@ -179,7 +175,6 @@ class FastEngine:
 
     def __init__(self, program: Program, tdm_depth: int = MOD,
                  machine: Optional[MachineConfig] = None):
-        _build_tables()
         self.program = program
         self.tdm_depth = tdm_depth
         self.machine = resolve_machine(machine)

@@ -56,9 +56,9 @@ __all__ += list(_CHAOS_EXPORTS)
 
 
 def __getattr__(name):
-    # The chaos harness imports repro.service, which imports the worker
-    # module, which imports this package — resolving chaos lazily (PEP
-    # 562) keeps the convenience exports without the import cycle.
+    # The chaos harness imports repro.runner, whose package imports the
+    # worker module, which imports this package — resolving chaos lazily
+    # (PEP 562) keeps the convenience exports without the import cycle.
     if name in _CHAOS_EXPORTS:
         from repro.testing import chaos
         return getattr(chaos, name)

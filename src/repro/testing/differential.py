@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.isa.program import Program
-from repro.sim.batch import BatchEngine
 from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import FastEngine
 from repro.sim.functional import ExecutionResult, FunctionalSimulator, SimulationError
@@ -164,6 +163,8 @@ def run_differential(
     corner; architectural results are machine-independent by construction
     and stay pinned to the functional simulator.
     """
+    from repro.sim.batch import BatchEngine
+
     machine = resolve_machine(machine)
     fast_error: Optional[str] = None
     compiled_error: Optional[str] = None
@@ -329,6 +330,8 @@ def run_batch_differential(
     simulator and the pipeline by :func:`run_differential`, so agreement
     here closes the five-way loop for multi-lane execution.
     """
+    from repro.sim.batch import BatchEngine
+
     machine = resolve_machine(machine)
     engine = BatchEngine(programs, machine=machine)
     if check_stats:

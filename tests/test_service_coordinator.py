@@ -352,6 +352,91 @@ class TestWorkerMonitor:
         assert len(records) == 1 and records[0]["status"] == "ok"
 
 
+class TestLocalWorkerHold:
+    """Dispatch waits until every spawned local worker has said hello."""
+
+    @staticmethod
+    async def _hello(port, name):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await send_and_drain(writer, {"type": "hello", "worker": name,
+                                      "pid": 0})
+        return reader, writer
+
+    @staticmethod
+    async def _ask(reader, writer):
+        await send_and_drain(writer, {"type": "next"})
+        return (await read_message(reader))["type"]
+
+    def _run(self, coordinator, body):
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            writers = await body(port)
+            coordinator.abort("test over")
+            await serve
+            for writer in writers:
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_first_worker_waits_until_the_second_says_hello(self):
+        coordinator = Coordinator(_jobs(2), expected_workers=2)
+        replies = []
+
+        async def body(port):
+            first = await self._hello(port, "w1")
+            replies.append(await self._ask(*first))
+            replies.append(await self._ask(*first))
+            second = await self._hello(port, "w2")
+            replies.append(await self._ask(*second))
+            replies.append(await self._ask(*first))
+            return [first[1], second[1]]
+
+        self._run(coordinator, body)
+        assert replies == ["wait", "wait", "job", "job"]
+
+    def test_lifting_the_hold_releases_the_connected_worker(self):
+        coordinator = Coordinator(_jobs(1), expected_workers=2)
+        replies = []
+
+        async def body(port):
+            first = await self._hello(port, "w1")
+            replies.append(await self._ask(*first))
+            coordinator.lift_worker_hold()
+            replies.append(await self._ask(*first))
+            return [first[1]]
+
+        self._run(coordinator, body)
+        assert replies == ["wait", "job"]
+
+    def test_monitor_lifts_the_hold_when_a_spawned_worker_exits(self):
+        """A local worker that dies at start must not stall the run."""
+        from repro.service.queue_backend import AsyncQueueBackend
+
+        class DeadProcess:
+            @staticmethod
+            def is_alive():
+                return False
+
+        records = []
+        coordinator = Coordinator(_jobs(1), on_result=records.append,
+                                  expected_workers=2)
+
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            monitor = asyncio.create_task(
+                AsyncQueueBackend._monitor([DeadProcess()], coordinator))
+            await asyncio.gather(
+                work_async("127.0.0.1", port, name="survivor",
+                           executor=_stub_executor),
+                serve, monitor)
+
+        asyncio.run(scenario())
+        assert coordinator.stats.lost_jobs == 0
+        assert len(records) == 1 and records[0]["status"] == "ok"
+
+
 class TestBindFailure:
     def test_occupied_port_raises_instead_of_hanging(self):
         """A bind failure must unblock wait_started and surface the error."""
