@@ -6,7 +6,8 @@ typically observed ratio (end-to-end numbers come from
 kernel records):
 
 * the fast pre-decoded interpreter vs the stage-by-stage pipeline model
-  (historically >10x; floor 3x);
+  (about 5–6x on Dhrystone since the pipeline predecodes TIM and fills its
+  latches in place; floor 3x);
 * the compiled superblock-codegen engine vs the fast interpreter
   (historically ~3x on Dhrystone steady state; floor 1.5x);
 * all engines must report *identical* cycle counts — a speedup that

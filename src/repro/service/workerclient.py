@@ -196,21 +196,22 @@ async def _execute_with_timeout(loop, executor, job: SweepJob,
     future = loop.run_in_executor(None, executor, job)
     if not job_timeout or job_timeout <= 0:
         return await future
-    try:
-        # shield() keeps the executor future alive past the timeout — the
-        # thread cannot be interrupted, so let it finish in the background
-        # and discard whatever it produces.
-        return await asyncio.wait_for(asyncio.shield(future), job_timeout)
-    except asyncio.TimeoutError:
-        summary.timeouts += 1
-        metrics.counter("worker.job_timeouts").inc()
-        logger.warning(
-            "job execution timed out after %.1fs: job_id=%s (abandoning "
-            "the executor thread, reporting a timeout record)",
-            job_timeout, job.job_id,
-            extra={"job_id": job.job_id})
-        future.add_done_callback(lambda f: f.exception())
-        return timeout_job_record(job, job_timeout)
+    # asyncio.wait leaves the executor future running past the timeout —
+    # the thread cannot be interrupted, so let it finish in the background
+    # and discard whatever it produces — and, unlike wait_for, never drops
+    # a cancellation of this worker that lands as the job completes.
+    done, _ = await asyncio.wait((future,), timeout=job_timeout)
+    if done:
+        return future.result()
+    summary.timeouts += 1
+    metrics.counter("worker.job_timeouts").inc()
+    logger.warning(
+        "job execution timed out after %.1fs: job_id=%s (abandoning "
+        "the executor thread, reporting a timeout record)",
+        job_timeout, job.job_id,
+        extra={"job_id": job.job_id})
+    future.add_done_callback(lambda f: f.exception())
+    return timeout_job_record(job, job_timeout)
 
 
 class _Session:
@@ -255,11 +256,20 @@ async def _serve_connection(
     else:
         await send_and_drain(writer, {"type": "next"})
     while True:
+        # asyncio.wait on a read task, not wait_for: on CPython < 3.12
+        # wait_for returns a read that completes as this worker is
+        # cancelled and drops the cancellation (bpo-42130), so the worker
+        # would back off and reconnect instead of stopping.
+        read = asyncio.create_task(read_message(reader))
         try:
-            message = await asyncio.wait_for(read_message(reader),
-                                             timeout=reply_timeout)
-        except asyncio.TimeoutError:
+            done, _ = await asyncio.wait((read,), timeout=reply_timeout)
+        except asyncio.CancelledError:
+            read.cancel()
+            raise
+        if not done:
+            read.cancel()
             return "lost"  # coordinator vanished without closing the socket
+        message = read.result()
         if message is None:
             return "lost"
         session.made_progress = True
@@ -294,8 +304,11 @@ async def _serve_connection(
                                                  job_timeout, summary)
         finally:
             heartbeat.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await heartbeat
+            # Not ``await heartbeat``: suppressing the CancelledError that
+            # raises would also swallow a cancellation of this worker.
+            await asyncio.wait((heartbeat,))
+        if not heartbeat.cancelled() and heartbeat.exception() is not None:
+            raise heartbeat.exception()  # the connection died mid-job
         summary.jobs_completed += 1
         session.pending_record = record
         await send_and_drain(writer, {"type": "result", "record": record})

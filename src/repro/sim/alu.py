@@ -103,14 +103,27 @@ class TernaryALU:
         ``mnemonic`` is case-insensitive; anything outside
         :attr:`OPERATIONS` raises ``ValueError``.
         """
+        mnemonic = mnemonic.upper()
+        return ALUResult(self.compute(mnemonic, operand_a, operand_b, imm),
+                         mnemonic)
+
+    def compute(
+        self,
+        mnemonic: str,
+        operand_a: TernaryWord,
+        operand_b: Optional[TernaryWord] = None,
+        imm: Optional[int] = None,
+    ) -> TernaryWord:
+        """The result word of one operation, as the simulators' EX uses it.
+
+        ``mnemonic`` is the upper-case name decoded from the instruction;
+        anything outside :attr:`OPERATIONS` raises ``ValueError``.
+        """
         handler = _HANDLERS.get(mnemonic)
         if handler is None:
-            mnemonic = mnemonic.upper()
-            handler = _HANDLERS.get(mnemonic)
-            if handler is None:
-                raise ValueError(f"TALU does not implement {mnemonic!r}")
+            raise ValueError(f"TALU does not implement {mnemonic!r}")
         self.operation_counts[mnemonic] += 1
-        return ALUResult(handler(operand_a, operand_b, imm), mnemonic)
+        return handler(operand_a, operand_b, imm)
 
     def effective_address(self, base: TernaryWord, offset: int) -> int:
         """Address computation of the M-type instructions (shared adder)."""

@@ -93,8 +93,8 @@ class FunctionalSimulator:
         elif spec.category in ("R", "I"):
             operand_a = self.registers.read(instruction.ta) if spec.reads_ta or mnemonic == "LI" else TernaryWord.zero()
             operand_b = self.registers.read(instruction.tb) if spec.reads_tb else None
-            result = self.alu.execute(mnemonic, operand_a, operand_b, imm=instruction.imm)
-            self.registers.write(instruction.ta, result.value)
+            result = self.alu.compute(mnemonic, operand_a, operand_b, imm=instruction.imm)
+            self.registers.write(instruction.ta, result)
         elif mnemonic in ("BEQ", "BNE"):
             lst = self.registers.read(instruction.tb).lst
             taken = (lst == instruction.branch_trit) if mnemonic == "BEQ" else (lst != instruction.branch_trit)

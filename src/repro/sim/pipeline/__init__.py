@@ -4,7 +4,9 @@ The package is organised like the block diagram of the paper:
 
 ``stages``
     The predecoded per-PC instruction records and the pipeline latches
-    that carry them between IF/ID, ID/EX, EX/MEM and MEM/WB.
+    that carry them between IF/ID, ID/EX, EX/MEM and MEM/WB.  Each of the
+    four pipeline registers is a pair of latches built once: the stages
+    read one and fill the other in place, and the clock edge swaps them.
 ``hazards``
     The hazard detection unit (HDU) of the ID stage: load-use stall
     detection and the stall control signal that selects a NOP at the next
@@ -26,8 +28,8 @@ predecode step of instruction-set compiled simulation; Reshadi, Mishra and
 Dutt, DAC 2003), applied inside the structural model rather than in its
 place.  Every stage, the HDU, the forwarding multiplexers and the branch
 unit read the fields of the record their latch carries; nothing looks up an
-instruction spec or renders assembly while the clock runs.  The stages,
-latches, counters and the trit-level TALU are unchanged by it.  This
+instruction spec, renders assembly or builds a latch while the clock runs.
+The stages, counters and the trit-level TALU are unchanged by it.  This
 package imports none of the analytic engines (``engine``, ``timing``,
 ``compiled``, ``batch``): it is the independent reference they are checked
 against.

@@ -31,8 +31,18 @@ the machine's static fetch steering (the predicted-taken bit and the
 fixed-mispredict rule of JAL/JALR).  IF puts the record of the fetched PC
 into the IF/ID latch, and it rides the latches to WB: the HDU, the
 forwarding multiplexers, the ID branch unit, the TALU dispatch and the
-retire accounting all read its fields.  Empty stages share one bubble latch
-per latch type, since nothing mutates a latch once it is built.
+retire accounting all read its fields.
+
+Pipeline registers
+------------------
+
+Each of IF/ID, ID/EX, EX/MEM and MEM/WB is a pair of latches built with
+the simulator: the current one (``if_id``, ``id_ex``, ``ex_mem``,
+``mem_wb``), which the stages read, and the next one, which its producing
+stage fills in place.  :meth:`PipelineSimulator.step_cycle` swaps every pair
+at the clock edge, so the clock builds no objects.  A bubble is a latch
+with ``valid`` False.  On a load-use stall IF copies the held IF/ID fields
+into the next latch, so the consumer is decoded again the following cycle.
 
 Machine configs
 ---------------
@@ -62,10 +72,6 @@ from repro.sim.pipeline.forwarding import ForwardingUnit
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.pipeline.hazards import HazardDetectionUnit
 from repro.sim.pipeline.stages import (
-    DECODE_BUBBLE,
-    EXECUTE_BUBBLE,
-    FETCH_BUBBLE,
-    MEMORY_BUBBLE,
     DecodeLatch,
     ExecuteLatch,
     FetchLatch,
@@ -109,10 +115,12 @@ class PipelineSimulator:
         # can deliver (initial fill, and redirect_penalty after a redirect).
         self._fetch_bubbles = self.machine.fetch_latency
 
-        self.if_id = FETCH_BUBBLE
-        self.id_ex = DECODE_BUBBLE
-        self.ex_mem = EXECUTE_BUBBLE
-        self.mem_wb = MEMORY_BUBBLE
+        # Each pipeline register: the latch the stages read this cycle and
+        # the one its stage fills for the next (see step_cycle).
+        self.if_id, self._if_id_next = FetchLatch(), FetchLatch()
+        self.id_ex, self._id_ex_next = DecodeLatch(), DecodeLatch()
+        self.ex_mem, self._ex_mem_next = ExecuteLatch(), ExecuteLatch()
+        self.mem_wb, self._mem_wb_next = MemoryLatch(), MemoryLatch()
 
         for segment in program.data:
             self.tdm.load_words(segment.values, base=segment.base_address)
@@ -145,10 +153,15 @@ class PipelineSimulator:
             self.halted = True
 
     def _memory(self) -> MemoryLatch:
-        """MEM: perform the TDM access of the EX/MEM latch."""
+        """MEM: perform the TDM access of the EX/MEM latch.
+
+        Fills and returns the next MEM/WB latch.
+        """
         latch = self.ex_mem
+        out = self._mem_wb_next
         if not latch.valid:
-            return MEMORY_BUBBLE
+            out.valid = False
+            return out
         decoded = latch.decoded
         writeback_value = latch.alu_result
         if decoded.is_load:
@@ -156,18 +169,25 @@ class PipelineSimulator:
         elif decoded.is_store:
             self.tdm.write(latch.memory_address, latch.store_value)
             writeback_value = None
-        return MemoryLatch(True, latch.pc, decoded, writeback_value)
+        out.valid = True
+        out.pc = latch.pc
+        out.decoded = decoded
+        out.writeback_value = writeback_value
+        return out
 
     def _execute(self, mem_output: Optional[MemoryLatch] = None) -> ExecuteLatch:
         """EX: run the TALU (with forwarding) or compute the memory address.
 
-        ``mem_output`` is the MEM result produced this cycle; it is passed
-        only on machines whose load-use penalty is 0, where it feeds the
-        same-cycle load bypass in the forwarding unit.
+        Fills and returns the next EX/MEM latch.  ``mem_output`` is the MEM
+        result produced this cycle; it is passed only on machines whose
+        load-use penalty is 0, where it feeds the same-cycle load bypass in
+        the forwarding unit.
         """
         latch = self.id_ex
+        out = self._ex_mem_next
         if not latch.valid:
-            return EXECUTE_BUBBLE
+            out.valid = False
+            return out
         decoded = latch.decoded
 
         operand_a = latch.operand_a
@@ -186,9 +206,8 @@ class PipelineSimulator:
         memory_address: Optional[int] = None
 
         if decoded.is_alu:
-            alu_result = self.alu.execute(
-                decoded.mnemonic, operand_a, operand_b, decoded.imm
-            ).value
+            alu_result = self.alu.compute(
+                decoded.mnemonic, operand_a, operand_b, decoded.imm)
         elif decoded.is_load or decoded.is_store:
             memory_address = self.alu.effective_address(operand_b, decoded.imm)
             if decoded.is_store:
@@ -200,21 +219,29 @@ class PipelineSimulator:
         # Conditional branches and HALT carry nothing: they were fully
         # resolved in ID and only flow through for commit accounting.
 
-        return ExecuteLatch(True, latch.pc, decoded, alu_result, store_value,
-                            memory_address)
+        out.valid = True
+        out.pc = latch.pc
+        out.decoded = decoded
+        out.alu_result = alu_result
+        out.store_value = store_value
+        out.memory_address = memory_address
+        return out
 
     def _decode(self, ex_output: ExecuteLatch, mem_output: MemoryLatch):
         """ID: hazard check, register read, branch resolution.
 
-        Returns ``(id_ex_next, stall, redirect_target)``.
+        Fills the next ID/EX latch and returns ``(stall, redirect_target)``.
         """
         latch = self.if_id
+        out = self._id_ex_next
         if not latch.valid:
-            return DECODE_BUBBLE, False, None
+            out.valid = False
+            return False, None
         decoded = latch.decoded
 
         if self.hdu.check(decoded, self.id_ex).stall:
-            return DECODE_BUBBLE, True, None
+            out.valid = False
+            return True, None
 
         registers = self.registers
         operand_a = registers.read(decoded.ta) if decoded.reads_ta else None
@@ -244,14 +271,28 @@ class PipelineSimulator:
             # Stop fetching; let the HALT drain to WB to finish the run.
             self._draining = True
 
-        id_ex_next = DecodeLatch(True, latch.pc, decoded, operand_a, operand_b,
-                                 link_value)
-        return id_ex_next, False, redirect_target
+        out.valid = True
+        out.pc = latch.pc
+        out.decoded = decoded
+        out.operand_a = operand_a
+        out.operand_b = operand_b
+        out.link_value = link_value
+        return False, redirect_target
 
     def _fetch(self, stall: bool, redirect_target: Optional[int]) -> FetchLatch:
-        """IF: fetch the next instruction (or hold / squash / refill)."""
+        """IF: fetch the next instruction (or hold / squash / refill).
+
+        Fills and returns the next IF/ID latch.
+        """
+        out = self._if_id_next
         if stall:
-            return self.if_id  # IF/ID holds; PC is held by the caller.
+            # IF/ID holds: the next latch takes the held instruction, and
+            # the PC does not advance.
+            held = self.if_id
+            out.valid = held.valid
+            out.pc = held.pc
+            out.decoded = held.decoded
+            return out
         if redirect_target is not None:
             self.pc = redirect_target
             penalty = self.machine.redirect_penalty
@@ -259,13 +300,18 @@ class PipelineSimulator:
             self._fetch_bubbles = penalty
         if self._fetch_bubbles > 0:
             self._fetch_bubbles -= 1
-            return FETCH_BUBBLE
+            out.valid = False
+            return out
         pc = self.pc
         if self._draining or not 0 <= pc < len(self.predecoded):
-            return FETCH_BUBBLE
+            out.valid = False
+            return out
         decoded = self.predecoded[pc]
         self.pc = pc + decoded.imm if decoded.predicted_taken else pc + 1
-        return FetchLatch(True, pc, decoded)
+        out.valid = True
+        out.pc = pc
+        out.decoded = decoded
+        return out
 
     # ------------------------------------------------------------------ driver
 
@@ -276,8 +322,9 @@ class PipelineSimulator:
         self._writeback()
         mem_wb_next = self._memory()
         ex_mem_next = self._execute(mem_wb_next if self._mem_bypass else None)
-        id_ex_next, stall, redirect_target = self._decode(ex_mem_next, mem_wb_next)
+        stall, redirect_target = self._decode(ex_mem_next, mem_wb_next)
         if_id_next = self._fetch(stall, redirect_target)
+        id_ex_next = self._id_ex_next
 
         retire_stage = self.retire_stage
         if retire_stage == 4 and mem_wb_next.valid:
@@ -287,10 +334,12 @@ class PipelineSimulator:
         elif retire_stage == 2 and id_ex_next.valid:
             self._retire(id_ex_next.decoded)
 
-        self.mem_wb = mem_wb_next
-        self.ex_mem = ex_mem_next
-        self.id_ex = id_ex_next
-        self.if_id = if_id_next
+        # Clock edge: every register shows what its stage filled, and the
+        # latch it showed is the one filled next cycle.
+        self._mem_wb_next, self.mem_wb = self.mem_wb, mem_wb_next
+        self._ex_mem_next, self.ex_mem = self.ex_mem, ex_mem_next
+        self._id_ex_next, self.id_ex = self.id_ex, id_ex_next
+        self._if_id_next, self.if_id = self.if_id, if_id_next
 
     def _drain_uncounted(self) -> None:
         """Complete the structural stages past the retire stage.
@@ -306,9 +355,9 @@ class PipelineSimulator:
             mem_wb_next = self._memory()
             ex_mem_next = self._execute(
                 mem_wb_next if self._mem_bypass else None)
-            self.mem_wb = mem_wb_next
-            self.ex_mem = ex_mem_next
-            self.id_ex = DECODE_BUBBLE
+            self._mem_wb_next, self.mem_wb = self.mem_wb, mem_wb_next
+            self._ex_mem_next, self.ex_mem = self.ex_mem, ex_mem_next
+            self.id_ex.valid = False
 
     def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Run until the HALT instruction commits (or ``max_cycles``)."""

@@ -50,16 +50,18 @@ class ForwardingUnit:
         """
         if register is None:
             return read_value
-        if ex_mem.valid and ex_mem.destination == register and not ex_mem.is_load:
-            if ex_mem.alu_result is not None:
-                self.ex_forwards += 1
-                return ex_mem.alu_result
-        if (mem_output is not None and ex_mem.valid and ex_mem.is_load
-                and ex_mem.destination == register
-                and mem_output.writeback_value is not None):
-            self.mem_forwards += 1
-            return mem_output.writeback_value
-        if mem_wb.valid and mem_wb.destination == register:
+        if ex_mem.valid:
+            producer = ex_mem.decoded
+            if producer.destination == register:
+                if not producer.is_load:
+                    if ex_mem.alu_result is not None:
+                        self.ex_forwards += 1
+                        return ex_mem.alu_result
+                elif (mem_output is not None
+                      and mem_output.writeback_value is not None):
+                    self.mem_forwards += 1
+                    return mem_output.writeback_value
+        if mem_wb.valid and mem_wb.decoded.destination == register:
             if mem_wb.writeback_value is not None:
                 self.mem_forwards += 1
                 return mem_wb.writeback_value
@@ -82,10 +84,14 @@ class ForwardingUnit:
         have already been written back to the TRF because write-back happens
         in the first half of the cycle.
         """
-        if ex_output.valid and ex_output.destination == register and ex_output.alu_result is not None and not ex_output.is_load:
-            self.id_forwards += 1
-            return ex_output.alu_result
-        if mem_output.valid and mem_output.destination == register and mem_output.writeback_value is not None:
+        if ex_output.valid:
+            producer = ex_output.decoded
+            if (producer.destination == register and not producer.is_load
+                    and ex_output.alu_result is not None):
+                self.id_forwards += 1
+                return ex_output.alu_result
+        if (mem_output.valid and mem_output.decoded.destination == register
+                and mem_output.writeback_value is not None):
             self.id_forwards += 1
             return mem_output.writeback_value
         return register_file.read(register)

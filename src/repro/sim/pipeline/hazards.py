@@ -75,16 +75,19 @@ class HazardDetectionUnit:
         ``decoding`` reads its destination register.  Everything else is
         resolved by the forwarding multiplexers.
         """
-        if not id_ex.is_load:
+        if not id_ex.valid:
             return NO_STALL
-        load_destination = id_ex.destination
+        producer = id_ex.decoded
+        if not producer.is_load:
+            return NO_STALL
+        load_destination = producer.destination
         if load_destination is None:
             return NO_STALL
         if load_destination in decoding.sources and (
             self.load_use_penalty >= 1 or decoding.is_control
         ):
             self.load_use_stalls += 1
-            return HazardDecision(True, load_destination, id_ex.decoded, decoding)
+            return HazardDecision(True, load_destination, producer, decoding)
         # Branches and JALR consume register values in ID itself (the
         # condition trit / jump base); a LOAD one slot ahead is also a
         # load-use hazard for them and is caught by the sources check

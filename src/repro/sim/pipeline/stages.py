@@ -5,11 +5,13 @@ run: the fields and flags the stages would otherwise re-derive from the
 :class:`~repro.isa.instructions.Instruction` and its spec on every cycle.
 The latches carry it from IF to WB.
 
-Each latch models the ternary pipeline register between two stages.  A
-latch whose ``valid`` flag is False carries a bubble (the hardware would be
-holding the NOP selected by the stall control signal of the main decoder).
-Nothing mutates a latch once it is built, so every empty stage shares one
-bubble instance per latch type.
+Each latch is one side of the ternary pipeline register between two
+stages.  The simulator builds two latches per register when it starts: the
+one the stages read this cycle and the one they fill for the next, swapped
+at every clock edge.  A stage fills its output latch in place; a latch whose
+``valid`` flag is False carries a bubble (the hardware would be holding the
+NOP selected by the stall control signal of the main decoder), and its other
+fields are stale, so every reader checks ``valid`` first.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ class FetchLatch:
     pc: int = 0
     decoded: Optional[PredecodedInstruction] = None
 
-    @classmethod
-    def bubble(cls) -> "FetchLatch":
-        """The shared empty slot (inserted after a taken branch flush)."""
-        return FETCH_BUBBLE
-
 
 @dataclass(slots=True)
 class DecodeLatch:
@@ -108,21 +105,6 @@ class DecodeLatch:
     operand_b: Optional[TernaryWord] = None
     link_value: Optional[int] = None
 
-    @classmethod
-    def bubble(cls) -> "DecodeLatch":
-        """The shared NOP inserted by the stall control signal."""
-        return DECODE_BUBBLE
-
-    @property
-    def destination(self) -> Optional[int]:
-        """Destination register of the instruction in flight, if any."""
-        return self.decoded.destination if self.valid else None
-
-    @property
-    def is_load(self) -> bool:
-        """True when the latch carries a LOAD (needed by the HDU)."""
-        return self.valid and self.decoded.is_load
-
 
 @dataclass(slots=True)
 class ExecuteLatch:
@@ -135,21 +117,6 @@ class ExecuteLatch:
     store_value: Optional[TernaryWord] = None
     memory_address: Optional[int] = None
 
-    @classmethod
-    def bubble(cls) -> "ExecuteLatch":
-        """The shared empty EX/MEM slot."""
-        return EXECUTE_BUBBLE
-
-    @property
-    def destination(self) -> Optional[int]:
-        """Destination register of the instruction in flight, if any."""
-        return self.decoded.destination if self.valid else None
-
-    @property
-    def is_load(self) -> bool:
-        """True when the latch carries a LOAD whose data is not yet available."""
-        return self.valid and self.decoded.is_load
-
 
 @dataclass(slots=True)
 class MemoryLatch:
@@ -160,18 +127,3 @@ class MemoryLatch:
     decoded: Optional[PredecodedInstruction] = None
     writeback_value: Optional[TernaryWord] = None
 
-    @classmethod
-    def bubble(cls) -> "MemoryLatch":
-        """The shared empty MEM/WB slot."""
-        return MEMORY_BUBBLE
-
-    @property
-    def destination(self) -> Optional[int]:
-        """Destination register of the instruction in flight, if any."""
-        return self.decoded.destination if self.valid else None
-
-
-FETCH_BUBBLE = FetchLatch()
-DECODE_BUBBLE = DecodeLatch()
-EXECUTE_BUBBLE = ExecuteLatch()
-MEMORY_BUBBLE = MemoryLatch()

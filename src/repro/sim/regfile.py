@@ -17,6 +17,10 @@ from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 
+def _index_error(index: int) -> ValueError:
+    return ValueError(f"register index out of range 0..8: {index}")
+
+
 class TernaryRegisterFile:
     """Storage and access statistics for the nine ART-9 registers."""
 
@@ -25,22 +29,21 @@ class TernaryRegisterFile:
         self.reads = 0
         self.writes = 0
 
-    def _check(self, index: int) -> int:
-        if not 0 <= index < NUM_REGISTERS:
-            raise ValueError(f"register index out of range 0..8: {index}")
-        return index
-
     def read(self, index: int) -> TernaryWord:
         """Read register ``index`` (asynchronous read port)."""
         self.reads += 1
-        return self._registers[self._check(index)]
+        if not 0 <= index < NUM_REGISTERS:
+            raise _index_error(index)
+        return self._registers[index]
 
     def write(self, index: int, value: TernaryWord) -> None:
         """Write register ``index`` (synchronous write port)."""
         if value.width != WORD_TRITS:
             raise ValueError(f"register words are {WORD_TRITS} trits, got {value.width}")
         self.writes += 1
-        self._registers[self._check(index)] = value
+        if not 0 <= index < NUM_REGISTERS:
+            raise _index_error(index)
+        self._registers[index] = value
 
     def read_int(self, index: int) -> int:
         """Read the signed integer value of register ``index``."""

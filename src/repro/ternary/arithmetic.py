@@ -37,14 +37,26 @@ def full_adder(a: int, b: int, carry_in: int) -> Tuple[int, int]:
 
 
 def add_trits(a_trits, b_trits, carry_in: int = 0) -> Tuple[list, int]:
-    """Ripple-add two equal-length trit sequences, returning (trits, carry)."""
+    """Ripple-add two equal-length trit sequences, returning (trits, carry).
+
+    Each position is one :func:`full_adder`, written out in the loop.
+    """
     if len(a_trits) != len(b_trits):
         raise ValueError("operands must have the same width")
     result = []
+    append = result.append
     carry = carry_in
     for a, b in zip(a_trits, b_trits):
-        s, carry = full_adder(a, b, carry)
-        result.append(s)
+        total = a + b + carry
+        if total > 1:
+            carry = 1
+            append(total - 3)
+        elif total < -1:
+            carry = -1
+            append(total + 3)
+        else:
+            carry = 0
+            append(total)
     return result, carry
 
 

@@ -15,12 +15,13 @@ from repro.ternary.conversion import (
     balanced_range,
     int_to_trits,
     to_balanced_range,
-    trits_to_int,
 )
-from repro.ternary.trit import Trit
+from repro.ternary.trit import VALID_TRITS, Trit
 
 #: Native word width of the ART-9 datapath.
 WORD_TRITS = 9
+
+_TRIT_SET = frozenset(VALID_TRITS)
 
 
 class TernaryWord:
@@ -42,18 +43,22 @@ class TernaryWord:
         if width < 1:
             raise ValueError(f"word width must be positive, got {width}")
         self._width = width
-        # The integer value, summed from the trits on first read; the word
-        # is immutable, so the cache never goes stale.
-        self._value = None
         if isinstance(value, int):
+            value = to_balanced_range(value, width)
+            self._value = value
             self._trits = tuple(int_to_trits(value, width))
         else:
+            # The integer value, summed from the trits on first read; the
+            # word is immutable, so the cache never goes stale.
+            self._value = None
             trits = tuple(value)
             if len(trits) != width:
                 raise ValueError(
                     f"expected {width} trits, got {len(trits)}: {trits!r}"
                 )
-            self._trits = Trit.validate_all(trits)
+            if not _TRIT_SET.issuperset(trits):
+                Trit.validate_all(trits)  # raises, naming the bad element
+            self._trits = trits
 
     # -- constructors -----------------------------------------------------
 
@@ -94,7 +99,11 @@ class TernaryWord:
         """The signed integer value of the word."""
         value = self._value
         if value is None:
-            value = self._value = trits_to_int(self._trits)
+            # The trits were validated when the word was built.
+            value = 0
+            for trit in reversed(self._trits):
+                value = value * 3 + trit
+            self._value = value
         return value
 
     @property

@@ -131,7 +131,7 @@ class TestHazardDetectionUnit:
     def test_bubble_latch_never_stalls(self):
         hdu = HazardDetectionUnit()
         consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(PredecodedInstruction(consumer), DecodeLatch.bubble()).stall
+        assert not hdu.check(PredecodedInstruction(consumer), DecodeLatch()).stall
 
     def test_branch_reading_loaded_register_stalls(self):
         # BEQ consumes its Tb condition trit in ID itself, so a LOAD one

@@ -10,9 +10,12 @@ completed elsewhere.
 """
 
 import asyncio
+import hashlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro.runner import spec
 from repro.runner.spec import SweepJob
 from repro.service.coordinator import Coordinator, lost_job_record
 from repro.service.protocol import read_message, send_and_drain
@@ -281,6 +284,36 @@ class TestEmitFailure:
         asyncio.run(scenario())
         # The record was never marked done, so nothing claims success.
         assert coordinator.stats.results_accepted == 0
+
+
+class TestJobIdCost:
+    def test_job_ids_are_hashed_linearly_in_the_job_count(self, monkeypatch):
+        """Accepting a result must not rehash every pending job's id."""
+        hashes = []
+
+        def counted_sha256(data):
+            hashes.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(spec, "hashlib",
+                            SimpleNamespace(sha256=counted_sha256))
+        per_job = {}
+        for count in (50, 200):
+            hashes.clear()
+            records = []
+            coordinator = Coordinator(_jobs(count), on_result=records.append)
+
+            async def scenario():
+                serve = asyncio.create_task(coordinator.serve())
+                port = await coordinator.wait_started()
+                await asyncio.gather(
+                    work_async("127.0.0.1", port, executor=_stub_executor),
+                    serve)
+
+            asyncio.run(scenario())
+            assert len(records) == count
+            per_job[count] = len(hashes) / count
+        assert per_job[200] <= per_job[50], per_job
 
 
 class TestHeartbeatHandshake:

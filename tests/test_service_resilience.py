@@ -9,11 +9,14 @@ it must respect, hung jobs it must cut loose, and handshakes it must pass
 
 import asyncio
 import contextlib
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.runner.spec import SweepJob
+from repro.service import workerclient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import read_message, send_and_drain, token_matches
 from repro.service.workerclient import (
@@ -446,3 +449,136 @@ class TestRequeueReasons:
             {"disconnect": 1}
         assert snapshot["workers"]["wedged"]["requeue_reasons"] == \
             {"heartbeat-timeout": 1}
+
+
+async def _stops_within(worker, seconds=1.0):
+    done, _ = await asyncio.wait((worker,), timeout=seconds)
+    assert done, f"worker still running {seconds}s after its cancellation"
+    assert worker.cancelled(), worker.result()
+
+
+async def _stop(server_task):
+    server_task.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await server_task
+
+
+class TestCancellation:
+    """``worker.cancel()`` stops ``work_async`` promptly in every state."""
+
+    def test_while_connecting(self):
+        async def scenario():
+            with socket.socket() as probe:  # a port nothing listens on
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            worker = asyncio.create_task(
+                work_async("127.0.0.1", port, executor=_stub_executor,
+                           retry_seconds=30.0))
+            await asyncio.sleep(0.3)
+            assert not worker.done()
+            worker.cancel()
+            await _stops_within(worker)
+
+        asyncio.run(scenario())
+
+    def test_while_awaiting_a_reply(self, monkeypatch):
+        async def scenario():
+            coordinator = Coordinator(_jobs(1))
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            worker = None
+
+            async def read_as_cancelled(reader):
+                # The read completes in the same step the worker is
+                # cancelled, as when the coordinator hangs up on a cancel.
+                worker.cancel()
+                return None
+
+            monkeypatch.setattr(workerclient, "read_message",
+                                read_as_cancelled)
+            worker = asyncio.create_task(
+                work_async("127.0.0.1", port, executor=_stub_executor,
+                           max_retries=0))
+            await _stops_within(worker)
+            await _stop(serve)
+
+        asyncio.run(scenario())
+
+    def test_mid_job(self):
+        started, release = threading.Event(), threading.Event()
+
+        def blocked(job):
+            started.set()
+            release.wait(10.0)
+            return _stub_executor(job)
+
+        async def scenario():
+            coordinator = Coordinator(_jobs(1))
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            worker = asyncio.create_task(
+                work_async("127.0.0.1", port, executor=blocked))
+            try:
+                await _wait_until(started.is_set)
+                worker.cancel()
+                await _stops_within(worker)
+            finally:
+                release.set()
+            await _stop(serve)
+
+        asyncio.run(scenario())
+
+    def test_while_stopping_the_heartbeat(self, monkeypatch):
+        def brief(job):
+            time.sleep(0.05)  # the heartbeat task starts first
+            return _stub_executor(job)
+
+        async def scenario():
+            coordinator = Coordinator(_jobs(1))
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            worker = None
+
+            async def heartbeat(writer, job_id, interval):
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    # The worker is cancelled while it waits for the
+                    # heartbeat it just cancelled to finish.
+                    worker.cancel()
+                    raise
+
+            monkeypatch.setattr(workerclient, "_heartbeat_loop", heartbeat)
+            worker = asyncio.create_task(
+                work_async("127.0.0.1", port, executor=brief,
+                           max_retries=0))
+            await _stops_within(worker)
+            await _stop(serve)
+
+        asyncio.run(scenario())
+
+    def test_while_backing_off(self, monkeypatch):
+        # A first reconnect delay of at least 5 s: the cancel lands in it.
+        monkeypatch.setattr(workerclient, "BACKOFF_BASE_SECONDS", 30.0)
+
+        async def scenario():
+            hung_up = asyncio.Event()
+
+            async def hang_up(reader, writer):
+                await read_message(reader)  # the worker's hello
+                writer.close()
+                hung_up.set()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            worker = asyncio.create_task(
+                work_async("127.0.0.1", port, executor=_stub_executor))
+            await asyncio.wait_for(hung_up.wait(), 5.0)
+            await asyncio.sleep(0.1)  # the worker reads EOF, then backs off
+            assert not worker.done()
+            worker.cancel()
+            await _stops_within(worker)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())

@@ -14,6 +14,13 @@ from hypothesis import given, settings, strategies as st
 from repro.framework import SoftwareFramework
 from repro.isa import Instruction, Program, assemble
 from repro.sim import FunctionalSimulator, PipelineSimulator, SimulationError
+from repro.sim.machine import machine_names
+from repro.sim.pipeline.stages import (
+    DecodeLatch,
+    ExecuteLatch,
+    FetchLatch,
+    MemoryLatch,
+)
 from repro.workloads import get_workload
 
 
@@ -154,6 +161,70 @@ class TestPredecodedRun:
         # The load-use stall and redirect paths both ran.
         assert stats.load_use_stalls > 0 and stats.control_flush_bubbles > 0
         assert (calls["spec"], calls["render"]) == (0, 0)
+
+    @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
+    def test_the_clock_builds_no_latch(self, dhrystone, machine, monkeypatch):
+        pipeline = PipelineSimulator(dhrystone, machine=machine)
+        built = Counter()
+        for latch_type in (FetchLatch, DecodeLatch, ExecuteLatch, MemoryLatch):
+            def counted_init(latch, *args, _init=latch_type.__init__, **kwargs):
+                built[type(latch).__name__] += 1
+                _init(latch, *args, **kwargs)
+
+            monkeypatch.setattr(latch_type, "__init__", counted_init)
+        stats = pipeline.run()
+        assert stats.load_use_stalls > 0 and stats.control_flush_bubbles > 0
+        assert sum(built.values()) == 0, built
+        MemoryLatch()  # the counter sees a construction
+        assert built == {"MemoryLatch": 1}
+
+
+class TestSteppedClock:
+    """Driving ``step_cycle()`` by hand is the same machine as ``run()``."""
+
+    SOURCE = """
+        LIW T1, 9
+        STORE T1, T0, 1
+        LOAD T2, T0, 1
+        ADD T3, T2             # load-use stall where the TALU has no bypass
+        LOAD T4, T0, 1
+        BEQ T4, 0, skip        # ID consumer: stalls everywhere, then taken
+        ADDI T5, 1             # squashed
+    skip:
+        ADDI T6, 2
+        STORE T6, T0, 2
+        HALT
+    """
+
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_stepped_clock_matches_run(self, machine):
+        program = assemble(self.SOURCE)
+        stepped = PipelineSimulator(program, machine=machine)
+        held = []
+        while not stepped.halted:
+            stalls = stepped.hdu.load_use_stalls
+            before = (stepped.if_id.valid, stepped.if_id.pc,
+                      stepped.if_id.decoded)
+            stepped.step_cycle()
+            if stepped.hdu.load_use_stalls > stalls:
+                # IF/ID still holds the consumer; ID/EX took the NOP.
+                after = (stepped.if_id.valid, stepped.if_id.pc,
+                         stepped.if_id.decoded)
+                assert after == before and before[0]
+                assert not stepped.id_ex.valid
+                held.append(after[2].mnemonic)
+        # The machine has halted, so run() only drains and finalizes.
+        stats = stepped.run()
+        assert "BEQ" in held and stats.taken_branches == 1
+
+        reference = PipelineSimulator(program, machine=machine)
+        expected = reference.run()
+        assert stats.to_dict() == expected.to_dict()
+        assert stepped.register_snapshot() == reference.register_snapshot()
+        assert stepped.register_snapshot()["T5"] == 0
+        assert stepped.tdm.contents() == reference.tdm.contents()
+        assert (stepped.tdm.reads, stepped.tdm.writes) == (
+            reference.tdm.reads, reference.tdm.writes)
 
 
 class TestErrorHandling:

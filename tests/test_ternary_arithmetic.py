@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.ternary import (
     TernaryWord,
+    add_trits,
     add_words,
     compare_words,
     divmod_by_power_of_three,
@@ -20,6 +21,7 @@ from repro.ternary.arithmetic import shift_amount_from_word
 
 values = st.integers(min_value=-9841, max_value=9841)
 small_values = st.integers(min_value=-90, max_value=90)
+trits = st.sampled_from((-1, 0, 1))
 
 
 class TestFullAdder:
@@ -31,6 +33,16 @@ class TestFullAdder:
                     assert total in (-1, 0, 1)
                     assert carry_out in (-1, 0, 1)
                     assert total + 3 * carry_out == a + b + carry
+
+    @given(st.lists(st.tuples(trits, trits), min_size=1, max_size=12), trits)
+    def test_add_trits_is_a_ripple_of_full_adders(self, pairs, carry_in):
+        a_trits = [a for a, _ in pairs]
+        b_trits = [b for _, b in pairs]
+        expected, carry = [], carry_in
+        for a, b in pairs:
+            total, carry = full_adder(a, b, carry)
+            expected.append(total)
+        assert add_trits(a_trits, b_trits, carry_in) == (expected, carry)
 
 
 class TestAddSub:
