@@ -44,6 +44,7 @@ import socket
 import sys
 from typing import List, Optional
 
+from repro import durable
 from repro.baselines import PicoRV32Model, VexRiscvModel
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.obs import trace
@@ -360,23 +361,40 @@ def _cmd_work(args: argparse.Namespace) -> int:
     return 2  # rejected: deterministic (bad token / protocol), do not retry
 
 
+def _read_report_runs(path: str) -> List[str]:
+    """The run roots a ``report --db`` file lists; none while the file is
+    missing or empty."""
+    if not os.path.exists(path) or not os.path.getsize(path):
+        return []
+    try:
+        with open(path, "rb") as handle:
+            roots = json.loads(handle.read())
+        if isinstance(roots, list) and all(isinstance(r, str) for r in roots):
+            return roots
+    except (OSError, ValueError):
+        pass
+    raise StoreError(f"--db {path!r} is not a JSON list of run directories")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.service.report import build_report, render_report
-    from repro.service.resultsdb import ResultsDB
+    from repro.service.report import build_report, load_runs, render_report
 
     try:
-        with ResultsDB(args.db) as db:
-            for run_dir in args.runs:
-                ingest = db.ingest(run_dir)
-                print(ingest.summary(), file=sys.stderr)
-            if not db.runs():
-                print("art9 report: no runs ingested (pass run directories, "
-                      "or --db with previously ingested runs)", file=sys.stderr)
-                return 2
-            tables = build_report(db)
+        listed = _read_report_runs(args.db) if args.db else []
+        if not listed and not args.runs:
+            print("art9 report: no runs ingested (pass run directories, "
+                  "or --db with previously ingested runs)", file=sys.stderr)
+            return 2
+        records, lines, roots = load_runs(listed + args.runs)
     except (StoreError, SpecError, json.JSONDecodeError) as exc:
         print(f"art9 report: {exc}", file=sys.stderr)
         return 2
+    for line in lines[len(listed):]:
+        print(line, file=sys.stderr)
+    if args.db:
+        durable.replace(args.db, (json.dumps(roots, indent=2) + "\n").encode(),
+                        sync=True)
+    tables = build_report(records)
     document = render_report(tables, fmt=args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -439,15 +457,9 @@ def _status_live(address: str, token: Optional[str] = None) -> int:
     return 0
 
 
-def _record_phase_seconds(record: dict) -> Optional[float]:
-    timings = record.get("timings")
-    if not isinstance(timings, dict):
-        return None
-    return sum(float(timings.get(key) or 0.0)
-               for key in ("xlate_s", "codegen_s", "execute_s"))
-
-
 def _status_run_dir(run_dir: str) -> int:
+    from repro.service.report import PHASES, phase_summary
+
     store = RunStore(run_dir)
     if not store.exists():
         print(f"art9 status: {run_dir!r} is not a sweep run directory "
@@ -462,31 +474,30 @@ def _status_run_dir(run_dir: str) -> int:
     print(f"run       {run_dir}")
     print(f"jobs      {len(ok)}/{total_jobs} ok, "
           f"{len(records) - len(ok)} failed")
-    phases = {"xlate_s": 0.0, "codegen_s": 0.0, "execute_s": 0.0}
-    timed = 0
-    for record in records:
-        timings = record.get("timings")
-        if isinstance(timings, dict):
-            timed += 1
-            for key in phases:
-                phases[key] += float(timings.get(key) or 0.0)
+    rows = phase_summary(records)
+    timed = sum(row["timed_jobs"] for row in rows)
     if timed:
-        print(f"phases    xlate {phases['xlate_s']:.3f} s   "
-              f"codegen {phases['codegen_s']:.3f} s   "
-              f"execute {phases['execute_s']:.3f} s   "
+        totals = {phase: sum(row[phase] for row in rows) for phase in PHASES}
+        print(f"phases    xlate {totals['xlate_s']:.3f} s   "
+              f"codegen {totals['codegen_s']:.3f} s   "
+              f"execute {totals['execute_s']:.3f} s   "
               f"({timed}/{len(records)} records timed)")
     else:
         print("phases    no records carry phase timings (written before the "
               "instrumentation existed)")
-    known = [r for r in records if r.get("cache_hit") is not None]
+    known = sum(row["cache_known"] for row in rows)
     if known:
-        hits = sum(1 for r in known if r["cache_hit"])
-        print(f"cache     {hits}/{len(known)} translation cache hits "
-              f"({hits / len(known):.0%})")
-    slow = [(seconds, record) for record in records
-            for seconds in [_record_phase_seconds(record)
-                            or record.get("elapsed_s")]
-            if seconds is not None]
+        hits = sum(row["cache_hits"] for row in rows)
+        print(f"cache     {hits}/{known} translation cache hits "
+              f"({hits / known:.0%})")
+    slow = []
+    for record in records:
+        timings = record.get("timings")
+        phase_s = (sum(float(timings.get(phase) or 0.0) for phase in PHASES)
+                   if isinstance(timings, dict) else 0.0)
+        seconds = phase_s or record.get("elapsed_s")
+        if seconds is not None:
+            slow.append((seconds, record))
     slow.sort(key=lambda pair: pair[0], reverse=True)
     if slow:
         print("slowest jobs:")
@@ -835,9 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the paper's Tables II-V and Fig. 5 from sweep runs")
     report.add_argument("runs", nargs="*", metavar="RUN_DIR",
                         help="sweep run directories to ingest")
-    report.add_argument("--db", default=":memory:",
-                        help="results database file (default: in-memory; a "
-                             "file accumulates runs across invocations)")
+    report.add_argument("--db", default=None, metavar="FILE",
+                        help="JSON list of run directories read before RUN_DIR "
+                             "and rewritten with them appended (default: none)")
     report.add_argument("--format", choices=("markdown", "csv"),
                         default="markdown", help="output format")
     report.add_argument("--out", default=None,

@@ -86,13 +86,7 @@ class CompareReport:
 
 
 def diff_records(record_a: dict, record_b: dict) -> List[JobDiff]:
-    """Architecturally meaningful field diffs between two job records.
-
-    Shared by :func:`compare_runs` and the
-    :meth:`~repro.service.resultsdb.ResultsDB.deltas` cross-run query, so
-    the regression gate and the aggregation layer agree on what counts as
-    a behaviour change.
-    """
+    """Architecturally meaningful field diffs between two job records."""
     job_id = record_a["job_id"]
     label = record_a.get("label", job_id)
     diffs: List[JobDiff] = []
@@ -115,23 +109,6 @@ def diff_records(record_a: dict, record_b: dict) -> List[JobDiff]:
     return diffs
 
 
-def compare_record_maps(records_a: dict, records_b: dict,
-                        run_a: str, run_b: str) -> CompareReport:
-    """Pair two ``{job_id: record}`` maps into a :class:`CompareReport`.
-
-    The single pairing implementation behind both ``sweep --compare``
-    (:func:`compare_runs`) and ``ResultsDB.deltas``, so the two surfaces
-    can never disagree about matching semantics.
-    """
-    report = CompareReport(run_a=run_a, run_b=run_b)
-    report.only_in_a = sorted(set(records_a) - set(records_b))
-    report.only_in_b = sorted(set(records_b) - set(records_a))
-    for job_id in sorted(set(records_a) & set(records_b)):
-        report.jobs_compared += 1
-        report.diffs.extend(diff_records(records_a[job_id], records_b[job_id]))
-    return report
-
-
 def compare_runs(run_a: str, run_b: str) -> CompareReport:
     """Compare the result stores of two run directories.
 
@@ -146,4 +123,10 @@ def compare_runs(run_a: str, run_b: str) -> CompareReport:
                              f"(no {store.spec_path})")
     records_a = {record["job_id"]: record for record in store_a.records()}
     records_b = {record["job_id"]: record for record in store_b.records()}
-    return compare_record_maps(records_a, records_b, run_a, run_b)
+    report = CompareReport(run_a=run_a, run_b=run_b)
+    report.only_in_a = sorted(set(records_a) - set(records_b))
+    report.only_in_b = sorted(set(records_b) - set(records_a))
+    for job_id in sorted(set(records_a) & set(records_b)):
+        report.jobs_compared += 1
+        report.diffs.extend(diff_records(records_a[job_id], records_b[job_id]))
+    return report

@@ -30,9 +30,10 @@ SUMMARY_FILENAME = "summary.txt"
 #: Record fields that legitimately differ between two executions of the
 #: same job (wall clock, scheduling, cache temperature): excluded from run
 #: comparison and from the canonical form used by cross-backend
-#: conformance and DB dedup.  ``timings`` (the per-phase breakdown) and
-#: ``cache_hit`` are observations about *how* a job ran, never about what
-#: it computed, so they are volatile by construction.
+#: conformance and the report's duplicate count.  ``timings`` (the
+#: per-phase breakdown) and ``cache_hit`` are observations about *how* a
+#: job ran, never about what it computed, so they are volatile by
+#: construction.
 VOLATILE_RECORD_FIELDS = ("elapsed_s", "worker_pid", "timings", "cache_hit")
 
 
@@ -41,8 +42,8 @@ def canonical_record(record: dict) -> str:
 
     Two executions of the same job on any backend (serial, pool, or the
     distributed queue) must canonicalise identically; the conformance suite
-    and the :class:`~repro.service.resultsdb.ResultsDB` duplicate counter
-    are both built on that invariant.
+    and the duplicate count of :func:`repro.service.report.load_runs` are
+    both built on that invariant.
     """
     stable = {key: value for key, value in record.items()
               if key not in VOLATILE_RECORD_FIELDS}

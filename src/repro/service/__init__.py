@@ -24,16 +24,13 @@ to the records afterwards*:
 * :mod:`repro.service.queue_backend` — :class:`AsyncQueueBackend`, which
   runs a coordinator in-process and optionally spawns local worker
   processes (CI uses a coordinator plus two local workers);
-* :mod:`repro.service.resultsdb` — :class:`ResultsDB`, a sqlite aggregation
-  of any number of sweep run directories with a query API (filter by grid
-  axes, latest-per-job dedup, cross-run deltas);
-* :mod:`repro.service.report` — ``art9 report``: the paper's Tables II–V
-  and the Fig. 5 memory-cell series regenerated from a :class:`ResultsDB`.
+* :mod:`repro.service.report` — ``art9 report``: loads any number of
+  sweep run directories into the newest record of each job and regenerates
+  the paper's Tables II–V and the Fig. 5 memory-cell series from them.
 
 Submodules load on first use: the names below resolve through a module
 ``__getattr__`` (PEP 562), so importing the package costs nothing, and a
-process pulls in asyncio only with the coordinator or worker client and
-sqlite3 only with the results database.
+process pulls in asyncio only with the coordinator or worker client.
 """
 
 import importlib
@@ -59,8 +56,6 @@ _EXPORTS = {
     "ReportTable": "report",
     "build_report": "report",
     "render_report": "report",
-    "IngestReport": "resultsdb",
-    "ResultsDB": "resultsdb",
     "WorkerSummary": "workerclient",
     "request_status": "workerclient",
     "work": "workerclient",

@@ -1,7 +1,8 @@
-"""Paper-facing report generation from aggregated sweep results.
+"""Paper-facing report generation from sweep run directories.
 
-``art9 report`` turns a :class:`~repro.service.resultsdb.ResultsDB` into
-the evaluation artifacts of the paper:
+``art9 report`` loads run directories with :func:`load_runs`, which keeps
+the newest record of each job ID, and turns those records into the
+evaluation artifacts of the paper:
 
 * **Table II** — the Dhrystone comparison of ART-9 against VexRiscv and
   PicoRV32 (DMIPS/MHz, cycles, CPI, instruction-memory cells);
@@ -14,33 +15,40 @@ the evaluation artifacts of the paper:
 * **Fig. 5** — instruction-memory cells per benchmark (ART-9 trits vs
   RV-32I bits vs ARMv6-M bits) and the ternary/binary ratio.
 
-Simulation results come exclusively from the database — the cycle counts,
+Simulation results come exclusively from the records — the cycle counts,
 iteration counts and memory-cell footprints were measured by sweep jobs,
 possibly on other machines — while the implementation models (gate-level
 analyzer, FPGA resource model) are deterministic functions of the netlist
 and are evaluated at report time through
 :meth:`repro.framework.hwflow.HardwareFramework.performance_from_cycles`.
+:func:`phase_summary` totals the per-phase timings of a record list for
+the timing table here and for ``art9 status RUN_DIR``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.framework.hwflow import HardwareFramework
 from repro.hweval.estimator import DhrystoneMetrics
-from repro.service.resultsdb import ResultsDB
+from repro.runner.store import RunStore, StoreError, canonical_record
 from repro.sim.machine import DEFAULT_MACHINE_NAME, machine_names
 
 #: ART-9 engines in lookup-preference order (identical numbers, so the
 #: fast engine is simply the one more likely to be present in a sweep).
 _ART9_ENGINES = ("fast", "compiled", "pipeline")
 
+#: The per-phase seconds a worker records under ``timings``.
+PHASES = ("xlate_s", "codegen_s", "execute_s")
+
 
 class ReportError(RuntimeError):
-    """Raised when the database lacks the records a table needs."""
+    """Raised when the records lack what a table needs."""
 
 
 @dataclass
@@ -80,34 +88,128 @@ class ReportTable:
         return f"# {self.title}\n" + buffer.getvalue()
 
 
+# -- loading ----------------------------------------------------------------
+
+
+def load_runs(run_dirs: Sequence[str]) -> Tuple[List[dict], List[str], List[str]]:
+    """The newest record of each job ID across ``run_dirs``, one
+    ``ingested`` line per directory, and the absolute run roots.
+
+    Later directories are newer; one given again is re-read and becomes the
+    newest (``re-ingested``), so the roots come oldest first without
+    repeats.  A line counts the records another loaded run holds with the
+    same job ID and :func:`canonical_record` content.  Records come in load
+    order, each job at the place of its newest record.
+    """
+    runs: Dict[str, Tuple[List[dict], Set[Tuple[str, str]]]] = {}
+    lines = []
+    for run_dir in run_dirs:
+        store = RunStore(run_dir)
+        if not store.exists():
+            raise StoreError(
+                f"{run_dir!r} is not a sweep run directory (no {store.spec_path})")
+        store.load_spec()  # a torn or invalid spec fails the load
+        root = os.path.abspath(run_dir)
+        records = store.records()
+        keys = {(r["job_id"], canonical_record(r)) for r in records}
+        reloaded = runs.pop(root, None) is not None
+        earlier = set().union(*(other for _, other in runs.values()))
+        runs[root] = (records, keys)
+        lines.append(f"{'re-ingested' if reloaded else 'ingested'} {root}: "
+                     f"{len(records)} records "
+                     f"({len(keys & earlier)} duplicating earlier runs)")
+    newest: Dict[str, dict] = {}
+    for records, _ in runs.values():
+        for record in records:
+            newest.pop(record["job_id"], None)
+            newest[record["job_id"]] = record
+    return list(newest.values()), lines, list(runs)
+
+
+def phase_summary(records: Iterable[dict]) -> List[dict]:
+    """Per-engine totals of the phase timings workers attach to records.
+
+    One row per engine, sorted by engine: the job count, ``timed_jobs``
+    (records whose ``timings`` carry an ``execute_s``; older records
+    predate the instrumentation), the seconds in each of :data:`PHASES`
+    (a missing or null phase adds 0), and ``cache_hits`` out of
+    ``cache_known``, the records that carry the artifact-cache flag.
+    """
+    rows: Dict[str, dict] = {}
+    for record in records:
+        engine = str(record.get("engine", ""))
+        row = rows.setdefault(engine, {
+            "engine": engine, "jobs": 0, "timed_jobs": 0,
+            **dict.fromkeys(PHASES, 0.0), "cache_known": 0, "cache_hits": 0})
+        row["jobs"] += 1
+        timings = record.get("timings")
+        if isinstance(timings, dict):
+            row["timed_jobs"] += timings.get("execute_s") is not None
+            for phase in PHASES:
+                row[phase] += float(timings.get(phase) or 0.0)
+        if record.get("cache_hit") is not None:
+            row["cache_known"] += 1
+            row["cache_hits"] += bool(record["cache_hit"])
+    return [rows[engine] for engine in sorted(rows)]
+
+
 # -- record lookup ----------------------------------------------------------
 
 
-def _ok_records(db: ResultsDB, machine: str = DEFAULT_MACHINE_NAME,
-                **filters) -> List[dict]:
-    # Tables II-V reproduce the paper's numbers, so they are pinned to the
-    # default machine config; design-space records only surface in the
-    # corners table, which asks for them explicitly.
-    return [record for record in db.query(status="ok", latest_only=True,
-                                          machine=machine, **filters)
-            if record.get("verified")]
+def _machine(record: dict) -> str:
+    """The machine config a record ran under; a missing or null name
+    (records older than the machine axis) means the paper default."""
+    return str(record.get("machine") or DEFAULT_MACHINE_NAME)
 
 
-def _art9_record(db: ResultsDB, workload: str,
+def _params_key(params: Optional[dict]) -> str:
+    return json.dumps(dict(params or {}), sort_keys=True, separators=(",", ":"))
+
+
+def _report_order(record: dict) -> tuple:
+    return (str(record.get("workload", "")), _params_key(record.get("params")),
+            str(record.get("engine", "")), not record.get("optimize"))
+
+
+def _ok_records(records: List[dict],
+                machine: Optional[str] = DEFAULT_MACHINE_NAME,
+                workload: Optional[str] = None, engine: Optional[str] = None,
+                optimize: Optional[bool] = None,
+                params: Optional[dict] = None) -> List[dict]:
+    """Verified ``ok`` records matching every given axis, in report order.
+
+    ``params`` must equal the job's parameters exactly.  Tables II-V are
+    pinned to the paper's machine config; the corners table passes
+    ``machine=None``.  The sort is stable, so ties keep load order; the
+    builders take the first match.
+    """
+    wanted = None if params is None else _params_key(params)
+    return sorted(
+        (record for record in records
+         if record.get("status") == "ok" and record.get("verified")
+         and (machine is None or _machine(record) == machine)
+         and (workload is None or str(record.get("workload", "")) == workload)
+         and (engine is None or str(record.get("engine", "")) == engine)
+         and (optimize is None or bool(record.get("optimize")) == optimize)
+         and (wanted is None or _params_key(record.get("params")) == wanted)),
+        key=_report_order)
+
+
+def _art9_record(records: List[dict], workload: str,
                  params: Optional[dict] = None,
                  machine: str = DEFAULT_MACHINE_NAME) -> Optional[dict]:
     for engine in _ART9_ENGINES:
-        records = _ok_records(db, workload=workload, engine=engine,
-                              optimize=True, params=params or {},
-                              machine=machine)
-        if records:
-            return records[0]
+        matches = _ok_records(records, machine, workload=workload,
+                              engine=engine, optimize=True,
+                              params=params or {})
+        if matches:
+            return matches[0]
     return None
 
 
-def _baseline_record(db: ResultsDB, workload: str, engine: str) -> Optional[dict]:
-    records = _ok_records(db, workload=workload, engine=engine, params={})
-    return records[0] if records else None
+def _baseline_record(records: List[dict], workload: str, engine: str) -> Optional[dict]:
+    matches = _ok_records(records, workload=workload, engine=engine, params={})
+    return matches[0] if matches else None
 
 
 def _require(record: Optional[dict], what: str) -> dict:
@@ -139,11 +241,11 @@ def _dmips_per_mhz(record: dict) -> float:
                             iterations=_iterations(record)).dmips_per_mhz
 
 
-def _default_workloads(db: ResultsDB) -> List[str]:
+def _default_workloads(records: List[dict]) -> List[str]:
     """Workloads with a default-parameter ART-9 record, sorted."""
     present = []
     seen = set()
-    for record in _ok_records(db, params={}):
+    for record in _ok_records(records, params={}):
         name = record.get("workload")
         if name and name not in seen and record.get("engine") in _ART9_ENGINES:
             seen.add(name)
@@ -154,12 +256,12 @@ def _default_workloads(db: ResultsDB) -> List[str]:
 # -- table builders ---------------------------------------------------------
 
 
-def table2_dhrystone(db: ResultsDB) -> ReportTable:
+def table2_dhrystone(records: List[dict]) -> ReportTable:
     """Table II — Dhrystone comparison of the three cores."""
-    art9 = _require(_art9_record(db, "dhrystone"), "dhrystone on an ART-9 engine")
-    vex = _require(_baseline_record(db, "dhrystone", "vexriscv"),
+    art9 = _require(_art9_record(records, "dhrystone"), "dhrystone on an ART-9 engine")
+    vex = _require(_baseline_record(records, "dhrystone", "vexriscv"),
                    "dhrystone on the vexriscv baseline")
-    pico = _require(_baseline_record(db, "dhrystone", "picorv32"),
+    pico = _require(_baseline_record(records, "dhrystone", "picorv32"),
                     "dhrystone on the picorv32 baseline")
     table = ReportTable(
         key="table2",
@@ -182,21 +284,21 @@ def table2_dhrystone(db: ResultsDB) -> ReportTable:
     return table
 
 
-def table3_cycles(db: ResultsDB) -> ReportTable:
+def table3_cycles(records: List[dict]) -> ReportTable:
     """Table III — processing cycles of every benchmark across the cores."""
     table = ReportTable(
         key="table3",
         title="Table III — processing cycles per benchmark",
         headers=["workload", "ART-9 cycles", "PicoRV32 cycles", "VexRiscv cycles"],
     )
-    workloads = _default_workloads(db)
+    workloads = _default_workloads(records)
     if not workloads:
         raise ReportError("no verified default-parameter ART-9 records in the "
                           "results database")
     for name in workloads:
-        art9 = _require(_art9_record(db, name), f"{name} on an ART-9 engine")
-        pico = _baseline_record(db, name, "picorv32")
-        vex = _baseline_record(db, name, "vexriscv")
+        art9 = _require(_art9_record(records, name), f"{name} on an ART-9 engine")
+        pico = _baseline_record(records, name, "picorv32")
+        vex = _baseline_record(records, name, "vexriscv")
         table.rows.append([
             name, art9["cycles"],
             pico["cycles"] if pico else "-",
@@ -210,17 +312,17 @@ def table3_cycles(db: ResultsDB) -> ReportTable:
     return table
 
 
-def _dhrystone_performance(db: ResultsDB, hardware: HardwareFramework):
-    art9 = _require(_art9_record(db, "dhrystone"), "dhrystone on an ART-9 engine")
+def _dhrystone_performance(records: List[dict], hardware: HardwareFramework):
+    art9 = _require(_art9_record(records, "dhrystone"), "dhrystone on an ART-9 engine")
     cntfet, fpga = hardware.performance_from_cycles(
         art9["cycles"], _iterations(art9),
         memory_cells=art9.get("memory_cells"))
     return art9, cntfet, fpga
 
 
-def table4_cntfet(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
+def table4_cntfet(records: List[dict], hardware: HardwareFramework) -> ReportTable:
     """Table IV — CNTFET ternary-gate implementation."""
-    _, cntfet, _ = _dhrystone_performance(db, hardware)
+    _, cntfet, _ = _dhrystone_performance(records, hardware)
     gate_report = hardware.analyze_gates()
     table = ReportTable(
         key="table4",
@@ -248,9 +350,9 @@ def table4_cntfet(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
     return table
 
 
-def table5_fpga(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
+def table5_fpga(records: List[dict], hardware: HardwareFramework) -> ReportTable:
     """Table V — FPGA-based ternary-logic emulation."""
-    _, _, fpga = _dhrystone_performance(db, hardware)
+    _, _, fpga = _dhrystone_performance(records, hardware)
     fpga_report = hardware.analyze_fpga()
     table = ReportTable(
         key="table5",
@@ -279,7 +381,7 @@ def table5_fpga(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
     return table
 
 
-def fig5_memory_cells(db: ResultsDB) -> ReportTable:
+def fig5_memory_cells(records: List[dict]) -> ReportTable:
     """Fig. 5 — instruction-memory cells per benchmark program."""
     table = ReportTable(
         key="fig5",
@@ -287,25 +389,25 @@ def fig5_memory_cells(db: ResultsDB) -> ReportTable:
         headers=["workload", "ART-9 (trits)", "RV-32I (bits)", "ARMv6-M (bits)",
                  "trits/bits ratio"],
     )
-    workloads = _default_workloads(db)
+    workloads = _default_workloads(records)
     if not workloads:
         raise ReportError("no verified default-parameter ART-9 records in the "
                           "results database")
     for name in workloads:
-        art9 = _require(_art9_record(db, name), f"{name} on an ART-9 engine")
+        art9 = _require(_art9_record(records, name), f"{name} on an ART-9 engine")
         trits = art9.get("memory_cells")
         ratio = art9.get("memory_cell_ratio")
         if trits is None or not ratio:
             raise ReportError(
                 f"the {name} record predates the memory-cell fields; rerun "
                 "the sweep with --no-resume to refresh it")
-        rv_record = (_baseline_record(db, name, "picorv32")
-                     or _baseline_record(db, name, "vexriscv"))
+        rv_record = (_baseline_record(records, name, "picorv32")
+                     or _baseline_record(records, name, "vexriscv"))
         # The translation report embeds trits/bits, so the binary footprint
-        # is recoverable even without a baseline record in the database.
+        # is recoverable even without a baseline record.
         rv_bits = (rv_record["memory_cells"] if rv_record
                    else round(trits / ratio))
-        thumb = _baseline_record(db, name, "armv6m")
+        thumb = _baseline_record(records, name, "armv6m")
         table.rows.append([
             name, trits, rv_bits,
             thumb["memory_cells"] if thumb else "-",
@@ -317,11 +419,11 @@ def fig5_memory_cells(db: ResultsDB) -> ReportTable:
     return table
 
 
-def machine_corners(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
+def machine_corners(records: List[dict], hardware: HardwareFramework) -> ReportTable:
     """Design-space corners — Dhrystone across machine configurations.
 
     One row per microarchitecture config with a verified default-parameter
-    Dhrystone record in the database: measured cycles/CPI joined with the
+    Dhrystone record: measured cycles/CPI joined with the
     Table IV/V implementation models
     (:meth:`~repro.framework.hwflow.HardwareFramework.
     performance_from_cycles`), so deepening the pipeline or changing the
@@ -333,13 +435,11 @@ def machine_corners(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
         headers=["config", "cycles", "CPI", "CNTFET DMIPS/MHz",
                  "CNTFET DMIPS", "FPGA DMIPS"],
     )
-    present: List[str] = []
-    for record in db.query(workload="dhrystone", params={}, optimize=True,
-                           status="ok", latest_only=True):
-        name = str(record.get("machine", DEFAULT_MACHINE_NAME))
-        if (record.get("verified") and record.get("engine") in _ART9_ENGINES
-                and name not in present):
-            present.append(name)
+    present = {_machine(record)
+               for record in _ok_records(records, machine=None,
+                                         workload="dhrystone", optimize=True,
+                                         params={})
+               if record.get("engine") in _ART9_ENGINES}
     known = list(machine_names())
     ordered = ([name for name in known if name in present]
                + sorted(name for name in present if name not in known))
@@ -349,7 +449,7 @@ def machine_corners(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
             "`art9 sweep --preset machines` (or any dhrystone sweep) first")
     for name in ordered:
         record = _require(
-            _art9_record(db, "dhrystone", machine=name),
+            _art9_record(records, "dhrystone", machine=name),
             f"dhrystone on an ART-9 engine under the {name!r} machine")
         cntfet, fpga = hardware.performance_from_cycles(
             record["cycles"], _iterations(record),
@@ -369,14 +469,14 @@ def machine_corners(db: ResultsDB, hardware: HardwareFramework) -> ReportTable:
     return table
 
 
-def timings_summary(db: ResultsDB) -> ReportTable:
+def timings_summary(records: List[dict]) -> ReportTable:
     """Per-phase wall-time summary — where sweep time actually went.
 
     Aggregates the ``timings`` field the workers attach to every record
     (translation / engine build / execution seconds, plus the artifact-cache
-    hit flag) per engine.  Records written before the instrumentation
-    existed carry NULL columns and are counted but not timed, so mixed
-    databases still render honestly.
+    hit flag) per engine with :func:`phase_summary`.  Records written before
+    the instrumentation existed are counted but not timed, so mixed runs
+    still render honestly.
     """
     table = ReportTable(
         key="timings",
@@ -384,14 +484,13 @@ def timings_summary(db: ResultsDB) -> ReportTable:
         headers=["engine", "jobs", "timed", "xlate (s)", "codegen (s)",
                  "execute (s)", "cache hit rate"],
     )
-    rows = db.phase_summary(latest_only=True)
+    rows = phase_summary(records)
     timed = [row for row in rows if row["timed_jobs"]]
     if not timed:
         raise ReportError(
             "no records with phase timings in the results database; records "
             "written before the instrumentation existed lack them — rerun "
             "the sweep with --no-resume to refresh")
-    total_xlate = total_codegen = total_execute = 0.0
     for row in rows:
         hit_rate = ("-" if not row["cache_known"]
                     else f"{row['cache_hits'] / row['cache_known']:.0%}")
@@ -400,13 +499,9 @@ def timings_summary(db: ResultsDB) -> ReportTable:
             f"{row['xlate_s']:.3f}", f"{row['codegen_s']:.3f}",
             f"{row['execute_s']:.3f}", hit_rate,
         ])
-        total_xlate += row["xlate_s"]
-        total_codegen += row["codegen_s"]
-        total_execute += row["execute_s"]
         table.metrics[f"{row['engine']}_execute_s"] = row["execute_s"]
-    table.metrics["total_xlate_s"] = total_xlate
-    table.metrics["total_codegen_s"] = total_codegen
-    table.metrics["total_execute_s"] = total_execute
+    for phase in PHASES:
+        table.metrics[f"total_{phase}"] = sum(row[phase] for row in rows)
     known = sum(row["cache_known"] for row in rows)
     if known:
         table.metrics["cache_hit_rate"] = (
@@ -422,30 +517,31 @@ def timings_summary(db: ResultsDB) -> ReportTable:
 # -- report assembly --------------------------------------------------------
 
 
-def build_report(db: ResultsDB, hardware: Optional[HardwareFramework] = None,
+def build_report(records: List[dict],
+                 hardware: Optional[HardwareFramework] = None,
                  strict: bool = False) -> List[ReportTable]:
-    """All five artifacts from one database.
+    """Every table from one record list (:func:`load_runs`).
 
     With ``strict`` the first table whose records are missing raises
     :class:`ReportError`; otherwise the failed table is emitted empty with
-    the explanation as a note, so partial databases still render.
+    the explanation as a note, so partial runs still render.
     """
     hardware = hardware or HardwareFramework()
     builders = (
         ("table2", "Table II — Dhrystone simulation results",
-         lambda: table2_dhrystone(db)),
+         lambda: table2_dhrystone(records)),
         ("table3", "Table III — processing cycles per benchmark",
-         lambda: table3_cycles(db)),
+         lambda: table3_cycles(records)),
         ("table4", "Table IV — CNTFET ternary-gate implementation",
-         lambda: table4_cntfet(db, hardware)),
+         lambda: table4_cntfet(records, hardware)),
         ("table5", "Table V — FPGA-based ternary-logic emulation",
-         lambda: table5_fpga(db, hardware)),
+         lambda: table5_fpga(records, hardware)),
         ("fig5", "Fig. 5 — instruction-memory cells per benchmark",
-         lambda: fig5_memory_cells(db)),
+         lambda: fig5_memory_cells(records)),
         ("machines", "Design-space corners — Dhrystone across machine configs",
-         lambda: machine_corners(db, hardware)),
+         lambda: machine_corners(records, hardware)),
         ("timings", "Per-phase timing summary — where the sweep time went",
-         lambda: timings_summary(db)),
+         lambda: timings_summary(records)),
     )
     tables = []
     for key, title, builder in builders:

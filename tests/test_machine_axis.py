@@ -1,24 +1,27 @@
-"""End-to-end machine axis: spec -> sweep -> ResultsDB -> report corners.
+"""End-to-end machine axis: spec -> sweep -> loaded records -> report corners.
 
 Exercises the machine config as a first-class sweep dimension the way a
 design-space exploration would use it: expand a grid over several configs,
-run it through the real sweep runner, ingest the run directory into the
-results database and regenerate the corners table — then pin the CLI
-surface (``--machine`` / ``--machines``) and the job-identity guarantees
-the blessed baseline run depends on.
+run it through the real sweep runner, load the run directory's records and
+regenerate the corners table — then pin the CLI surface (``--machine`` /
+``--machines``) and the job-identity guarantees the blessed baseline run
+depends on.
 """
 
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.runner import SweepJob, SweepSpec, preset_spec, run_sweep
-from repro.service import ResultsDB
-from repro.service.report import machine_corners
+from repro.service.report import _ok_records, load_runs, machine_corners
 from repro.framework import HardwareFramework
 from repro.sim.machine import DEFAULT_MACHINE_NAME
+
+BASELINE_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "baseline")
 
 
 class TestJobIdentity:
@@ -29,10 +32,9 @@ class TestJobIdentity:
         which was produced before machine configs existed; the CI
         queue-regression job diffs against it by job_id.
         """
-        baseline = os.path.join(os.path.dirname(__file__), "..",
-                                "benchmarks", "baseline", "results.jsonl")
         pinned = {}
-        with open(baseline, "r", encoding="utf-8") as handle:
+        with open(os.path.join(BASELINE_DIR, "results.jsonl"), "r",
+                  encoding="utf-8") as handle:
             for line in handle:
                 record = json.loads(line)
                 pinned[(record["workload"], record["engine"],
@@ -96,17 +98,15 @@ class TestSpecExpansion:
 
 @pytest.fixture(scope="module")
 def machine_sweep_run(tmp_path_factory):
-    """One real sweep over 3 configs x 3 engines, plus its DB ingest."""
+    """One real sweep over 3 configs x 3 engines, plus its loaded records."""
     out = str(tmp_path_factory.mktemp("machine-sweep") / "run")
     spec = SweepSpec(workloads=("dhrystone",),
                      engines=("fast", "pipeline", "compiled"),
                      optimize=(True,),
                      machines=(DEFAULT_MACHINE_NAME, "btfn4", "slowfetch5"))
     outcome = run_sweep(spec, out, jobs=1)
-    db = ResultsDB()
-    db.ingest(out)
-    yield outcome, db
-    db.close()
+    records, _, _ = load_runs([out])
+    return outcome, records
 
 
 class TestEndToEndSweep:
@@ -135,17 +135,17 @@ class TestEndToEndSweep:
         assert cycles["btfn4"] < cycles[DEFAULT_MACHINE_NAME] \
             < cycles["slowfetch5"]
 
-    def test_resultsdb_machine_column_filters(self, machine_sweep_run):
-        _, db = machine_sweep_run
-        corner = db.query(machine="btfn4", status="ok")
+    def test_machine_filter_selects_one_config(self, machine_sweep_run):
+        _, records = machine_sweep_run
+        corner = _ok_records(records, machine="btfn4")
         assert len(corner) == 3
         assert all(record["machine"] == "btfn4" for record in corner)
-        default_only = db.query(machine=DEFAULT_MACHINE_NAME, status="ok")
+        default_only = _ok_records(records, machine=DEFAULT_MACHINE_NAME)
         assert len(default_only) == 3
 
     def test_report_corners_table_has_one_row_per_config(self, machine_sweep_run):
-        _, db = machine_sweep_run
-        table = machine_corners(db, HardwareFramework())
+        _, records = machine_sweep_run
+        table = machine_corners(records, HardwareFramework())
         assert table.headers[0] == "config"
         configs = [row[0] for row in table.rows]
         assert configs[0] == DEFAULT_MACHINE_NAME
@@ -181,8 +181,28 @@ class TestCLISurface:
                      "--jobs", "1", "--out", out_dir]) == 0
         output = capsys.readouterr().out
         assert "@ideal2" in output
-        records = [json.loads(line) for line in
-                   open(os.path.join(out_dir, "results.jsonl"),
-                        encoding="utf-8")]
+        with open(os.path.join(out_dir, "results.jsonl"),
+                  encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
         assert {record["machine"] for record in records} == \
             {DEFAULT_MACHINE_NAME, "ideal2"}
+
+    def test_report_reads_a_null_machine_as_the_default(self, tmp_path,
+                                                        capsys):
+        """A record's ``"machine": null`` means the paper machine in every
+        table, the corners table included."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(BASELINE_DIR, run_dir)
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line)
+                   for line in results.read_text().splitlines()]
+        results.write_text("".join(json.dumps(dict(record, machine=None)) + "\n"
+                                   for record in records))
+        main(["report", str(run_dir)])
+        output = capsys.readouterr().out
+        corners = output[output.index("## Design-space corners"):
+                         output.index("## Per-phase timing")]
+        rows = [line for line in corners.splitlines()
+                if line.startswith("| ") and "---" not in line][1:]
+        assert rows == [f"| {DEFAULT_MACHINE_NAME} | 10380 | 1.229 | 2.742 "
+                        "| 846.2 | 411.2 |"]

@@ -69,7 +69,8 @@ class TestTornFinalLine:
         assert ids == ["a", "c"]
         # The torn stump occupies its own (skipped) line: the good record
         # after it did not concatenate onto it.
-        lines = open(store.results_path, "rb").read().split(b"\n")
+        with open(store.results_path, "rb") as handle:
+            lines = handle.read().split(b"\n")
         assert json.loads(lines[-2])["job_id"] == "c"
 
 
@@ -123,7 +124,8 @@ class TestAtomicSummary:
                       "cycles": 10, "cpi": 1.0, "stall_cycles": 0})
         table = store.write_summary()
         assert "w" in table
-        assert open(store.summary_path).read() == table + "\n"
+        with open(store.summary_path) as handle:
+            assert handle.read() == table + "\n"
         leftovers = [name for name in os.listdir(str(tmp_path))
                      if name.startswith(SUMMARY_FILENAME + ".")]
         assert leftovers == []
@@ -148,7 +150,8 @@ class TestAtomicSummary:
             store.write_summary()
         monkeypatch.undo()
         # Old summary intact, no temp files shadowing it.
-        assert open(store.summary_path).read() == original + "\n"
+        with open(store.summary_path) as handle:
+            assert handle.read() == original + "\n"
         assert [name for name in os.listdir(str(tmp_path))
                 if name.endswith(".tmp")] == []
         # And the next attempt succeeds with the new content.

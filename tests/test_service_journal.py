@@ -45,7 +45,8 @@ class TestRunJournal:
         journal = RunJournal(path)
         journal.append("enqueued", job_id="a")
         journal.append("leased", job_id="a", worker="w1", attempt=1)
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0]) == {"event": "enqueued", "job_id": "a"}
         assert json.loads(lines[1])["worker"] == "w1"

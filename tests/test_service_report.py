@@ -9,17 +9,29 @@ tests (gates=631, fmax~308.6 MHz, CNTFET ~846 DMIPS, FPGA 801 ALMs /
 ~411 DMIPS, Fig. 5 dhrystone ratio ~0.70).
 """
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
-from repro.runner import canonical_record, compare_runs, preset_spec, run_sweep
+from repro.runner import (
+    RunStore,
+    StoreError,
+    SweepSpec,
+    canonical_record,
+    compare_runs,
+    preset_spec,
+    run_sweep,
+)
 from repro.service import (
     AsyncQueueBackend,
     ReportError,
-    ResultsDB,
     build_report,
     render_report,
 )
+from repro.service.report import _ok_records, load_runs, phase_summary
+from repro.sim.machine import DEFAULT_MACHINE_NAME
 
 REL = 0.02  # same tolerance as tests/test_hweval_headline.py
 
@@ -39,9 +51,8 @@ def paper_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def report_tables(paper_runs):
     _, _, queue_dir, _, _ = paper_runs
-    with ResultsDB() as db:
-        db.ingest(queue_dir)
-        return {table.key: table for table in build_report(db)}
+    records, _, _ = load_runs([queue_dir])
+    return {table.key: table for table in build_report(records)}
 
 
 class TestDistributedAcceptance:
@@ -142,20 +153,17 @@ class TestReportRendering:
 
 class TestPartialDatabase:
     def test_empty_db_renders_notes_not_crashes(self):
-        with ResultsDB() as db:
-            tables = build_report(db)
-            assert not any(table.ok for table in tables)
-            assert all(table.notes for table in tables)
+        tables = build_report([])
+        assert not any(table.ok for table in tables)
+        assert all(table.notes for table in tables)
 
     def test_strict_mode_raises(self):
-        with ResultsDB() as db:
-            with pytest.raises(ReportError):
-                build_report(db, strict=True)
+        with pytest.raises(ReportError):
+            build_report([], strict=True)
 
     def test_stale_records_without_iterations_are_an_error(self, tmp_path):
         """Pre-report-era records must fail loudly, not yield DMIPS numbers
         that are silently wrong by the iteration factor."""
-        from repro.runner import RunStore, SweepSpec
         run_dir = str(tmp_path / "stale")
         store = RunStore(run_dir)
         store.initialize(SweepSpec(workloads=("dhrystone",),
@@ -166,33 +174,155 @@ class TestPartialDatabase:
                   "cycles": 10380, "cpi": 1.229, "memory_cells": 1917,
                   "memory_cell_ratio": 0.6966}  # no "iterations" field
         store.append(record)
-        with ResultsDB() as db:
-            db.ingest(run_dir)
-            tables = {table.key: table for table in build_report(db)}
-            # Table IV depends only on the dhrystone ART-9 record, so its
-            # failure note names the stale field rather than a missing
-            # baseline.
-            assert not tables["table4"].ok
-            assert any("predates" in note for note in tables["table4"].notes)
-            assert not tables["table2"].ok
+        records, _, _ = load_runs([run_dir])
+        tables = {table.key: table for table in build_report(records)}
+        # Table IV depends only on the dhrystone ART-9 record, so its
+        # failure note names the stale field rather than a missing baseline.
+        assert not tables["table4"].ok
+        assert any("predates" in note for note in tables["table4"].notes)
+        assert not tables["table2"].ok
 
     def test_art9_only_db_still_builds_the_hw_tables(self, tmp_path):
-        from repro.runner import SweepSpec
         run_dir = str(tmp_path / "art9-only")
         run_sweep(SweepSpec(workloads=("dhrystone",), engines=("fast",),
                             optimize=(True,)), run_dir, jobs=1)
-        with ResultsDB() as db:
-            db.ingest(run_dir)
-            tables = {table.key: table for table in build_report(db)}
-            # No baseline records: Table II is impossible...
-            assert not tables["table2"].ok
-            # ...but the implementation tables and Fig. 5 (via the embedded
-            # trits/bits ratio) still come out.
-            assert tables["table4"].ok
-            assert tables["table5"].ok
-            assert tables["fig5"].ok
-            assert tables["fig5"].metrics["dhrystone_ratio"] == \
-                pytest.approx(0.697, rel=REL)
+        records, _, _ = load_runs([run_dir])
+        tables = {table.key: table for table in build_report(records)}
+        # No baseline records: Table II is impossible...
+        assert not tables["table2"].ok
+        # ...but the implementation tables and Fig. 5 (via the embedded
+        # trits/bits ratio) still come out.
+        assert tables["table4"].ok
+        assert tables["table5"].ok
+        assert tables["fig5"].ok
+        assert tables["fig5"].metrics["dhrystone_ratio"] == \
+            pytest.approx(0.697, rel=REL)
+
+
+SMALL_SPEC = SweepSpec(workloads=("bubble_sort",), engines=("fast",),
+                       optimize=(True, False),
+                       params={"bubble_sort": [{"length": 8}]})
+
+
+@pytest.fixture()
+def two_identical_runs(tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    run_sweep(SMALL_SPEC, a, jobs=1)
+    run_sweep(SMALL_SPEC, b, jobs=1)
+    return a, b
+
+
+class TestLoadRuns:
+    def test_identical_content_counts_as_duplicates(self, two_identical_runs):
+        a, b = two_identical_runs
+        records, lines, _ = load_runs([a, b])
+        # Same code, same spec: every record of run B duplicates run A's
+        # content even though wall-clock and PIDs differ.
+        assert lines == [
+            f"ingested {os.path.abspath(a)}: 2 records "
+            "(0 duplicating earlier runs)",
+            f"ingested {os.path.abspath(b)}: 2 records "
+            "(2 duplicating earlier runs)"]
+        assert len(records) == 2
+
+    def test_reingest_replaces_not_duplicates(self, two_identical_runs):
+        a, _ = two_identical_runs
+        records, lines, roots = load_runs([a, a])
+        assert lines[1] == (f"re-ingested {os.path.abspath(a)}: 2 records "
+                            "(0 duplicating earlier runs)")
+        assert len(records) == 2
+        assert roots == [os.path.abspath(a)]
+
+    def test_a_run_given_again_becomes_the_newest(self, two_identical_runs):
+        a, b = two_identical_runs
+        _, _, roots = load_runs([a, b, a])
+        assert roots == [os.path.abspath(b), os.path.abspath(a)]
+
+    def test_non_run_directory_is_an_error(self, tmp_path):
+        with pytest.raises(StoreError):
+            load_runs([str(tmp_path / "not-a-run")])
+
+    def test_null_machine_normalizes_to_the_default(self, tmp_path):
+        # Records written before the machine axis existed either omit the
+        # key or carry an explicit null; both mean the paper machine, and
+        # neither may select as the literal string "None".
+        store = RunStore(str(tmp_path / "run"))
+        store.initialize(SweepSpec(workloads=("bubble_sort",)))
+        store.append({"job_id": "aaa", "workload": "bubble_sort",
+                      "engine": "fast", "status": "ok", "verified": True,
+                      "machine": None})
+        store.append({"job_id": "bbb", "workload": "bubble_sort",
+                      "engine": "fast", "status": "ok", "verified": True})
+        records, _, _ = load_runs([str(tmp_path / "run")])
+        assert len(_ok_records(records, machine=DEFAULT_MACHINE_NAME)) == 2
+        assert _ok_records(records, machine="None") == []
+
+    def test_newest_run_wins(self, two_identical_runs):
+        a, b = two_identical_runs
+        # Tamper run B so the runs disagree, then check the newest wins.
+        store = RunStore(b)
+        record = store.records()[0]
+        record["cycles"] += 7
+        store.append(record)
+        newest_b, _, _ = load_runs([a, b])
+        assert len(newest_b) == 2
+        by_job = {r["job_id"]: r for r in newest_b}
+        assert by_job[record["job_id"]]["cycles"] == record["cycles"]
+        newest_a, _, _ = load_runs([b, a])
+        by_job = {r["job_id"]: r for r in newest_a}
+        assert by_job[record["job_id"]]["cycles"] == record["cycles"] - 7
+
+
+class TestOkRecords:
+    def test_axis_filters(self, two_identical_runs):
+        a, _ = two_identical_runs
+        records, _, _ = load_runs([a])
+        assert len(_ok_records(records, workload="bubble_sort")) == 2
+        assert _ok_records(records, workload="gemm") == []
+        assert len(_ok_records(records, optimize=True)) == 1
+        assert len(_ok_records(records, optimize=False)) == 1
+        assert len(_ok_records(records, engine="fast",
+                               params={"length": 8})) == 2
+        assert _ok_records(records, params={}) == []  # no default-size jobs
+
+    def test_only_verified_ok_records_in_report_order(self, two_identical_runs):
+        a, _ = two_identical_runs
+        records, _, _ = load_runs([a])
+        # Optimised before unoptimised, whatever the load order.
+        for order in (records, records[::-1]):
+            assert [r["optimize"] for r in _ok_records(order)] == [True, False]
+        failed = dict(records[0], status="error")
+        unverified = dict(records[1], verified=False)
+        assert _ok_records([failed, unverified]) == []
+
+
+class TestPhaseSummary:
+    def test_timing_columns_aggregate(self, two_identical_runs):
+        a, _ = two_identical_runs
+        records, _, _ = load_runs([a])
+        rows = {row["engine"]: row for row in phase_summary(records)}
+        fast = rows["fast"]
+        assert fast["jobs"] == fast["timed_jobs"] == 2
+        assert fast["execute_s"] > 0
+        assert fast["xlate_s"] >= 0 and fast["codegen_s"] >= 0
+        # Two optimize variants of one workload: the second translation
+        # at least hits the in-process memo.
+        assert fast["cache_known"] == 2
+        assert 0 <= fast["cache_hits"] <= 2
+
+    def test_records_without_timings_count_but_contribute_nothing(self):
+        records = [{"job_id": "aaa", "workload": "bubble_sort",
+                    "engine": "fast", "status": "ok"}]  # pre-instrumentation
+        assert phase_summary(records) == [
+            {"engine": "fast", "jobs": 1, "timed_jobs": 0, "xlate_s": 0.0,
+             "codegen_s": 0.0, "execute_s": 0.0, "cache_known": 0,
+             "cache_hits": 0}]
+
+    def test_superseded_runs_are_not_counted(self, two_identical_runs):
+        a, b = two_identical_runs
+        records, _, _ = load_runs([a, b])
+        rows = {row["engine"]: row for row in phase_summary(records)}
+        assert rows["fast"]["jobs"] == 2
 
 
 class TestReportCLI:
@@ -212,13 +342,51 @@ class TestReportCLI:
             assert "total ternary gates,631" in handle.read()
 
     def test_report_with_persistent_db(self, paper_runs, tmp_path, capsys):
-        _, _, queue_dir, _, _ = paper_runs
-        db_path = str(tmp_path / "agg.sqlite")
+        serial_dir, _, queue_dir, _, _ = paper_runs
+        db_path = str(tmp_path / "runs.json")
         assert main(["report", queue_dir, "--db", db_path]) == 0
-        capsys.readouterr()
-        # Second invocation needs no run directories: the DB remembers.
+        first = capsys.readouterr().out
+        # Second invocation needs no run directories: the file remembers.
         assert main(["report", "--db", db_path]) == 0
-        assert "Table II" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == first and "Table II" in first
+        assert captured.err == ""
+        # A run given again moves to the end of the list (newest).
+        assert main(["report", serial_dir, queue_dir, "--db", db_path]) == 0
+        with open(db_path, "r", encoding="utf-8") as handle:
+            assert json.load(handle) == [os.path.abspath(serial_dir),
+                                         os.path.abspath(queue_dir)]
+        assert "re-ingested" in capsys.readouterr().err
+
+    def test_db_file_that_is_not_a_run_list_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        db_path = tmp_path / "results.sqlite"
+        db_path.write_bytes(b"SQLite format 3\x00\x10\x00\x01\x01\xff")
+        assert main(["report", "--db", str(db_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("art9 report: ") and err.count("\n") == 1
+        db_path.write_text('{"runs": []}')
+        assert main(["report", "--db", str(db_path)]) == 2
+        assert "art9 report:" in capsys.readouterr().err
+
+    def test_empty_db_file_starts_an_empty_list(self, tmp_path, capsys):
+        # e.g. a file just made by mktemp: no runs listed yet.
+        db_path = tmp_path / "runs.json"
+        db_path.write_bytes(b"")
+        assert main(["report", "--db", str(db_path)]) == 2
+        assert "no runs ingested" in capsys.readouterr().err
+        run_dir = str(tmp_path / "run")
+        run_sweep(SweepSpec(workloads=("bubble_sort",), engines=("fast",),
+                            optimize=(True,)), run_dir, jobs=1)
+        assert main(["report", run_dir, "--db", str(db_path)]) == 1  # partial
+        assert capsys.readouterr().err.startswith("ingested ")
+        assert json.loads(db_path.read_text()) == [os.path.abspath(run_dir)]
+
+    def test_db_listing_a_removed_run_fails_cleanly(self, tmp_path, capsys):
+        db_path = tmp_path / "runs.json"
+        db_path.write_text(json.dumps([str(tmp_path / "gone")]))
+        assert main(["report", "--db", str(db_path)]) == 2
+        assert "is not a sweep run directory" in capsys.readouterr().err
 
     def test_report_without_runs_fails_cleanly(self, capsys):
         assert main(["report"]) == 2
@@ -232,7 +400,6 @@ class TestReportCLI:
         assert "art9 report:" in capsys.readouterr().err
 
     def test_report_on_partial_run_exits_nonzero(self, tmp_path, capsys):
-        from repro.runner import SweepSpec
         run_dir = str(tmp_path / "partial")
         run_sweep(SweepSpec(workloads=("bubble_sort",), engines=("fast",),
                             optimize=(True,)), run_dir, jobs=1)

@@ -194,6 +194,8 @@ class TestResultRedelivery:
                     if message["type"] == "result":
                         first_result.set()
                         writer.close()  # crash before acknowledging
+                        with contextlib.suppress(ConnectionError, OSError):
+                            await writer.wait_closed()
                         return
 
             flaky = await asyncio.start_server(flaky_handler, "127.0.0.1", 0)
@@ -219,6 +221,9 @@ class TestResultRedelivery:
                         resumed_flags.append(message.get("resumed", False))
                         await send_and_drain(writer, {"type": "done"})
                         break
+                writer.close()
+                with contextlib.suppress(ConnectionError, OSError):
+                    await writer.wait_closed()
             real = await asyncio.start_server(real_handler, "127.0.0.1", port)
             summary = await worker
             real.close()

@@ -2,9 +2,10 @@
 
 Every CLI invocation, sweep worker and queue worker is a fresh interpreter,
 so module-level imports and table builds are paid once per process.  numpy
-serves only the batch engine, asyncio only the coordinator and worker
-client, sqlite3 only the results database; each case below runs in a
-fresh subprocess and checks which of them the command loaded.
+serves only the batch engine and asyncio only the coordinator and worker
+client; nothing needs sqlite3, since ``art9 report`` reads run directories
+directly.  Each case below runs in a fresh subprocess and checks which of
+them the command loaded.
 
 The value tables of the fast engines fill on first lookup and the batch
 engine's numpy tables are built vectorised; both must equal the trit-level
@@ -58,6 +59,16 @@ class TestStartupImports:
             "assert code == 0, code")
         assert not loaded["numpy"]
         assert not loaded["asyncio"]
+
+    def test_report_on_a_run_directory_loads_no_heavy_module(self, tmp_path):
+        baseline = os.path.join(os.path.dirname(_SRC), "benchmarks",
+                                "baseline")
+        out = str(tmp_path / "report.md")
+        loaded = _loaded_after(
+            "import repro.cli\n"
+            f"code = repro.cli.main(['report', {baseline!r}, '--out', {out!r}])\n"
+            "assert code == 1, code  # the baseline predates phase timings")
+        assert loaded == dict.fromkeys(HEAVY, False)
 
     def test_fuzz_loads_numpy_for_its_batch_executor(self):
         loaded = _loaded_after(
