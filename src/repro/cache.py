@@ -58,7 +58,6 @@ import threading
 from typing import Dict, Optional
 
 from repro import durable
-from repro.obs import metrics
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "ART9_CACHE_DIR"
@@ -82,13 +81,6 @@ class ArtifactCache:
         self.misses = 0
         self.writes = 0
 
-    @staticmethod
-    def _record(kind: str, event: str, size: int = 0) -> None:
-        """Tally one cache event per kind in the process metrics registry."""
-        metrics.counter(f"cache.{kind}.{event}").inc()
-        if size:
-            metrics.counter(f"cache.{kind}.{event}_bytes").inc(size)
-
     # -- addressing ---------------------------------------------------------
 
     def path_for(self, kind: str, key: str) -> str:
@@ -109,21 +101,15 @@ class ArtifactCache:
                 blob = handle.read()
         except OSError:
             self.misses += 1
-            self._record(kind, "misses")
             return None
         try:
             payload = json.loads(blob.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             payload = None
         if not isinstance(payload, dict):
-            # Torn write or foreign junk: a corruption is a miss, but one
-            # worth its own counter — a growing rate means disk trouble.
             self.misses += 1
-            self._record(kind, "misses")
-            self._record(kind, "corruptions")
             return None
         self.hits += 1
-        self._record(kind, "hits", len(blob))
         return payload
 
     def put_json(self, kind: str, key_material: dict, payload: dict) -> str:
@@ -139,7 +125,6 @@ class ArtifactCache:
         try:
             durable.replace(path, blob, sync=False)
             self.writes += 1
-            self._record(kind, "writes", len(blob))
         except OSError:
             pass
         return path
@@ -252,7 +237,6 @@ class ArtifactCache:
                 os.remove(path)
             except OSError:
                 continue
-            self._record("prune", "evictions", size)
             removed += 1
             removed_bytes += size
             total -= size
@@ -264,11 +248,6 @@ class ArtifactCache:
         return {"removed": removed, "removed_bytes": removed_bytes,
                 "kept": len(entries) - removed,
                 "kept_bytes": total}
-
-    def stats_line(self) -> str:
-        """One-line hit/miss/write summary for logs and diagnostics."""
-        return (f"artifact cache {self.root}: {self.hits} hits, "
-                f"{self.misses} misses, {self.writes} writes")
 
 
 _DEFAULT_LOCK = threading.Lock()

@@ -44,7 +44,6 @@ import socket
 import sys
 from typing import List, Optional
 
-from repro import durable
 from repro.baselines import PicoRV32Model, VexRiscvModel
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.obs import trace
@@ -361,39 +360,20 @@ def _cmd_work(args: argparse.Namespace) -> int:
     return 2  # rejected: deterministic (bad token / protocol), do not retry
 
 
-def _read_report_runs(path: str) -> List[str]:
-    """The run roots a ``report --db`` file lists; none while the file is
-    missing or empty."""
-    if not os.path.exists(path) or not os.path.getsize(path):
-        return []
-    try:
-        with open(path, "rb") as handle:
-            roots = json.loads(handle.read())
-        if isinstance(roots, list) and all(isinstance(r, str) for r in roots):
-            return roots
-    except (OSError, ValueError):
-        pass
-    raise StoreError(f"--db {path!r} is not a JSON list of run directories")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.service.report import build_report, load_runs, render_report
 
+    if not args.runs:
+        print("art9 report: no runs ingested (pass run directories)",
+              file=sys.stderr)
+        return 2
     try:
-        listed = _read_report_runs(args.db) if args.db else []
-        if not listed and not args.runs:
-            print("art9 report: no runs ingested (pass run directories, "
-                  "or --db with previously ingested runs)", file=sys.stderr)
-            return 2
-        records, lines, roots = load_runs(listed + args.runs)
+        records, lines = load_runs(args.runs)
     except (StoreError, SpecError, json.JSONDecodeError) as exc:
         print(f"art9 report: {exc}", file=sys.stderr)
         return 2
-    for line in lines[len(listed):]:
+    for line in lines:
         print(line, file=sys.stderr)
-    if args.db:
-        durable.replace(args.db, (json.dumps(roots, indent=2) + "\n").encode(),
-                        sync=True)
     tables = build_report(records)
     document = render_report(tables, fmt=args.format)
     if args.out:
@@ -542,6 +522,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.sim.compiled import CompiledEngine
 
+    if args.top < 0:
+        print(f"art9 profile: --top must be >= 0, got {args.top}",
+              file=sys.stderr)
+        return 2
     params = {}
     if args.params:
         try:
@@ -846,9 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the paper's Tables II-V and Fig. 5 from sweep runs")
     report.add_argument("runs", nargs="*", metavar="RUN_DIR",
                         help="sweep run directories to ingest")
-    report.add_argument("--db", default=None, metavar="FILE",
-                        help="JSON list of run directories read before RUN_DIR "
-                             "and rewritten with them appended (default: none)")
     report.add_argument("--format", choices=("markdown", "csv"),
                         default="markdown", help="output format")
     report.add_argument("--out", default=None,

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.cache import default_cache
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.riscv.assembler import assemble_riscv
@@ -200,7 +199,6 @@ class SoftwareFramework:
         if memo is not None:
             self.last_compile_source = "memo"
             return memo
-        started = time.perf_counter()
         workload = get_workload(name, **dict(params or {}))
         key_material = {
             "workload": name,
@@ -224,8 +222,6 @@ class SoftwareFramework:
                 if resolved is not None:
                     self._summary_cache[key] = resolved
                     self.last_compile_source = "cache"
-                    self._note_xlate(name, resolved[1],
-                                     time.perf_counter() - started, "cache")
                     return resolved
         with trace.span("xlate", workload=name):
             program, report, workload = self.compile_named_workload(name, params)
@@ -238,18 +234,7 @@ class SoftwareFramework:
         resolved = (program, summary, workload)
         self._summary_cache[key] = resolved
         self.last_compile_source = "built"
-        self._note_xlate(name, summary, time.perf_counter() - started, "built")
         return resolved
-
-    @staticmethod
-    def _note_xlate(name: str, summary: "TranslationSummary",
-                    elapsed: float, source: str) -> None:
-        """Record translation telemetry (wall time + instruction counts)."""
-        metrics.histogram("xlate.seconds").observe(elapsed)
-        metrics.counter(f"xlate.{source}").inc()
-        metrics.counter("xlate.rv_instructions").inc(summary.rv_instructions)
-        metrics.counter("xlate.final_instructions").inc(
-            summary.final_instructions)
 
     @staticmethod
     def assemble_ternary(source: str, name: str = "program") -> Program:

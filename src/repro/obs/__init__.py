@@ -1,22 +1,14 @@
-"""Observability layer: process-local metrics + span tracing.
+"""Observability layer: span tracing.
 
-``repro.obs.metrics`` is the always-on (but near-free) counter/gauge/
-histogram registry the engines, cache, workers, and coordinator record
-into; ``repro.obs.trace`` is the off-by-default span tracer that writes
+``repro.obs.trace`` is the off-by-default span tracer that writes
 ``spans.jsonl`` into the run directory when ``--trace`` / ``ART9_TRACE=1``
-is set.  See ``art9 status`` and ``art9 profile`` for the CLI surface.
+is set.  The numbers an operator reads each have one owner elsewhere:
+record fields (``timings``, ``cache_hit``), the coordinator's status
+snapshot and the ``art9 work`` summary.  See ``art9 status`` and
+``art9 profile`` for the CLI surface.
 """
 
-from repro.obs import metrics, trace
-from repro.obs.metrics import (
-    MetricsRegistry,
-    REGISTRY,
-    counter,
-    gauge,
-    histogram,
-    merge_snapshot,
-    snapshot,
-)
+from repro.obs import trace
 from repro.obs.trace import (
     TRACE_ENV,
     TRACE_FILE_ENV,
@@ -26,15 +18,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "metrics",
     "trace",
-    "MetricsRegistry",
-    "REGISTRY",
-    "counter",
-    "gauge",
-    "histogram",
-    "merge_snapshot",
-    "snapshot",
     "TRACE_ENV",
     "TRACE_FILE_ENV",
     "configure_from_env",

@@ -46,7 +46,7 @@ import itertools
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
 
 from repro.runner.spec import SweepJob
@@ -94,7 +94,6 @@ class CoordinatorStats:
     reconnects: int = 0
     auth_failures: int = 0
     recovered_jobs: int = 0
-    worker_names: list = field(default_factory=list)
 
     def summary(self) -> str:
         extras = []
@@ -520,7 +519,6 @@ class Coordinator:
                     authenticated = True
                     worker = str(message.get("worker") or worker)
                     self.stats.workers_seen += 1
-                    self.stats.worker_names.append(worker)
                     if worker in self._seen_worker_names:
                         # Same name, new connection: the worker survived a
                         # socket loss (or the coordinator a restart) and

@@ -91,15 +91,14 @@ class ReportTable:
 # -- loading ----------------------------------------------------------------
 
 
-def load_runs(run_dirs: Sequence[str]) -> Tuple[List[dict], List[str], List[str]]:
-    """The newest record of each job ID across ``run_dirs``, one
-    ``ingested`` line per directory, and the absolute run roots.
+def load_runs(run_dirs: Sequence[str]) -> Tuple[List[dict], List[str]]:
+    """The newest record of each job ID across ``run_dirs``, and one
+    ``ingested`` line per directory.
 
     Later directories are newer; one given again is re-read and becomes the
-    newest (``re-ingested``), so the roots come oldest first without
-    repeats.  A line counts the records another loaded run holds with the
-    same job ID and :func:`canonical_record` content.  Records come in load
-    order, each job at the place of its newest record.
+    newest (``re-ingested``).  A line counts the records another loaded run
+    holds with the same job ID and :func:`canonical_record` content.
+    Records come in load order, each job at the place of its newest record.
     """
     runs: Dict[str, Tuple[List[dict], Set[Tuple[str, str]]]] = {}
     lines = []
@@ -123,7 +122,7 @@ def load_runs(run_dirs: Sequence[str]) -> Tuple[List[dict], List[str], List[str]
         for record in records:
             newest.pop(record["job_id"], None)
             newest[record["job_id"]] = record
-    return list(newest.values()), lines, list(runs)
+    return list(newest.values()), lines
 
 
 def phase_summary(records: Iterable[dict]) -> List[dict]:

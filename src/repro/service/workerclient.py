@@ -51,7 +51,6 @@ import socket
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs import metrics
 from repro.runner.spec import SweepJob
 from repro.runner.worker import execute_job
 from repro.service.protocol import (
@@ -204,7 +203,6 @@ async def _execute_with_timeout(loop, executor, job: SweepJob,
     if done:
         return future.result()
     summary.timeouts += 1
-    metrics.counter("worker.job_timeouts").inc()
     logger.warning(
         "job execution timed out after %.1fs: job_id=%s (abandoning "
         "the executor thread, reporting a timeout record)",
@@ -392,7 +390,6 @@ async def work_async(
         except OSError:
             continue  # next lap spends another unit of the budget
         summary.reconnects += 1
-        metrics.counter("worker.reconnects").inc()
         logger.info("worker reconnected to %s:%d (attempt %d)",
                     host, port, consecutive_failures,
                     extra={"worker_id": name})

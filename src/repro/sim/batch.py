@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
-from repro.obs import metrics
 from repro.sim import timing
 from repro.sim.engine import (
     HALF,
@@ -184,6 +183,11 @@ class _Group:
     def split(self, lanes: np.ndarray) -> "_Group":
         """A new group with a copy of this one's state over a lane subset."""
         return _Group(self.pc, lanes, list(self.state), self.max_exec)
+
+    def merge(self, other: "_Group") -> None:
+        """Fold ``other``'s lanes into this group (same PC and window)."""
+        self.lanes = np.sort(np.concatenate((self.lanes, other.lanes)))
+        self.max_exec = max(self.max_exec, other.max_exec)
 
 
 class BatchEngine:
@@ -329,11 +333,6 @@ class BatchEngine:
 
         groups: List[_Group] = [_Group(0, rows.copy(), timing.new_state())]
 
-        # Group-dynamics telemetry accumulates in local ints (the hot loop
-        # must not pay for metric lookups) and flushes once at the end.
-        n_splits = n_merges = n_full = 0
-        max_groups = 1
-
         while groups:
             if len(groups) == 1:
                 group = groups[0]
@@ -342,8 +341,6 @@ class BatchEngine:
             pc = group.pc
             lanes = group.lanes
             full = lanes.shape[0] == batch
-            if full:
-                n_full += 1
             sel = slice(None) if full else lanes
 
             # Instruction budget: cheap scalar bound first (per-lane counts
@@ -623,9 +620,6 @@ class BatchEngine:
                     group.pc = pc + 1
                     twin.pc = pc + imm
                     groups.append(twin)
-                    n_splits += 1
-                    if len(groups) > max_groups:
-                        max_groups = len(groups)
             elif jalr_targets is not None:
                 targets = np.unique(jalr_targets)
                 if targets.shape[0] == 1:
@@ -640,9 +634,6 @@ class BatchEngine:
                             twin = group.split(subset)
                             twin.pc = target
                             groups.append(twin)
-                            n_splits += 1
-                    if len(groups) > max_groups:
-                        max_groups = len(groups)
             else:
                 group.pc = pc + imm if op == OP_JAL else pc + 1
 
@@ -660,22 +651,14 @@ class BatchEngine:
                         if with_stats:
                             flush(kept)
                             flush(grp)
-                        kept.lanes = np.sort(
-                            np.concatenate((kept.lanes, grp.lanes)))
-                        kept.max_exec = max(kept.max_exec, grp.max_exec)
+                        kept.merge(grp)
                 if len(merged) != len(groups):
-                    n_merges += len(groups) - len(merged)
                     groups = list(merged.values())
 
         # Per-lane executed counts are the column sums of the mix matrix
         # (fault-aborted accesses were never counted, matching the scalar
         # engines' decrement-on-fault behaviour).
         np.sum(counts, axis=0, out=self._executed)
-
-        metrics.counter("batch.group_splits").inc(n_splits)
-        metrics.counter("batch.group_merges").inc(n_merges)
-        metrics.counter("batch.full_group_steps").inc(n_full)
-        metrics.gauge("batch.concurrent_groups_max").set_max(max_groups)
 
     # -- result assembly ----------------------------------------------------
 

@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
-from repro.obs import metrics
 from repro.sim import engine as _fast
 from repro.sim import timing
 from repro.sim.engine import (
@@ -560,13 +559,10 @@ class CompiledEngine:
         bundle = _CODE_MEMO.get(memo_key)
         if bundle is not None:
             _CODE_MEMO.move_to_end(memo_key)
-            metrics.counter("compiled.blocks_memo").inc(len(bundle[0]))
             return bundle
         if self._cache is not None:
             bundle = _decode_bundle(
                 self._cache.get_json("codegen", self._cache_key_material()))
-            if bundle is not None:
-                metrics.counter("compiled.blocks_loaded").inc(len(bundle[0]))
         if bundle is None:
             sources = {entry: self._generate(entry)
                        for entry in sorted(self._leaders)}
@@ -575,7 +571,6 @@ class CompiledEngine:
                 for entry, source in sources.items()
             }
             bundle = (codes, sources)
-            metrics.counter("compiled.blocks_compiled").inc(len(codes))
             self._publish(codes, sources)
         _CODE_MEMO[memo_key] = bundle
         while len(_CODE_MEMO) > _CODE_MEMO_CAP:
@@ -619,7 +614,6 @@ class CompiledEngine:
             return self._install_block(entry, codes[entry])
         source = self._generate(entry)
         code = compile(source, f"<art9 block {entry}>", "exec")
-        metrics.counter("compiled.suffix_compiles").inc()
         codes[entry] = code
         sources[entry] = source
         if self._cache is not None:

@@ -68,6 +68,7 @@ class TestArtifactCacheStore:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"trunca')
         assert cache.get_json("probe", material) is None
+        assert cache.misses == 1 and cache.hits == 0
 
     def test_non_dict_entry_is_a_miss(self, cache):
         material = {"shape": "wrong"}
@@ -76,6 +77,31 @@ class TestArtifactCacheStore:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("[1, 2, 3]")
         assert cache.get_json("probe", material) is None
+        assert cache.misses == 1 and cache.hits == 0
+
+    def test_counts_belong_to_the_instance_and_span_kinds(self, cache):
+        cache.put_json("alpha", {"i": 1}, {"a": 1})
+        cache.put_json("beta", {"i": 1}, {"b": 1})
+        assert cache.get_json("alpha", {"i": 1}) == {"a": 1}
+        assert cache.get_json("beta", {"i": 1}) == {"b": 1}
+        assert cache.get_json("beta", {"i": 2}) is None
+        assert (cache.hits, cache.misses, cache.writes) == (2, 1, 2)
+        # A second handle on the same directory (another process, say)
+        # reads the entries but keeps its own counts.
+        other = ArtifactCache(cache.root)
+        assert other.get_json("alpha", {"i": 1}) == {"a": 1}
+        assert (other.hits, other.misses, other.writes) == (1, 0, 0)
+        assert (cache.hits, cache.misses, cache.writes) == (2, 1, 2)
+
+    def test_failed_write_is_swallowed_and_not_counted(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a file where the cache root should be")
+        cache = ArtifactCache(str(blocker / "artifacts"))
+        path = cache.put_json("probe", {"i": 1}, {"kept": False})
+        assert path == cache.path_for("probe", cache_key({"i": 1}))
+        assert cache.writes == 0
+        assert cache.get_json("probe", {"i": 1}) is None
+        assert cache.misses == 1
 
     def test_entry_count_kinds_and_clear(self, cache):
         cache.put_json("alpha", {"i": 1}, {})
@@ -86,9 +112,6 @@ class TestArtifactCacheStore:
         assert cache.entry_count("alpha") == 2
         assert cache.clear() == 3
         assert cache.entry_count() == 0
-
-    def test_stats_line_mentions_the_root(self, cache):
-        assert cache.root in cache.stats_line()
 
     def test_default_cache_env_dir_and_disable(self, tmp_path, monkeypatch):
         root = str(tmp_path / "from-env")
@@ -267,6 +290,44 @@ class TestCachedTranslation:
             "bubble_sort", {"length": 8}, cache=cache)
         assert cache.entry_count("xlate") == 2
 
+    def test_compile_source_names_where_the_program_came_from(self, cache):
+        software = SoftwareFramework()
+        assert software.last_compile_source is None
+        software.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        assert software.last_compile_source == "built"
+        software.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        assert software.last_compile_source == "memo"
+        fresh = SoftwareFramework()
+        fresh.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        assert fresh.last_compile_source == "cache"
+        bypass = SoftwareFramework()
+        bypass.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=None)
+        assert bypass.last_compile_source == "built"
+
+    def test_malformed_artifact_is_rebuilt_and_replaced(self, cache):
+        built = SoftwareFramework()
+        program, summary, _ = built.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        [shard] = os.listdir(os.path.join(cache.root, "xlate"))
+        [name] = os.listdir(os.path.join(cache.root, "xlate", shard))
+        path = os.path.join(cache.root, "xlate", shard, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"program": program.to_dict()}, handle)  # no summary
+        rebuilt = SoftwareFramework()
+        program_b, summary_b, _ = rebuilt.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        assert rebuilt.last_compile_source == "built"
+        assert program_b.to_dict() == program.to_dict()
+        assert summary_b == summary
+        reader = SoftwareFramework()  # the rewritten entry loads again
+        reader.compile_named_workload_cached(
+            "bubble_sort", {"length": 8}, cache=cache)
+        assert reader.last_compile_source == "cache"
+
     def test_cache_none_bypasses_the_disk(self, tmp_path):
         software = SoftwareFramework()
         software.compile_named_workload_cached("bubble_sort", {"length": 8},
@@ -304,3 +365,14 @@ class TestWorkerIntegration:
         assert compiled["stats"] == fast["stats"]
         assert compiled["state_digest"] == fast["state_digest"]
         assert compiled["translated_instructions"] == fast["translated_instructions"]
+
+    def test_record_cache_hit_follows_the_translation_source(
+            self, isolated_default_cache, monkeypatch):
+        assert execute_job(self.JOB)["cache_hit"] is False     # built
+        assert execute_job(self.JOB)["cache_hit"] is True      # memo
+        reset_caches()  # a "new process" on the warm disk cache
+        assert execute_job(self.JOB)["cache_hit"] is True      # cache
+        monkeypatch.setenv(CACHE_DISABLE_ENV, "1")
+        reset_default_cache()
+        reset_caches()
+        assert execute_job(self.JOB)["cache_hit"] is False     # built again

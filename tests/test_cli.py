@@ -239,6 +239,46 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "more blocks accounting for" in out
 
+    @staticmethod
+    def _profile_table(capsys, top):
+        """(executed, superblocks, shown rows, remainder line) of a
+        ``profile dhrystone --top top`` run."""
+        assert main(["profile", "dhrystone", "--top", str(top)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # "dhrystone: 10380 cycles, 8443 instructions, CPI 1.229, 18 ..."
+        fields = lines[0].split(", ")
+        executed = int(fields[1].split()[0])
+        superblocks = int(fields[3].split()[0])
+        rows = [line.split() for line in lines[4:]
+                if not line.startswith("...")]
+        remainder = [line for line in lines[4:] if line.startswith("...")]
+        return executed, superblocks, rows, remainder
+
+    @pytest.mark.parametrize("top", [0, 1, 17])
+    def test_remainder_line_accounts_for_the_hidden_rows(self, capsys, top):
+        executed, superblocks, rows, remainder = \
+            self._profile_table(capsys, top)
+        assert len(rows) == top
+        shown = sum(int(row[3]) for row in rows)
+        rest = executed - shown
+        assert remainder == [
+            f"... {superblocks - top} more blocks accounting for {rest} "
+            f"instructions ({rest / executed:.1%})"]
+
+    def test_top_covering_every_block_prints_no_remainder(self, capsys):
+        _, superblocks, _, _ = self._profile_table(capsys, 0)
+        executed, _, rows, remainder = self._profile_table(capsys,
+                                                           superblocks)
+        assert remainder == []
+        assert len(rows) == superblocks
+        assert sum(int(row[3]) for row in rows) == executed
+
+    def test_negative_top_is_rejected(self, capsys):
+        assert main(["profile", "dhrystone", "--top", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "art9 profile: --top must be >= 0, got -1\n"
+
     def test_profile_respects_params_and_machine(self, capsys):
         assert main(["profile", "gemm", "--params", '{"n": 2}',
                      "--machine", "ideal2"]) == 0

@@ -105,7 +105,7 @@ def machine_sweep_run(tmp_path_factory):
                      optimize=(True,),
                      machines=(DEFAULT_MACHINE_NAME, "btfn4", "slowfetch5"))
     outcome = run_sweep(spec, out, jobs=1)
-    records, _, _ = load_runs([out])
+    records, _ = load_runs([out])
     return outcome, records
 
 

@@ -1,8 +1,6 @@
-"""Unit tests for the observability substrate (:mod:`repro.obs`).
+"""Unit tests for the span tracer (:mod:`repro.obs.trace`).
 
-Metrics: handle semantics, snapshot shape, fleet-merge rules (counters
-add, gauges last-wins except ``*_max``, histograms bucket-wise).  Trace:
-off-by-default, environment-driven enablement, span nesting/parent ids,
+Off-by-default, environment-driven enablement, span nesting/parent ids,
 torn-line tolerance of the JSONL reader.
 """
 
@@ -11,13 +9,7 @@ import threading
 
 import pytest
 
-from repro.obs import metrics, trace
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-
-
-@pytest.fixture
-def registry():
-    return MetricsRegistry()
+from repro.obs import trace
 
 
 @pytest.fixture
@@ -29,110 +21,16 @@ def traced(tmp_path):
     trace.configure(None)
 
 
-class TestCounters:
-    def test_counter_handle_is_stable_and_accumulates(self, registry):
-        handle = registry.counter("cache.program.hits")
-        assert registry.counter("cache.program.hits") is handle
-        handle.inc()
-        handle.inc(41)
-        assert registry.to_dict()["counters"]["cache.program.hits"] == 42
+class TestPackageSurface:
+    def test_the_package_is_the_tracer_alone(self):
+        import importlib.util
 
-    def test_unused_counter_reports_zero(self, registry):
-        registry.counter("never.incremented")
-        assert registry.to_dict()["counters"]["never.incremented"] == 0
+        import repro.obs
 
-
-class TestGauges:
-    def test_set_is_last_writer_wins(self, registry):
-        gauge = registry.gauge("queue.depth")
-        gauge.set(7)
-        gauge.set(3)
-        assert registry.to_dict()["gauges"]["queue.depth"] == 3
-
-    def test_set_max_is_a_high_water_mark(self, registry):
-        gauge = registry.gauge("batch.concurrent_groups_max")
-        gauge.set_max(4)
-        gauge.set_max(2)
-        assert registry.to_dict()["gauges"]["batch.concurrent_groups_max"] == 4
-
-    def test_unset_gauge_is_none(self, registry):
-        registry.gauge("unset")
-        assert registry.to_dict()["gauges"]["unset"] is None
-
-
-class TestHistograms:
-    def test_observations_land_in_the_right_buckets(self, registry):
-        histogram = registry.histogram("xlate.seconds")
-        histogram.observe(0.0001)   # below the first bound
-        histogram.observe(0.02)     # between 0.01 and 0.05
-        histogram.observe(120.0)    # beyond the last bound
-        data = registry.to_dict()["histograms"]["xlate.seconds"]
-        assert data["bounds"] == list(DEFAULT_BUCKETS)
-        assert sum(data["bucket_counts"]) == data["count"] == 3
-        assert data["bucket_counts"][0] == 1
-        assert data["bucket_counts"][-1] == 1
-        assert data["min"] == 0.0001 and data["max"] == 120.0
-        assert data["sum"] == pytest.approx(120.0201)
-        assert histogram.mean == pytest.approx(120.0201 / 3)
-
-    def test_empty_histogram_mean_is_zero(self, registry):
-        assert registry.histogram("empty").mean == 0.0
-
-
-class TestMerge:
-    def test_counters_add_across_workers(self, registry):
-        worker = MetricsRegistry()
-        worker.counter("compiled.blocks_compiled").inc(5)
-        registry.counter("compiled.blocks_compiled").inc(2)
-        registry.merge(worker.to_dict())
-        registry.merge(worker.to_dict())
-        assert registry.to_dict()["counters"]["compiled.blocks_compiled"] == 12
-
-    def test_max_gauges_merge_by_max_others_by_last(self, registry):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        for source, depth, high in ((first, 9, 6), (second, 1, 4)):
-            source.gauge("queue.depth").set(depth)
-            source.gauge("groups_max").set_max(high)
-        registry.merge(first.to_dict())
-        registry.merge(second.to_dict())
-        gauges = registry.to_dict()["gauges"]
-        assert gauges["queue.depth"] == 1      # last writer
-        assert gauges["groups_max"] == 6       # high-water mark
-
-    def test_histograms_merge_bucket_wise_when_bounds_agree(self, registry):
-        worker = MetricsRegistry()
-        worker.histogram("xlate.seconds").observe(0.02)
-        registry.histogram("xlate.seconds").observe(0.3)
-        registry.merge(worker.to_dict())
-        data = registry.to_dict()["histograms"]["xlate.seconds"]
-        assert data["count"] == 2
-        assert sum(data["bucket_counts"]) == 2
-        assert data["min"] == 0.02 and data["max"] == 0.3
-
-    def test_histogram_bound_mismatch_still_accumulates_summaries(self, registry):
-        worker = MetricsRegistry()
-        worker.histogram("odd", bounds=(1.0, 2.0)).observe(1.5)
-        registry.histogram("odd").observe(0.5)
-        registry.merge(worker.to_dict())
-        data = registry.to_dict()["histograms"]["odd"]
-        assert data["count"] == 2          # summary stats still merged
-        assert sum(data["bucket_counts"]) == 1  # buckets could not be
-
-    def test_reset_clears_everything(self, registry):
-        registry.counter("a").inc()
-        registry.gauge("b").set(1)
-        registry.histogram("c").observe(1.0)
-        registry.reset()
-        assert registry.to_dict() == {"counters": {}, "gauges": {},
-                                      "histograms": {}}
-
-
-class TestDefaultRegistry:
-    def test_module_helpers_hit_the_shared_registry(self):
-        name = "test.obs.module_helper"
-        before = metrics.snapshot()["counters"].get(name, 0)
-        metrics.counter(name).inc(3)
-        assert metrics.snapshot()["counters"][name] == before + 3
+        assert sorted(repro.obs.__all__) == sorted([
+            "trace", "TRACE_ENV", "TRACE_FILE_ENV", "configure_from_env",
+            "read_spans", "span"])
+        assert importlib.util.find_spec("repro.obs.metrics") is None
 
 
 class TestTraceSwitch:
@@ -237,70 +135,3 @@ class TestSpans:
                 pass
         spans = trace.read_spans(traced)
         assert len({span["span_id"] for span in spans}) == 5
-
-
-class TestInstrumentationSurface:
-    """The instrumented modules actually record into the registry."""
-
-    def test_cache_records_hits_misses_and_bytes(self, tmp_path):
-        from repro.cache import ArtifactCache
-        before = metrics.snapshot()["counters"]
-        cache = ArtifactCache(str(tmp_path / "cache"))
-        material = {"seed": 1}
-        assert cache.get_json("program", material) is None       # miss
-        cache.put_json("program", material, {"value": 42})       # write
-        assert cache.get_json("program", material) == {"value": 42}  # hit
-        after = metrics.snapshot()["counters"]
-
-        def delta(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert delta("cache.program.misses") == 1
-        assert delta("cache.program.hits") == 1
-        assert delta("cache.program.writes") == 1
-        assert delta("cache.program.hits_bytes") > 0
-        assert delta("cache.program.writes_bytes") > 0
-
-    def test_corrupt_cache_entry_counts_as_miss_and_corruption(self, tmp_path):
-        from repro.cache import ArtifactCache, cache_key
-        before = metrics.snapshot()["counters"]
-        cache = ArtifactCache(str(tmp_path / "cache"))
-        material = {"seed": 2}
-        cache.put_json("program", material, {"value": 1})
-        path = cache.path_for("program", cache_key(material))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"torn": ')
-        assert cache.get_json("program", material) is None
-        after = metrics.snapshot()["counters"]
-        assert after.get("cache.program.corruptions", 0) \
-            - before.get("cache.program.corruptions", 0) == 1
-
-    def test_compiled_engine_counts_blocks(self):
-        from repro.framework import SoftwareFramework
-        from repro.sim.compiled import CompiledEngine
-        program, _, _ = SoftwareFramework().compile_named_workload(
-            "bubble_sort", {})
-        before = metrics.snapshot()["counters"]
-        CompiledEngine(program).run_with_stats()
-        after = metrics.snapshot()["counters"]
-        compiled = after.get("compiled.blocks_compiled", 0) \
-            - before.get("compiled.blocks_compiled", 0)
-        loaded = after.get("compiled.blocks_loaded", 0) \
-            - before.get("compiled.blocks_loaded", 0)
-        memo = after.get("compiled.blocks_memo", 0) \
-            - before.get("compiled.blocks_memo", 0)
-        assert compiled + loaded + memo > 0
-
-    def test_batch_engine_records_group_dynamics(self):
-        from repro.framework import SoftwareFramework
-        from repro.sim.batch import BatchEngine
-        from repro.testing import generate_data_variants
-        program, _, _ = SoftwareFramework().compile_named_workload(
-            "bubble_sort", {"length": 8})
-        programs = generate_data_variants(program, 4, 0)
-        before = metrics.snapshot()
-        BatchEngine(programs).run_with_stats(include_results=False)
-        after = metrics.snapshot()
-        assert after["counters"].get("batch.full_group_steps", 0) > \
-            before["counters"].get("batch.full_group_steps", 0)
-        assert after["gauges"].get("batch.concurrent_groups_max") >= 1

@@ -68,7 +68,7 @@ class TestHappyPath:
         assert coordinator.stats.workers_seen == 2
         assert coordinator.stats.results_accepted == 6
         assert coordinator.stats.lost_jobs == 0
-        assert sorted(coordinator.stats.worker_names) == ["w1", "w2"]
+        assert sorted(coordinator.status_snapshot()["workers"]) == ["w1", "w2"]
 
     def test_empty_job_list_finishes_without_listening(self):
         coordinator = Coordinator([])

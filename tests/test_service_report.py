@@ -9,7 +9,6 @@ tests (gates=631, fmax~308.6 MHz, CNTFET ~846 DMIPS, FPGA 801 ALMs /
 ~411 DMIPS, Fig. 5 dhrystone ratio ~0.70).
 """
 
-import json
 import os
 
 import pytest
@@ -51,7 +50,7 @@ def paper_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def report_tables(paper_runs):
     _, _, queue_dir, _, _ = paper_runs
-    records, _, _ = load_runs([queue_dir])
+    records, _ = load_runs([queue_dir])
     return {table.key: table for table in build_report(records)}
 
 
@@ -174,7 +173,7 @@ class TestPartialDatabase:
                   "cycles": 10380, "cpi": 1.229, "memory_cells": 1917,
                   "memory_cell_ratio": 0.6966}  # no "iterations" field
         store.append(record)
-        records, _, _ = load_runs([run_dir])
+        records, _ = load_runs([run_dir])
         tables = {table.key: table for table in build_report(records)}
         # Table IV depends only on the dhrystone ART-9 record, so its
         # failure note names the stale field rather than a missing baseline.
@@ -186,7 +185,7 @@ class TestPartialDatabase:
         run_dir = str(tmp_path / "art9-only")
         run_sweep(SweepSpec(workloads=("dhrystone",), engines=("fast",),
                             optimize=(True,)), run_dir, jobs=1)
-        records, _, _ = load_runs([run_dir])
+        records, _ = load_runs([run_dir])
         tables = {table.key: table for table in build_report(records)}
         # No baseline records: Table II is impossible...
         assert not tables["table2"].ok
@@ -215,7 +214,7 @@ def two_identical_runs(tmp_path):
 class TestLoadRuns:
     def test_identical_content_counts_as_duplicates(self, two_identical_runs):
         a, b = two_identical_runs
-        records, lines, _ = load_runs([a, b])
+        records, lines = load_runs([a, b])
         # Same code, same spec: every record of run B duplicates run A's
         # content even though wall-clock and PIDs differ.
         assert lines == [
@@ -227,16 +226,20 @@ class TestLoadRuns:
 
     def test_reingest_replaces_not_duplicates(self, two_identical_runs):
         a, _ = two_identical_runs
-        records, lines, roots = load_runs([a, a])
+        records, lines = load_runs([a, a])
         assert lines[1] == (f"re-ingested {os.path.abspath(a)}: 2 records "
                             "(0 duplicating earlier runs)")
         assert len(records) == 2
-        assert roots == [os.path.abspath(a)]
 
     def test_a_run_given_again_becomes_the_newest(self, two_identical_runs):
         a, b = two_identical_runs
-        _, _, roots = load_runs([a, b, a])
-        assert roots == [os.path.abspath(b), os.path.abspath(a)]
+        # Tamper run B so the runs disagree; A, given again, supplies them.
+        store = RunStore(b)
+        record = store.records()[0]
+        record["cycles"] += 7
+        store.append(record)
+        records, _ = load_runs([a, b, a])
+        assert records == RunStore(a).records()
 
     def test_non_run_directory_is_an_error(self, tmp_path):
         with pytest.raises(StoreError):
@@ -253,7 +256,7 @@ class TestLoadRuns:
                       "machine": None})
         store.append({"job_id": "bbb", "workload": "bubble_sort",
                       "engine": "fast", "status": "ok", "verified": True})
-        records, _, _ = load_runs([str(tmp_path / "run")])
+        records, _ = load_runs([str(tmp_path / "run")])
         assert len(_ok_records(records, machine=DEFAULT_MACHINE_NAME)) == 2
         assert _ok_records(records, machine="None") == []
 
@@ -264,11 +267,11 @@ class TestLoadRuns:
         record = store.records()[0]
         record["cycles"] += 7
         store.append(record)
-        newest_b, _, _ = load_runs([a, b])
+        newest_b, _ = load_runs([a, b])
         assert len(newest_b) == 2
         by_job = {r["job_id"]: r for r in newest_b}
         assert by_job[record["job_id"]]["cycles"] == record["cycles"]
-        newest_a, _, _ = load_runs([b, a])
+        newest_a, _ = load_runs([b, a])
         by_job = {r["job_id"]: r for r in newest_a}
         assert by_job[record["job_id"]]["cycles"] == record["cycles"] - 7
 
@@ -276,7 +279,7 @@ class TestLoadRuns:
 class TestOkRecords:
     def test_axis_filters(self, two_identical_runs):
         a, _ = two_identical_runs
-        records, _, _ = load_runs([a])
+        records, _ = load_runs([a])
         assert len(_ok_records(records, workload="bubble_sort")) == 2
         assert _ok_records(records, workload="gemm") == []
         assert len(_ok_records(records, optimize=True)) == 1
@@ -287,7 +290,7 @@ class TestOkRecords:
 
     def test_only_verified_ok_records_in_report_order(self, two_identical_runs):
         a, _ = two_identical_runs
-        records, _, _ = load_runs([a])
+        records, _ = load_runs([a])
         # Optimised before unoptimised, whatever the load order.
         for order in (records, records[::-1]):
             assert [r["optimize"] for r in _ok_records(order)] == [True, False]
@@ -299,7 +302,7 @@ class TestOkRecords:
 class TestPhaseSummary:
     def test_timing_columns_aggregate(self, two_identical_runs):
         a, _ = two_identical_runs
-        records, _, _ = load_runs([a])
+        records, _ = load_runs([a])
         rows = {row["engine"]: row for row in phase_summary(records)}
         fast = rows["fast"]
         assert fast["jobs"] == fast["timed_jobs"] == 2
@@ -320,7 +323,7 @@ class TestPhaseSummary:
 
     def test_superseded_runs_are_not_counted(self, two_identical_runs):
         a, b = two_identical_runs
-        records, _, _ = load_runs([a, b])
+        records, _ = load_runs([a, b])
         rows = {row["engine"]: row for row in phase_summary(records)}
         assert rows["fast"]["jobs"] == 2
 
@@ -341,56 +344,49 @@ class TestReportCLI:
         with open(out, "r", encoding="utf-8") as handle:
             assert "total ternary gates,631" in handle.read()
 
-    def test_report_with_persistent_db(self, paper_runs, tmp_path, capsys):
-        serial_dir, _, queue_dir, _, _ = paper_runs
-        db_path = str(tmp_path / "runs.json")
-        assert main(["report", queue_dir, "--db", db_path]) == 0
-        first = capsys.readouterr().out
-        # Second invocation needs no run directories: the file remembers.
-        assert main(["report", "--db", db_path]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == first and "Table II" in first
-        assert captured.err == ""
-        # A run given again moves to the end of the list (newest).
-        assert main(["report", serial_dir, queue_dir, "--db", db_path]) == 0
-        with open(db_path, "r", encoding="utf-8") as handle:
-            assert json.load(handle) == [os.path.abspath(serial_dir),
-                                         os.path.abspath(queue_dir)]
-        assert "re-ingested" in capsys.readouterr().err
+    def test_run_given_twice_reports_the_same_tables(self, paper_runs, capsys):
+        _, _, queue_dir, _, _ = paper_runs
+        assert main(["report", queue_dir]) == 0
+        once = capsys.readouterr()
+        assert main(["report", queue_dir, queue_dir]) == 0
+        twice = capsys.readouterr()
+        assert twice.out == once.out
+        assert twice.err.splitlines() == [
+            once.err.rstrip("\n"),
+            once.err.rstrip("\n").replace("ingested", "re-ingested", 1)]
 
-    def test_db_file_that_is_not_a_run_list_fails_cleanly(self, tmp_path,
-                                                          capsys):
-        db_path = tmp_path / "results.sqlite"
-        db_path.write_bytes(b"SQLite format 3\x00\x10\x00\x01\x01\xff")
-        assert main(["report", "--db", str(db_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("art9 report: ") and err.count("\n") == 1
-        db_path.write_text('{"runs": []}')
-        assert main(["report", "--db", str(db_path)]) == 2
-        assert "art9 report:" in capsys.readouterr().err
-
-    def test_empty_db_file_starts_an_empty_list(self, tmp_path, capsys):
-        # e.g. a file just made by mktemp: no runs listed yet.
-        db_path = tmp_path / "runs.json"
-        db_path.write_bytes(b"")
-        assert main(["report", "--db", str(db_path)]) == 2
-        assert "no runs ingested" in capsys.readouterr().err
-        run_dir = str(tmp_path / "run")
-        run_sweep(SweepSpec(workloads=("bubble_sort",), engines=("fast",),
-                            optimize=(True,)), run_dir, jobs=1)
-        assert main(["report", run_dir, "--db", str(db_path)]) == 1  # partial
-        assert capsys.readouterr().err.startswith("ingested ")
-        assert json.loads(db_path.read_text()) == [os.path.abspath(run_dir)]
-
-    def test_db_listing_a_removed_run_fails_cleanly(self, tmp_path, capsys):
-        db_path = tmp_path / "runs.json"
-        db_path.write_text(json.dumps([str(tmp_path / "gone")]))
-        assert main(["report", "--db", str(db_path)]) == 2
-        assert "is not a sweep run directory" in capsys.readouterr().err
+    def test_one_ingested_line_per_run_directory(self, paper_runs, capsys):
+        serial_dir, serial, queue_dir, _, _ = paper_runs
+        assert main(["report", serial_dir, queue_dir]) == 0
+        count = len(serial.records)
+        # Both runs hold the same content, so the second duplicates all of it.
+        assert capsys.readouterr().err.splitlines() == [
+            f"ingested {os.path.abspath(serial_dir)}: {count} records "
+            "(0 duplicating earlier runs)",
+            f"ingested {os.path.abspath(queue_dir)}: {count} records "
+            f"({count} duplicating earlier runs)"]
 
     def test_report_without_runs_fails_cleanly(self, capsys):
         assert main(["report"]) == 2
         assert "no runs ingested" in capsys.readouterr().err
+
+    def test_report_on_a_path_that_is_not_a_run_fails_cleanly(self, tmp_path,
+                                                               capsys):
+        plain_file = tmp_path / "results.sqlite"
+        plain_file.write_bytes(b"SQLite format 3\x00")
+        for path in (str(tmp_path / "gone"), str(plain_file)):
+            assert main(["report", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("art9 report: ")
+            assert captured.err.count("\n") == 1
+            assert "is not a sweep run directory" in captured.err
+
+    def test_db_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--db", str(tmp_path / "runs.json")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --db" in capsys.readouterr().err
 
     def test_report_on_corrupt_spec_fails_cleanly(self, tmp_path, capsys):
         run_dir = tmp_path / "corrupt"

@@ -20,6 +20,7 @@ from repro.service import workerclient
 from repro.service.coordinator import Coordinator
 from repro.service.protocol import read_message, send_and_drain, token_matches
 from repro.service.workerclient import (
+    WorkerSummary,
     request_status,
     timeout_job_record,
     work_async,
@@ -310,6 +311,24 @@ class TestJobTimeout:
         assert record["status"] == "error"
         assert "2.5s" in record["error"]
         assert record["workload"] == job.workload
+
+
+class TestWorkerSummary:
+    """The line ``art9 work`` prints is where the session's reconnect and
+    timeout counts are read."""
+
+    @pytest.mark.parametrize("fields, extras", [
+        ({}, ""),
+        ({"reconnects": 2}, " (2 reconnects)"),
+        ({"reconnects": 2, "timeouts": 1}, " (2 reconnects, 1 job timeouts)"),
+        ({"outcome": "rejected"}, " (rejected)"),
+        ({"timeouts": 1, "outcome": "gave-up", "detail": "budget spent"},
+         " (1 job timeouts, gave-up: budget spent)"),
+    ], ids=["clean", "reconnects", "reconnects-and-timeouts", "rejected",
+            "gave-up-with-detail"])
+    def test_summary_line(self, fields, extras):
+        summary = WorkerSummary("w1", jobs_completed=3, **fields)
+        assert summary.summary() == f"worker w1: 3 jobs completed{extras}"
 
 
 class TestAuth:

@@ -7,11 +7,11 @@ messages, construction-time batch validation, and the stats-only fast path
 used by the throughput benchmark.
 """
 
+import numpy as np
 import pytest
 
 from repro.isa.assembler import assemble
 from repro.isa.program import DataSegment, Program
-from repro.obs import metrics
 from repro.sim import (
     BatchEngine,
     BatchError,
@@ -21,6 +21,7 @@ from repro.sim import (
     SimulationError,
     batchable_programs,
 )
+from repro.sim.batch import _Group
 from repro.sim.machine import machine_names
 from repro.testing import generate_program
 from repro.testing.differential import STATS_FIELDS
@@ -114,6 +115,43 @@ class TestLockstepParity:
         executed = {o.result.instructions_executed for o in outcomes}
         assert len(executed) > 1
 
+    def test_identical_lanes_never_split(self, monkeypatch):
+        def refuse(group, *args):
+            raise AssertionError("lockstep lanes left their group")
+
+        monkeypatch.setattr(_Group, "split", refuse)
+        monkeypatch.setattr(_Group, "merge", refuse)
+        program = _data_program("lockstep", [5])
+        outcomes = BatchEngine([program] * 4).run_with_stats()
+        for outcome in outcomes:
+            _assert_lane_matches(outcome, program)
+
+    def test_jalr_lanes_split_one_group_per_target(self, monkeypatch):
+        source = """
+        LOAD T1, T0, 0
+        JALR T2, T1, 0
+        ADDI T3, 1
+        HALT
+        ADDI T4, 2
+        HALT
+        """
+        programs = [_data_program(f"jalr-{v}", [v], source=source)
+                    for v in (2, 4, 2, 5, 4)]
+        targets = []
+        real_split = _Group.split
+
+        def spy(group, lanes):
+            twin = real_split(group, lanes)
+            targets.append(lanes.tolist())
+            return twin
+
+        monkeypatch.setattr(_Group, "split", spy)
+        outcomes = BatchEngine(programs).run_with_stats()
+        # Three distinct targets: the group keeps one, two twins split off.
+        assert sorted(targets) == [[1, 4], [3]]
+        for outcome, program in zip(outcomes, programs):
+            _assert_lane_matches(outcome, program)
+
     def test_run_returns_results_without_stats(self):
         program = generate_program(7)
         outcomes = BatchEngine([program, program]).run()
@@ -133,20 +171,44 @@ class TestLockstepParity:
 
 class TestReconvergence:
     @pytest.mark.parametrize("machine", machine_names())
-    def test_diamond_lanes_merge_and_match_both_references(self, machine):
+    def test_diamond_lanes_merge_and_match_both_references(self, machine,
+                                                            monkeypatch):
         programs = [_data_program(f"diamond-{v}", [v, 4], source=DIAMOND_SOURCE)
                     for v in (0, 1, -1, 2, 5, 13, -41, 100)]
+        merges = []
+        real_merge = _Group.merge
 
-        def merges():
-            return metrics.snapshot()["counters"].get("batch.group_merges", 0)
+        def spy(group, other):
+            merges.append((group.pc, other.pc))
+            real_merge(group, other)
 
-        before = merges()
+        monkeypatch.setattr(_Group, "merge", spy)
         outcomes = BatchEngine(programs, machine=machine).run_with_stats()
-        assert merges() > before
+        assert merges and all(pc == other_pc for pc, other_pc in merges)
         for outcome, program in zip(outcomes, programs):
             _assert_lane_matches(outcome, program, machine=machine)
             pipeline = PipelineSimulator(program, machine=machine).run()
             assert outcome.stats.to_dict() == pipeline.to_dict()
+
+
+class TestGroups:
+    def test_split_copies_the_timing_state(self):
+        group = _Group(7, np.array([0, 1, 2, 3]), [1, 2, 3], max_exec=40)
+        twin = group.split(np.array([1, 3]))
+        assert twin.pc == 7 and twin.max_exec == 40
+        assert twin.lanes.tolist() == [1, 3]
+        assert twin.state == group.state and twin.state is not group.state
+        twin.state[0] = 99
+        assert group.state == [1, 2, 3]
+
+    def test_merge_folds_lanes_in_order_and_keeps_the_larger_bound(self):
+        kept = _Group(4, np.array([0, 5]), [1, 1], max_exec=10)
+        other = _Group(4, np.array([3, 1, 6]), [1, 1], max_exec=25)
+        state = kept.state
+        kept.merge(other)
+        assert kept.lanes.tolist() == [0, 1, 3, 5, 6]
+        assert kept.max_exec == 25
+        assert kept.pc == 4 and kept.state is state
 
 
 class TestErrorParity:

@@ -13,7 +13,6 @@ from repro.cache import ArtifactCache
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
-from repro.obs import metrics
 from repro.sim import (
     CompiledEngine,
     FastEngine,
@@ -78,10 +77,21 @@ def _marshalled(value, truncate=0):
     return base64.b64encode(raw[:len(raw) - truncate]).decode("ascii")
 
 
-def _compile_count():
-    counters = metrics.snapshot()["counters"]
-    return (counters.get("compiled.blocks_compiled", 0)
-            + counters.get("compiled.suffix_compiles", 0))
+@pytest.fixture
+def compiles(monkeypatch):
+    """The block names ``repro.sim.compiled`` passes to ``compile``, bundle
+    and lazy suffix compiles alike, while the test runs."""
+    from repro.sim import compiled
+
+    calls = []
+
+    def counting_compile(source, filename, mode):
+        calls.append(filename)
+        return compile(source, filename, mode)
+
+    # A module global named ``compile`` shadows the builtin for the module.
+    monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -520,29 +530,56 @@ class TestCodegenArtifacts:
         CompiledEngine(program, cache=None).run()
         assert len(_CODE_MEMO) == memo_size  # second engine reused the entry
 
-    def test_run_and_run_with_stats_share_one_codegen(self):
+    def test_run_and_run_with_stats_share_one_codegen(self, compiles):
         """``run()`` executes the timed bundle, so a fresh engine's timing
         run on the same program compiles nothing."""
-        def counter(name):
-            return metrics.snapshot()["counters"].get(name, 0)
-
         program = assemble(DIRECTED_SOURCE, name="one-codegen")
+        _CODE_MEMO.clear()
         CompiledEngine(program, cache=None).run()
-        compiled, memo = (counter("compiled.blocks_compiled"),
-                          counter("compiled.blocks_memo"))
+        compiled = len(compiles)
+        assert compiled > 0
         CompiledEngine(program, cache=None).run_with_stats()
-        assert counter("compiled.blocks_compiled") == compiled
-        assert counter("compiled.blocks_memo") > memo
+        assert len(compiles) == compiled
+
+    def test_a_suffix_joins_the_shared_bundle(self, compiles):
+        """A block entered mid-way is compiled once; later engines on the
+        program install it up front with the leaders."""
+        program = assemble(
+            "LI T1, 5\nJALR T2, T1, 0\nADDI T3, 1\nADDI T3, 1\nADDI T3, 1\n"
+            "ADDI T4, 2\nHALT\n", name="suffix-shared")
+        first = CompiledEngine(program, cache=None)
+        result = first.run()
+        assert sorted(compiles) == ["<art9 block 0>", "<art9 block 2>",
+                                    "<art9 block 5>"]
+        second = CompiledEngine(program, cache=None)
+        second.prepare()
+        assert 5 in second._table  # installed before execution reaches it
+        assert second.run().registers == result.registers
+        assert len(compiles) == 3
+
+    def test_profiled_bundle_is_compiled_apart_from_the_plain_one(
+            self, compiles):
+        program = assemble(DIRECTED_SOURCE, name="profile-compiles")
+        CompiledEngine(program, cache=None).prepare()
+        plain = sorted(compiles)
+        assert plain
+        compiles.clear()
+        CompiledEngine(program, cache=None, profile=True).prepare()
+        assert sorted(compiles) == plain  # same blocks, separate code
+        CompiledEngine(program, cache=None, profile=True).prepare()
+        assert sorted(compiles) == plain  # the profiled memo entry is shared
 
     @pytest.mark.parametrize("machine", sorted(MACHINES))
-    def test_differential_compiles_each_block_once(self, machine):
+    def test_differential_compiles_each_block_once(self, machine, compiles):
         """The differential harness builds a compiled engine for ``run()``
         and another for ``run_with_stats()``; they share one codegen."""
         for seed in range(3):
             program = generate_program(seed)
-            before = _compile_count()
+            _CODE_MEMO.clear()
+            compiles.clear()
             outcome = run_differential(program, machine=machine)
             assert outcome.ok and not outcome.budget_exhausted
             engine = CompiledEngine(program, cache=None, machine=machine)
             engine.prepare()  # a memo hit: compiles nothing more
-            assert _compile_count() - before == len(engine._bundle[0])
+            assert sorted(compiles) == sorted(
+                f"<art9 block {entry}>" for entry in engine._bundle[0])
