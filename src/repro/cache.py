@@ -77,9 +77,6 @@ class ArtifactCache:
 
     def __init__(self, root: str):
         self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
 
     # -- addressing ---------------------------------------------------------
 
@@ -92,7 +89,7 @@ class ArtifactCache:
     def get_json(self, kind: str, key_material: dict) -> Optional[dict]:
         """The stored payload for this key, or ``None`` on a miss.
 
-        Unreadable entries (torn writes, foreign junk) count as misses —
+        Unreadable entries (torn writes, foreign junk) are misses —
         the producer regenerates and overwrites them.
         """
         path = self.path_for(kind, cache_key(key_material))
@@ -100,17 +97,12 @@ class ArtifactCache:
             with open(path, "rb") as handle:
                 blob = handle.read()
         except OSError:
-            self.misses += 1
             return None
         try:
             payload = json.loads(blob.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             payload = None
-        if not isinstance(payload, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+        return payload if isinstance(payload, dict) else None
 
     def put_json(self, kind: str, key_material: dict, payload: dict) -> str:
         """Atomically store ``payload`` under this key; returns the path.
@@ -124,7 +116,6 @@ class ArtifactCache:
                           separators=(",", ":")).encode("utf-8")
         try:
             durable.replace(path, blob, sync=False)
-            self.writes += 1
         except OSError:
             pass
         return path

@@ -213,29 +213,17 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
     if args.trace:
         _enable_trace(args.out)
-    if args.batch and args.backend == "queue":
-        raise SpecError(
-            "--batch groups jobs inside a local worker; the queue backend "
-            "dispatches single jobs to remote workers — drop one flag")
     from repro.service.backends import MultiprocessingBackend, SerialBackend
 
     backend = None
     if args.backend == "serial":
-        backend = SerialBackend(batch=args.batch)
+        backend = SerialBackend()
     elif args.backend == "multiprocessing":
-        backend = MultiprocessingBackend(processes=max(1, args.jobs),
-                                         batch=args.batch)
+        backend = MultiprocessingBackend(processes=max(1, args.jobs))
     elif args.backend == "queue":
         from repro.service.queue_backend import AsyncQueueBackend
 
         backend = AsyncQueueBackend(workers=max(1, args.jobs))
-    elif args.batch:
-        # auto + --batch: same serial/pool choice run_sweep would make,
-        # with the batched job-group execution path enabled.
-        if args.jobs > 1:
-            backend = MultiprocessingBackend(processes=args.jobs, batch=True)
-        else:
-            backend = SerialBackend(batch=True)
     outcome = run_sweep(spec, args.out, jobs=args.jobs,
                         resume=not args.no_resume, progress=_sweep_progress,
                         backend=backend)
@@ -628,10 +616,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.batch_lanes < 0:
-        print(f"art9 fuzz: --batch-lanes must be >= 0, got {args.batch_lanes}",
-              file=sys.stderr)
-        return 2
+    # A fuzz run that checks no program, or lets none execute an
+    # instruction, would print OK without having compared anything.
+    for flag, value, floor in (("--count", args.count, 1),
+                               ("--max-instructions", args.max_instructions, 1),
+                               ("--batch-lanes", args.batch_lanes, 0)):
+        if value < floor:
+            print(f"art9 fuzz: {flag} must be >= {floor}, got {value}",
+                  file=sys.stderr)
+            return 2
     report = run_parallel_fuzz(
         count=args.count,
         seed=args.seed,
@@ -741,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend (default: auto — inline for "
                             "--jobs 1, multiprocessing pool otherwise; queue "
                             "runs a TCP coordinator with --jobs local workers)")
-    sweep.add_argument("--batch", action="store_true",
-                       help="execute same-grid-point job groups (identical "
-                            "except for a seed-style param) through one "
-                            "multi-lane BatchEngine per group; record "
-                            "content is unchanged (serial and "
-                            "multiprocessing backends only)")
     sweep.add_argument("--no-resume", action="store_true",
                        help="discard existing results in --out and recompute")
     sweep.add_argument("--trace", action="store_true",

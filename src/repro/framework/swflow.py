@@ -217,8 +217,9 @@ class SoftwareFramework:
                         TranslationSummary.from_dict(hit["summary"]),
                         workload,
                     )
-                except (KeyError, TypeError, ValueError):
-                    resolved = None  # malformed artifact: fall through
+                except (AttributeError, ArithmeticError, LookupError,
+                        TypeError, ValueError):
+                    resolved = None  # any malformed artifact is a miss
                 if resolved is not None:
                     self._summary_cache[key] = resolved
                     self.last_compile_source = "cache"

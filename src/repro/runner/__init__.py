@@ -44,12 +44,7 @@ from repro.runner.store import (
     VOLATILE_RECORD_FIELDS,
     canonical_record,
 )
-from repro.runner.worker import (
-    batch_group_key,
-    batchable_groups,
-    execute_job,
-    execute_job_batch,
-)
+from repro.runner.worker import execute_job
 
 __all__ = [
     "CompareReport",
@@ -72,8 +67,5 @@ __all__ = [
     "StoreError",
     "VOLATILE_RECORD_FIELDS",
     "canonical_record",
-    "batch_group_key",
-    "batchable_groups",
     "execute_job",
-    "execute_job_batch",
 ]

@@ -1,11 +1,12 @@
 """Parallel backend for the differential fuzzing harness.
 
-Splits a seed range into contiguous chunks, fans them out over the same
-``multiprocessing`` pool machinery the sweep orchestrator uses, and merges
-the per-chunk :class:`FuzzReport` objects.  Chunking by seed keeps every
-failure reproducible exactly as in the serial harness (the report names the
-generator seed), and merging in seed order makes the combined report
-independent of worker scheduling.
+Splits a seed range into contiguous chunks, runs one
+:func:`repro.testing.fuzz` call per chunk in a ``multiprocessing`` pool
+(with the chunk's lane count, so batched fuzzing shards the same way), and
+merges the per-chunk :class:`FuzzReport` objects.  Chunking by seed keeps
+every failure reproducible exactly as in the serial harness (the report
+names the generator seed), and merging in seed order makes the combined
+report independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import List, Optional
 
-from repro.runner.worker import execute_fuzz_chunk
-from repro.testing import FuzzReport, fuzz, fuzz_batched
+from repro.testing import FuzzReport, fuzz
 
 #: Chunks handed out per worker; small enough to balance, large enough to
 #: amortise the per-chunk generator warm-up.
@@ -47,6 +47,15 @@ def _chunks(count: int, seed: int, jobs: int, max_instructions: int,
     return chunks
 
 
+def _fuzz_chunk(chunk: dict) -> FuzzReport:
+    """Fuzz one chunk from :func:`_chunks` (module level, so it pickles)."""
+    return fuzz(count=chunk["count"], seed=chunk["seed"],
+                max_instructions=chunk["max_instructions"],
+                check_pipeline=chunk["check_pipeline"],
+                machine=chunk.get("machine"),
+                lanes=chunk.get("batch_lanes", 1))
+
+
 def _merge(reports: List[FuzzReport]) -> FuzzReport:
     # ``pool.map`` returns chunk reports in submission order and chunks are
     # built in ascending seed order, so plain concatenation reproduces the
@@ -71,27 +80,21 @@ def run_parallel_fuzz(
 ) -> FuzzReport:
     """Fuzz ``count`` seeds starting at ``seed`` across ``jobs`` processes.
 
-    ``jobs <= 1`` falls back to the serial harness; the merged parallel
-    report covers the identical seed set ``seed .. seed+count-1``.
-    ``machine`` selects the microarchitecture config every engine in the
-    differential harness is built with (default: the paper machine).
-    ``batch_lanes > 1`` runs each seed's program as that many data-variant
-    lanes through the batched differential harness
-    (:func:`repro.testing.fuzz_batched`) instead of the serial five-way.
+    ``jobs <= 1`` runs one :func:`repro.testing.fuzz` call over the whole
+    range; the merged parallel report covers the identical seed set
+    ``seed .. seed+count-1``.  ``machine`` selects the microarchitecture
+    config every engine in the differential harness is built with
+    (default: the paper machine), and ``batch_lanes`` is ``fuzz``'s
+    ``lanes``: above 1, each seed runs as that many data-variant lanes of
+    one multi-lane ``BatchEngine``.
     """
     if jobs <= 1 or count <= 1:
-        if batch_lanes > 1:
-            return fuzz_batched(count=count, seed=seed,
-                                lanes=batch_lanes,
-                                max_instructions=max_instructions,
-                                check_stats=check_pipeline,
-                                machine=machine)
         return fuzz(count=count, seed=seed,
                     max_instructions=max_instructions,
                     check_pipeline=check_pipeline,
-                    machine=machine)
+                    machine=machine, lanes=batch_lanes)
     chunks = _chunks(count, seed, jobs, max_instructions, check_pipeline,
                      machine, batch_lanes)
     with multiprocessing.Pool(processes=jobs) as pool:
-        reports = pool.map(execute_fuzz_chunk, chunks)
+        reports = pool.map(_fuzz_chunk, chunks)
     return _merge(reports)

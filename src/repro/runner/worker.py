@@ -1,7 +1,9 @@
 """Persistent sweep workers: pure job specs in, plain-dict records out.
 
-Every function here is importable at module scope so it can cross a
-``multiprocessing`` boundary under any start method.  Worker processes are
+:func:`execute_job` is the one path every sweep job takes, on every
+backend: inline, a local process pool, or a queue worker.  It is
+importable at module scope so it can cross a ``multiprocessing``
+boundary under any start method.  Worker processes are
 *persistent*: the module-level caches keep one :class:`SoftwareFramework`
 per optimize setting (which itself memoises assembled/translated programs)
 and one :class:`HardwareFramework` per engine, so a worker that executes
@@ -31,9 +33,6 @@ from repro.riscv.simulator import RVSimulator
 from repro.runner.spec import BASELINE_ENGINES, SweepJob
 from repro.sim.machine import DEFAULT_MACHINE_NAME
 from repro.sim.trace import state_digest
-from repro.testing import FuzzReport, GeneratorConfig
-from repro.testing import fuzz as run_fuzz
-from repro.testing import fuzz_batched as run_fuzz_batched
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
@@ -203,172 +202,4 @@ def _execute_baseline(job: SweepJob) -> dict:
         "iterations": workload.iterations,
         "memory_cells": rv_program.instruction_memory_bits(),
         "baseline_detail": dict(result.detail),
-    }
-
-
-#: The workload-builder parameter treated as the per-lane variation axis
-#: when batching same-grid-point jobs: jobs that differ *only* in it are
-#: candidates for one multi-lane batch execution.
-SEED_PARAM = "seed"
-
-
-def batch_group_key(job: SweepJob) -> tuple:
-    """Grid-point identity of a job with the seed-style axis removed."""
-    varying = tuple(sorted(
-        (key, value) for key, value in job.params if key != SEED_PARAM))
-    return (job.workload, job.engine, job.optimize, job.machine,
-            job.max_cycles, varying)
-
-
-def batchable_groups(jobs: "list[SweepJob]") -> "list[list[SweepJob]]":
-    """Partition a job list into batch-candidate groups.
-
-    Jobs sharing a grid point (same workload/engine/optimize/machine/
-    max_cycles and identical params apart from ``seed``) group together;
-    baseline-core jobs always stay singletons (their models are not ART-9
-    engines).  Group order follows first appearance and jobs keep their
-    relative order inside a group, so flattening the groups in order and
-    sorting records by job id reproduces the serial store layout.
-    """
-    groups: "list[list[SweepJob]]" = []
-    index_of: Dict[tuple, int] = {}
-    for job in jobs:
-        if job.engine in BASELINE_ENGINES:
-            groups.append([job])
-            continue
-        key = batch_group_key(job)
-        position = index_of.get(key)
-        if position is None:
-            index_of[key] = len(groups)
-            groups.append([job])
-        else:
-            groups[position].append(job)
-    return groups
-
-
-def execute_job_batch(jobs: "list[SweepJob]") -> "list[dict]":
-    """Run one same-grid-point job group, batched when the programs allow.
-
-    Every record is identical to what :func:`execute_job` produces for the
-    same job (modulo the volatile ``elapsed_s``/``worker_pid`` fields, as
-    for any backend) — the batch engine is bit-identical to the serial
-    engines, so batching is purely an execution-throughput optimization.
-    Any obstacle — divergent instruction streams, compile failures, a
-    construction-time fault — falls back to the serial path, which also
-    owns per-job error reporting.
-    """
-    if len(jobs) == 1:
-        return [execute_job(jobs[0])]
-    from repro.sim.batch import BatchEngine, batchable_programs
-
-    started = time.perf_counter()
-    try:
-        compiled = []
-        cache_hits = []
-        for job in jobs:
-            software = _software(job.optimize)
-            compiled.append(software.compile_named_workload_cached(
-                job.workload, job.params_dict))
-            cache_hits.append(
-                software.last_compile_source in ("memo", "cache"))
-        xlate_elapsed = time.perf_counter() - started
-        programs = [program for program, _, _ in compiled]
-        if not batchable_programs(programs):
-            return [execute_job(job) for job in jobs]
-        with trace.span("batch", lanes=len(jobs), workload=jobs[0].workload):
-            outcomes = BatchEngine(programs, machine=jobs[0].machine).run_with_stats(
-                max_cycles=jobs[0].max_cycles)
-    except Exception:
-        return [execute_job(job) for job in jobs]
-    elapsed = round((time.perf_counter() - started) / len(jobs), 6)
-    xlate_share = round(xlate_elapsed / len(jobs), 6)
-    execute_share = round(
-        (time.perf_counter() - started - xlate_elapsed) / len(jobs), 6)
-    records = []
-    for job, (program, report, workload), outcome, cache_hit in zip(
-            jobs, compiled, outcomes, cache_hits):
-        record = {
-            "job_id": job.job_id,
-            "label": job.label,
-            "workload": job.workload,
-            "engine": job.engine,
-            "optimize": job.optimize,
-            "params": job.params_dict,
-            "max_cycles": job.max_cycles,
-            "machine": job.machine,
-            "status": "ok",
-            "worker_pid": os.getpid(),
-        }
-        if not outcome.ok:
-            record["status"] = "error"
-            record["error"] = f"{outcome.error_kind}: {outcome.error}"
-        else:
-            stats = outcome.stats
-            result = outcome.result
-            actual = [
-                result.memory.get(workload.result_base + 4 * index, 0)
-                for index in range(workload.result_count)
-            ]
-            record.update({
-                "cycles": stats.cycles,
-                "instructions": stats.instructions_committed,
-                "cpi": round(stats.cpi, 6),
-                "stall_cycles": stats.stall_cycles,
-                "stats": stats.to_dict(),
-                "state_digest": state_digest(result.registers, result.memory),
-                "verified": actual == workload.expected_results,
-                "iterations": workload.iterations,
-                "translated_instructions": report.final_instructions,
-                "instruction_expansion": round(report.instruction_expansion, 6),
-                "memory_cells": report.ternary_memory_trits,
-                "memory_cell_ratio": round(report.memory_cell_ratio, 6),
-            })
-        record["timings"] = {"xlate_s": xlate_share, "codegen_s": 0.0,
-                             "execute_s": execute_share}
-        record["cache_hit"] = cache_hit
-        record["elapsed_s"] = elapsed
-        records.append(record)
-    return records
-
-
-def execute_fuzz_chunk(chunk: dict) -> FuzzReport:
-    """Run one contiguous seed range of a differential fuzzing session.
-
-    ``chunk`` is a plain dict (``seed``, ``count``, ``max_instructions``,
-    ``check_pipeline``, optional ``machine``, optional ``batch_lanes``) so
-    the parallel fuzz front end can ship work to the same process pool the
-    sweeps use.  ``batch_lanes > 1`` switches the chunk to the batched
-    harness: each seed widens into that many data-variant lanes executed by
-    one multi-lane :class:`~repro.sim.batch.BatchEngine` and pinned to the
-    serial engines.
-    """
-    batch_lanes = int(chunk.get("batch_lanes", 0))
-    if batch_lanes > 1:
-        return run_fuzz_batched(
-            count=int(chunk["count"]),
-            seed=int(chunk["seed"]),
-            config=GeneratorConfig(),
-            lanes=batch_lanes,
-            max_instructions=int(chunk.get("max_instructions", 200_000)),
-            check_stats=bool(chunk.get("check_pipeline", True)),
-            machine=chunk.get("machine"),
-        )
-    return run_fuzz(
-        count=int(chunk["count"]),
-        seed=int(chunk["seed"]),
-        config=GeneratorConfig(),
-        max_instructions=int(chunk.get("max_instructions", 200_000)),
-        check_pipeline=bool(chunk.get("check_pipeline", True)),
-        machine=chunk.get("machine"),
-    )
-
-
-def workload_probe(name: str, params: Optional[dict] = None) -> dict:
-    """Cheap worker-side sanity probe (used by tests and diagnostics)."""
-    program, report, workload = _software(True).compile_named_workload(name, params)
-    return {
-        "workload": workload.name,
-        "instructions": len(program.instructions),
-        "translated_instructions": report.final_instructions,
-        "worker_pid": os.getpid(),
     }

@@ -23,7 +23,7 @@ import multiprocessing
 from typing import Callable, Sequence
 
 from repro.runner.spec import SweepJob
-from repro.runner.worker import batchable_groups, execute_job, execute_job_batch
+from repro.runner.worker import execute_job
 
 #: Callback receiving each finished record.
 EmitFn = Callable[[dict], None]
@@ -32,16 +32,9 @@ EmitFn = Callable[[dict], None]
 class ExecutionBackend(abc.ABC):
     """Strategy for executing a batch of sweep jobs."""
 
-    #: Stable identifier used by the CLI and logs.
-    name: str = "backend"
-
     @abc.abstractmethod
     def execute(self, jobs: Sequence[SweepJob], emit: EmitFn) -> None:
         """Run every job, calling ``emit(record)`` as each one finishes."""
-
-    def describe(self) -> str:
-        """One-line human description for progress output."""
-        return self.name
 
 
 class SerialBackend(ExecutionBackend):
@@ -49,65 +42,27 @@ class SerialBackend(ExecutionBackend):
 
     Shares the module-level framework caches of
     :mod:`repro.runner.worker`, so a serial sweep still translates each
-    distinct workload instance exactly once.  ``batch=True`` groups
-    same-grid-point jobs (identical workload/engine/optimize/machine and
-    params apart from ``seed``) through one multi-lane
-    :class:`~repro.sim.batch.BatchEngine` execution; record content is
-    unchanged — the conformance suite holds batched backends to the same
-    byte-identical contract.
+    distinct workload instance exactly once.
     """
 
-    name = "serial"
-
-    def __init__(self, batch: bool = False):
-        self.batch = batch
-
-    def describe(self) -> str:
-        return f"{self.name} (batched)" if self.batch else self.name
-
     def execute(self, jobs: Sequence[SweepJob], emit: EmitFn) -> None:
-        if self.batch:
-            for group in batchable_groups(list(jobs)):
-                for record in execute_job_batch(group):
-                    emit(record)
-            return
         for job in jobs:
             emit(execute_job(job))
 
 
 class MultiprocessingBackend(ExecutionBackend):
-    """Shard jobs across a pool of persistent local worker processes.
+    """Shard jobs across a pool of persistent local worker processes."""
 
-    ``batch=True`` ships whole same-grid-point groups to the pool so each
-    worker executes its group through one multi-lane batch engine; group
-    boundaries (not single jobs) become the load-balancing unit.
-    """
-
-    name = "multiprocessing"
-
-    def __init__(self, processes: int = 2, batch: bool = False):
+    def __init__(self, processes: int = 2):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
-        self.batch = batch
-
-    def describe(self) -> str:
-        suffix = ", batched" if self.batch else ""
-        return f"{self.name} ({self.processes} processes{suffix})"
 
     def execute(self, jobs: Sequence[SweepJob], emit: EmitFn) -> None:
         if not jobs:
             return
         if self.processes == 1 or len(jobs) == 1:
-            SerialBackend(batch=self.batch).execute(jobs, emit)
-            return
-        if self.batch:
-            groups = batchable_groups(list(jobs))
-            with multiprocessing.Pool(processes=self.processes) as pool:
-                for records in pool.imap_unordered(execute_job_batch, groups,
-                                                   chunksize=1):
-                    for record in records:
-                        emit(record)
+            SerialBackend().execute(jobs, emit)
             return
         # Workers stay warm across all the jobs of this run, which is where
         # the per-process translation cache pays off.  chunksize=1 keeps the

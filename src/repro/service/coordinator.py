@@ -374,10 +374,9 @@ class Coordinator:
                 self._all_done.set()
                 return False
         self._done[job_id] = record
-        self._in_flight.pop(job_id, None)
-        if any(job.job_id == job_id for job in self._pending):
-            # The job was requeued after a timeout but the original worker
-            # finished after all; drop the queued duplicate dispatch.
+        if self._in_flight.pop(job_id, None) is None:
+            # Requeued (timeout, disconnect or restart), yet its earlier
+            # worker reported after all: drop the queued duplicate.
             self._pending = deque(
                 job for job in self._pending if job.job_id != job_id)
         self.stats.results_accepted += 1
@@ -392,6 +391,7 @@ class Coordinator:
         exited with work still outstanding — the run finishes with error
         records (which resume retries) instead of hanging forever.
         """
+        pending, self._pending = self._pending, deque()
         for job_id, entry in list(self._in_flight.items()):
             del self._in_flight[job_id]
             self.stats.lost_jobs += 1
@@ -399,8 +399,7 @@ class Coordinator:
             self._journal_event("lost", job_id=job_id, reason=reason,
                                 attempts=attempts)
             self._accept(lost_job_record(entry.job, attempts, reason))
-        while self._pending:
-            job = self._pending.popleft()
+        for job in pending:
             self.stats.lost_jobs += 1
             attempts = self._dispatch_counts.get(job.job_id, 0)
             self._journal_event("lost", job_id=job.job_id, reason=reason,

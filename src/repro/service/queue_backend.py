@@ -45,8 +45,6 @@ StartedFn = Callable[[str, int], None]
 class AsyncQueueBackend(ExecutionBackend):
     """Execute jobs through the asyncio TCP coordinator."""
 
-    name = "queue"
-
     def __init__(
         self,
         workers: int = 2,
@@ -86,11 +84,6 @@ class AsyncQueueBackend(ExecutionBackend):
         self.recovered_jobs = recovered_jobs
         #: Stats of the most recent run (None before the first execute()).
         self.stats: Optional[CoordinatorStats] = None
-
-    def describe(self) -> str:
-        if self.workers:
-            return f"{self.name} (coordinator + {self.workers} local workers)"
-        return f"{self.name} (coordinator on {self.host}:{self.port}, external workers)"
 
     def execute(self, jobs: Sequence[SweepJob], emit: EmitFn) -> None:
         if not jobs:

@@ -46,10 +46,11 @@ observability.
     reconverge automatically; per-lane ``PipelineStats`` stay bit-identical
     to ``FastEngine`` because the timing model depends only on the
     committed instruction stream, so each path group steps one timing
-    state.  Used by batched fuzzing and same-grid-point sweep batching.
-    It is the one numpy user, so ``BatchEngine``, ``BatchError``,
-    ``LaneOutcome`` and ``batchable_programs`` load on first access: a
-    process that never batches never imports numpy.
+    state.  It is the differential fuzzer's fifth executor (one lane per
+    program) and runs ``art9 fuzz --batch-lanes N``'s data variants.  It
+    is the one numpy user, so ``BatchEngine``, ``BatchError`` and
+    ``LaneOutcome`` load on first access: a process that never fuzzes
+    never imports numpy.
 
 Shared component models (ternary register file, TIM/TDM memories, the TALU)
 live in their own modules so that both simulators — and the gate-level
@@ -101,21 +102,19 @@ __all__ = [
     "BatchEngine",
     "BatchError",
     "LaneOutcome",
-    "batchable_programs",
     "capture_golden_trace",
     "memory_digest",
     "state_digest",
     "trace_mismatches",
 ]
 
-_BATCH_EXPORTS = ("BatchEngine", "BatchError", "LaneOutcome",
-                  "batchable_programs")
+_BATCH_EXPORTS = ("BatchEngine", "BatchError", "LaneOutcome")
 
 
 def __getattr__(name):
     # The batch engine is the only numpy user; resolving its exports
     # lazily (PEP 562) keeps numpy out of every process that never
-    # batches.
+    # fuzzes.
     if name in _BATCH_EXPORTS:
         from repro.sim import batch
         return getattr(batch, name)

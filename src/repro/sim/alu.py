@@ -88,9 +88,6 @@ class TernaryALU:
     #: Mnemonics handled by the TALU (everything that produces its result in EX).
     OPERATIONS = tuple(_HANDLERS)
 
-    def __init__(self):
-        self.operation_counts = {op: 0 for op in self.OPERATIONS}
-
     def execute(
         self,
         mnemonic: str,
@@ -122,14 +119,8 @@ class TernaryALU:
         handler = _HANDLERS.get(mnemonic)
         if handler is None:
             raise ValueError(f"TALU does not implement {mnemonic!r}")
-        self.operation_counts[mnemonic] += 1
         return handler(operand_a, operand_b, imm)
 
     def effective_address(self, base: TernaryWord, offset: int) -> int:
         """Address computation of the M-type instructions (shared adder)."""
         return (base.value + offset) % (3 ** base.width)
-
-    def reset_statistics(self) -> None:
-        """Zero the per-operation usage counters."""
-        for key in self.operation_counts:
-            self.operation_counts[key] = 0

@@ -1,11 +1,10 @@
 """Batched vectorized execution engine: many program instances, one process.
 
-Sweeps and fuzz corpora execute thousands of *small, independent* jobs whose
-instruction streams are identical and whose inputs differ only in the data
-segment (seed-style workload parameters only regenerate ``.data`` words; the
-translated code is byte-for-byte the same).  Running those one at a time
-leaves most of the interpreter cost — dispatch, bookkeeping, the Python
-bytecode loop itself — unamortised.
+Batched differential fuzzing (``art9 fuzz --batch-lanes N``) widens each
+generated program into many data variants whose instruction streams are
+identical and whose inputs differ only in the data segment.  Running those
+one at a time leaves most of the interpreter cost — dispatch, bookkeeping,
+the Python bytecode loop itself — unamortised.
 
 :class:`BatchEngine` executes B instances ("lanes") of one instruction
 stream concurrently.  Architectural state is held in numpy arrays over the
@@ -119,24 +118,6 @@ def _np_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _NP_TABLES
 
 
-def batchable_programs(programs: Sequence[Program]) -> bool:
-    """True when every program shares lane 0's predecoded instruction stream.
-
-    Data segments (and names) may differ freely — that is exactly the
-    degree of freedom the batch dimension vectorizes over.  Malformed
-    programs (predecode errors) are reported as not batchable so callers
-    can fall back to the serial path, where the error surfaces normally.
-    """
-    if not programs:
-        return False
-    try:
-        base = FastEngine._predecode(programs[0])
-        return all(FastEngine._predecode(program) == base
-                   for program in programs[1:])
-    except Exception:
-        return False
-
-
 @dataclass
 class LaneOutcome:
     """Per-lane result of one batched execution.
@@ -144,8 +125,8 @@ class LaneOutcome:
     Exactly one of ``result``/``error`` is set.  ``error`` carries the
     byte-identical message the fast engine would have raised for the same
     program, and ``error_kind`` its exception class name (``SimulationError``
-    or ``MemoryError_``), so differential harnesses and sweep workers can
-    reproduce the serial error contract without re-running the lane.
+    or ``MemoryError_``), so the differential harnesses can reproduce the
+    serial error contract without re-running the lane.
     """
 
     lane: int
@@ -267,25 +248,20 @@ class BatchEngine:
         self._execute(max_instructions, with_stats=False)
         return self._outcomes(stats_limit=None)
 
-    def run_with_stats(self, max_cycles: int = 50_000_000,
-                       include_results: bool = True) -> List[LaneOutcome]:
+    def run_with_stats(self, max_cycles: int = 50_000_000) -> List[LaneOutcome]:
         """Execution plus per-lane pipeline statistics (fast-engine parity).
 
         Mirrors :meth:`FastEngine.run_with_stats`: ``max_cycles`` bounds the
         committed-instruction count during execution, and lanes whose final
         cycle count still exceeds it come back with the same
         "did not halt within N cycles" error the fast engine raises.
-        Outcomes carry both the ``ExecutionResult`` and the stats;
-        ``include_results=False`` skips the per-lane result assembly (the
-        registers/touched-memory dicts) for stats-only callers such as the
-        throughput benchmark.
+        Outcomes carry both the ``ExecutionResult`` and the stats.
         """
         if not self.programs[0].instructions:
             raise SimulationError("cannot simulate an empty program")
         self._consume()
         self._execute(max_cycles, with_stats=True)
-        return self._outcomes(stats_limit=max_cycles,
-                              include_results=include_results)
+        return self._outcomes(stats_limit=max_cycles)
 
     def _consume(self) -> None:
         if self._consumed:
@@ -662,8 +638,7 @@ class BatchEngine:
 
     # -- result assembly ----------------------------------------------------
 
-    def _outcomes(self, stats_limit: Optional[int],
-                  include_results: bool = True) -> List[LaneOutcome]:
+    def _outcomes(self, stats_limit: Optional[int]) -> List[LaneOutcome]:
         counts = self._counts
         # Aggregate the (L, B) mix matrix to per-mnemonic lane vectors once,
         # so per-lane mix assembly touches <= 25 entries instead of scanning
@@ -704,20 +679,18 @@ class BatchEngine:
                         error_kind="SimulationError",
                     ))
                     continue
-            result = None
-            if include_results:
-                addresses = np.nonzero(self._touched[lane])[0]
-                memory = {int(address): int(self._mem[lane, address])
-                          for address in addresses.tolist()}
-                registers = {register_name(index): int(self._regs[index, lane])
-                             for index in range(NUM_REGISTERS)}
-                result = ExecutionResult(
-                    instructions_executed=committed,
-                    halted=halted_list[lane],
-                    registers=registers,
-                    pc=final_pcs[lane],
-                    instruction_mix=mix,
-                    memory=memory,
-                )
+            addresses = np.nonzero(self._touched[lane])[0]
+            memory = {int(address): int(self._mem[lane, address])
+                      for address in addresses.tolist()}
+            registers = {register_name(index): int(self._regs[index, lane])
+                         for index in range(NUM_REGISTERS)}
+            result = ExecutionResult(
+                instructions_executed=committed,
+                halted=halted_list[lane],
+                registers=registers,
+                pc=final_pcs[lane],
+                instruction_mix=mix,
+                memory=memory,
+            )
             outcomes.append(LaneOutcome(lane=lane, result=result, stats=stats))
         return outcomes

@@ -33,7 +33,7 @@ class TernaryMemory:
         Number of addressable words.  The default (3**9 = 19 683) is the
         full address space reachable from a 9-trit register.
     name:
-        Used in error messages and statistics ("TIM", "TDM").
+        Used in error messages ("TIM", "TDM").
     width:
         Word width in trits (9 for ART-9).
     """
@@ -46,8 +46,6 @@ class TernaryMemory:
         self.width = width
         self._cells: Dict[int, TernaryWord] = {}
         self._zero = TernaryWord.zero(width)
-        self.reads = 0
-        self.writes = 0
 
     # -- address handling ---------------------------------------------------
 
@@ -74,7 +72,6 @@ class TernaryMemory:
     def read(self, address: int) -> TernaryWord:
         """Read the word at ``address`` (uninitialised cells read as zero)."""
         address = self._check(address)
-        self.reads += 1
         word = self._cells.get(address)
         return self._zero if word is None else word
 
@@ -85,7 +82,6 @@ class TernaryMemory:
             raise ValueError(
                 f"{self.name}: word width {value.width} does not match memory width {self.width}"
             )
-        self.writes += 1
         self._cells[address] = value
 
     def read_int(self, address: int) -> int:
@@ -119,12 +115,6 @@ class TernaryMemory:
         """Highest written address, or None if the memory is untouched."""
         return max(self._cells) if self._cells else None
 
-    def reset_statistics(self) -> None:
-        """Zero the read/write counters (storage contents are kept)."""
-        self.reads = 0
-        self.writes = 0
-
     def clear(self) -> None:
-        """Erase all contents and statistics."""
+        """Erase all contents."""
         self._cells.clear()
-        self.reset_statistics()

@@ -22,16 +22,13 @@ def _index_error(index: int) -> ValueError:
 
 
 class TernaryRegisterFile:
-    """Storage and access statistics for the nine ART-9 registers."""
+    """Storage for the nine ART-9 registers."""
 
     def __init__(self):
         self._registers: List[TernaryWord] = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
-        self.reads = 0
-        self.writes = 0
 
     def read(self, index: int) -> TernaryWord:
         """Read register ``index`` (asynchronous read port)."""
-        self.reads += 1
         if not 0 <= index < NUM_REGISTERS:
             raise _index_error(index)
         return self._registers[index]
@@ -40,7 +37,6 @@ class TernaryRegisterFile:
         """Write register ``index`` (synchronous write port)."""
         if value.width != WORD_TRITS:
             raise ValueError(f"register words are {WORD_TRITS} trits, got {value.width}")
-        self.writes += 1
         if not 0 <= index < NUM_REGISTERS:
             raise _index_error(index)
         self._registers[index] = value
@@ -58,10 +54,8 @@ class TernaryRegisterFile:
         return {register_name(i): reg.value for i, reg in enumerate(self._registers)}
 
     def reset(self) -> None:
-        """Zero every register and the access counters."""
+        """Zero every register."""
         self._registers = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
-        self.reads = 0
-        self.writes = 0
 
     def __repr__(self) -> str:
         values = ", ".join(f"T{i}={reg.value}" for i, reg in enumerate(self._registers))

@@ -31,7 +31,6 @@ from repro.testing.differential import (
     DifferentialOutcome,
     FuzzReport,
     fuzz,
-    fuzz_batched,
     run_batch_differential,
     run_differential,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DifferentialOutcome",
     "FuzzReport",
     "fuzz",
-    "fuzz_batched",
     "run_batch_differential",
     "run_differential",
 ]
@@ -57,7 +55,7 @@ __all__ += list(_CHAOS_EXPORTS)
 
 def __getattr__(name):
     # The chaos harness imports repro.runner, whose package imports the
-    # worker module, which imports this package — resolving chaos lazily
+    # fuzz pool, which imports this package — resolving chaos lazily
     # (PEP 562) keeps the convenience exports without the import cycle.
     if name in _CHAOS_EXPORTS:
         from repro.testing import chaos

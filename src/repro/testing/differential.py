@@ -18,11 +18,11 @@ share:
 
 ``fuzz`` drives the generator/runner pair over a seed range, collecting
 failures instead of raising so a fuzzing session reports every divergence.
-``fuzz_batched`` widens every seed into several data-variant lanes and runs
-them through one multi-lane :class:`~repro.sim.batch.BatchEngine`, pinning
-each lane bit-identically to the serial engines — this is what exercises
-the batch engine's divergence/reconvergence machinery, which a single lane
-cannot reach.
+With ``lanes > 1`` it widens every seed into several data-variant lanes
+and runs them through one multi-lane :class:`~repro.sim.batch.BatchEngine`
+(:func:`run_batch_differential`), pinning each lane bit-identically to the
+serial engines — this is what exercises the batch engine's
+divergence/reconvergence machinery, which a single lane cannot reach.
 """
 
 from __future__ import annotations
@@ -283,6 +283,7 @@ def fuzz(
     max_instructions: int = 200_000,
     check_pipeline: bool = True,
     machine: Optional[MachineConfig] = None,
+    lanes: int = 1,
 ) -> FuzzReport:
     """Run ``count`` generated programs differentially, collecting failures.
 
@@ -290,18 +291,35 @@ def fuzz(
     is reproducible with ``run_differential(generate_program(bad_seed))``.
     ``machine`` selects the microarchitecture config all cycle-accurate
     executors run under (default: the paper machine).
+
+    ``lanes > 1`` widens each seed's program into that many data variants
+    (:func:`generate_data_variants`) and pins every lane of one multi-lane
+    :class:`~repro.sim.batch.BatchEngine` run to a serial
+    :class:`FastEngine` run (:func:`run_batch_differential`), with
+    ``check_pipeline`` selecting the per-lane stats comparison; otherwise
+    each program gets the five-way :func:`run_differential` check.
     """
     machine = resolve_machine(machine)
     report = FuzzReport()
     for offset in range(count):
-        program = generate_program(seed + offset, config)
-        outcome = run_differential(
-            program,
-            max_instructions=max_instructions,
-            check_pipeline=check_pipeline,
-            raise_on_mismatch=False,
-            machine=machine,
-        )
+        program_seed = seed + offset
+        program = generate_program(program_seed, config)
+        if lanes > 1:
+            outcome = run_batch_differential(
+                generate_data_variants(program, lanes, program_seed),
+                max_instructions=max_instructions,
+                check_stats=check_pipeline,
+                raise_on_mismatch=False,
+                machine=machine,
+            )
+        else:
+            outcome = run_differential(
+                program,
+                max_instructions=max_instructions,
+                check_pipeline=check_pipeline,
+                raise_on_mismatch=False,
+                machine=machine,
+            )
         report.programs_run += 1
         report.instructions_executed += outcome.instructions_executed
         if outcome.budget_exhausted:
@@ -397,53 +415,3 @@ def run_batch_differential(
             f"{programs[0].name}: " + "; ".join(outcome.mismatches)
         )
     return outcome
-
-
-def fuzz_batched(
-    count: int = 100,
-    seed: int = 0,
-    config: Optional[GeneratorConfig] = None,
-    lanes: int = 4,
-    max_instructions: int = 200_000,
-    check_stats: bool = True,
-    machine: Optional[MachineConfig] = None,
-) -> FuzzReport:
-    """Batched differential fuzzing: ``lanes`` data variants per seed.
-
-    Each seed's generated program is widened into ``lanes`` batchable data
-    variants (:func:`generate_data_variants`), executed in one multi-lane
-    :class:`~repro.sim.batch.BatchEngine`, and every lane is pinned to a
-    serial :class:`FastEngine` run.  ``lanes=1`` degrades to the serial
-    five-way check of :func:`run_differential` per seed, which is also the
-    fallback used for any seed whose program cannot be widened (a program
-    with no data segment diverges nowhere, but still runs batched).
-    """
-    machine = resolve_machine(machine)
-    report = FuzzReport()
-    for offset in range(count):
-        program_seed = seed + offset
-        program = generate_program(program_seed, config)
-        variants = generate_data_variants(program, max(lanes, 1), program_seed)
-        if len(variants) > 1:
-            outcome = run_batch_differential(
-                variants,
-                max_instructions=max_instructions,
-                check_stats=check_stats,
-                raise_on_mismatch=False,
-                machine=machine,
-            )
-        else:
-            outcome = run_differential(
-                program,
-                max_instructions=max_instructions,
-                check_pipeline=check_stats,
-                raise_on_mismatch=False,
-                machine=machine,
-            )
-        report.programs_run += 1
-        report.instructions_executed += outcome.instructions_executed
-        if outcome.budget_exhausted:
-            report.budget_exhausted += 1
-        if not outcome.ok:
-            report.failures.append(outcome)
-    return report

@@ -51,7 +51,6 @@ class TestArtifactCacheStore:
         assert cache.get_json("probe", material) is None
         cache.put_json("probe", material, {"answer": 42})
         assert cache.get_json("probe", material) == {"answer": 42}
-        assert cache.hits == 1 and cache.misses == 1 and cache.writes == 1
 
     def test_key_material_addresses_the_content(self, cache):
         cache.put_json("probe", {"v": 1}, {"payload": "one"})
@@ -68,7 +67,6 @@ class TestArtifactCacheStore:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"trunca')
         assert cache.get_json("probe", material) is None
-        assert cache.misses == 1 and cache.hits == 0
 
     def test_non_dict_entry_is_a_miss(self, cache):
         material = {"shape": "wrong"}
@@ -77,21 +75,6 @@ class TestArtifactCacheStore:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("[1, 2, 3]")
         assert cache.get_json("probe", material) is None
-        assert cache.misses == 1 and cache.hits == 0
-
-    def test_counts_belong_to_the_instance_and_span_kinds(self, cache):
-        cache.put_json("alpha", {"i": 1}, {"a": 1})
-        cache.put_json("beta", {"i": 1}, {"b": 1})
-        assert cache.get_json("alpha", {"i": 1}) == {"a": 1}
-        assert cache.get_json("beta", {"i": 1}) == {"b": 1}
-        assert cache.get_json("beta", {"i": 2}) is None
-        assert (cache.hits, cache.misses, cache.writes) == (2, 1, 2)
-        # A second handle on the same directory (another process, say)
-        # reads the entries but keeps its own counts.
-        other = ArtifactCache(cache.root)
-        assert other.get_json("alpha", {"i": 1}) == {"a": 1}
-        assert (other.hits, other.misses, other.writes) == (1, 0, 0)
-        assert (cache.hits, cache.misses, cache.writes) == (2, 1, 2)
 
     def test_failed_write_is_swallowed_and_not_counted(self, tmp_path):
         blocker = tmp_path / "not-a-directory"
@@ -99,9 +82,7 @@ class TestArtifactCacheStore:
         cache = ArtifactCache(str(blocker / "artifacts"))
         path = cache.put_json("probe", {"i": 1}, {"kept": False})
         assert path == cache.path_for("probe", cache_key({"i": 1}))
-        assert cache.writes == 0
         assert cache.get_json("probe", {"i": 1}) is None
-        assert cache.misses == 1
 
     def test_entry_count_kinds_and_clear(self, cache):
         cache.put_json("alpha", {"i": 1}, {})
@@ -239,10 +220,11 @@ class TestCachedTranslation:
         program_a, summary_a, workload_a = first.compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
         assert cache.entry_count("xlate") == 1
+        assert first.last_compile_source == "built"
         second = SoftwareFramework()  # fresh in-process memo: must hit disk
         program_b, summary_b, workload_b = second.compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
-        assert cache.hits >= 1
+        assert second.last_compile_source == "cache"
         assert program_b.to_dict() == program_a.to_dict()
         assert summary_b == summary_a
         assert workload_b.name == workload_a.name
@@ -308,7 +290,14 @@ class TestCachedTranslation:
             "bubble_sort", {"length": 8}, cache=None)
         assert bypass.last_compile_source == "built"
 
-    def test_malformed_artifact_is_rebuilt_and_replaced(self, cache):
+    @pytest.mark.parametrize("junk", [
+        None,  # the built program without its summary
+        {"program": {"instructions": "junk"}},  # rows that are not rows
+        {"program": 5},
+        {"program": []},
+    ], ids=["no-summary", "string-instructions", "int-program",
+            "list-program"])
+    def test_malformed_artifact_is_rebuilt_and_replaced(self, cache, junk):
         built = SoftwareFramework()
         program, summary, _ = built.compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
@@ -316,7 +305,7 @@ class TestCachedTranslation:
         [name] = os.listdir(os.path.join(cache.root, "xlate", shard))
         path = os.path.join(cache.root, "xlate", shard, name)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"program": program.to_dict()}, handle)  # no summary
+            json.dump(junk or {"program": program.to_dict()}, handle)
         rebuilt = SoftwareFramework()
         program_b, summary_b, _ = rebuilt.compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
@@ -354,7 +343,7 @@ class TestWorkerIntegration:
         assert again["status"] == "ok"
         assert again["cycles"] == record["cycles"]
         assert again["state_digest"] == record["state_digest"]
-        assert default_cache().hits >= 1
+        assert not record["cache_hit"] and again["cache_hit"]
 
     def test_compiled_and_fast_jobs_produce_identical_numbers(
             self, isolated_default_cache):

@@ -100,7 +100,7 @@ class TestFuzz:
         assert main(["fuzz", "--count", "5", "--seed", "11", "--no-pipeline"]) == 0
         assert "5 programs" in capsys.readouterr().out
 
-    def test_fuzz_batched_lanes(self, capsys):
+    def test_fuzz_with_batch_lanes(self, capsys):
         assert main(["fuzz", "--count", "5", "--seed", "7",
                      "--batch-lanes", "3"]) == 0
         assert "5 programs" in capsys.readouterr().out
@@ -108,6 +108,21 @@ class TestFuzz:
     def test_fuzz_rejects_negative_batch_lanes(self, capsys):
         assert main(["fuzz", "--count", "2", "--batch-lanes", "-1"]) == 2
         assert "--batch-lanes must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--count", "-5"], "--count must be >= 1, got -5"),
+        (["--count", "0"], "--count must be >= 1, got 0"),
+        (["--max-instructions", "-1"], "--max-instructions must be >= 1, got -1"),
+        (["--max-instructions", "0"], "--max-instructions must be >= 1, got 0"),
+    ], ids=["negative-count", "zero-count", "negative-budget", "zero-budget"])
+    def test_fuzz_rejects_a_run_that_checks_nothing(self, capsys, argv,
+                                                     message):
+        # Zero programs, or a budget no program can run in, would print
+        # "OK" without comparing a single instruction.
+        assert main(["fuzz", "--count", "3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"art9 fuzz: {message}\n"
 
 
 class TestSweepInputValidation:
@@ -129,11 +144,13 @@ class TestSweepInputValidation:
         assert "--params must be a JSON object" in err
         assert "[1,2]" in err
 
-    def test_batch_flag_rejected_with_queue_backend(self, tmp_path, capsys):
-        assert main(["sweep", "--out", str(tmp_path / "run"),
-                     "--workloads", "bubble_sort",
-                     "--batch", "--backend", "queue"]) == 2
-        assert "--batch" in capsys.readouterr().err
+    def test_batch_flag_is_not_an_option(self, tmp_path, capsys):
+        # Every sweep job runs one way; there is no batched sweep mode.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--out", str(tmp_path / "run"),
+                  "--workloads", "bubble_sort", "--batch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 class TestMetaCommands:

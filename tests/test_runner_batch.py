@@ -1,40 +1,17 @@
-"""Batched sweep execution: job grouping, the batch worker and fuzz chunks.
+"""The parallel fuzz front end: seed-range chunks and their merged reports.
 
-The batched execution path is a pure throughput optimization — every test
-here ultimately asserts the same invariant from a different angle: grouping
-jobs and running them through one multi-lane ``BatchEngine`` produces
-exactly the records (and fuzz reports) the one-job-at-a-time path produces.
+``art9 fuzz --jobs N`` shards a seed range into contiguous chunks and runs
+one ``repro.testing.fuzz`` call per chunk; every test here asserts the same
+invariant from a different angle: the chunks cover the range exactly, and
+the merged report equals the one-process report, with and without
+``--batch-lanes``.
 """
 
 import pytest
 
-from repro.runner import (
-    SweepJob,
-    VOLATILE_RECORD_FIELDS,
-    batch_group_key,
-    batchable_groups,
-    execute_job,
-    execute_job_batch,
-    run_parallel_fuzz,
-)
+from repro.runner import run_parallel_fuzz
 from repro.runner.fuzzpool import _chunks
-from repro.service import MultiprocessingBackend, SerialBackend
-from repro.testing import fuzz_batched
-
-
-def seed_jobs(count, workload="bubble_sort", engine="fast", **kwargs):
-    params = dict(kwargs.pop("params", {}))
-    return [
-        SweepJob(workload, engine, True,
-                 params=tuple(sorted({**params, "seed": seed}.items())),
-                 **kwargs)
-        for seed in range(count)
-    ]
-
-
-def stable(record):
-    return {key: value for key, value in record.items()
-            if key not in VOLATILE_RECORD_FIELDS}
+from repro.testing import fuzz
 
 
 class TestChunkPartition:
@@ -81,92 +58,9 @@ class TestChunkPartition:
         assert parallel.failures == serial.failures
 
     def test_parallel_and_serial_batched_fuzz_reports_match(self):
-        serial = fuzz_batched(count=6, seed=0, lanes=3, check_stats=False)
+        serial = fuzz(count=6, seed=0, lanes=3, check_pipeline=False)
         parallel = run_parallel_fuzz(count=6, seed=0, jobs=2,
                                      check_pipeline=False, batch_lanes=3)
         assert parallel.programs_run == serial.programs_run == 6
         assert parallel.instructions_executed == serial.instructions_executed
         assert parallel.budget_exhausted == serial.budget_exhausted
-
-
-class TestBatchableGroups:
-    def test_seed_only_variation_groups_together(self):
-        jobs = seed_jobs(4)
-        groups = batchable_groups(jobs)
-        assert groups == [jobs]
-        assert len({batch_group_key(job) for job in jobs}) == 1
-
-    def test_distinct_grid_points_stay_apart(self):
-        jobs = (seed_jobs(2)
-                + seed_jobs(2, engine="compiled")
-                + seed_jobs(2, machine="btfn4")
-                + seed_jobs(2, params={"length": 8}))
-        groups = batchable_groups(jobs)
-        assert [len(group) for group in groups] == [2, 2, 2, 2]
-
-    def test_baseline_engines_stay_singletons(self):
-        jobs = seed_jobs(3, engine="picorv32")
-        groups = batchable_groups(jobs)
-        assert [len(group) for group in groups] == [1, 1, 1]
-
-    def test_first_appearance_order_is_preserved(self):
-        a, b = seed_jobs(2), seed_jobs(2, engine="compiled")
-        interleaved = [a[0], b[0], a[1], b[1]]
-        groups = batchable_groups(interleaved)
-        assert groups == [[a[0], a[1]], [b[0], b[1]]]
-
-
-class TestExecuteJobBatch:
-    def test_records_match_serial_execution(self):
-        jobs = seed_jobs(4)
-        batched = execute_job_batch(jobs)
-        serial = [execute_job(job) for job in jobs]
-        assert [stable(r) for r in batched] == [stable(r) for r in serial]
-        assert all(record["status"] == "ok" for record in batched)
-
-    def test_compiled_engine_group_on_corner_machine(self):
-        jobs = seed_jobs(3, workload="gemm", engine="compiled",
-                         machine="btfn4")
-        batched = execute_job_batch(jobs)
-        serial = [execute_job(job) for job in jobs]
-        assert [stable(r) for r in batched] == [stable(r) for r in serial]
-
-    def test_singleton_group_delegates_to_execute_job(self):
-        job = seed_jobs(1)[0]
-        assert stable(execute_job_batch([job])[0]) == stable(execute_job(job))
-
-    def test_error_jobs_fall_back_to_serial_records(self):
-        # gemm n=3 fails at workload-build time (dimension must be a power
-        # of two) — the batch path must surface the same error records.
-        jobs = [SweepJob("gemm", "fast", True,
-                         params=(("n", 3), ("seed", seed)))
-                for seed in range(2)]
-        batched = execute_job_batch(jobs)
-        serial = [execute_job(job) for job in jobs]
-        assert [stable(r) for r in batched] == [stable(r) for r in serial]
-        assert all(record["status"] == "error" for record in batched)
-
-
-class TestBatchedBackends:
-    GRID = (seed_jobs(3)
-            + seed_jobs(2, workload="gemm", engine="compiled")
-            + seed_jobs(1, engine="picorv32"))
-
-    def collect(self, backend):
-        records = []
-        backend.execute(self.GRID, records.append)
-        return sorted((stable(r) for r in records),
-                      key=lambda record: record["job_id"])
-
-    def test_serial_batched_matches_serial(self):
-        assert self.collect(SerialBackend(batch=True)) \
-            == self.collect(SerialBackend())
-
-    def test_multiprocessing_batched_matches_serial(self):
-        assert self.collect(MultiprocessingBackend(processes=2, batch=True)) \
-            == self.collect(SerialBackend())
-
-    def test_describe_mentions_batching(self):
-        assert "batched" in SerialBackend(batch=True).describe()
-        assert "batched" in MultiprocessingBackend(batch=True).describe()
-        assert "batched" not in SerialBackend().describe()

@@ -91,6 +91,99 @@ class TestBackendConformance:
         assert again.skipped == 4
 
 
+def _seed_jobs(workload, engine, seeds, params=(), **kwargs):
+    return [SweepJob(workload, engine, True,
+                     params=tuple(sorted({**dict(params), "seed": seed}.items())),
+                     **kwargs)
+            for seed in seeds]
+
+
+class TestSeedAxisGrid:
+    """A grid whose points differ only in ``seed`` runs one job per seed.
+
+    Every backend executes each seed through ``execute_job`` on its own, so
+    the records match across backends, each seed reaches the workload's
+    input data, and the engines agree at every grid point.
+    """
+
+    SORTS = {engine: _seed_jobs("bubble_sort", engine, (1, 2, 3),
+                                params={"length": 8})
+             for engine in ("fast", "compiled")}
+    GEMMS = {engine: _seed_jobs("gemm", engine, (0, 1), params={"n": 4},
+                                machine="btfn4")
+             for engine in ("fast", "compiled")}
+    BROKEN = _seed_jobs("gemm", "fast", (0, 1), params={"n": 3})
+    BASELINE = _seed_jobs("bubble_sort", "picorv32", (1, 2),
+                          params={"length": 8})
+    GRID = (SORTS["fast"] + SORTS["compiled"] + GEMMS["fast"]
+            + GEMMS["compiled"] + BROKEN + BASELINE)
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        """The grid executed once per backend, keyed by job id."""
+        backends = {
+            "serial": SerialBackend(),
+            "pool": MultiprocessingBackend(processes=2),
+            "queue": AsyncQueueBackend(workers=2),
+        }
+        collected = {}
+        for name, backend in backends.items():
+            emitted = []
+            backend.execute(self.GRID, emitted.append)
+            collected[name] = {record["job_id"]: record for record in emitted}
+        return collected
+
+    def test_every_backend_runs_each_seed_as_its_own_job(self, records):
+        job_ids = {job.job_id for job in self.GRID}
+        assert len(job_ids) == len(self.GRID)
+        for name, by_id in records.items():
+            assert set(by_id) == job_ids, name
+
+    def test_records_are_identical_across_backends(self, records):
+        reference = _canonical_set(records["serial"].values())
+        for name, by_id in records.items():
+            assert _canonical_set(by_id.values()) == reference, \
+                f"{name} backend diverged from serial"
+
+    def test_the_seed_reaches_the_workload_data(self, records):
+        sorts = [records["serial"][job.job_id] for job in self.SORTS["fast"]]
+        assert all(record["status"] == "ok" and record["verified"]
+                   for record in sorts)
+        assert len({record["state_digest"] for record in sorts}) == 3
+
+    def test_engines_agree_at_every_seed(self, records):
+        by_id = records["serial"]
+        for fast_job, compiled_job in zip(self.SORTS["fast"],
+                                          self.SORTS["compiled"]):
+            fast, compiled = by_id[fast_job.job_id], by_id[compiled_job.job_id]
+            assert compiled["verified"] is True
+            assert compiled["cycles"] == fast["cycles"]
+            assert compiled["stats"] == fast["stats"]
+            assert compiled["state_digest"] == fast["state_digest"]
+
+    def test_compiled_engine_on_a_corner_machine(self, records):
+        by_id = records["pool"]
+        for fast_job, compiled_job in zip(self.GEMMS["fast"],
+                                          self.GEMMS["compiled"]):
+            fast, compiled = by_id[fast_job.job_id], by_id[compiled_job.job_id]
+            assert compiled["machine"] == "btfn4"
+            assert compiled["status"] == "ok" and compiled["verified"]
+            assert compiled["cycles"] == fast["cycles"]
+            assert compiled["state_digest"] == fast["state_digest"]
+
+    def test_a_failing_build_gives_one_error_record_per_seed(self, records):
+        for name, by_id in records.items():
+            failed = [by_id[job.job_id] for job in self.BROKEN]
+            assert [record["status"] for record in failed] == ["error"] * 2
+            assert all("power of two" in record["error"] for record in failed)
+
+    def test_baseline_engines_take_the_seed_axis(self, records):
+        pico = [records["queue"][job.job_id] for job in self.BASELINE]
+        assert all(record["status"] == "ok" and record["verified"]
+                   for record in pico)
+        assert pico[0]["cycles"] != pico[1]["cycles"]  # data-dependent sort
+
+
 class TestBackendArguments:
     def test_multiprocessing_rejects_zero_processes(self):
         with pytest.raises(ValueError):
@@ -99,11 +192,6 @@ class TestBackendArguments:
     def test_queue_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             AsyncQueueBackend(workers=-1)
-
-    def test_describe_mentions_the_shape(self):
-        assert "2" in MultiprocessingBackend(processes=2).describe()
-        assert "local workers" in AsyncQueueBackend(workers=2).describe()
-        assert "external" in AsyncQueueBackend(workers=0).describe()
 
     def test_empty_job_list_is_a_no_op(self):
         for backend in (SerialBackend(), MultiprocessingBackend(2),
@@ -257,6 +345,18 @@ class TestSweepCLIBackends:
                                  "--out", out]) == 0
         records = RunStore(out).records()
         assert len(records) == 1 and records[0]["verified"]
+
+    def test_seed_axis_grid_compares_clean_across_backends(self, tmp_path,
+                                                           capsys):
+        grid = ["sweep", "--workloads", "bubble_sort", "--engines", "fast",
+                "compiled", "--optimize", "on", "--params",
+                '{"bubble_sort": [{"seed": 1}, {"seed": 2}, {"seed": 3}]}']
+        serial, pool = str(tmp_path / "serial"), str(tmp_path / "pool")
+        assert main(grid + ["--backend", "serial", "--out", serial]) == 0
+        assert main(grid + ["--jobs", "2", "--out", pool]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--compare", serial, pool]) == 0
+        assert "6 jobs compared, 0 diffs" in capsys.readouterr().out
 
     def test_preset_flag_lists_grown_grid(self, capsys):
         assert main(["sweep", "--preset", "default", "--list"]) == 0

@@ -10,6 +10,7 @@ completed elsewhere.
 """
 
 import asyncio
+import collections
 import hashlib
 from types import SimpleNamespace
 
@@ -314,6 +315,28 @@ class TestJobIdCost:
             assert len(records) == count
             per_job[count] = len(hashes) / count
         assert per_job[200] <= per_job[50], per_job
+
+    def test_accepting_a_result_never_scans_the_queue(self):
+        """Only a requeued job can still be queued when its result lands;
+        the result of a job in flight is accepted without a queue scan."""
+        class ScanCountingDeque(collections.deque):
+            scans = 0
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+        records = []
+        coordinator = Coordinator(_jobs(20), on_result=records.append)
+        coordinator._pending = ScanCountingDeque(coordinator._pending)
+        for _ in range(20):
+            reply = coordinator._assign(connection_id=1, worker="w1")
+            assert reply["type"] == "job"
+            assert coordinator._accept({"job_id": reply["job_id"],
+                                        "status": "ok", "cycles": 1})
+        assert len(records) == 20
+        assert coordinator.outstanding == 0
+        assert coordinator._pending.scans == 0
 
 
 class TestHeartbeatHandshake:

@@ -3,8 +3,7 @@
 The broad equivalence evidence lives in the 5-way differential suite; this
 file pins the batch-specific machinery — lane/lockstep semantics, path-group
 divergence and reconvergence, per-lane error capture with FastEngine's exact
-messages, construction-time batch validation, and the stats-only fast path
-used by the throughput benchmark.
+messages and construction-time batch validation.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.sim import (
     MemoryError_,
     PipelineSimulator,
     SimulationError,
-    batchable_programs,
 )
 from repro.sim.batch import _Group
 from repro.sim.machine import machine_names
@@ -160,14 +158,6 @@ class TestLockstepParity:
             assert outcome.result is not None
             assert outcome.stats is None
 
-    def test_stats_only_mode_skips_results(self):
-        program = generate_program(7)
-        outcomes = BatchEngine([program]).run_with_stats(include_results=False)
-        assert outcomes[0].ok
-        assert outcomes[0].result is None
-        serial_stats = FastEngine(program).run_with_stats()
-        assert outcomes[0].stats.to_dict() == serial_stats.to_dict()
-
 
 class TestReconvergence:
     @pytest.mark.parametrize("machine", machine_names())
@@ -293,13 +283,6 @@ class TestBatchValidation:
         engine.run()
         with pytest.raises(SimulationError):
             engine.run()
-
-    def test_batchable_programs_predicate(self):
-        program = generate_program(9)
-        variants = generate_data_variants(program, 3, 9)
-        assert batchable_programs(variants)
-        assert not batchable_programs([generate_program(1), generate_program(2)])
-        assert not batchable_programs([])
 
 
 class TestStatsFields:

@@ -37,9 +37,6 @@ class TestTernaryMemory:
         assert memory.dump(4, 3) == [1, 2, 3]
         assert memory.occupied_words() == 3
         assert memory.highest_written() == 6
-        assert memory.writes == 3 and memory.reads == 3
-        memory.reset_statistics()
-        assert memory.reads == 0
         memory.clear()
         assert memory.occupied_words() == 0
 
@@ -53,7 +50,6 @@ class TestTernaryMemory:
         first = memory.read(address)
         assert first == TernaryWord.zero(width) and first.width == width
         assert memory.read(address).value == 0
-        assert memory.reads == 2
 
     def test_width_mismatch_rejected(self):
         memory = TernaryMemory(depth=8)
@@ -81,7 +77,7 @@ class TestRegisterFile:
         trf = TernaryRegisterFile()
         trf.write_int(1, 5)
         trf.reset()
-        assert trf.read_int(1) == 0 and trf.writes == 0
+        assert trf.read_int(1) == 0
 
 
 class TestTernaryALU:
@@ -127,21 +123,12 @@ class TestTernaryALU:
         assert self.alu.execute("SL", TernaryWord(10), TernaryWord(2)).value.value == 90
         assert self.alu.execute("SR", TernaryWord(90), TernaryWord(2)).value.value == 10
 
-    def test_operation_counters(self):
-        self.alu.execute("ADD", TernaryWord(1), TernaryWord(2))
-        self.alu.execute("ADD", TernaryWord(1), TernaryWord(2))
-        assert self.alu.operation_counts["ADD"] == 2
-        self.alu.reset_statistics()
-        assert self.alu.operation_counts["ADD"] == 0
-
     def test_effective_address(self):
         assert self.alu.effective_address(TernaryWord(-2), 1) == 3 ** 9 - 1
 
     def test_mnemonics_are_case_insensitive(self):
         assert self.alu.execute("add", TernaryWord(1), TernaryWord(2)).value.value == 3
         assert self.alu.execute("Addi", TernaryWord(1), imm=4).operation == "ADDI"
-        assert self.alu.operation_counts["ADD"] == 1
-        assert self.alu.operation_counts["ADDI"] == 1
         with pytest.raises(ValueError):
             self.alu.execute("jal", TernaryWord(0))
 

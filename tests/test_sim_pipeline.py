@@ -223,8 +223,6 @@ class TestSteppedClock:
         assert stepped.register_snapshot() == reference.register_snapshot()
         assert stepped.register_snapshot()["T5"] == 0
         assert stepped.tdm.contents() == reference.tdm.contents()
-        assert (stepped.tdm.reads, stepped.tdm.writes) == (
-            reference.tdm.reads, reference.tdm.writes)
 
 
 class TestErrorHandling:
