@@ -89,8 +89,9 @@ class ArtifactCache:
     def get_json(self, kind: str, key_material: dict) -> Optional[dict]:
         """The stored payload for this key, or ``None`` on a miss.
 
-        Unreadable entries (torn writes, foreign junk) are misses —
-        the producer regenerates and overwrites them.
+        Unreadable entries (torn writes, foreign junk, nesting too deep for
+        the decoder) are misses — the producer regenerates and overwrites
+        them.
         """
         path = self.path_for(kind, cache_key(key_material))
         try:
@@ -100,7 +101,7 @@ class ArtifactCache:
             return None
         try:
             payload = json.loads(blob.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
             payload = None
         return payload if isinstance(payload, dict) else None
 

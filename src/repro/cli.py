@@ -13,7 +13,7 @@ Subcommands::
     art9 chaos                     kill sweep participants mid-run, check the result
     art9 profile <workload>        hot-block execution profile (compiled engine)
     art9 cache                     artifact-cache stats / LRU prune
-    art9 fuzz                      differential-fuzz the five ART-9 executors
+    art9 fuzz                      differential-fuzz the four ART-9 executors
     art9 hw                        print the gate-level / FPGA analysis
     art9 workloads                 list the bundled benchmark workloads
 
@@ -618,11 +618,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     # A fuzz run that checks no program, or lets none execute an
     # instruction, would print OK without having compared anything.
-    for flag, value, floor in (("--count", args.count, 1),
-                               ("--max-instructions", args.max_instructions, 1),
-                               ("--batch-lanes", args.batch_lanes, 0)):
-        if value < floor:
-            print(f"art9 fuzz: {flag} must be >= {floor}, got {value}",
+    for flag, value in (("--count", args.count),
+                        ("--max-instructions", args.max_instructions)):
+        if value < 1:
+            print(f"art9 fuzz: {flag} must be >= 1, got {value}",
                   file=sys.stderr)
             return 2
     report = run_parallel_fuzz(
@@ -632,7 +631,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         max_instructions=args.max_instructions,
         check_pipeline=not args.no_pipeline,
         machine=args.machine,
-        batch_lanes=args.batch_lanes,
     )
     print(report.summary())
     for failure in report.failures:
@@ -900,8 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.set_defaults(func=_cmd_cache, cache_command=None)
 
     fuzz_cmd = subparsers.add_parser(
-        "fuzz", help="differential-fuzz all five executors (functional, "
-                     "pipeline, fast, compiled, batch) against each other")
+        "fuzz", help="differential-fuzz all four executors (functional, "
+                     "pipeline, fast, compiled) against each other")
     fuzz_cmd.add_argument("--count", type=int, default=100,
                           help="number of random programs (default: 100)")
     fuzz_cmd.add_argument("--seed", type=int, default=0,
@@ -917,11 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="machine (microarchitecture) config all "
                                "cycle-accurate executors run under "
                                f"(default: {DEFAULT_MACHINE_NAME})")
-    fuzz_cmd.add_argument("--batch-lanes", type=int, default=0,
-                          help="run each seed as N data-variant lanes through "
-                               "one multi-lane BatchEngine, pinning every "
-                               "lane to the serial engines (default: 0 — "
-                               "serial five-way differential)")
     fuzz_cmd.set_defaults(func=_cmd_fuzz)
 
     hw = subparsers.add_parser("hw", help="gate-level / FPGA implementation analysis")

@@ -51,11 +51,6 @@ class RVAssemblerError(ValueError):
         self.line_number = line_number
 
 
-def _to_signed32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - 0x100000000 if value >= 0x80000000 else value
-
-
 def split_hi_lo(value: int) -> Tuple[int, int]:
     """Split a 32-bit constant into (lui_imm, addi_imm) with sign correction.
 

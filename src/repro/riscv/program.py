@@ -46,16 +46,6 @@ class RVProgram:
     def __getitem__(self, index: int) -> RVInstruction:
         return self.instructions[index]
 
-    def address_of(self, index: int) -> int:
-        """Byte address of instruction ``index``."""
-        return 4 * index
-
-    def index_of_address(self, address: int) -> int:
-        """Instruction index of byte address ``address``."""
-        if address % 4 != 0:
-            raise ValueError(f"misaligned instruction address {address:#x}")
-        return address // 4
-
     def instruction_memory_bits(self) -> int:
         """Bits of instruction memory needed for the program (Fig. 5 metric)."""
         return len(self.instructions) * RV_INSTRUCTION_BITS

@@ -1,8 +1,7 @@
 """Parallel backend for the differential fuzzing harness.
 
 Splits a seed range into contiguous chunks, runs one
-:func:`repro.testing.fuzz` call per chunk in a ``multiprocessing`` pool
-(with the chunk's lane count, so batched fuzzing shards the same way), and
+:func:`repro.testing.fuzz` call per chunk in a ``multiprocessing`` pool, and
 merges the per-chunk :class:`FuzzReport` objects.  Chunking by seed keeps
 every failure reproducible exactly as in the serial harness (the report
 names the generator seed), and merging in seed order makes the combined
@@ -22,8 +21,7 @@ CHUNKS_PER_WORKER = 4
 
 
 def _chunks(count: int, seed: int, jobs: int, max_instructions: int,
-            check_pipeline: bool, machine: Optional[str] = None,
-            batch_lanes: int = 0) -> List[dict]:
+            check_pipeline: bool, machine: Optional[str] = None) -> List[dict]:
     target = max(1, min(count, jobs * CHUNKS_PER_WORKER))
     base, extra = divmod(count, target)
     chunks = []
@@ -40,8 +38,6 @@ def _chunks(count: int, seed: int, jobs: int, max_instructions: int,
         }
         if machine is not None:
             chunk["machine"] = machine
-        if batch_lanes > 1:
-            chunk["batch_lanes"] = batch_lanes
         chunks.append(chunk)
         next_seed += size
     return chunks
@@ -52,8 +48,7 @@ def _fuzz_chunk(chunk: dict) -> FuzzReport:
     return fuzz(count=chunk["count"], seed=chunk["seed"],
                 max_instructions=chunk["max_instructions"],
                 check_pipeline=chunk["check_pipeline"],
-                machine=chunk.get("machine"),
-                lanes=chunk.get("batch_lanes", 1))
+                machine=chunk.get("machine"))
 
 
 def _merge(reports: List[FuzzReport]) -> FuzzReport:
@@ -76,7 +71,6 @@ def run_parallel_fuzz(
     max_instructions: int = 200_000,
     check_pipeline: bool = True,
     machine: Optional[str] = None,
-    batch_lanes: int = 0,
 ) -> FuzzReport:
     """Fuzz ``count`` seeds starting at ``seed`` across ``jobs`` processes.
 
@@ -84,17 +78,15 @@ def run_parallel_fuzz(
     range; the merged parallel report covers the identical seed set
     ``seed .. seed+count-1``.  ``machine`` selects the microarchitecture
     config every engine in the differential harness is built with
-    (default: the paper machine), and ``batch_lanes`` is ``fuzz``'s
-    ``lanes``: above 1, each seed runs as that many data-variant lanes of
-    one multi-lane ``BatchEngine``.
+    (default: the paper machine).
     """
     if jobs <= 1 or count <= 1:
         return fuzz(count=count, seed=seed,
                     max_instructions=max_instructions,
                     check_pipeline=check_pipeline,
-                    machine=machine, lanes=batch_lanes)
+                    machine=machine)
     chunks = _chunks(count, seed, jobs, max_instructions, check_pipeline,
-                     machine, batch_lanes)
+                     machine)
     with multiprocessing.Pool(processes=jobs) as pool:
         reports = pool.map(_fuzz_chunk, chunks)
     return _merge(reports)

@@ -15,7 +15,7 @@ Two simulators are provided:
 Two further executors trade the object-model fidelity of the reference
 simulators for speed while reproducing both the functional simulator's
 ``ExecutionResult`` and the pipeline simulator's ``PipelineStats``
-bit-identically (asserted continuously by the 5-way differential suite).
+bit-identically (asserted continuously by the differential suite).
 Their ``PipelineStats`` come from one analytic timing model,
 :mod:`repro.sim.timing`, which the structural ``PipelineSimulator`` checks:
 
@@ -37,20 +37,6 @@ Use them (directly, through :func:`execute_program` /
 :func:`compile_and_run`, or via ``HardwareFramework.simulate(engine="fast")``
 / ``engine="compiled"``) whenever throughput matters more than per-trit
 observability.
-
-``BatchEngine`` (in :mod:`repro.sim.batch`)
-    The throughput tier: executes *many* lanes of one shared instruction
-    stream concurrently, with registers and data memory as numpy arrays
-    over a batch dimension.  Lanes that diverge (data-dependent branches,
-    indirect jumps, halts, faults) are tracked as path groups and
-    reconverge automatically; per-lane ``PipelineStats`` stay bit-identical
-    to ``FastEngine`` because the timing model depends only on the
-    committed instruction stream, so each path group steps one timing
-    state.  It is the differential fuzzer's fifth executor (one lane per
-    program) and runs ``art9 fuzz --batch-lanes N``'s data variants.  It
-    is the one numpy user, so ``BatchEngine``, ``BatchError`` and
-    ``LaneOutcome`` load on first access: a process that never fuzzes
-    never imports numpy.
 
 Shared component models (ternary register file, TIM/TDM memories, the TALU)
 live in their own modules so that both simulators — and the gate-level
@@ -99,23 +85,8 @@ __all__ = [
     "execute_program",
     "CompiledEngine",
     "compile_and_run",
-    "BatchEngine",
-    "BatchError",
-    "LaneOutcome",
     "capture_golden_trace",
     "memory_digest",
     "state_digest",
     "trace_mismatches",
 ]
-
-_BATCH_EXPORTS = ("BatchEngine", "BatchError", "LaneOutcome")
-
-
-def __getattr__(name):
-    # The batch engine is the only numpy user; resolving its exports
-    # lazily (PEP 562) keeps numpy out of every process that never
-    # fuzzes.
-    if name in _BATCH_EXPORTS:
-        from repro.sim import batch
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,7 @@ mutable state vector.
 There is exactly one generated variant per (program, TDM depth, machine,
 ``profile``), and both entry points execute it — bit-identical to the
 fast engine (and therefore to the functional and pipeline simulators —
-asserted by the 5-way differential machinery in :mod:`repro.testing` and
+asserted by the differential machinery in :mod:`repro.testing` and
 the golden-trace suite):
 
 ``run()``

@@ -42,10 +42,6 @@ class ExecutionResult:
         """Convenience accessor for a named register value."""
         return self.registers[name.upper()]
 
-    def memory_word(self, address: int) -> int:
-        """Value of the TDM word at ``address`` (untouched cells read zero)."""
-        return self.memory.get(address, 0)
-
 
 class FunctionalSimulator:
     """Instruction-accurate executor for :class:`~repro.isa.program.Program`."""

@@ -9,8 +9,8 @@ fetch latency — as pure data.  Two models of the core consume it:
   and retire stage from it;
 * the analytic timing model of :mod:`repro.sim.timing` derives its
   per-instruction attributes from it (the redirect gaps come from
-  :meth:`MachineConfig.redirect_gap`).  ``FastEngine``, ``BatchEngine``
-  and ``CompiledEngine`` all step that one model, and the config digest
+  :meth:`MachineConfig.redirect_gap`).  ``FastEngine`` and
+  ``CompiledEngine`` both step that one model, and the config digest
   joins the codegen artifact-cache key so compiled timing can never leak
   between configs.
 

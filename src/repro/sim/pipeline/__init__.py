@@ -31,8 +31,7 @@ unit read the fields of the record their latch carries; nothing looks up an
 instruction spec, renders assembly or builds a latch while the clock runs.
 The stages, counters and the trit-level TALU are unchanged by it.  This
 package imports none of the analytic engines (``engine``, ``timing``,
-``compiled``, ``batch``): it is the independent reference they are checked
-against.
+``compiled``): it is the independent reference they are checked against.
 """
 
 from repro.sim.pipeline.core import PipelineSimulator

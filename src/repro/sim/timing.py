@@ -21,8 +21,7 @@ written down.  It has three parts:
     ``cycles = N + fill + stalls + flushes``.
 
 :class:`~repro.sim.engine.FastEngine` steps once per committed
-instruction; :class:`~repro.sim.batch.BatchEngine` keeps one state per
-path group; the compiled engine's codegen steps each block's first
+instruction; the compiled engine's codegen steps each block's first
 :data:`CARRIED` instructions at run time and folds the rest at compile
 time through :func:`static_exits`.  The stage-by-stage
 :class:`~repro.sim.pipeline.PipelineSimulator` does not use this module:

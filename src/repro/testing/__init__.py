@@ -6,11 +6,11 @@ random program generator (:mod:`repro.testing.generator`) produces
 always-terminating ART-9 programs covering the whole ISA — straight-line
 arithmetic, bounded loops, forward branches, jumps and scattered
 loads/stores — and the differential runner (:mod:`repro.testing.differential`)
-executes each program on all five executors: the fast engine, the compiled
-superblock-codegen engine, the batched vectorized engine (as a one-lane
-batch), the functional simulator and the cycle-accurate pipeline, asserting
-identical architectural state (registers, memory, PC, halt flag) and
-identical pipeline statistics from every analytic timing model.
+executes each program on all four executors: the fast engine, the compiled
+superblock-codegen engine, the functional simulator and the cycle-accurate
+pipeline, asserting identical architectural state (registers, memory, PC,
+halt flag) and identical pipeline statistics from every analytic timing
+model.
 
 Run it from the command line with ``art9 fuzz --count 500 --seed 0``.
 
@@ -21,29 +21,22 @@ freezes and corrupts them, gated on byte-identical canonical records
 against an undisturbed serial run.
 """
 
-from repro.testing.generator import (
-    GeneratorConfig,
-    generate_data_variants,
-    generate_program,
-)
+from repro.testing.generator import GeneratorConfig, generate_program
 from repro.testing.differential import (
     DifferentialMismatch,
     DifferentialOutcome,
     FuzzReport,
     fuzz,
-    run_batch_differential,
     run_differential,
 )
 
 __all__ = [
     "GeneratorConfig",
-    "generate_data_variants",
     "generate_program",
     "DifferentialMismatch",
     "DifferentialOutcome",
     "FuzzReport",
     "fuzz",
-    "run_batch_differential",
     "run_differential",
 ]
 

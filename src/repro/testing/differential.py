@@ -1,10 +1,9 @@
-"""Differential runner: one program, five executors, zero tolerance.
+"""Differential runner: one program, four executors, zero tolerance.
 
 ``run_differential`` executes a program on the fast engine, the compiled
-(superblock-codegen) engine, a single-lane batch engine and the functional
-simulator (always) and on the cycle-accurate pipeline simulator
-(optionally) and compares every piece of architectural state the executors
-share:
+(superblock-codegen) engine and the functional simulator (always) and on
+the cycle-accurate pipeline simulator (optionally) and compares every
+piece of architectural state the executors share:
 
 * register file contents (all nine registers, by name);
 * every touched TDM cell (including explicitly written zeros);
@@ -18,11 +17,6 @@ share:
 
 ``fuzz`` drives the generator/runner pair over a seed range, collecting
 failures instead of raising so a fuzzing session reports every divergence.
-With ``lanes > 1`` it widens every seed into several data-variant lanes
-and runs them through one multi-lane :class:`~repro.sim.batch.BatchEngine`
-(:func:`run_batch_differential`), pinning each lane bit-identically to the
-serial engines — this is what exercises the batch engine's
-divergence/reconvergence machinery, which a single lane cannot reach.
 """
 
 from __future__ import annotations
@@ -36,11 +30,7 @@ from repro.sim.engine import FastEngine
 from repro.sim.functional import ExecutionResult, FunctionalSimulator, SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.pipeline import PipelineSimulator
-from repro.testing.generator import (
-    GeneratorConfig,
-    generate_data_variants,
-    generate_program,
-)
+from repro.testing.generator import GeneratorConfig, generate_program
 
 #: PipelineStats fields compared between the pipeline simulator and the fast
 #: engine's analytic timing model.
@@ -151,24 +141,21 @@ def run_differential(
     """Execute ``program`` on every executor and compare the results.
 
     A :class:`SimulationError` (instruction budget exceeded, PC escape) is
-    itself differential evidence: the fast engine, the compiled engine, the
-    single-lane batch engine and the functional simulator must all fail in
-    the same way, otherwise one of them terminated a program the others did
-    not.  When they fail identically the outcome is flagged
-    ``budget_exhausted`` and the pipeline cross-check is skipped.
+    itself differential evidence: the fast engine, the compiled engine and
+    the functional simulator must all fail in the same way, otherwise one of
+    them terminated a program the others did not.  When they fail
+    identically the outcome is flagged ``budget_exhausted`` and the pipeline
+    cross-check is skipped.
 
     ``machine`` (a :class:`MachineConfig` or built-in config name) selects
     the microarchitecture every cycle-accurate executor is built with, so
-    the same five-way agreement can be asserted at every design-space
+    the same four-way agreement can be asserted at every design-space
     corner; architectural results are machine-independent by construction
     and stay pinned to the functional simulator.
     """
-    from repro.sim.batch import BatchEngine
-
     machine = resolve_machine(machine)
     fast_error: Optional[str] = None
     compiled_error: Optional[str] = None
-    batch_error: Optional[str] = None
     reference_error: Optional[str] = None
     try:
         fast = FastEngine(program, machine=machine).run(
@@ -183,10 +170,6 @@ def run_differential(
             max_instructions=max_instructions)
     except SimulationError as exc:
         compiled_error = str(exc)
-    batch_lane = BatchEngine([program], machine=machine).run(
-        max_instructions=max_instructions)[0]
-    batch = batch_lane.result
-    batch_error = batch_lane.error
     functional = FunctionalSimulator(program)
     try:
         reference = functional.run(max_instructions=max_instructions)
@@ -194,18 +177,17 @@ def run_differential(
         reference_error = str(exc)
 
     if (fast_error is not None or compiled_error is not None
-            or batch_error is not None or reference_error is not None):
+            or reference_error is not None):
         outcome = DifferentialOutcome(
             program_name=program.name,
             instructions_executed=0,
             budget_exhausted=True,
         )
-        if (fast_error != reference_error or compiled_error != reference_error
-                or batch_error != reference_error):
+        if fast_error != reference_error or compiled_error != reference_error:
             outcome.mismatches.append(
                 "executors disagree on termination: "
                 f"fast={fast_error!r} compiled={compiled_error!r} "
-                f"batch={batch_error!r} functional={reference_error!r}"
+                f"functional={reference_error!r}"
             )
         if raise_on_mismatch and not outcome.ok:
             raise DifferentialMismatch(
@@ -219,7 +201,6 @@ def run_differential(
     )
     _compare_executions(fast, reference, outcome.mismatches, label="fast")
     _compare_executions(compiled, reference, outcome.mismatches, label="compiled")
-    _compare_executions(batch, reference, outcome.mismatches, label="batch")
 
     if check_pipeline:
         pipeline = PipelineSimulator(program, machine=machine)
@@ -234,14 +215,6 @@ def run_differential(
         compiled_stats = CompiledEngine(
             program, cache=None, machine=machine).run_with_stats(
                 max_cycles=cycle_budget)
-        batch_lane_stats = BatchEngine([program], machine=machine).run_with_stats(
-            max_cycles=cycle_budget)[0]
-        batch_stats = batch_lane_stats.stats
-        if batch_stats is None:
-            outcome.mismatches.append(
-                "batch engine produced no stats within the cycle budget: "
-                f"{batch_lane_stats.error!r}"
-            )
         outcome.cycles = pipeline_stats.cycles
 
         if pipeline.register_snapshot() != fast.registers:
@@ -251,10 +224,7 @@ def run_differential(
             )
         if pipeline.tdm.contents() != fast.memory:
             outcome.mismatches.append("pipeline memory differs from fast engine")
-        stat_lanes = [("fast", fast_stats), ("compiled", compiled_stats)]
-        if batch_stats is not None:
-            stat_lanes.append(("batch", batch_stats))
-        for label, stats in stat_lanes:
+        for label, stats in (("fast", fast_stats), ("compiled", compiled_stats)):
             for field_name in STATS_FIELDS:
                 model_value = getattr(stats, field_name)
                 pipe_value = getattr(pipeline_stats, field_name)
@@ -283,7 +253,6 @@ def fuzz(
     max_instructions: int = 200_000,
     check_pipeline: bool = True,
     machine: Optional[MachineConfig] = None,
-    lanes: int = 1,
 ) -> FuzzReport:
     """Run ``count`` generated programs differentially, collecting failures.
 
@@ -291,35 +260,17 @@ def fuzz(
     is reproducible with ``run_differential(generate_program(bad_seed))``.
     ``machine`` selects the microarchitecture config all cycle-accurate
     executors run under (default: the paper machine).
-
-    ``lanes > 1`` widens each seed's program into that many data variants
-    (:func:`generate_data_variants`) and pins every lane of one multi-lane
-    :class:`~repro.sim.batch.BatchEngine` run to a serial
-    :class:`FastEngine` run (:func:`run_batch_differential`), with
-    ``check_pipeline`` selecting the per-lane stats comparison; otherwise
-    each program gets the five-way :func:`run_differential` check.
     """
     machine = resolve_machine(machine)
     report = FuzzReport()
     for offset in range(count):
-        program_seed = seed + offset
-        program = generate_program(program_seed, config)
-        if lanes > 1:
-            outcome = run_batch_differential(
-                generate_data_variants(program, lanes, program_seed),
-                max_instructions=max_instructions,
-                check_stats=check_pipeline,
-                raise_on_mismatch=False,
-                machine=machine,
-            )
-        else:
-            outcome = run_differential(
-                program,
-                max_instructions=max_instructions,
-                check_pipeline=check_pipeline,
-                raise_on_mismatch=False,
-                machine=machine,
-            )
+        outcome = run_differential(
+            generate_program(seed + offset, config),
+            max_instructions=max_instructions,
+            check_pipeline=check_pipeline,
+            raise_on_mismatch=False,
+            machine=machine,
+        )
         report.programs_run += 1
         report.instructions_executed += outcome.instructions_executed
         if outcome.budget_exhausted:
@@ -328,90 +279,3 @@ def fuzz(
             report.failures.append(outcome)
     return report
 
-
-def run_batch_differential(
-    programs: "List[Program]",
-    max_instructions: int = 200_000,
-    check_stats: bool = True,
-    raise_on_mismatch: bool = True,
-    machine: Optional[MachineConfig] = None,
-) -> DifferentialOutcome:
-    """Pin every lane of one multi-lane batch to the serial fast engine.
-
-    ``programs`` must share one instruction stream (the
-    :class:`~repro.sim.batch.BatchEngine` contract); the lanes typically
-    differ in initial data memory, which is exactly what drives the batch
-    engine through its divergence/reconvergence machinery.  Each lane's
-    architectural result, pipeline statistics and error disposition must
-    match a fresh serial :class:`FastEngine` run of that lane's program
-    bit-for-bit.  The fast engine is itself pinned to the functional
-    simulator and the pipeline by :func:`run_differential`, so agreement
-    here closes the five-way loop for multi-lane execution.
-    """
-    from repro.sim.batch import BatchEngine
-
-    machine = resolve_machine(machine)
-    engine = BatchEngine(programs, machine=machine)
-    if check_stats:
-        per_instruction = machine.redirect_penalty + machine.load_use_penalty + 1
-        cycle_budget = (2 * per_instruction * max_instructions
-                        + machine.fill_cycles + 16)
-        lanes = engine.run_with_stats(max_cycles=cycle_budget)
-    else:
-        lanes = engine.run(max_instructions=max_instructions)
-
-    outcome = DifferentialOutcome(
-        program_name=programs[0].name,
-        instructions_executed=0,
-    )
-    exhausted_lanes = 0
-    for lane, program in enumerate(programs):
-        lane_outcome = lanes[lane]
-        serial_error: Optional[str] = None
-        serial_result: Optional[ExecutionResult] = None
-        try:
-            serial_result = FastEngine(program, machine=machine).run(
-                max_instructions=max_instructions)
-        except SimulationError as exc:
-            serial_error = str(exc)
-
-        if serial_error is not None or lane_outcome.error is not None:
-            if lane_outcome.error != serial_error:
-                outcome.mismatches.append(
-                    f"lane {lane}: termination disagrees: "
-                    f"batch={lane_outcome.error!r} fast={serial_error!r}"
-                )
-            else:
-                exhausted_lanes += 1
-            continue
-
-        _compare_executions(
-            lane_outcome.result, serial_result, outcome.mismatches,
-            label=f"batch-lane-{lane}")
-        outcome.instructions_executed += serial_result.instructions_executed
-
-        if check_stats:
-            serial_stats = FastEngine(program, machine=machine).run_with_stats(
-                max_cycles=cycle_budget)
-            if outcome.cycles is None:
-                outcome.cycles = serial_stats.cycles
-            for field_name in STATS_FIELDS:
-                batch_value = getattr(lane_outcome.stats, field_name)
-                serial_value = getattr(serial_stats, field_name)
-                if batch_value != serial_value:
-                    outcome.mismatches.append(
-                        f"lane {lane}: stats.{field_name} differs: "
-                        f"batch={batch_value} fast={serial_value}"
-                    )
-            if lane_outcome.stats.instruction_mix != serial_stats.instruction_mix:
-                outcome.mismatches.append(
-                    f"lane {lane}: committed instruction mix differs between "
-                    "the batch and fast timing models"
-                )
-
-    outcome.budget_exhausted = exhausted_lanes == len(programs)
-    if raise_on_mismatch and not outcome.ok:
-        raise DifferentialMismatch(
-            f"{programs[0].name}: " + "; ".join(outcome.mismatches)
-        )
-    return outcome

@@ -180,35 +180,3 @@ def generate_program(seed: int, config: Optional[GeneratorConfig] = None) -> Pro
     program.resolve_labels()
     return program
 
-
-def generate_data_variants(program: Program, lanes: int, seed: int) -> "list[Program]":
-    """Derive ``lanes`` batchable data variants of one program.
-
-    Every variant shares ``program``'s instruction list, labels and segment
-    layout verbatim — only the initial data-memory *values* are re-rolled
-    (deterministically from ``seed`` and the lane index, through the same
-    biased value distribution the generator itself draws from).  The result
-    is exactly the shape :class:`repro.sim.batch.BatchEngine` accepts:
-    identical instruction streams, divergent data.  Lane 0 is the original
-    program, so a batch run covers the un-perturbed case too.
-    """
-    variants = [program]
-    for lane in range(1, lanes):
-        rng = random.Random((seed << 8) ^ lane)
-        data = [
-            DataSegment(
-                base_address=segment.base_address,
-                values=[_random_value(rng) for _ in segment.values],
-            )
-            for segment in program.data
-        ]
-        variants.append(
-            Program(
-                name=program.name,
-                instructions=program.instructions,
-                labels=program.labels,
-                data=data,
-                data_labels=program.data_labels,
-            )
-        )
-    return variants

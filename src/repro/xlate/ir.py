@@ -69,11 +69,6 @@ class VirtualRegisterFile:
             self.named[name] = self.new_temp()
         return self.named[name]
 
-    @property
-    def highest_used(self) -> int:
-        """Highest virtual register number handed out so far."""
-        return self._next - 1
-
 
 @dataclass
 class TranslationUnit:

@@ -62,11 +62,16 @@ class TestArtifactCacheStore:
 
     def test_corrupted_entry_is_a_miss(self, cache):
         material = {"torn": True}
-        cache.put_json("probe", material, {"fine": 1})
         path = cache.path_for("probe", cache_key(material))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"trunca')
-        assert cache.get_json("probe", material) is None
+        # A torn write, and junk nested too deep for json.loads (which
+        # raises RecursionError on it, not JSONDecodeError).
+        for junk in ('{"trunca', "[" * 100_000):
+            cache.put_json("probe", material, {"fine": 1})
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(junk)
+            assert cache.get_json("probe", material) is None
+            cache.put_json("probe", material, {"rebuilt": True})
+            assert cache.get_json("probe", material) == {"rebuilt": True}
 
     def test_non_dict_entry_is_a_miss(self, cache):
         material = {"shape": "wrong"}

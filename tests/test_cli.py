@@ -100,14 +100,14 @@ class TestFuzz:
         assert main(["fuzz", "--count", "5", "--seed", "11", "--no-pipeline"]) == 0
         assert "5 programs" in capsys.readouterr().out
 
-    def test_fuzz_with_batch_lanes(self, capsys):
-        assert main(["fuzz", "--count", "5", "--seed", "7",
-                     "--batch-lanes", "3"]) == 0
-        assert "5 programs" in capsys.readouterr().out
-
-    def test_fuzz_rejects_negative_batch_lanes(self, capsys):
-        assert main(["fuzz", "--count", "2", "--batch-lanes", "-1"]) == 2
-        assert "--batch-lanes must be >= 0" in capsys.readouterr().err
+    def test_batch_lanes_is_not_an_option(self, capsys):
+        # Fuzzing checks the four executors that serve users; there is no
+        # multi-lane executor to widen a seed into.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--count", "2", "--batch-lanes", "4"])
+        assert exit_info.value.code == 2
+        assert ("unrecognized arguments: --batch-lanes 4"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv,message", [
         (["--count", "-5"], "--count must be >= 1, got -5"),

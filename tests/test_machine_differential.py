@@ -12,6 +12,8 @@ cycle-accurate engines must agree with each other *under* each config.
 import pytest
 
 from repro.framework import HardwareFramework
+from repro.isa.assembler import assemble
+from repro.isa.program import DataSegment
 from repro.sim.machine import MACHINES
 from repro.testing import fuzz, run_differential
 from repro.testing.generator import generate_program
@@ -23,6 +25,55 @@ from repro.runner.fuzzpool import run_parallel_fuzz
 SEEDS_PER_CONFIG = 25
 
 ALL_MACHINES = sorted(MACHINES)
+
+#: A loop whose trip count is data-dependent: it counts down from TDM[0]
+#: until the low trit clears, so each initial value halts after a different
+#: number of instructions.
+DIVERGENT_SOURCE = """
+LOAD T1, T0, 0
+loop:
+ADDI T1, -1
+BNE T1, 0, loop
+HALT
+"""
+
+#: A diamond inside a six-iteration loop: each iteration the low trit of
+#: TDM[0] picks an arm — a load-use pair, or an EX-forward pair closed by a
+#: jump — and both arms join before the loop branch.
+DIAMOND_SOURCE = """
+LOAD T1, T0, 0
+LI T2, 6
+loop:
+BEQ T1, 0, armb
+LOAD T3, T0, 1
+ADD T3, T3
+JAL T4, join
+armb:
+ADDI T3, 1
+ADD T3, T3
+join:
+SRI T1, 1
+ADDI T2, -1
+MV T5, T2
+COMP T5, T0
+BNE T5, 0, loop
+HALT
+"""
+
+
+def _data_program(name, source, values):
+    program = assemble(source, name=name)
+    program.data.append(DataSegment(base_address=0, values=list(values)))
+    return program
+
+
+def _hand_written_programs():
+    """The two data-driven control-flow shapes, over several data values."""
+    divergent = [_data_program(f"divergent-{v}", DIVERGENT_SOURCE, [v])
+                 for v in (1, 3, 9, 2, 5)]
+    diamond = [_data_program(f"diamond-{v}", DIAMOND_SOURCE, [v, 4])
+               for v in (0, 1, -1, 2, 5, 13, -41, 100)]
+    return divergent + diamond
 
 
 @pytest.mark.parametrize("machine", ALL_MACHINES)
@@ -38,10 +89,11 @@ def test_four_way_agreement_under_every_builtin_config(machine):
 
 @pytest.mark.parametrize("machine", ALL_MACHINES)
 def test_single_program_differential_accepts_machine(machine):
-    program = generate_program(4242)
-    outcome = run_differential(program, machine=machine)
-    assert outcome.ok
-    assert outcome.cycles is not None and outcome.cycles > 0
+    for program in [generate_program(4242), *_hand_written_programs()]:
+        # Raises DifferentialMismatch, naming the program, on disagreement.
+        outcome = run_differential(program, machine=machine)
+        assert outcome.ok, program.name
+        assert outcome.cycles is not None and outcome.cycles > 0, program.name
 
 
 def test_architectural_state_is_machine_invariant():

@@ -3,15 +3,13 @@
 ``art9 fuzz --jobs N`` shards a seed range into contiguous chunks and runs
 one ``repro.testing.fuzz`` call per chunk; every test here asserts the same
 invariant from a different angle: the chunks cover the range exactly, and
-the merged report equals the one-process report, with and without
-``--batch-lanes``.
+the merged report equals the one-process report.
 """
 
 import pytest
 
 from repro.runner import run_parallel_fuzz
 from repro.runner.fuzzpool import _chunks
-from repro.testing import fuzz
 
 
 class TestChunkPartition:
@@ -36,17 +34,6 @@ class TestChunkPartition:
             next_seed += chunk["count"]
         assert next_seed == 17
 
-    def test_batch_lanes_threads_through_when_meaningful(self):
-        with_lanes = _chunks(6, seed=0, jobs=2, max_instructions=1000,
-                             check_pipeline=False, batch_lanes=4)
-        assert all(chunk["batch_lanes"] == 4 for chunk in with_lanes)
-        # 0 and 1 lanes mean "serial" — the key must stay absent so old
-        # workers (and the serial fallback) see an unchanged chunk schema.
-        for lanes in (0, 1):
-            for chunk in _chunks(6, seed=0, jobs=2, max_instructions=1000,
-                                 check_pipeline=False, batch_lanes=lanes):
-                assert "batch_lanes" not in chunk
-
     def test_parallel_and_serial_fuzz_reports_match(self):
         serial = run_parallel_fuzz(count=9, seed=2, jobs=1,
                                    check_pipeline=False)
@@ -57,10 +44,3 @@ class TestChunkPartition:
         assert parallel.budget_exhausted == serial.budget_exhausted
         assert parallel.failures == serial.failures
 
-    def test_parallel_and_serial_batched_fuzz_reports_match(self):
-        serial = fuzz(count=6, seed=0, lanes=3, check_pipeline=False)
-        parallel = run_parallel_fuzz(count=6, seed=0, jobs=2,
-                                     check_pipeline=False, batch_lanes=3)
-        assert parallel.programs_run == serial.programs_run == 6
-        assert parallel.instructions_executed == serial.instructions_executed
-        assert parallel.budget_exhausted == serial.budget_exhausted

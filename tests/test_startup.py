@@ -1,15 +1,14 @@
 """Startup budget: each ``art9`` process loads only what its command runs.
 
 Every CLI invocation, sweep worker and queue worker is a fresh interpreter,
-so module-level imports and table builds are paid once per process.  numpy
-serves only the batch engine and asyncio only the coordinator and worker
-client; nothing needs sqlite3, since ``art9 report`` reads run directories
-directly.  Each case below runs in a fresh subprocess and checks which of
-them the command loaded.
+so module-level imports and table builds are paid once per process.  asyncio
+serves only the coordinator and worker client; nothing needs numpy, and
+nothing needs sqlite3, since ``art9 report`` reads run directories directly.
+Each case below runs in a fresh subprocess and checks which of them the
+command loaded.
 
-The value tables of the fast engines fill on first lookup and the batch
-engine's numpy tables are built vectorised; both must equal the trit-level
-reference for every one of the 3**9 words.
+The value tables of the fast engines fill on first lookup; they must equal
+the trit-level reference for every one of the 3**9 words.
 """
 
 import json
@@ -17,12 +16,10 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import repro
 from repro.sim import engine
-from repro.sim.batch import _np_tables
 from repro.ternary.logic import word_nti, word_pti
 from repro.ternary.word import TernaryWord
 
@@ -70,12 +67,12 @@ class TestStartupImports:
             "assert code == 1, code  # the baseline predates phase timings")
         assert loaded == dict.fromkeys(HEAVY, False)
 
-    def test_fuzz_loads_numpy_for_its_batch_executor(self):
+    def test_fuzz_loads_no_heavy_module(self):
         loaded = _loaded_after(
             "import repro.cli\n"
             "code = repro.cli.main(['fuzz', '--count', '2', '--seed', '0'])\n"
             "assert code == 0, code")
-        assert loaded["numpy"]
+        assert loaded == dict.fromkeys(HEAVY, False)
 
 
 def _reference(unsigned: int):
@@ -91,15 +88,6 @@ class TestValueTables:
             assert engine._TRITS[unsigned] == trits, unsigned
             assert engine._PTI_WORD[unsigned] == pti, unsigned
             assert engine._NTI_WORD[unsigned] == nti, unsigned
-
-    def test_vectorised_numpy_tables_match_the_trit_level_reference(self):
-        planes, pti_words, nti_words, pow3 = _np_tables()
-        references = [_reference(u) for u in range(engine.MOD)]
-        assert planes.shape == (engine.MOD, 9)
-        assert np.array_equal(planes, np.array([r[0] for r in references]))
-        assert np.array_equal(pti_words, np.array([r[1] for r in references]))
-        assert np.array_equal(nti_words, np.array([r[2] for r in references]))
-        assert pow3.tolist() == [3 ** k for k in range(9)]
 
     @pytest.mark.parametrize("unsigned", [-1, engine.MOD])
     def test_lookups_outside_the_word_universe_fail(self, unsigned):
