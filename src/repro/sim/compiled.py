@@ -13,12 +13,16 @@ that cost by *compiling the program to Python*:
    ``compile()``/``exec``: registers live in local variables for the
    duration of the block, balanced-ternary wraparound is inlined
    arithmetically, immediates/targets/link values are folded to literal
-   constants, and the trit-wise gates index the same value tables the
-   fast engine uses (filled on first lookup);
-3. execution dispatches block-to-block through a PC → function table.
-   Entry points that are not statically visible (``JALR`` returns land on
-   the instruction after a call site, and a computed ``JALR`` can target
-   any address) are compiled lazily as *suffix* blocks on first dispatch.
+   constants, and the trit-wise gates call the fast engine's gate
+   functions and value tables;
+3. execution dispatches block-to-block through a PC → function table.  A
+   block is generated and compiled the first time execution dispatches
+   its PC, so code a run never reaches costs nothing.  The same rule
+   covers entry points that are not statically visible (``JALR`` returns
+   land on the instruction after a call site, and a computed ``JALR`` can
+   target any address): such a PC gets a *suffix* block, from there to
+   the end of its superblock.  :meth:`CompiledEngine.prepare` instead
+   compiles every static superblock up front.
 
 The analytic timing model of :mod:`repro.sim.timing` is **fused into the
 generated code**.  Inside a block the committed instruction stream is
@@ -56,8 +60,8 @@ Generated sources are deterministic functions of (program content,
 codegen version, TDM depth, machine-config parameter digest, profile
 flag), which is what lets the cross-process artifact cache
 (:mod:`repro.cache`) ship them between sweep workers: ``CompiledEngine``
-asks the cache for the block sources before generating, so codegen
-happens once per grid point across a whole worker fleet.
+asks the cache for the block bundle before generating, so a block is
+compiled once per grid point across a whole worker fleet.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
-from repro.sim import engine as _fast
 from repro.sim import timing
 from repro.sim.engine import (
     HALF,
@@ -106,7 +109,12 @@ from repro.sim.engine import (
     FastEngine,
     _MemoryView,
     _MNEMONIC_OF,
+    _NTI_WORD,
     _POW3,
+    _PTI_WORD,
+    trit_and,
+    trit_or,
+    trit_xor,
     wrap,
 )
 from repro.sim.functional import ExecutionResult, SimulationError
@@ -122,7 +130,9 @@ from repro.sim.pipeline.stats import PipelineStats
 #: v5: one variant — unchained superblocks, timing model always fused.
 #: v6: timing through :mod:`repro.sim.timing` (run-time ``_step`` calls for
 #: the carried prefix, compile-time constants for the rest).
-CODEGEN_VERSION = 6
+#: v7: smaller blocks — a one-line ADDI wrap, ``_step`` reads the per-PC
+#: attributes from ``_A``, the gates call the engine's functions.
+CODEGEN_VERSION = 7
 
 #: Interpreter identity for the marshalled code objects stored alongside
 #: the sources: ``marshal`` payloads are only valid for the exact bytecode
@@ -133,17 +143,20 @@ PYTHON_TAG = (
     f"{importlib.util.MAGIC_NUMBER.hex()}"
 )
 
-#: In-process memo of compiled block bundles ``(codes, sources)`` keyed by
-#: the pre-decoded records (small LRU): the differential harness builds
+#: In-process memo of block bundles ``(codes, sources)`` keyed by the
+#: pre-decoded records (small LRU): the differential harness builds
 #: several engines per program and should pay for codegen once, artifact
-#: cache or not.  Suffix blocks discovered at run time (computed JALR
-#: targets) are added to the shared bundle, so they too compile once per
-#: process — and once per *fleet* when the artifact is re-published.
+#: cache or not.  Every engine of a variant fills in the same bundle as it
+#: compiles blocks, so a block compiles once per process — and once per
+#: *fleet* when the bundle is published to the artifact cache.
 _CODE_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CODE_MEMO_CAP = 64
 
 #: Opcodes that terminate a superblock.
 _TERMINALS = frozenset((OP_BEQ, OP_BNE, OP_JAL, OP_JALR, OP_HALT))
+
+#: Namespace names of the :mod:`repro.sim.engine` gate functions.
+_GATES = {OP_AND: "_AND", OP_OR: "_OR", OP_XOR: "_XOR"}
 
 # The state vector shared by the dispatch loop and every generated block is
 # a :mod:`repro.sim.timing` state followed by two fault slots: the pc of a
@@ -208,8 +221,9 @@ def generate_block_source(
     ``(regs, mem, st) -> next_pc``.  ``attrs`` are the program's
     :func:`repro.sim.timing.attributes`: the block steps the timing model
     at run time for its first :data:`~repro.sim.timing.CARRIED`
-    instructions and adds the compile-time :func:`~repro.sim.timing.static_exits`
-    for the rest.
+    instructions, reading their attributes from the namespace table
+    ``_A``, and adds the compile-time
+    :func:`~repro.sim.timing.static_exits` for the rest.
 
     With ``profile=True`` the block's first statement bumps its ``entry``
     slot in the shared ``_P`` execution-count dict — the per-block
@@ -256,11 +270,11 @@ def generate_block_source(
 
         if op == OP_ADDI:
             if imm:
-                w.emit(f"{A} += {imm}")
-                w.emit(f"if {A} > {HALF}:")
-                w.emit(f"{A} -= {MOD}", 2)
-                w.emit(f"elif {A} < {-HALF}:")
-                w.emit(f"{A} += {MOD}", 2)
+                # A balanced register plus a positive immediate can only
+                # overflow, plus a negative one only underflow.
+                edge, fix = ((f"<= {HALF - imm}", imm - MOD) if imm > 0
+                             else (f">= {-HALF - imm}", imm + MOD))
+                w.emit(f"{A} = {A} + {imm} if {A} {edge} else {A} + {fix}")
                 written.add(ta)
         elif op == OP_ADD:
             w.emit(f"{A} += {A if ta == tb else B}")
@@ -342,24 +356,8 @@ def generate_block_source(
             w.emit("_h = (_p - 1) // 2")
             w.emit(f"{A} = ({A} - (({A} + _h) % _p - _h)) // _p")
             written.add(ta)
-        elif op in (OP_AND, OP_OR, OP_XOR):
-            w.emit(f"_x = T[{A} % {MOD}]")
-            w.emit(f"_y = T[{B} % {MOD}]")
-            w.emit("_v = 0")
-            w.emit("for _k in range(8, -1, -1):")
-            if op == OP_XOR:
-                w.emit("_s = _x[_k] + _y[_k]", 2)
-                w.emit("if _s == 2:", 2)
-                w.emit("_s = -1", 3)
-                w.emit("elif _s == -2:", 2)
-                w.emit("_s = 1", 3)
-                w.emit("_v = _v * 3 + _s", 2)
-            else:
-                pick = "<" if op == OP_AND else ">"
-                w.emit("_xa = _x[_k]", 2)
-                w.emit("_yb = _y[_k]", 2)
-                w.emit(f"_v = _v * 3 + (_xa if _xa {pick} _yb else _yb)", 2)
-            w.emit(f"{A} = _v")
+        elif op in _GATES:
+            w.emit(f"{A} = {_GATES[op]}({A}, {B})")
             written.add(ta)
         elif op == OP_PTI:
             w.emit(f"{A} = PTIT[{B} % {MOD}]")
@@ -371,15 +369,7 @@ def generate_block_source(
             w.emit(f"{A} = -{B}")
             written.add(ta)
         elif op == OP_ANDI:
-            const_trits = _fast._TRITS[imm % MOD]
-            w.emit(f"_x = T[{A} % {MOD}]")
-            w.emit(f"_y = {const_trits!r}")
-            w.emit("_v = 0")
-            w.emit("for _k in range(8, -1, -1):")
-            w.emit("_xa = _x[_k]", 2)
-            w.emit("_yb = _y[_k]", 2)
-            w.emit("_v = _v * 3 + (_xa if _xa < _yb else _yb)", 2)
-            w.emit(f"{A} = _v")
+            w.emit(f"{A} = _AND({A}, {imm})")
             written.add(ta)
         # OP_HALT emits nothing: the driver reads the halt flag from the
         # block metadata and the fall-through return below yields pc + 1.
@@ -388,8 +378,8 @@ def generate_block_source(
     # of the block adds constant counters and leaves a constant window ------
     block = [attrs[pc] for pc in span]
     taken = "_tk" if last_op in (OP_BEQ, OP_BNE) else "0"
-    for k, step_attrs in enumerate(block[:timing.CARRIED]):
-        w.emit(f"_step(st, {step_attrs!r}, {taken if k == n - 1 else 0})")
+    for k, pc in enumerate(span[:timing.CARRIED]):
+        w.emit(f"_step(st, _A[{pc}], {taken if k == n - 1 else 0})")
     if n > timing.CARRIED:
         taken_exit, fall_exit = timing.static_exits(block)
         arms = ([("", taken_exit)] if taken_exit == fall_exit
@@ -447,10 +437,9 @@ class CompiledEngine:
     performs the same operand validation.  ``cache`` accepts an
     :class:`~repro.cache.ArtifactCache` (or ``None`` to disable); by
     default the process-wide cache of :func:`repro.cache.default_cache`
-    is used, so concurrently running sweep workers generate each
-    program's block sources exactly once between them.  ``profile=True``
-    compiles a per-block execution counter into every block (see
-    :meth:`block_profile`).
+    is used, so concurrently running sweep workers compile each block of
+    a program once between them.  ``profile=True`` compiles a per-block
+    execution counter into every block (see :meth:`block_profile`).
     """
 
     def __init__(self, program: Program, tdm_depth: int = MOD,
@@ -479,19 +468,24 @@ class CompiledEngine:
         self.instructions_executed = 0
         self._leaders = superblock_leaders(self._records)
         self._namespace = {
-            "__builtins__": {"range": range},
+            "__builtins__": {},
             "MemoryError_": MemoryError_,
-            "T": _fast._TRITS,
-            "PTIT": _fast._PTI_WORD,
-            "NTIT": _fast._NTI_WORD,
+            "_AND": trit_and,
+            "_OR": trit_or,
+            "_XOR": trit_xor,
+            "PTIT": _PTI_WORD,
+            "NTIT": _NTI_WORD,
             "P3": _POW3,
             "_P": self._profile_counts,
+            "_A": self._attrs,
             "_step": timing.step,
         }
         # entry pc → (fn, length, halts, entry idx)
         self._table: Dict[int, tuple] = {}
-        # the shared (codes, sources) bundle backing the table
+        # the shared (codes, sources) bundle backing the table, and
+        # whether it holds blocks this engine compiled but not published
         self._bundle: Optional[tuple] = None
+        self._unpublished = False
         # entry idx → block mnemonics / dispatch count
         self._mnemonics: List[Tuple[str, ...]] = []
         self._counts: List[int] = []
@@ -523,36 +517,26 @@ class CompiledEngine:
             "profile": self.profile,
         }
 
-    def _span_of(self, entry: int) -> List[int]:
-        return superblock_span(self._records, self._leaders, entry)
+    def _cached_bundle(self) -> Optional[tuple]:
+        """The artifact cache's ``(codes, sources)`` entry, or ``None``."""
+        if self._cache is None:
+            return None
+        return _decode_bundle(
+            self._cache.get_json("codegen", self._cache_key_material()))
 
-    def _generate(self, entry: int) -> str:
-        return generate_block_source(
-            entry, self._span_of(entry), self._records, self._attrs,
-            self.tdm_depth, self.profile)
-
-    def _publish(self, codes: Dict[int, object],
-                 sources: Dict[int, str]) -> None:
-        """Write the current block bundle to the cross-process cache."""
-        if self._cache is not None:
-            self._cache.put_json("codegen", self._cache_key_material(), {
-                "code": base64.b64encode(marshal.dumps(codes)).decode("ascii"),
-                "blocks": {str(entry): source
-                           for entry, source in sources.items()},
-            })
-
-    def _block_bundle(self) -> tuple:
-        """``(codes, sources)`` for every known superblock of this program.
+    def _shared_bundle(self) -> tuple:
+        """The ``(codes, sources)`` bundle of this program variant.
 
         Resolution order: in-process memo, then the cross-process artifact
         cache (marshalled code objects, orders of magnitude cheaper to
-        load than re-running ``compile``), then generation from scratch —
-        which populates both layers for the next consumer.
+        load than re-running ``compile``), else a new empty bundle.  The
+        result is the memo entry that every engine of the variant in this
+        process takes blocks from and compiles new blocks into.
 
         The memo keys on the pre-decoded records themselves (codegen is a
-        pure function of them plus the TDM depth), so a memo hit never
-        pays for a program content digest; the digest is only computed
-        when the disk cache has to be consulted.
+        pure function of them plus the TDM depth, machine and profile
+        flag), so a memo hit never pays for a program content digest; the
+        digest is only computed when the disk cache has to be consulted.
         """
         memo_key = (tuple(self._records), CODEGEN_VERSION, self.tdm_depth,
                     self.machine.digest(), self.profile)
@@ -560,28 +544,35 @@ class CompiledEngine:
         if bundle is not None:
             _CODE_MEMO.move_to_end(memo_key)
             return bundle
-        if self._cache is not None:
-            bundle = _decode_bundle(
-                self._cache.get_json("codegen", self._cache_key_material()))
-        if bundle is None:
-            sources = {entry: self._generate(entry)
-                       for entry in sorted(self._leaders)}
-            codes = {
-                entry: compile(source, f"<art9 block {entry}>", "exec")
-                for entry, source in sources.items()
-            }
-            bundle = (codes, sources)
-            self._publish(codes, sources)
+        bundle = self._cached_bundle() or ({}, {})
         _CODE_MEMO[memo_key] = bundle
         while len(_CODE_MEMO) > _CODE_MEMO_CAP:
             _CODE_MEMO.popitem(last=False)
         return bundle
 
-    def _install_block(self, entry: int, code) -> tuple:
+    def _block(self, entry: int) -> tuple:
+        """Install the block entered at ``entry``; returns its table record.
+
+        This is the one way to get a block, for a static leader and a
+        mid-block suffix alike: take its code from the shared bundle, or
+        else generate its source and ``compile()`` it into the bundle,
+        which :meth:`_publish` then writes out.
+        """
+        if self._bundle is None:
+            self._bundle = self._shared_bundle()
+        codes, sources = self._bundle
+        span = superblock_span(self._records, self._leaders, entry)
+        code = codes.get(entry)
+        if code is None:
+            sources[entry] = source = generate_block_source(
+                entry, span, self._records, self._attrs, self.tdm_depth,
+                self.profile)
+            codes[entry] = code = compile(
+                source, f"<art9 block {entry}>", "exec")
+            self._unpublished = True
         if self.profile:
             self._profile_counts[entry] = 0
         exec(code, self._namespace)
-        span = self._span_of(entry)
         idx = len(self._mnemonics)
         self._entry_index[entry] = idx
         self._mnemonics.append(tuple(
@@ -592,52 +583,47 @@ class CompiledEngine:
         self._table[entry] = record
         return record
 
-    def _build_table(self) -> None:
-        self._bundle = self._block_bundle()
-        for entry, code in self._bundle[0].items():
-            self._install_block(entry, code)
+    def _publish(self) -> None:
+        """Write the bundle to the artifact cache if this engine compiled
+        blocks since its last publish.
 
-    def _compile_suffix(self, entry: int) -> tuple:
-        """Lazily compile a block entered mid-way (e.g. a JALR return).
-
-        The result joins the shared bundle — and is re-published to the
-        artifact cache — so every later engine on this program (in this
-        process or any other) installs it up front instead of re-paying
-        ``compile`` per instance.  Before republishing, the current cache
-        entry is re-read and merged in: concurrent workers discovering
-        *different* suffixes would otherwise overwrite each other's
-        last-write-wins (content per block is still deterministic, so a
-        merge conflict cannot change behaviour — only who pays compile()).
+        The current cache entry is re-read and merged in first: workers
+        compiling *different* blocks of one program would otherwise
+        overwrite each other last-write-wins (a block's content is
+        deterministic, so a merge conflict cannot change behaviour — only
+        who pays ``compile()``).
         """
+        if not self._unpublished or self._cache is None:
+            return
+        self._unpublished = False
         codes, sources = self._bundle
-        if entry in codes:
-            return self._install_block(entry, codes[entry])
-        source = self._generate(entry)
-        code = compile(source, f"<art9 block {entry}>", "exec")
-        codes[entry] = code
-        sources[entry] = source
-        if self._cache is not None:
-            current = _decode_bundle(
-                self._cache.get_json("codegen", self._cache_key_material()))
-            if current is not None:  # junk: our fresh bundle replaces it
-                for other, other_code in current[0].items():
-                    codes.setdefault(other, other_code)
-                for other, other_source in current[1].items():
-                    sources.setdefault(other, other_source)
-            self._publish(codes, sources)
-        return self._install_block(entry, code)
+        current = self._cached_bundle()  # None for a miss or junk
+        if current is not None:
+            for entry, code in current[0].items():
+                codes.setdefault(entry, code)
+            for entry, source in current[1].items():
+                sources.setdefault(entry, source)
+        self._cache.put_json("codegen", self._cache_key_material(), {
+            "code": base64.b64encode(marshal.dumps(codes)).decode("ascii"),
+            "blocks": {str(entry): source
+                       for entry, source in sources.items()},
+        })
 
     # -- execution ----------------------------------------------------------
 
     def prepare(self) -> None:
-        """Build the block dispatch table now instead of on first execution.
+        """Compile (or load) every static superblock now, then publish.
 
-        Purely a scheduling choice — ``_execute`` builds lazily anyway —
-        but it lets callers (the sweep worker's phase breakdown) attribute
-        codegen/bundle-load time separately from execution time.
+        Execution compiles a block only when it first dispatches its PC;
+        ``prepare`` gets every static leader's block the same way up
+        front.  Sweep jobs call it so that their phase breakdown charges
+        the static blocks' codegen to ``codegen_s`` rather than to the
+        run, and so that the published bundle covers the whole program.
         """
-        if not self._table and self._records:
-            self._build_table()
+        for entry in sorted(self._leaders):
+            if entry not in self._table:
+                self._block(entry)
+        self._publish()
 
     def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
         """Run until HALT; same contract and limits as the fast engine."""
@@ -670,9 +656,12 @@ class CompiledEngine:
         return stats
 
     def _execute(self, max_instructions: int) -> List[int]:
-        """Run the block loop; returns the timing state it advanced."""
-        if not self._table and self._records:
-            self._build_table()
+        """Run the block loop; returns the timing state it advanced.
+
+        A PC dispatched for the first time gets its block from
+        :meth:`_block`; the blocks a run compiled are published once, when
+        it ends.
+        """
         st = timing.new_state() + [0, 0]
         table_get = self._table.get
         regs = self._regs
@@ -683,42 +672,46 @@ class CompiledEngine:
         executed = self.instructions_executed
         halted = self.halted
 
-        while not halted:
-            if executed >= max_instructions:
-                self.pc, self.instructions_executed = pc, executed
-                raise SimulationError(
-                    f"program did not halt within {max_instructions} instructions"
-                )
-            if not 0 <= pc < program_length:
-                self.pc, self.instructions_executed = pc, executed
-                raise SimulationError(
-                    f"PC {pc} outside program of {program_length} instructions"
-                )
-            entry = table_get(pc)
-            if entry is None:
-                entry = self._compile_suffix(pc)
-                counts = self._counts
-            fn, length, halts, idx = entry
-            if executed + length > max_instructions:
-                # A block commits all of its instructions, so the fast
-                # engine would raise too (identical message).
-                self.pc, self.instructions_executed = pc, executed
-                raise SimulationError(
-                    f"program did not halt within {max_instructions} "
-                    "instructions"
-                )
-            counts[idx] += 1
-            try:
-                pc = fn(regs, mem, st)
-            except MemoryError_:
-                self.pc = st[_FAULT_PC]
-                self.instructions_executed = executed + st[_FAULT_OFF]
-                self._fault_partial = (idx, st[_FAULT_OFF])
-                self.halted = False
-                raise
-            executed += length
-            if halts:
-                halted = True
+        try:
+            while not halted:
+                if executed >= max_instructions:
+                    self.pc, self.instructions_executed = pc, executed
+                    raise SimulationError(
+                        f"program did not halt within {max_instructions} "
+                        "instructions"
+                    )
+                if not 0 <= pc < program_length:
+                    self.pc, self.instructions_executed = pc, executed
+                    raise SimulationError(
+                        f"PC {pc} outside program of {program_length} "
+                        "instructions"
+                    )
+                entry = table_get(pc)
+                if entry is None:
+                    entry = self._block(pc)
+                fn, length, halts, idx = entry
+                if executed + length > max_instructions:
+                    # A block commits all of its instructions, so the fast
+                    # engine would raise too (identical message).
+                    self.pc, self.instructions_executed = pc, executed
+                    raise SimulationError(
+                        f"program did not halt within {max_instructions} "
+                        "instructions"
+                    )
+                counts[idx] += 1
+                try:
+                    pc = fn(regs, mem, st)
+                except MemoryError_:
+                    self.pc = st[_FAULT_PC]
+                    self.instructions_executed = executed + st[_FAULT_OFF]
+                    self._fault_partial = (idx, st[_FAULT_OFF])
+                    self.halted = False
+                    raise
+                executed += length
+                if halts:
+                    halted = True
+        finally:
+            self._publish()
 
         self.pc = pc
         self.instructions_executed = executed
@@ -786,7 +779,7 @@ class CompiledEngine:
         rows = []
         for pc, executions in self._profile_counts.items():
             if not executions:
-                continue  # compiled (e.g. loaded from the bundle), never run
+                continue  # installed (e.g. by prepare()), never run
             idx = self._entry_index[pc]
             length = len(self._mnemonics[idx])
             instructions = executions * length

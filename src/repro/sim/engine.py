@@ -137,6 +137,40 @@ _NTI_WORD = _LazyTable(lambda unsigned: trits_to_int(
     [1 if t == -1 else -1 for t in _TRITS[unsigned]]))
 
 
+# Trit-wise gates on balanced word values (AND is the trit minimum, OR the
+# maximum, XOR the balanced sum mod 3); FastEngine and the compiled
+# engine's generated code both call these.
+def trit_and(a: int, b: int) -> int:
+    x = _TRITS[a % MOD]
+    y = _TRITS[b % MOD]
+    v = 0
+    for k in range(WORD_TRITS - 1, -1, -1):
+        xa = x[k]
+        yb = y[k]
+        v = v * 3 + (xa if xa < yb else yb)
+    return v
+
+
+def trit_or(a: int, b: int) -> int:
+    x = _TRITS[a % MOD]
+    y = _TRITS[b % MOD]
+    v = 0
+    for k in range(WORD_TRITS - 1, -1, -1):
+        xa = x[k]
+        yb = y[k]
+        v = v * 3 + (xa if xa > yb else yb)
+    return v
+
+
+def trit_xor(a: int, b: int) -> int:
+    x = _TRITS[a % MOD]
+    y = _TRITS[b % MOD]
+    v = 0
+    for k in range(WORD_TRITS - 1, -1, -1):
+        v = v * 3 + (x[k] + y[k] + 1) % 3 - 1
+    return v
+
+
 class _MemoryView:
     """Read-only ``TernaryMemory``-shaped facade over the engine's int cells.
 
@@ -259,7 +293,6 @@ class FastEngine:
         counts = self._exec_counts
         depth = self.tdm_depth
         check_depth = depth != MOD
-        trits_table = _TRITS
         pti_table = _PTI_WORD
         nti_table = _NTI_WORD
         pc = self.pc
@@ -367,29 +400,12 @@ class FastEngine:
                 h = (p - 1) // 2
                 v = regs[ta]
                 regs[ta] = (v - ((v + h) % p - h)) // p
-            elif op == OP_AND or op == OP_OR or op == OP_XOR:
-                trits_a = trits_table[regs[ta] % MOD]
-                trits_b = trits_table[regs[tb] % MOD]
-                v = 0
-                if op == OP_AND:
-                    for k in range(WORD_TRITS - 1, -1, -1):
-                        x = trits_a[k]
-                        y = trits_b[k]
-                        v = v * 3 + (x if x < y else y)
-                elif op == OP_OR:
-                    for k in range(WORD_TRITS - 1, -1, -1):
-                        x = trits_a[k]
-                        y = trits_b[k]
-                        v = v * 3 + (x if x > y else y)
-                else:
-                    for k in range(WORD_TRITS - 1, -1, -1):
-                        s = trits_a[k] + trits_b[k]
-                        if s == 2:
-                            s = -1
-                        elif s == -2:
-                            s = 1
-                        v = v * 3 + s
-                regs[ta] = v
+            elif op == OP_AND:
+                regs[ta] = trit_and(regs[ta], regs[tb])
+            elif op == OP_OR:
+                regs[ta] = trit_or(regs[ta], regs[tb])
+            elif op == OP_XOR:
+                regs[ta] = trit_xor(regs[ta], regs[tb])
             elif op == OP_PTI:
                 regs[ta] = pti_table[regs[tb] % MOD]
             elif op == OP_NTI:
@@ -397,14 +413,7 @@ class FastEngine:
             elif op == OP_STI:
                 regs[ta] = -regs[tb]
             elif op == OP_ANDI:
-                trits_a = trits_table[regs[ta] % MOD]
-                trits_b = trits_table[imm % MOD]
-                v = 0
-                for k in range(WORD_TRITS - 1, -1, -1):
-                    x = trits_a[k]
-                    y = trits_b[k]
-                    v = v * 3 + (x if x < y else y)
-                regs[ta] = v
+                regs[ta] = trit_and(regs[ta], imm)
             else:  # OP_HALT
                 halted = True
 

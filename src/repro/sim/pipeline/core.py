@@ -303,7 +303,19 @@ class PipelineSimulator:
             out.valid = False
             return out
         pc = self.pc
-        if self._draining or not 0 <= pc < len(self.predecoded):
+        if self._draining:
+            out.valid = False
+            return out
+        if not 0 <= pc < len(self.predecoded):
+            # An instruction in flight may still redirect fetch, so wait
+            # until every latch has drained (older instructions retire, as
+            # on the other executors).  Reaching here means no bubble or
+            # redirect is pending, so then nothing can steer fetch back.
+            if not (self._id_ex_next.valid or self._ex_mem_next.valid
+                    or self._mem_wb_next.valid):
+                raise SimulationError(
+                    f"PC {pc} outside program of {len(self.predecoded)} "
+                    "instructions")
             out.valid = False
             return out
         decoded = self.predecoded[pc]

@@ -7,9 +7,8 @@ touches memory past the TDM depth or overruns a cycle budget, and indirect
 jumps whose target is a value loaded from the data memory, on every machine
 config.
 
-The pipeline simulator has no instruction budget, and no PC-escape check
-of its own (a program that runs off its text there only exhausts the cycle
-budget), so it is left out of those cases.
+The pipeline simulator has no instruction budget, so it is left out of
+those cases.
 """
 
 import pytest
@@ -105,6 +104,16 @@ class TestPcEscape:
         make_program, message = self.ESCAPES[case]
         with pytest.raises(SimulationError) as excinfo:
             _build(executor, make_program()).run()
+        assert str(excinfo.value) == message
+
+    # The pipeline refuses an empty program (TestCycleBudget pins that).
+    @pytest.mark.parametrize("case", ["fallthrough", "indirect"])
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_pipeline_escape_raises_the_same_message(self, machine, case):
+        make_program, message = self.ESCAPES[case]
+        simulator = _build("pipeline", make_program(), machine=machine)
+        with pytest.raises(SimulationError) as excinfo:
+            simulator.run(max_cycles=1_000)
         assert str(excinfo.value) == message
 
 

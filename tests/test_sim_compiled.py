@@ -2,8 +2,9 @@
 
 The broad equivalence evidence lives in the 4-way differential suite and
 the golden traces; this file pins the engine-specific machinery — block
-partitioning, lazy suffix compilation for computed jump targets, the
-FastEngine-compatible error contract, fault-state restoration, and the
+partitioning, the compile rule (a run compiles a block, leader or mid-block
+suffix, when it first dispatches it; ``prepare()`` compiles every leader),
+the FastEngine-compatible error contract, fault-state restoration, and the
 codegen artifact-cache integration.
 """
 
@@ -65,6 +66,50 @@ ADDI T5, 1
 skip:
 HALT
 """
+
+
+#: Every one of the 25 opcodes.  ``dead`` is a static superblock that no
+#: run dispatches (the BEQ never branches), so only ``prepare()`` compiles
+#: it; the subroutine at ``sub`` is entered by JAL and left by JALR.
+ALL_OPCODES_SOURCE = """
+LI T1, 13
+LUI T2, -3
+ADD T1, T2
+SUB T2, T1
+AND T1, T2
+OR T2, T1
+XOR T1, T2
+PTI T3, T1
+NTI T4, T2
+STI T5, T3
+ANDI T4, 5
+ADDI T5, -4
+COMP T3, T4
+SLI T1, 2
+SRI T1, 1
+MV T6, T1
+SL T6, T3
+SR T6, T3
+STORE T6, T7, 5
+LOAD T7, T7, 5
+JAL T8, sub
+BEQ T0, 1, dead
+HALT
+dead:
+ADDI T5, 1
+HALT
+sub:
+BNE T6, 0, back
+STI T7, T7
+back:
+JALR T2, T8, 0
+"""
+
+#: A JALR lands at 5, mid-way into the block [2..6] that follows it, so a
+#: run dispatches blocks 0 and 5 and never block 2.
+MIDBLOCK_JALR_SOURCE = (
+    "LI T1, 5\nJALR T2, T1, 0\nADDI T3, 1\nADDI T3, 1\nADDI T3, 1\n"
+    "ADDI T4, 2\nHALT\n")
 
 
 def _marshalled(value, truncate=0):
@@ -172,6 +217,35 @@ class TestEquivalence:
         assert compiled.instruction_mix == fast.instruction_mix
         reference = FunctionalSimulator(program).run()
         assert compiled.registers == reference.registers
+
+    @pytest.mark.parametrize("variant", [
+        {}, {"tdm_depth": 64}, {"profile": True},
+    ], ids=["plain", "fault-guards", "profile"])
+    def test_prepare_compiles_every_opcode_in_every_variant(self, variant,
+                                                            compiles):
+        """``run()`` compiles only the blocks it dispatches, so the fuzz
+        never compiles dead code; ``prepare()`` compiles every block of a
+        program holding all 25 opcodes, in each codegen variant."""
+        program = assemble(ALL_OPCODES_SOURCE, name="all-opcodes")
+        records = FastEngine._predecode(program)
+        assert {op for op, *_ in records} == set(range(25))
+        dead = f"<art9 block {program.labels['dead']}>"
+        _CODE_MEMO.clear()
+        result = CompiledEngine(program, cache=None, **variant).run()
+        assert compiles and dead not in compiles
+        prepared = CompiledEngine(program, cache=None, **variant)
+        prepared.prepare()
+        assert dead in compiles
+        assert set(prepared._table) == set(prepared.block_map())
+        depth = variant.get("tdm_depth", 3 ** 9)
+        fast = FastEngine(program, tdm_depth=depth).run()
+        assert result == fast
+        assert prepared.run() == fast
+        assert fast.registers == FunctionalSimulator(
+            program, tdm_depth=depth).run().registers
+        stats = CompiledEngine(program, cache=None,
+                               **variant).run_with_stats()
+        assert stats == FastEngine(program, tdm_depth=depth).run_with_stats()
 
     def test_hardware_framework_compiled_engine(self, translated_workloads):
         program = translated_workloads["bubble_sort"]
@@ -544,20 +618,57 @@ class TestCodegenArtifacts:
         assert len(compiles) == compiled
 
     def test_a_suffix_joins_the_shared_bundle(self, compiles):
-        """A block entered mid-way is compiled once; later engines on the
-        program install it up front with the leaders."""
-        program = assemble(
-            "LI T1, 5\nJALR T2, T1, 0\nADDI T3, 1\nADDI T3, 1\nADDI T3, 1\n"
-            "ADDI T4, 2\nHALT\n", name="suffix-shared")
+        """``run()`` compiles the blocks it dispatches, a mid-block suffix
+        among them, and no other; a later engine takes them from the
+        shared bundle."""
+        program = assemble(MIDBLOCK_JALR_SOURCE, name="suffix-shared")
         first = CompiledEngine(program, cache=None)
         result = first.run()
-        assert sorted(compiles) == ["<art9 block 0>", "<art9 block 2>",
-                                    "<art9 block 5>"]
+        # Block 2, the leader after the JALR, is never dispatched.
+        assert sorted(compiles) == ["<art9 block 0>", "<art9 block 5>"]
         second = CompiledEngine(program, cache=None)
-        second.prepare()
-        assert 5 in second._table  # installed before execution reaches it
         assert second.run().registers == result.registers
-        assert len(compiles) == 3
+        assert 5 in second._table
+        assert len(compiles) == 2
+
+    def test_prepare_compiles_every_static_leader(self, compiles):
+        """``prepare()`` compiles every leader a run skipped, and only
+        those; a suffix block waits for its first dispatch."""
+        program = assemble(MIDBLOCK_JALR_SOURCE, name="prepare-leaders")
+        CompiledEngine(program, cache=None).run()  # compiles blocks 0 and 5
+        compiles.clear()
+        engine = CompiledEngine(program, cache=None)
+        engine.prepare()
+        assert compiles == ["<art9 block 2>"]
+        assert set(engine._table) == set(engine.block_map()) == {0, 2}
+        _CODE_MEMO.clear()
+        compiles.clear()
+        CompiledEngine(program, cache=None).prepare()
+        assert compiles == ["<art9 block 0>", "<art9 block 2>"]
+
+    def test_a_run_publishes_its_new_blocks_once(self, tmp_path,
+                                                 monkeypatch):
+        """One ``run()`` that compiles a leader and a suffix writes the
+        codegen artifact once, holding both; a run that compiles nothing
+        writes nothing."""
+        program = assemble(MIDBLOCK_JALR_SOURCE, name="publish-once")
+        cache = ArtifactCache(str(tmp_path / "artifacts"))
+        puts = []
+        put_json = cache.put_json
+
+        def counting_put(kind, key_material, payload):
+            puts.append(kind)
+            return put_json(kind, key_material, payload)
+
+        monkeypatch.setattr(cache, "put_json", counting_put)
+        engine = CompiledEngine(program, cache=cache)
+        engine.run()
+        assert puts == ["codegen"]
+        codes, sources = _decode_bundle(
+            cache.get_json("codegen", engine._cache_key_material()))
+        assert set(codes) == set(sources) == {0, 5}
+        CompiledEngine(program, cache=cache).run()  # all from the memo
+        assert puts == ["codegen"]
 
     def test_profiled_bundle_is_compiled_apart_from_the_plain_one(
             self, compiles):
@@ -582,6 +693,6 @@ class TestCodegenArtifacts:
             outcome = run_differential(program, machine=machine)
             assert outcome.ok and not outcome.budget_exhausted
             engine = CompiledEngine(program, cache=None, machine=machine)
-            engine.prepare()  # a memo hit: compiles nothing more
+            engine.prepare()  # compiles only the leaders no run dispatched
             assert sorted(compiles) == sorted(
                 f"<art9 block {entry}>" for entry in engine._bundle[0])
