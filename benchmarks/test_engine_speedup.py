@@ -1,13 +1,14 @@
 """Engine speedups: the performance ladder that enables large sweeps.
 
-Two rungs, each asserted with a host-noise-tolerant floor well below the
-typically observed ratio (end-to-end numbers come from
-``perfbench/run.py``; the committed ``BENCH_*.json`` files are historical
-kernel records):
+Two rungs, each asserted with a floor below the typically observed ratio
+(end-to-end numbers come from ``perfbench/run.py``; the committed
+``BENCH_*.json`` files are historical kernel records):
 
-* the fast pre-decoded interpreter vs the stage-by-stage pipeline model
-  (about 5–6x on Dhrystone since the pipeline predecodes TIM and fills its
-  latches in place; floor 3x);
+* the fast pre-decoded interpreter vs the structural pipeline model
+  (about 2–2.7x on Dhrystone since the pipeline clocks in one loop over
+  local variables; floor 1.6x, which holds the fast engine to the 3x it
+  had over the pipeline before that loop made the pipeline about 1.95x
+  faster);
 * the compiled superblock-codegen engine vs the fast interpreter
   (historically ~3x on Dhrystone steady state; floor 1.5x);
 * all engines must report *identical* cycle counts — a speedup that
@@ -64,12 +65,15 @@ def test_pipeline_engine_dhrystone(dhrystone_program, benchmark):
 
 
 def test_speedup_floors(dhrystone_program):
-    """fast ≥ 3x pipeline and compiled ≥ 1.5x fast on the same program.
+    """fast ≥ 1.6x pipeline and compiled ≥ 1.5x fast on the same program.
 
-    The floors are deliberately far below the typical ratios so scheduler
-    noise on a loaded CI host cannot flake the gate while a genuine
-    regression (e.g. the compiled engine silently falling back to
-    per-instruction dispatch) still fails it.
+    The compiled floor is deliberately far below the typical ratio so
+    scheduler noise on a loaded CI host cannot flake the gate while a
+    genuine regression (e.g. the compiled engine silently falling back to
+    per-instruction dispatch) still fails it.  The fast floor is 3.0
+    divided by the pipeline's measured speedup from its one-loop clock
+    (about 1.95x, best of 7 on Dhrystone), rounded up: it keeps the fast
+    engine at the absolute speed the old 3x floor asked for.
     """
     pipeline_s = _best_seconds(
         lambda: PipelineSimulator(dhrystone_program).run())
@@ -80,7 +84,7 @@ def test_speedup_floors(dhrystone_program):
 
     fast_vs_pipeline = pipeline_s / fast_s
     compiled_vs_fast = fast_s / compiled_s
-    assert fast_vs_pipeline >= 3.0, (
+    assert fast_vs_pipeline >= 1.6, (
         f"fast engine only {fast_vs_pipeline:.2f}x over the pipeline model "
         f"(pipeline {pipeline_s * 1e3:.1f} ms, fast {fast_s * 1e3:.1f} ms)")
     assert compiled_vs_fast >= 1.5, (

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from repro.ternary.arithmetic import (
     add_words,
@@ -49,6 +50,12 @@ def _constant_word(value: int, width: int) -> TernaryWord:
     return TernaryWord(value, width)
 
 
+@lru_cache(maxsize=128)
+def _upper_word(imm: int) -> TernaryWord:
+    """LUI's result ``{imm[3:0], 00000}``, shared per immediate."""
+    return shift_left(_constant_word(imm, WORD_TRITS), 5)
+
+
 def _imm_shift_amount(imm: int) -> int:
     """Decode the 2-trit immediate shift amount of SRI/SLI (mod 9)."""
     return imm % 9
@@ -72,7 +79,7 @@ _HANDLERS = {
     "ADDI": lambda a, b, imm: add_words(a, _constant_word(imm, WORD_TRITS)),
     "SRI": lambda a, b, imm: shift_right(a, _imm_shift_amount(imm)),
     "SLI": lambda a, b, imm: shift_left(a, _imm_shift_amount(imm)),
-    "LUI": lambda a, b, imm: shift_left(_constant_word(imm, WORD_TRITS), 5),
+    "LUI": lambda a, b, imm: _upper_word(imm),
     "LI": lambda a, b, imm: a.replace_low(_constant_word(imm, 5)),
 }
 
@@ -87,6 +94,11 @@ class TernaryALU:
 
     #: Mnemonics handled by the TALU (everything that produces its result in EX).
     OPERATIONS = tuple(_HANDLERS)
+    #: Mnemonic → ``handler(operand_a, operand_b, imm)`` computing its
+    #: result; the pipeline's predecode resolves each ALU instruction's
+    #: handler here once.
+    HANDLERS: Mapping[str, Callable[..., TernaryWord]] = MappingProxyType(
+        _HANDLERS)
 
     def execute(
         self,
@@ -111,16 +123,12 @@ class TernaryALU:
         operand_b: Optional[TernaryWord] = None,
         imm: Optional[int] = None,
     ) -> TernaryWord:
-        """The result word of one operation, as the simulators' EX uses it.
+        """The result word of one operation, as the functional EX uses it.
 
         ``mnemonic`` is the upper-case name decoded from the instruction;
         anything outside :attr:`OPERATIONS` raises ``ValueError``.
         """
-        handler = _HANDLERS.get(mnemonic)
+        handler = self.HANDLERS.get(mnemonic)
         if handler is None:
             raise ValueError(f"TALU does not implement {mnemonic!r}")
         return handler(operand_a, operand_b, imm)
-
-    def effective_address(self, base: TernaryWord, offset: int) -> int:
-        """Address computation of the M-type instructions (shared adder)."""
-        return (base.value + offset) % (3 ** base.width)

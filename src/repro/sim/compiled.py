@@ -71,6 +71,7 @@ import importlib.util
 import marshal
 import sys
 from collections import OrderedDict
+from time import perf_counter
 from types import CodeType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -492,6 +493,8 @@ class CompiledEngine:
         self._entry_index: Dict[int, int] = {}
         self._fault_partial: Optional[Tuple[int, int]] = None
         self._digest: Optional[str] = None
+        #: Seconds :meth:`_block` spent generating and compiling blocks.
+        self.codegen_s = 0.0
         if cache == "default":
             from repro.cache import default_cache
             cache = default_cache()
@@ -564,11 +567,13 @@ class CompiledEngine:
         span = superblock_span(self._records, self._leaders, entry)
         code = codes.get(entry)
         if code is None:
+            started = perf_counter()
             sources[entry] = source = generate_block_source(
                 entry, span, self._records, self._attrs, self.tdm_depth,
                 self.profile)
             codes[entry] = code = compile(
                 source, f"<art9 block {entry}>", "exec")
+            self.codegen_s += perf_counter() - started
             self._unpublished = True
         if self.profile:
             self._profile_counts[entry] = 0

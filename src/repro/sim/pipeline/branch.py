@@ -29,12 +29,10 @@ class BranchOutcome:
 
 
 class BranchUnit:
-    """Evaluates B-type instructions (BEQ, BNE, JAL, JALR) in the ID stage."""
+    """Evaluates B-type instructions (BEQ, BNE, JAL, JALR) in the ID stage.
 
-    def __init__(self):
-        self.taken_branches = 0
-        self.not_taken_branches = 0
-        self.jumps = 0
+    The unit is combinational: the pipeline's clock counts the outcomes.
+    """
 
     def evaluate(
         self,
@@ -54,17 +52,12 @@ class BranchUnit:
             lst = tb_value.lst
             matches = lst == instruction.branch_trit
             taken = matches if mnemonic == "BEQ" else not matches
-            if taken:
-                self.taken_branches += 1
-            else:
-                self.not_taken_branches += 1
             return BranchOutcome(
                 is_control=True,
                 taken=taken,
                 target=pc + instruction.imm if taken else None,
             )
         if mnemonic == "JAL":
-            self.jumps += 1
             return BranchOutcome(
                 is_control=True,
                 taken=True,
@@ -72,7 +65,6 @@ class BranchUnit:
                 link_value=pc + 1,
             )
         if mnemonic == "JALR":
-            self.jumps += 1
             target = (tb_value.value + instruction.imm) % (3 ** WORD_TRITS)
             return BranchOutcome(
                 is_control=True,
@@ -81,9 +73,3 @@ class BranchUnit:
                 link_value=pc + 1,
             )
         return BranchOutcome(is_control=False)
-
-    def reset_statistics(self) -> None:
-        """Zero the taken/not-taken/jump counters."""
-        self.taken_branches = 0
-        self.not_taken_branches = 0
-        self.jumps = 0

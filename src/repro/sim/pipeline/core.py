@@ -4,8 +4,8 @@ Stage model
 -----------
 
 Within one simulated cycle the stages are evaluated in reverse order
-(WB, MEM, EX, ID, IF) over the latch values captured at the start of the
-cycle, which reproduces the behaviour of the real pipeline:
+(WB, MEM, EX, ID, IF) over the pipeline registers captured at the start of
+the cycle, which reproduces the behaviour of the real pipeline:
 
 * write-back happens in the first half of the cycle, so a register written
   in WB is visible to the register read performed in ID of the same cycle
@@ -13,12 +13,29 @@ cycle, which reproduces the behaviour of the real pipeline:
 * the TALU result computed in EX this cycle is visible to the ID-stage
   branch condition checker and JALR base path through the dedicated
   ID forwarding network ("forwarding one-trit values", Sec. IV-B);
-* the EX/MEM and MEM/WB latches feed the TALU forwarding multiplexers,
+* the EX/MEM and MEM/WB registers feed the TALU forwarding multiplexers,
   removing all ALU-use hazards.
 
 The only hardware-inserted stall cycles are load-use hazards (one bubble)
 and taken branches/jumps (one flushed fetch), matching the statement in
 Sec. IV-B that those are the only observed stall sources.
+
+The clock
+---------
+
+:meth:`PipelineSimulator._clock` is the whole clock: one loop whose body
+is one cycle, written as labelled sections for WB, MEM, EX (with the
+forwarding multiplexers), ID (with the hazard detection unit, the register
+read ports and the branch unit) and IF, then the retire accounting and the
+clock edge.  On entry it loads the four pipeline registers, the PC, the
+fetch and drain state and every counter into local variables; on exit it
+stores them back, into one latch object per register and into
+:attr:`PipelineSimulator.stats`.  :meth:`~PipelineSimulator.run` and
+:meth:`~PipelineSimulator.step_cycle` both drive it.  Inside the loop a
+pipeline register is the predecoded record it carries (``None`` for a
+bubble) and its fields; each stage writes its output into locals that the
+clock edge moves into the next register.  On a load-use stall IF/ID holds
+its record, so the consumer is decoded again the following cycle.
 
 Predecoded records
 ------------------
@@ -26,23 +43,12 @@ Predecoded records
 The constructor decodes TIM once into :attr:`PipelineSimulator.predecoded`,
 one :class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC.  A
 record holds the mnemonic, the operand fields, the register dataflow
-(destination and sources), the load/store/control/jump/ALU/HALT flags and
-the machine's static fetch steering (the predicted-taken bit and the
-fixed-mispredict rule of JAL/JALR).  IF puts the record of the fetched PC
-into the IF/ID latch, and it rides the latches to WB: the HDU, the
-forwarding multiplexers, the ID branch unit, the TALU dispatch and the
-retire accounting all read its fields.
-
-Pipeline registers
-------------------
-
-Each of IF/ID, ID/EX, EX/MEM and MEM/WB is a pair of latches built with
-the simulator: the current one (``if_id``, ``id_ex``, ``ex_mem``,
-``mem_wb``), which the stages read, and the next one, which its producing
-stage fills in place.  :meth:`PipelineSimulator.step_cycle` swaps every pair
-at the clock edge, so the clock builds no objects.  A bubble is a latch
-with ``valid`` False.  On a load-use stall IF copies the held IF/ID fields
-into the next latch, so the consumer is decoded again the following cycle.
+(destination and sources), the load/store/control/jump/ALU/HALT flags, the
+TALU operation and the machine's static fetch steering (the predicted-taken
+bit and the fixed-mispredict rule of JAL/JALR).  IF fetches the record of
+its PC and it rides the pipeline registers to WB: the hazard detection
+unit, the forwarding multiplexers, the ID branch unit, the TALU dispatch
+and the retire accounting all read its fields.
 
 Machine configs
 ---------------
@@ -55,8 +61,9 @@ adjacent load consumer stalls or takes a same-cycle MEM-output bypass
 (load-use penalty).  The default ``paper3stage`` config reproduces the
 behaviour described above exactly.  At depths below 5 instructions still
 traverse all five structural stages; they merely *retire* (count as
-committed, and stop the clock on HALT) at the configured stage, with the
-remaining stages drained outside the cycle count.
+committed, and stop the clock on HALT) at the configured stage, and the
+clock then drains the older instructions through the remaining stages
+without counting those passes as cycles.
 """
 
 from __future__ import annotations
@@ -64,13 +71,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.isa.program import Program
-from repro.sim.alu import TernaryALU
 from repro.sim.functional import SimulationError
+from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.memory import TernaryMemory
 from repro.sim.pipeline.branch import BranchUnit
-from repro.sim.pipeline.forwarding import ForwardingUnit
-from repro.sim.machine import MachineConfig, resolve_machine
-from repro.sim.pipeline.hazards import HazardDetectionUnit
 from repro.sim.pipeline.stages import (
     DecodeLatch,
     ExecuteLatch,
@@ -81,6 +85,9 @@ from repro.sim.pipeline.stages import (
 from repro.sim.pipeline.stats import PipelineStats
 from repro.sim.regfile import TernaryRegisterFile
 from repro.ternary.word import WORD_TRITS, TernaryWord
+
+#: Addresses wrap into the unsigned window of a 9-trit register.
+_ADDRESS_SPACE = 3 ** WORD_TRITS
 
 
 class PipelineSimulator:
@@ -97,16 +104,8 @@ class PipelineSimulator:
             PredecodedInstruction(instruction, self.machine)
             for instruction in program.instructions)
         self.tdm = TernaryMemory(depth=tdm_depth, name="TDM")
-        self.alu = TernaryALU()
-        self.hdu = HazardDetectionUnit(
-            load_use_penalty=self.machine.load_use_penalty)
-        self.forwarding = ForwardingUnit()
         self.branch_unit = BranchUnit()
         self.stats = PipelineStats()
-        #: Stage (1=IF .. 5=WB) at which instructions count as committed.
-        self.retire_stage = self.machine.depth
-        # A load-use penalty of 0 means a same-cycle MEM-output bypass.
-        self._mem_bypass = self.machine.load_use_penalty == 0
 
         self.pc = 0
         self.halted = False
@@ -115,284 +114,356 @@ class PipelineSimulator:
         # can deliver (initial fill, and redirect_penalty after a redirect).
         self._fetch_bubbles = self.machine.fetch_latency
 
-        # Each pipeline register: the latch the stages read this cycle and
-        # the one its stage fills for the next (see step_cycle).
-        self.if_id, self._if_id_next = FetchLatch(), FetchLatch()
-        self.id_ex, self._id_ex_next = DecodeLatch(), DecodeLatch()
-        self.ex_mem, self._ex_mem_next = ExecuteLatch(), ExecuteLatch()
-        self.mem_wb, self._mem_wb_next = MemoryLatch(), MemoryLatch()
+        # The pipeline registers as they stand between clock calls.
+        self.if_id = FetchLatch()
+        self.id_ex = DecodeLatch()
+        self.ex_mem = ExecuteLatch()
+        self.mem_wb = MemoryLatch()
 
         for segment in program.data:
             self.tdm.load_words(segment.values, base=segment.base_address)
 
-    # ------------------------------------------------------------------ stages
+    # ------------------------------------------------------------------ clock
 
-    def _writeback(self) -> None:
-        """WB: commit the MEM/WB latch to the register file."""
-        latch = self.mem_wb
-        if not latch.valid:
-            return
-        destination = latch.decoded.destination
-        if destination is not None and latch.writeback_value is not None:
-            self.registers.write(destination, latch.writeback_value)
-        if self.retire_stage == 5:
-            self._retire(latch.decoded)
+    def _clock(self, limit: int) -> None:
+        """Clock until HALT retires or ``limit`` cycles have been counted.
 
-    def _retire(self, decoded: PredecodedInstruction) -> None:
-        """Commit accounting at the configured retire stage.
-
-        Register/memory side effects always happen in their structural
-        stages; this hook only decides *when* an instruction counts as
-        committed and when HALT stops the cycle counter.
+        When HALT retires before WB the loop goes on for the passes the
+        older instructions still need to finish their EX/MEM/WB work
+        (register writes, TDM accesses); those passes count no cycles and
+        commit nothing.  A halted machine does not advance.
         """
         stats = self.stats
-        stats.instructions_committed += 1
         mix = stats.instruction_mix
-        mix[decoded.mnemonic] = mix.get(decoded.mnemonic, 0) + 1
-        if decoded.is_halt:
-            self.halted = True
+        regs = self.registers.words
+        tdm_read = self.tdm.read
+        tdm_write = self.tdm.write
+        evaluate = self.branch_unit.evaluate
+        predecoded = self.predecoded
+        program_length = len(predecoded)
+        machine = self.machine
+        retire_stage = machine.depth  # 1 = IF .. 5 = WB
+        # A load-use penalty of 0 means a same-cycle MEM-output bypass.
+        mem_bypass = machine.load_use_penalty == 0
+        redirect_penalty = machine.redirect_penalty
 
-    def _memory(self) -> MemoryLatch:
-        """MEM: perform the TDM access of the EX/MEM latch.
-
-        Fills and returns the next MEM/WB latch.
-        """
-        latch = self.ex_mem
-        out = self._mem_wb_next
-        if not latch.valid:
-            out.valid = False
-            return out
-        decoded = latch.decoded
-        writeback_value = latch.alu_result
-        if decoded.is_load:
-            writeback_value = self.tdm.read(latch.memory_address)
-        elif decoded.is_store:
-            self.tdm.write(latch.memory_address, latch.store_value)
-            writeback_value = None
-        out.valid = True
-        out.pc = latch.pc
-        out.decoded = decoded
-        out.writeback_value = writeback_value
-        return out
-
-    def _execute(self, mem_output: Optional[MemoryLatch] = None) -> ExecuteLatch:
-        """EX: run the TALU (with forwarding) or compute the memory address.
-
-        Fills and returns the next EX/MEM latch.  ``mem_output`` is the MEM
-        result produced this cycle; it is passed only on machines whose
-        load-use penalty is 0, where it feeds the same-cycle load bypass in
-        the forwarding unit.
-        """
-        latch = self.id_ex
-        out = self._ex_mem_next
-        if not latch.valid:
-            out.valid = False
-            return out
-        decoded = latch.decoded
-
-        operand_a = latch.operand_a
-        operand_b = latch.operand_b
-        if decoded.reads_ta:
-            operand_a = self.forwarding.forward_operand(
-                decoded.ta, operand_a, self.ex_mem, self.mem_wb, mem_output
-            )
-        if decoded.reads_tb:
-            operand_b = self.forwarding.forward_operand(
-                decoded.tb, operand_b, self.ex_mem, self.mem_wb, mem_output
-            )
-
-        alu_result: Optional[TernaryWord] = None
-        store_value: Optional[TernaryWord] = None
-        memory_address: Optional[int] = None
-
-        if decoded.is_alu:
-            alu_result = self.alu.compute(
-                decoded.mnemonic, operand_a, operand_b, decoded.imm)
-        elif decoded.is_load or decoded.is_store:
-            memory_address = self.alu.effective_address(operand_b, decoded.imm)
-            if decoded.is_store:
-                store_value = operand_a
-        elif decoded.is_jump:
-            # The link value (PC + 1) was computed in ID; it rides down the
-            # pipeline as the writeback value.
-            alu_result = TernaryWord(latch.link_value, WORD_TRITS)
-        # Conditional branches and HALT carry nothing: they were fully
-        # resolved in ID and only flow through for commit accounting.
-
-        out.valid = True
-        out.pc = latch.pc
-        out.decoded = decoded
-        out.alu_result = alu_result
-        out.store_value = store_value
-        out.memory_address = memory_address
-        return out
-
-    def _decode(self, ex_output: ExecuteLatch, mem_output: MemoryLatch):
-        """ID: hazard check, register read, branch resolution.
-
-        Fills the next ID/EX latch and returns ``(stall, redirect_target)``.
-        """
-        latch = self.if_id
-        out = self._id_ex_next
-        if not latch.valid:
-            out.valid = False
-            return False, None
-        decoded = latch.decoded
-
-        if self.hdu.check(decoded, self.id_ex).stall:
-            out.valid = False
-            return True, None
-
-        registers = self.registers
-        operand_a = registers.read(decoded.ta) if decoded.reads_ta else None
-        operand_b = registers.read(decoded.tb) if decoded.reads_tb else None
-
-        redirect_target = None
-        link_value = None
-        if decoded.is_control:
-            tb_value = None
-            if decoded.reads_tb:
-                tb_value = self.forwarding.forward_for_id(
-                    decoded.tb, registers, ex_output, mem_output
-                )
-            outcome = self.branch_unit.evaluate(decoded, latch.pc, tb_value)
-            # The front end already steered fetch by the static prediction;
-            # redirect only on a mispredict.  JALR is indirect, so its
-            # target is never known at fetch time and it always redirects
-            # (even when the computed target happens to equal PC + 1).
-            mispredicted = decoded.fixed_mispredict
-            if mispredicted is None:
-                mispredicted = outcome.taken != decoded.predicted_taken
-            if mispredicted:
-                redirect_target = (
-                    outcome.target if outcome.taken else latch.pc + 1)
-            link_value = outcome.link_value
-        elif decoded.is_halt:
-            # Stop fetching; let the HALT drain to WB to finish the run.
-            self._draining = True
-
-        out.valid = True
-        out.pc = latch.pc
-        out.decoded = decoded
-        out.operand_a = operand_a
-        out.operand_b = operand_b
-        out.link_value = link_value
-        return False, redirect_target
-
-    def _fetch(self, stall: bool, redirect_target: Optional[int]) -> FetchLatch:
-        """IF: fetch the next instruction (or hold / squash / refill).
-
-        Fills and returns the next IF/ID latch.
-        """
-        out = self._if_id_next
-        if stall:
-            # IF/ID holds: the next latch takes the held instruction, and
-            # the PC does not advance.
-            held = self.if_id
-            out.valid = held.valid
-            out.pc = held.pc
-            out.decoded = held.decoded
-            return out
-        if redirect_target is not None:
-            self.pc = redirect_target
-            penalty = self.machine.redirect_penalty
-            self.stats.control_flush_bubbles += penalty
-            self._fetch_bubbles = penalty
-        if self._fetch_bubbles > 0:
-            self._fetch_bubbles -= 1
-            out.valid = False
-            return out
         pc = self.pc
-        if self._draining:
-            out.valid = False
-            return out
-        if not 0 <= pc < len(self.predecoded):
-            # An instruction in flight may still redirect fetch, so wait
-            # until every latch has drained (older instructions retire, as
-            # on the other executors).  Reaching here means no bubble or
-            # redirect is pending, so then nothing can steer fetch back.
-            if not (self._id_ex_next.valid or self._ex_mem_next.valid
-                    or self._mem_wb_next.valid):
-                raise SimulationError(
-                    f"PC {pc} outside program of {len(self.predecoded)} "
-                    "instructions")
-            out.valid = False
-            return out
-        decoded = self.predecoded[pc]
-        self.pc = pc + decoded.imm if decoded.predicted_taken else pc + 1
-        out.valid = True
-        out.pc = pc
-        out.decoded = decoded
-        return out
+        halted = self.halted
+        draining = self._draining
+        fetch_bubbles = self._fetch_bubbles
+        # Each pipeline register: the record it carries (None for a bubble)
+        # and its fields.
+        latch = self.if_id
+        if_id = latch.decoded if latch.valid else None
+        if_id_pc = latch.pc
+        latch = self.id_ex
+        id_ex = latch.decoded if latch.valid else None
+        id_ex_pc = latch.pc
+        id_ex_a = latch.operand_a
+        id_ex_b = latch.operand_b
+        id_ex_link = latch.link_value
+        latch = self.ex_mem
+        ex_mem = latch.decoded if latch.valid else None
+        ex_mem_pc = latch.pc
+        ex_mem_result = latch.alu_result
+        ex_mem_store = latch.store_value
+        ex_mem_address = latch.memory_address
+        latch = self.mem_wb
+        mem_wb = latch.decoded if latch.valid else None
+        mem_wb_pc = latch.pc
+        mem_wb_value = latch.writeback_value
+        # Stage outputs; a field is read only while its record is not None.
+        if_out_pc = if_id_pc
+        mem_out_value = id_out_a = id_out_b = id_out_link = None
+        ex_out_result = ex_out_store = ex_out_address = None
 
-    # ------------------------------------------------------------------ driver
+        cycles = stats.cycles
+        committed = stats.instructions_committed
+        load_use_stalls = stats.load_use_stalls
+        control_flush_bubbles = stats.control_flush_bubbles
+        taken_branches = stats.taken_branches
+        not_taken_branches = stats.not_taken_branches
+        jumps = stats.jumps
+        ex_forwards = stats.ex_forwards
+        mem_forwards = stats.mem_forwards
+        id_forwards = stats.id_forwards
+
+        # Uncounted passes still owed once HALT retires.  IF stopped when
+        # ID decoded HALT, so everything younger is a bubble and these
+        # passes commit nothing.
+        drain = 0 if halted else 5 - retire_stage
+        try:
+            while True:
+                if halted:
+                    if not drain:
+                        break
+                    drain -= 1
+                elif cycles >= limit:
+                    break
+                else:
+                    cycles += 1
+
+                # ---- WB: commit MEM/WB to the TRF (first half-cycle).
+                if mem_wb is not None:
+                    destination = mem_wb.destination
+                    if destination is not None and mem_wb_value is not None:
+                        regs[destination] = mem_wb_value
+
+                # ---- MEM: the TDM access of EX/MEM.
+                mem_out = ex_mem
+                if ex_mem is not None:
+                    mem_out_value = ex_mem_result
+                    if ex_mem.is_load:
+                        mem_out_value = tdm_read(ex_mem_address)
+                    elif ex_mem.is_store:
+                        tdm_write(ex_mem_address, ex_mem_store)
+                        mem_out_value = None
+
+                # ---- EX: the TALU behind its forwarding multiplexers, or
+                # the address adder of LOAD/STORE.
+                ex_out = id_ex
+                if id_ex is not None:
+                    operand_a = id_ex_a
+                    operand_b = id_ex_b
+                    if id_ex.reads_ta or id_ex.reads_tb:
+                        # Forwarding multiplexers.  Priority: EX/MEM (the
+                        # younger producer), then MEM/WB, then the TRF value
+                        # read in ID.  EX/MEM forwards an ALU or link result;
+                        # a load's word only through the same-cycle MEM
+                        # bypass, which counts as a MEM forward.
+                        ex_register = None
+                        if ex_mem is not None:
+                            if not ex_mem.is_load:
+                                if ex_mem_result is not None:
+                                    ex_register = ex_mem.destination
+                                    ex_value = ex_mem_result
+                                    ex_from_mem = False
+                            elif mem_bypass:
+                                ex_register = ex_mem.destination
+                                ex_value = mem_out_value
+                                ex_from_mem = True
+                        mem_register = None
+                        if mem_wb is not None and mem_wb_value is not None:
+                            mem_register = mem_wb.destination
+                        if id_ex.reads_ta:
+                            register = id_ex.ta
+                            if register == ex_register:
+                                operand_a = ex_value
+                                if ex_from_mem:
+                                    mem_forwards += 1
+                                else:
+                                    ex_forwards += 1
+                            elif register == mem_register:
+                                operand_a = mem_wb_value
+                                mem_forwards += 1
+                        if id_ex.reads_tb:
+                            register = id_ex.tb
+                            if register == ex_register:
+                                operand_b = ex_value
+                                if ex_from_mem:
+                                    mem_forwards += 1
+                                else:
+                                    ex_forwards += 1
+                            elif register == mem_register:
+                                operand_b = mem_wb_value
+                                mem_forwards += 1
+                    ex_out_result = ex_out_store = ex_out_address = None
+                    if id_ex.is_alu:
+                        ex_out_result = id_ex.operation(
+                            operand_a, operand_b, id_ex.imm)
+                    elif id_ex.is_load or id_ex.is_store:
+                        ex_out_address = (
+                            (operand_b.value + id_ex.imm) % _ADDRESS_SPACE)
+                        if id_ex.is_store:
+                            ex_out_store = operand_a
+                    elif id_ex.is_jump:
+                        # The link value (PC + 1) was computed in ID; it
+                        # rides down the pipeline as the writeback value.
+                        ex_out_result = TernaryWord(id_ex_link, WORD_TRITS)
+                    # Conditional branches and HALT carry nothing: they were
+                    # resolved in ID and flow on for commit accounting.
+
+                # ---- ID: hazard detection, register read, branch unit.
+                id_out = if_id
+                stall = False
+                redirect = None
+                if if_id is not None:
+                    # HDU: the LOAD in EX writes a register this instruction
+                    # reads.  With the MEM bypass (load-use penalty 0) only
+                    # ID consumers (branch condition, JALR base) must wait.
+                    if (id_ex is not None and id_ex.is_load
+                            and id_ex.destination in if_id.sources
+                            and (not mem_bypass or if_id.is_control)):
+                        load_use_stalls += 1
+                        stall = True
+                        id_out = None
+                    else:
+                        id_out_a = regs[if_id.ta] if if_id.reads_ta else None
+                        id_out_b = regs[if_id.tb] if if_id.reads_tb else None
+                        id_out_link = None
+                        if if_id.is_control:
+                            tb_value = None
+                            if if_id.reads_tb:
+                                # ID forwarding: this cycle's TALU output,
+                                # then this cycle's memory output, then the
+                                # TRF (WB already wrote this cycle's value).
+                                register = if_id.tb
+                                if (ex_out is not None
+                                        and ex_out.destination == register
+                                        and not ex_out.is_load
+                                        and ex_out_result is not None):
+                                    id_forwards += 1
+                                    tb_value = ex_out_result
+                                elif (mem_out is not None
+                                      and mem_out.destination == register
+                                      and mem_out_value is not None):
+                                    id_forwards += 1
+                                    tb_value = mem_out_value
+                                else:
+                                    tb_value = id_out_b
+                            outcome = evaluate(if_id, if_id_pc, tb_value)
+                            if if_id.is_jump:
+                                jumps += 1
+                            elif outcome.taken:
+                                taken_branches += 1
+                            else:
+                                not_taken_branches += 1
+                            # Fetch already followed the static prediction;
+                            # redirect only on a mispredict.  JALR is
+                            # indirect, so fetch never has its target and it
+                            # always redirects (even to PC + 1).
+                            mispredicted = if_id.fixed_mispredict
+                            if mispredicted is None:
+                                mispredicted = (
+                                    outcome.taken != if_id.predicted_taken)
+                            if mispredicted:
+                                redirect = (outcome.target if outcome.taken
+                                            else if_id_pc + 1)
+                            id_out_link = outcome.link_value
+                        elif if_id.is_halt:
+                            # Stop fetching; HALT drains to retire.
+                            draining = True
+
+                # ---- IF: hold on a stall, else redirect, refill or fetch.
+                if stall:
+                    if_out = if_id
+                    if_out_pc = if_id_pc
+                else:
+                    if redirect is not None:
+                        pc = redirect
+                        control_flush_bubbles += redirect_penalty
+                        fetch_bubbles = redirect_penalty
+                    if fetch_bubbles > 0:
+                        fetch_bubbles -= 1
+                        if_out = None
+                    elif draining:
+                        if_out = None
+                    elif 0 <= pc < program_length:
+                        if_out = predecoded[pc]
+                        if_out_pc = pc
+                        pc = (pc + if_out.imm if if_out.predicted_taken
+                              else pc + 1)
+                    elif id_out is None and ex_out is None and mem_out is None:
+                        # Nothing in flight can redirect fetch back into
+                        # the program (older instructions have retired, as
+                        # on the other executors).
+                        raise SimulationError(
+                            f"PC {pc} outside program of {program_length} "
+                            "instructions")
+                    else:
+                        if_out = None
+
+                # ---- Retire: commit accounting at the retire stage; the
+                # side effects happen in their structural stages.
+                if retire_stage == 5:
+                    retiring = mem_wb
+                elif retire_stage == 4:
+                    retiring = mem_out
+                elif retire_stage == 3:
+                    retiring = ex_out
+                else:
+                    retiring = id_out
+                if retiring is not None:
+                    committed += 1
+                    mnemonic = retiring.mnemonic
+                    mix[mnemonic] = mix.get(mnemonic, 0) + 1
+                    if retiring.is_halt:
+                        halted = True
+
+                # ---- Clock edge: each register takes its stage's output.
+                mem_wb = mem_out
+                mem_wb_pc = ex_mem_pc
+                mem_wb_value = mem_out_value
+                ex_mem = ex_out
+                ex_mem_pc = id_ex_pc
+                ex_mem_result = ex_out_result
+                ex_mem_store = ex_out_store
+                ex_mem_address = ex_out_address
+                id_ex = id_out
+                id_ex_pc = if_id_pc
+                id_ex_a = id_out_a
+                id_ex_b = id_out_b
+                id_ex_link = id_out_link
+                if_id = if_out
+                if_id_pc = if_out_pc
+        finally:
+            self.pc = pc
+            self.halted = halted
+            self._draining = draining
+            self._fetch_bubbles = fetch_bubbles
+            latch = self.if_id
+            latch.valid = if_id is not None
+            latch.pc = if_id_pc
+            latch.decoded = if_id
+            latch = self.id_ex
+            latch.valid = id_ex is not None
+            latch.pc = id_ex_pc
+            latch.decoded = id_ex
+            latch.operand_a = id_ex_a
+            latch.operand_b = id_ex_b
+            latch.link_value = id_ex_link
+            latch = self.ex_mem
+            latch.valid = ex_mem is not None
+            latch.pc = ex_mem_pc
+            latch.decoded = ex_mem
+            latch.alu_result = ex_mem_result
+            latch.store_value = ex_mem_store
+            latch.memory_address = ex_mem_address
+            latch = self.mem_wb
+            latch.valid = mem_wb is not None
+            latch.pc = mem_wb_pc
+            latch.decoded = mem_wb
+            latch.writeback_value = mem_wb_value
+
+            stats.cycles = cycles
+            stats.instructions_committed = committed
+            stats.load_use_stalls = load_use_stalls
+            stats.control_flush_bubbles = control_flush_bubbles
+            stats.taken_branches = taken_branches
+            stats.not_taken_branches = not_taken_branches
+            stats.jumps = jumps
+            stats.ex_forwards = ex_forwards
+            stats.mem_forwards = mem_forwards
+            stats.id_forwards = id_forwards
 
     def step_cycle(self) -> None:
-        """Advance the machine by one clock cycle."""
-        self.stats.cycles += 1
+        """Advance the machine by one clock cycle.
 
-        self._writeback()
-        mem_wb_next = self._memory()
-        ex_mem_next = self._execute(mem_wb_next if self._mem_bypass else None)
-        stall, redirect_target = self._decode(ex_mem_next, mem_wb_next)
-        if_id_next = self._fetch(stall, redirect_target)
-        id_ex_next = self._id_ex_next
-
-        retire_stage = self.retire_stage
-        if retire_stage == 4 and mem_wb_next.valid:
-            self._retire(mem_wb_next.decoded)
-        elif retire_stage == 3 and ex_mem_next.valid:
-            self._retire(ex_mem_next.decoded)
-        elif retire_stage == 2 and id_ex_next.valid:
-            self._retire(id_ex_next.decoded)
-
-        # Clock edge: every register shows what its stage filled, and the
-        # latch it showed is the one filled next cycle.
-        self._mem_wb_next, self.mem_wb = self.mem_wb, mem_wb_next
-        self._ex_mem_next, self.ex_mem = self.ex_mem, ex_mem_next
-        self._id_ex_next, self.id_ex = self.id_ex, id_ex_next
-        self._if_id_next, self.if_id = self.if_id, if_id_next
-
-    def _drain_uncounted(self) -> None:
-        """Complete the structural stages past the retire stage.
-
-        When the retire stage is earlier than WB, the cycle counter stops
-        as soon as HALT retires, but older instructions still hold EX/MEM/WB
-        work (register writes, TDM accesses).  Flush them through without
-        counting cycles or commits; HALT itself carries no side effects, so
-        the extra passes touch no statistics.
+        The cycle that retires HALT also drains the stages past the retire
+        stage; a halted machine does not advance.
         """
-        for _ in range(5 - self.retire_stage):
-            self._writeback()
-            mem_wb_next = self._memory()
-            ex_mem_next = self._execute(
-                mem_wb_next if self._mem_bypass else None)
-            self._mem_wb_next, self.mem_wb = self.mem_wb, mem_wb_next
-            self._ex_mem_next, self.ex_mem = self.ex_mem, ex_mem_next
-            self.id_ex.valid = False
+        self._clock(self.stats.cycles + 1)
 
     def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Run until the HALT instruction commits (or ``max_cycles``)."""
         if not self.program.instructions:
             raise SimulationError("cannot simulate an empty program")
-        while not self.halted:
-            if self.stats.cycles >= max_cycles:
-                raise SimulationError(
-                    f"program did not halt within {max_cycles} cycles"
-                )
-            self.step_cycle()
-        self._drain_uncounted()
-        self._finalize_stats()
+        self._clock(max_cycles)
+        if not self.halted:
+            raise SimulationError(
+                f"program did not halt within {max_cycles} cycles"
+            )
         return self.stats
-
-    def _finalize_stats(self) -> None:
-        self.stats.load_use_stalls = self.hdu.load_use_stalls
-        self.stats.taken_branches = self.branch_unit.taken_branches
-        self.stats.not_taken_branches = self.branch_unit.not_taken_branches
-        self.stats.jumps = self.branch_unit.jumps
-        self.stats.ex_forwards = self.forwarding.ex_forwards
-        self.stats.mem_forwards = self.forwarding.mem_forwards
-        self.stats.id_forwards = self.forwarding.id_forwards
 
     # ------------------------------------------------------------------ helpers
 

@@ -3,15 +3,15 @@
 :class:`PredecodedInstruction` is one TIM word decoded once, before the
 run: the fields and flags the stages would otherwise re-derive from the
 :class:`~repro.isa.instructions.Instruction` and its spec on every cycle.
-The latches carry it from IF to WB.
+It rides the pipeline registers from IF to WB.
 
-Each latch is one side of the ternary pipeline register between two
-stages.  The simulator builds two latches per register when it starts: the
-one the stages read this cycle and the one they fill for the next, swapped
-at every clock edge.  A stage fills its output latch in place; a latch whose
-``valid`` flag is False carries a bubble (the hardware would be holding the
-NOP selected by the stall control signal of the main decoder), and its other
-fields are stale, so every reader checks ``valid`` first.
+Each latch is the ternary pipeline register between two stages as it
+stands between two calls of the simulator's clock, which keeps the
+registers in local variables while it runs and writes them back into the
+same four latch objects when it returns.  A latch whose ``valid`` flag is
+False carries a bubble (the hardware would be holding the NOP selected by
+the stall control signal of the main decoder), and its other fields are
+stale, so every reader checks ``valid`` first.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.instructions import Instruction
+from repro.sim.alu import TernaryALU
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.ternary.word import TernaryWord
 
@@ -29,7 +30,9 @@ class PredecodedInstruction:
 
     It copies the operand fields, the dataflow of the spec (``reads_ta``,
     ``reads_tb``, ``destination``, ``sources``) and the class flags, and
-    adds the machine's static fetch steering:
+    adds the TALU ``operation`` of an ALU instruction (its
+    ``handler(operand_a, operand_b, imm)``) and the machine's static fetch
+    steering:
 
     ``predicted_taken``
         IF steers fetch to ``PC + imm`` instead of ``PC + 1``.
@@ -44,7 +47,7 @@ class PredecodedInstruction:
         "instruction", "mnemonic", "ta", "tb", "imm", "branch_trit",
         "reads_ta", "reads_tb", "destination", "sources",
         "is_load", "is_store", "is_control", "is_jump", "is_alu", "is_halt",
-        "predicted_taken", "fixed_mispredict",
+        "operation", "predicted_taken", "fixed_mispredict",
     )
 
     def __init__(self, instruction: Instruction,
@@ -68,6 +71,7 @@ class PredecodedInstruction:
         self.is_jump = spec.is_jump
         self.is_alu = spec.category in ("R", "I")
         self.is_halt = mnemonic == "HALT"
+        self.operation = TernaryALU.HANDLERS[mnemonic] if self.is_alu else None
         self.predicted_taken = machine.predicts_taken(
             mnemonic, instruction.imm or 0)
         if mnemonic == "JALR":
@@ -95,7 +99,7 @@ class DecodeLatch:
     """ID/EX pipeline register: decoded fields and register operands.
 
     ``operand_a`` / ``operand_b`` hold the values read from the TRF in ID;
-    the forwarding unit may override them at the TALU inputs in EX.
+    the forwarding multiplexers may override them at the TALU inputs in EX.
     """
 
     valid: bool = False

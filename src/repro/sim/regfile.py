@@ -25,13 +25,16 @@ class TernaryRegisterFile:
     """Storage for the nine ART-9 registers."""
 
     def __init__(self):
-        self._registers: List[TernaryWord] = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
+        #: The register words by index.  The pipeline's clock reads and
+        #: writes it directly: its register fields were range-checked when
+        #: TIM was encoded, and every word it writes is 9 trits wide.
+        self.words: List[TernaryWord] = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
 
     def read(self, index: int) -> TernaryWord:
         """Read register ``index`` (asynchronous read port)."""
         if not 0 <= index < NUM_REGISTERS:
             raise _index_error(index)
-        return self._registers[index]
+        return self.words[index]
 
     def write(self, index: int, value: TernaryWord) -> None:
         """Write register ``index`` (synchronous write port)."""
@@ -39,7 +42,7 @@ class TernaryRegisterFile:
             raise ValueError(f"register words are {WORD_TRITS} trits, got {value.width}")
         if not 0 <= index < NUM_REGISTERS:
             raise _index_error(index)
-        self._registers[index] = value
+        self.words[index] = value
 
     def read_int(self, index: int) -> int:
         """Read the signed integer value of register ``index``."""
@@ -51,12 +54,12 @@ class TernaryRegisterFile:
 
     def snapshot(self) -> dict:
         """Return a name → integer-value mapping of all registers."""
-        return {register_name(i): reg.value for i, reg in enumerate(self._registers)}
+        return {register_name(i): reg.value for i, reg in enumerate(self.words)}
 
     def reset(self) -> None:
         """Zero every register."""
-        self._registers = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
+        self.words = [TernaryWord.zero(WORD_TRITS) for _ in range(NUM_REGISTERS)]
 
     def __repr__(self) -> str:
-        values = ", ".join(f"T{i}={reg.value}" for i, reg in enumerate(self._registers))
+        values = ", ".join(f"T{i}={reg.value}" for i, reg in enumerate(self.words))
         return f"TernaryRegisterFile({values})"

@@ -132,9 +132,10 @@ def compare_words(a: TernaryWord, b: TernaryWord) -> int:
     The comparison is computed most-significant-trit first, the way a
     hardware ternary comparator cascades.
     """
-    for index in range(a.width - 1, -1, -1):
-        ta = a.trit(index)
-        tb = b.trit(index)
+    a_trits, b_trits = a.trits, b.trits
+    if len(a_trits) != len(b_trits):
+        raise ValueError("operands must have the same width")
+    for ta, tb in zip(reversed(a_trits), reversed(b_trits)):
         if ta != tb:
             return 1 if ta > tb else -1
     return 0

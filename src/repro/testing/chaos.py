@@ -95,8 +95,8 @@ def chaos_spec() -> SweepSpec:
         workloads=("dhrystone",),
         engines=("pipeline",),
         optimize=(True, False),
-        params={"dhrystone": [{"iterations": 120}, {"iterations": 240},
-                              {"iterations": 360}]},
+        params={"dhrystone": [{"iterations": 240}, {"iterations": 480},
+                              {"iterations": 720}]},
     )
 
 

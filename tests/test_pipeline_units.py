@@ -1,17 +1,19 @@
-"""Direct unit tests for the ID-stage branch unit and hazard detection unit.
+"""Unit tests for the ID-stage branch unit and the hazard detection rule.
 
-Both blocks were previously exercised only through whole-program pipeline
-runs; these tests pin their contracts in isolation: branch taken/not-taken
-decisions against the condition trit, JAL/JALR targets and link values, and
-the load-use stall rule (the only stall source of the ART-9 pipeline).
+The branch unit is called on its own: taken/not-taken decisions against
+the condition trit, JAL/JALR targets and link values.  The hazard
+detection unit is a section of the pipeline's clock, so each of its
+decisions is pinned by a small program whose ``load_use_stalls`` count
+shows whether the consumer stalled (the load-use stall is the only stall
+source of the ART-9 pipeline).
 """
 
 import pytest
 
+from repro.isa import assemble
 from repro.isa.instructions import Instruction
+from repro.sim import PipelineSimulator
 from repro.sim.pipeline.branch import BranchUnit
-from repro.sim.pipeline.hazards import HazardDetectionUnit
-from repro.sim.pipeline.stages import DecodeLatch, PredecodedInstruction
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 MOD = 3 ** WORD_TRITS
@@ -31,7 +33,6 @@ class TestBranchUnitBranches:
         assert outcome.is_control and outcome.taken
         assert outcome.target == 15
         assert outcome.link_value is None
-        assert unit.taken_branches == 1 and unit.not_taken_branches == 0
 
     @pytest.mark.parametrize("value,trit", [(1, 0), (0, 1), (-1, 1), (2, 0)])
     def test_beq_not_taken_when_lst_differs(self, value, trit):
@@ -40,7 +41,6 @@ class TestBranchUnitBranches:
         outcome = unit.evaluate(beq, pc=10, tb_value=word(value))
         assert outcome.is_control and not outcome.taken
         assert outcome.target is None
-        assert unit.not_taken_branches == 1 and unit.taken_branches == 0
 
     def test_bne_inverts_the_beq_decision(self):
         unit = BranchUnit()
@@ -49,7 +49,6 @@ class TestBranchUnitBranches:
         assert taken.taken and taken.target == 17
         not_taken = unit.evaluate(bne, pc=20, tb_value=word(0))
         assert not not_taken.taken
-        assert unit.taken_branches == 1 and unit.not_taken_branches == 1
 
     def test_backward_branch_target(self):
         unit = BranchUnit()
@@ -66,7 +65,6 @@ class TestBranchUnitJumps:
         assert outcome.is_control and outcome.taken
         assert outcome.target == 19
         assert outcome.link_value == 8  # PC + 1
-        assert unit.jumps == 1
 
     def test_jalr_targets_register_plus_offset(self):
         unit = BranchUnit()
@@ -89,69 +87,38 @@ class TestBranchUnitJumps:
         outcome = unit.evaluate(Instruction("ADD", ta=1, tb=2), pc=5,
                                 tb_value=word(0))
         assert not outcome.is_control and not outcome.taken
-        assert unit.taken_branches == unit.not_taken_branches == unit.jumps == 0
-
-    def test_reset_statistics(self):
-        unit = BranchUnit()
-        unit.evaluate(Instruction("JAL", ta=1, imm=1), pc=0, tb_value=None)
-        unit.evaluate(Instruction("BEQ", tb=1, branch_trit=0, imm=1), pc=0,
-                      tb_value=word(0))
-        unit.reset_statistics()
-        assert unit.taken_branches == unit.not_taken_branches == unit.jumps == 0
 
 
-def latch_for(instruction: Instruction) -> DecodeLatch:
-    return DecodeLatch(valid=True, pc=0,
-                       decoded=PredecodedInstruction(instruction))
+class TestHazardDetection:
+    """The HDU's decision for the instruction in ID, one program per case.
 
+    At load-use penalty 1 (``paper3stage``) any reader of the register a
+    LOAD in EX writes stalls one cycle; at penalty 0 (``ideal2``) the TALU
+    takes the loaded word through the same-cycle MEM bypass, so only the
+    ID consumers (the branch condition and the JALR base) stall.
+    """
 
-class TestHazardDetectionUnit:
-    def test_load_use_hazard_stalls_one_cycle(self):
-        hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        consumer = Instruction("ADD", ta=2, tb=3)  # reads T3 via tb
-        decision = hdu.check(PredecodedInstruction(consumer), latch_for(load))
-        assert decision.stall
-        assert "load-use" in decision.reason
-        assert hdu.load_use_stalls == 1
+    CASES = {
+        # The consumer reads the loaded register through Tb.
+        "load-use": ("LOAD T3, T1, 0\nADD T2, T3", 1, 0),
+        "independent consumer": ("LOAD T3, T1, 0\nADD T2, T4", 0, 0),
+        "non-load producer": ("ADD T3, T1\nADD T2, T3", 0, 0),
+        # The flush bubble of the taken branch is in EX when the consumer
+        # is in ID; the LOAD ahead of it has reached WB.
+        "bubble in EX": (
+            "LOAD T3, T1, 0\nBEQ T0, 0, next\nnext:\nADD T2, T3", 0, 0),
+        # BEQ consumes its condition trit in ID itself.
+        "branch reads loaded register": (
+            "LOAD T5, T1, 0\nBEQ T5, 0, next\nnext:\nNOP", 1, 1),
+        # STORE reads the loaded value as its data operand (Ta).
+        "store of loaded value": ("LOAD T5, T1, 0\nSTORE T5, T2, 0", 1, 0),
+    }
 
-    def test_load_followed_by_independent_instruction(self):
-        hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        independent = Instruction("ADD", ta=2, tb=4)
-        assert not hdu.check(PredecodedInstruction(independent), latch_for(load)).stall
-        assert hdu.load_use_stalls == 0
-
-    def test_non_load_producer_never_stalls(self):
-        hdu = HazardDetectionUnit()
-        add = Instruction("ADD", ta=3, tb=1)
-        consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(PredecodedInstruction(consumer), latch_for(add)).stall
-
-    def test_bubble_latch_never_stalls(self):
-        hdu = HazardDetectionUnit()
-        consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(PredecodedInstruction(consumer), DecodeLatch()).stall
-
-    def test_branch_reading_loaded_register_stalls(self):
-        # BEQ consumes its Tb condition trit in ID itself, so a LOAD one
-        # slot ahead is a load-use hazard for it too.
-        hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=5, tb=1, imm=0)
-        branch = Instruction("BEQ", tb=5, branch_trit=0, imm=2)
-        assert hdu.check(PredecodedInstruction(branch), latch_for(load)).stall
-        assert hdu.load_use_stalls == 1
-
-    def test_store_of_loaded_value_stalls(self):
-        hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=5, tb=1, imm=0)
-        store = Instruction("STORE", ta=5, tb=2, imm=0)  # reads T5 as data
-        assert hdu.check(PredecodedInstruction(store), latch_for(load)).stall
-
-    def test_reset_statistics(self):
-        hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        hdu.check(PredecodedInstruction(Instruction("ADD", ta=2, tb=3)),
-                  latch_for(load))
-        hdu.reset_statistics()
-        assert hdu.load_use_stalls == 0
+    @pytest.mark.parametrize("machine", ["paper3stage", "ideal2"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stall_decision(self, case, machine):
+        source, paper3stage, ideal2 = self.CASES[case]
+        expected = {"paper3stage": paper3stage, "ideal2": ideal2}[machine]
+        simulator = PipelineSimulator(assemble(source + "\nHALT"),
+                                      machine=machine)
+        assert simulator.run().load_use_stalls == expected

@@ -256,6 +256,45 @@ class TestEquivalence:
         assert stats.cycles == fast_stats.cycles
         assert registers == fast_regs and memory == fast_mem
 
+    def test_blocks_compiled_during_a_run_count_as_codegen(
+            self, translated_workloads, monkeypatch):
+        """A cold gemm run compiles the suffix blocks of its JALR return
+        targets after ``prepare()``; ``simulate_with_state`` charges them
+        to ``codegen_s``, not ``execute_s``.  Every ``compile`` takes one
+        second of a fake clock and nothing else moves it, so the phases
+        are exact."""
+        from repro.framework import hwflow
+        from repro.sim import compiled
+
+        clock = [0.0]
+
+        def slow_compile(source, filename, mode):
+            clock[0] += 1.0
+            return compile(source, filename, mode)
+
+        prepared_at = []
+        prepare = CompiledEngine.prepare
+
+        def noting_prepare(engine):
+            prepare(engine)
+            prepared_at.append(clock[0])
+
+        monkeypatch.setenv("ART9_CACHE_DISABLE", "1")
+        monkeypatch.setattr(compiled, "compile", slow_compile, raising=False)
+        monkeypatch.setattr(compiled, "perf_counter", lambda: clock[0],
+                            raising=False)
+        monkeypatch.setattr(hwflow, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(CompiledEngine, "prepare", noting_prepare)
+        _CODE_MEMO.clear()
+        timings = {}
+        try:
+            HardwareFramework(engine="compiled").simulate_with_state(
+                translated_workloads["gemm"], timings=timings)
+        finally:
+            _CODE_MEMO.clear()
+        assert clock[0] > prepared_at[0]  # the run compiled blocks too
+        assert timings == {"codegen_s": clock[0], "execute_s": 0.0}
+
     def test_mid_block_jalr_entry_compiles_a_suffix_block(self):
         # The JALR lands at address 5, the middle of the straight-line block
         # that starts at address 2 — only reachable through the lazy

@@ -123,9 +123,6 @@ class TestTernaryALU:
         assert self.alu.execute("SL", TernaryWord(10), TernaryWord(2)).value.value == 90
         assert self.alu.execute("SR", TernaryWord(90), TernaryWord(2)).value.value == 10
 
-    def test_effective_address(self):
-        assert self.alu.effective_address(TernaryWord(-2), 1) == 3 ** 9 - 1
-
     def test_mnemonics_are_case_insensitive(self):
         assert self.alu.execute("add", TernaryWord(1), TernaryWord(2)).value.value == 3
         assert self.alu.execute("Addi", TernaryWord(1), imm=4).operation == "ADDI"

@@ -6,7 +6,10 @@ equivalence with the functional simulator on random straight-line and
 control-flow-heavy programs.
 """
 
+import ast
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +181,48 @@ class TestPredecodedRun:
         MemoryLatch()  # the counter sees a construction
         assert built == {"MemoryLatch": 1}
 
+    @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
+    def test_the_clock_makes_few_calls_per_cycle(self, dhrystone, machine):
+        # The stages, the HDU and the forwarding muxes are sections of one
+        # loop; what calls remain are the TALU's trit-level algorithms,
+        # the TDM ports and the branch unit.  A stage, mux or wrapper call
+        # per cycle would add at least 1.
+        pipeline = PipelineSimulator(dhrystone, machine=machine)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            stats = pipeline.run()
+        finally:
+            sys.setprofile(previous)
+        assert calls <= 4 * stats.cycles, calls / stats.cycles
+
+
+def test_pipeline_imports_no_analytic_engine():
+    """The structural reference shares no code with what it checks."""
+    root = Path(sys.modules[PipelineSimulator.__module__].__file__).parent
+    forbidden = {"repro.sim.timing", "repro.sim.engine", "repro.sim.compiled"}
+    sources = sorted(root.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""}
+                if node.module == "repro.sim":
+                    names |= {f"repro.sim.{alias.name}"
+                              for alias in node.names}
+            else:
+                continue
+            assert not names & forbidden, (path.name, names & forbidden)
+
 
 class TestSteppedClock:
     """Driving ``step_cycle()`` by hand is the same machine as ``run()``."""
@@ -202,18 +247,18 @@ class TestSteppedClock:
         stepped = PipelineSimulator(program, machine=machine)
         held = []
         while not stepped.halted:
-            stalls = stepped.hdu.load_use_stalls
+            stalls = stepped.stats.load_use_stalls
             before = (stepped.if_id.valid, stepped.if_id.pc,
                       stepped.if_id.decoded)
             stepped.step_cycle()
-            if stepped.hdu.load_use_stalls > stalls:
+            if stepped.stats.load_use_stalls > stalls:
                 # IF/ID still holds the consumer; ID/EX took the NOP.
                 after = (stepped.if_id.valid, stepped.if_id.pc,
                          stepped.if_id.decoded)
                 assert after == before and before[0]
                 assert not stepped.id_ex.valid
                 held.append(after[2].mnemonic)
-        # The machine has halted, so run() only drains and finalizes.
+        # The halting cycle drained the machine, so run() only returns.
         stats = stepped.run()
         assert "BEQ" in held and stats.taken_branches == 1
 

@@ -131,6 +131,14 @@ class TestCompare:
         expected = 0 if a == b else (1 if a > b else -1)
         assert compare_words(TernaryWord(a), TernaryWord(b)) == expected
 
+    @pytest.mark.parametrize("narrow_first", [True, False])
+    def test_compare_rejects_mismatched_widths(self, narrow_first):
+        pair = [TernaryWord(4, 5), TernaryWord(4)]
+        if not narrow_first:
+            pair.reverse()
+        with pytest.raises(ValueError):
+            compare_words(*pair)
+
     def test_divmod_by_power_of_three(self):
         quotient, remainder = divmod_by_power_of_three(TernaryWord(100), 2)
         assert quotient.value == shift_right(TernaryWord(100), 2).value
