@@ -278,6 +278,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         os.remove(journal_path(args.out))
     dispatch_counts = {}
     recovered = 0
+    returning_workers = set()
     journal = RunJournal(journal_path(args.out))
     if not args.no_resume:
         stored_ids = [record["job_id"]
@@ -293,6 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            kind="restart")
         dispatch_counts = recovery.dispatch_counts
         recovered = len(recovery.leased)
+        returning_workers = recovery.workers
     backend = AsyncQueueBackend(
         workers=args.local_workers,
         host=args.host,
@@ -305,6 +307,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_timeout=args.job_timeout,
         dispatch_counts=dispatch_counts,
         recovered_jobs=recovered,
+        returning_workers=returning_workers,
     )
     try:
         outcome = run_sweep(spec, args.out, resume=not args.no_resume,

@@ -30,7 +30,11 @@ Crash tolerance is entirely the coordinator's job:
   lease / requeue / loss is an fsync'd event, and an accepted job is
   settled by its fsync'd record in ``results.jsonl``, so ``art9 serve
   --resume`` rebuilds the pending set, requeues formerly leased jobs, and
-  keeps the poison budget counting across the crash.
+  keeps the poison budget counting across the crash;
+* a **worker still backing off** from that crash when the resumed run
+  completes is not connected to hear ``done``: the resumed coordinator
+  keeps its listener open, answering ``done``, until every worker the
+  journal names has heard it or :data:`DONE_GRACE_SECONDS` have passed.
 
 When constructed with an ``auth_token``, every connection must present it
 in its first message (constant-time compare) or it is refused with a
@@ -47,11 +51,13 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
+from typing import (Callable, Deque, Dict, Iterable, Mapping, Optional,
+                    Sequence)
 
 from repro.runner.spec import SweepJob
 from repro.service.journal import RunJournal
 from repro.service.protocol import (
+    BACKOFF_LONGEST_SECONDS,
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     read_message,
@@ -67,6 +73,11 @@ DEFAULT_HEARTBEAT_TIMEOUT = 15.0
 
 #: Default number of requeues before a job is declared lost.
 DEFAULT_MAX_REQUEUES = 3
+
+#: How long a completed run waits for its returning workers to hear
+#: ``done``: a worker backing off dials again within its longest backoff
+#: step, and one more second covers its hello.
+DONE_GRACE_SECONDS = BACKOFF_LONGEST_SECONDS + 1.0
 
 
 @dataclass
@@ -135,9 +146,10 @@ class Coordinator:
     """TCP job server for one batch of sweep jobs.
 
     ``serve()`` runs until every job has exactly one accepted record (real
-    or synthetic-lost), then closes the listener.  The bound port is
-    available as :attr:`port` once :meth:`wait_started` returns, which is
-    what lets callers bind port 0 and spawn workers against the real port.
+    or synthetic-lost), tells the workers (:meth:`_announce_done`), then
+    closes the listener.  The bound port is available as :attr:`port` once
+    :meth:`wait_started` returns, which is what lets callers bind port 0
+    and spawn workers against the real port.
 
     ``journal`` (a :class:`~repro.service.journal.RunJournal`) makes the
     scheduler's state machine durable; ``dispatch_counts`` seeds the
@@ -145,7 +157,10 @@ class Coordinator:
     not hand a crashing job a fresh set of attempts; ``auth_token``
     requires every connection to authenticate its first message.
     ``expected_workers`` holds dispatch until that many distinct workers
-    have said hello (see :meth:`lift_worker_hold`).
+    have said hello (see :meth:`lift_worker_hold`).  ``returning_workers``
+    names the workers that leased jobs from an earlier incarnation of the
+    run (a journal replay); once the run completes, ``serve()`` waits up to
+    :data:`DONE_GRACE_SECONDS` for each of them to hear ``done``.
     """
 
     def __init__(
@@ -161,6 +176,7 @@ class Coordinator:
         dispatch_counts: Optional[Mapping[str, int]] = None,
         recovered_jobs: int = 0,
         expected_workers: int = 0,
+        returning_workers: Iterable[str] = (),
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
         self._on_result = on_result
@@ -189,7 +205,12 @@ class Coordinator:
         self._expected_workers = expected_workers
         self._connection_ids = itertools.count(1)
         self._handler_tasks: set = set()
-        self._writers: set = set()
+        # Open connections -> the worker name each one said hello with.
+        self._writers: Dict[asyncio.StreamWriter, str] = {}
+        # Workers of an earlier incarnation that have not heard ``done``
+        # from this one; serve() waits for them once the run completes.
+        self._owed_done = set(returning_workers)
+        self._owed_heard = asyncio.Event()
 
         self.stats = CoordinatorStats(jobs_total=len(self._pending),
                                       recovered_jobs=recovered_jobs)
@@ -258,20 +279,13 @@ class Coordinator:
         watchdog = asyncio.create_task(self._watchdog())
         try:
             await self._all_done.wait()
+            if self._fatal is None and self.outstanding <= 0:
+                await self._announce_done()
         finally:
             watchdog.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await watchdog
             server.close()
-            if self._fatal is None and self.outstanding <= 0:
-                # The run completed: tell every still-connected worker so
-                # idle ones exit cleanly instead of mistaking the closed
-                # socket for a crash and burning their reconnect budget.
-                for writer in list(self._writers):
-                    with contextlib.suppress(Exception):
-                        send_message(writer, {"type": "done"})
-                    with contextlib.suppress(Exception):
-                        await asyncio.wait_for(writer.drain(), timeout=1.0)
             # Workers that were waiting for more work may still hold open
             # connections; cancel their handlers so shutdown is quiet.
             for task in list(self._handler_tasks):
@@ -286,6 +300,33 @@ class Coordinator:
             # run must fail loudly instead of reporting success.
             raise self._fatal
         return self.stats
+
+    async def _announce_done(self) -> None:
+        """Tell the workers that the run is complete.
+
+        Every connected worker hears ``done`` at once, so idle ones exit
+        cleanly instead of mistaking the closed socket for a crash and
+        burning their reconnect budget.  A returning worker that is still
+        backing off is not connected: the listener stays open, and the
+        handler answers its reconnect with ``done``, until each of them
+        has heard it or :data:`DONE_GRACE_SECONDS` have passed.
+        """
+        for writer, worker in list(self._writers.items()):
+            try:
+                send_message(writer, {"type": "done"})
+                await asyncio.wait_for(writer.drain(), timeout=1.0)
+            except Exception:
+                continue
+            self._heard_done(worker)
+        if self._owed_done:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._owed_heard.wait(),
+                                       DONE_GRACE_SECONDS)
+
+    def _heard_done(self, worker: str) -> None:
+        self._owed_done.discard(worker)
+        if not self._owed_done:
+            self._owed_heard.set()
 
     # -- queue bookkeeping --------------------------------------------------
 
@@ -488,9 +529,9 @@ class Coordinator:
         task = asyncio.current_task()
         if task is not None:
             self._handler_tasks.add(task)
-        self._writers.add(writer)
         connection_id = next(self._connection_ids)
         worker = f"conn-{connection_id}"
+        self._writers[writer] = worker
         assigned: Optional[str] = None
         authenticated = self._auth_token is None
         try:
@@ -517,6 +558,7 @@ class Coordinator:
                         break
                     authenticated = True
                     worker = str(message.get("worker") or worker)
+                    self._writers[writer] = worker
                     self.stats.workers_seen += 1
                     if worker in self._seen_worker_names:
                         # Same name, new connection: the worker survived a
@@ -568,13 +610,14 @@ class Coordinator:
                     assigned = reply["job_id"]
                 await send_and_drain(writer, reply)
                 if reply["type"] == "done":
+                    self._heard_done(worker)
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass  # shutdown or a vanished worker; cleanup happens below
         finally:
             if task is not None:
                 self._handler_tasks.discard(task)
-            self._writers.discard(writer)
+            self._writers.pop(writer, None)
             if assigned is not None:
                 entry = self._in_flight.get(assigned)
                 if entry is not None and entry.connection_id == connection_id:

@@ -33,7 +33,10 @@ journal event for the acceptance would only repeat it.
   it is still pending, so it runs again all the same;
 * **dispatch counts** (number of ``leased`` events per job) survive the
   restart, so the ``max_requeues`` poison-job budget cannot be reset by
-  crashing the coordinator.
+  crashing the coordinator;
+* the **workers** named by ``leased`` events may still be backing off
+  from the outage when the resumed run completes, so the resumed
+  coordinator waits a while for each of them to hear ``done``.
 
 Torn tails are expected — the coordinator may die mid-append — so both
 writing and replay go through :mod:`repro.durable`: an append seals a
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Set
 
 from repro import durable
 
@@ -103,6 +106,8 @@ class JournalRecovery:
     #: Jobs a worker was holding when the coordinator died (job_id ->
     #: worker name), minus anything ``results.jsonl`` holds a record for.
     leased: Dict[str, str] = field(default_factory=dict)
+    #: Names of the workers that leased a job from an earlier incarnation.
+    workers: Set[str] = field(default_factory=set)
     #: Events the replay parsed (for logs and tests).
     events_replayed: int = 0
 
@@ -131,7 +136,10 @@ def recover_from_events(events: Iterable[dict],
         if kind == "leased":
             recovery.dispatch_counts[job_id] = \
                 recovery.dispatch_counts.get(job_id, 0) + 1
-            recovery.leased[job_id] = str(event.get("worker") or "?")
+            worker = event.get("worker")
+            recovery.leased[job_id] = str(worker or "?")
+            if isinstance(worker, str):
+                recovery.workers.add(worker)
         elif kind in ("requeued", "lost"):
             recovery.leased.pop(job_id, None)
     for job_id in stored_ids:

@@ -51,7 +51,9 @@ coordinator → worker
         broadcast to every still-connected worker when the coordinator
         shuts down after a completed run, so idle workers exit instead of
         mistaking the shutdown for a crash and burning their reconnect
-        budget;
+        budget.  A resumed coordinator also keeps listening for a while
+        after its run completes, so the workers of the crashed one that
+        are still backing off reconnect and hear it;
     ``{"type": "error", "error": <reason>}``
         the connection was refused (bad token, too-new protocol).  The
         coordinator closes the connection after sending it; the worker
@@ -85,6 +87,15 @@ MAX_MESSAGE_BYTES = 8 * 1024 * 1024
 #: against a token-less coordinator; the coordinator refuses only versions
 #: *newer* than its own.
 PROTOCOL_VERSION = 2
+
+#: Worker reconnect backoff: the first delay, doubled per consecutive
+#: failure up to the cap, each scaled by a jitter factor drawn from
+#: [0.5, 1.5).
+BACKOFF_BASE_SECONDS = 0.25
+BACKOFF_CAP_SECONDS = 10.0
+
+#: Longest pause between two reconnect attempts of one worker.
+BACKOFF_LONGEST_SECONDS = 1.5 * BACKOFF_CAP_SECONDS
 
 #: Environment variable carrying the shared worker-auth token; the
 #: ``--auth-token`` flags of ``art9 serve`` / ``art9 work`` / ``art9

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import multiprocessing
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 
 from repro.runner.spec import SweepJob
 from repro.service.backends import EmitFn, ExecutionBackend
@@ -59,6 +59,7 @@ class AsyncQueueBackend(ExecutionBackend):
         job_timeout: Optional[float] = None,
         dispatch_counts: Optional[Mapping[str, int]] = None,
         recovered_jobs: int = 0,
+        returning_workers: Iterable[str] = (),
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -82,6 +83,9 @@ class AsyncQueueBackend(ExecutionBackend):
         #: Number of formerly-leased jobs a journal replay requeued (shown
         #: in the final stats line of a resumed run).
         self.recovered_jobs = recovered_jobs
+        #: Workers that leased jobs before a ``--resume`` restart; the
+        #: coordinator waits for them to hear ``done`` once the run ends.
+        self.returning_workers = frozenset(returning_workers)
         #: Stats of the most recent run (None before the first execute()).
         self.stats: Optional[CoordinatorStats] = None
 
@@ -103,6 +107,7 @@ class AsyncQueueBackend(ExecutionBackend):
             dispatch_counts=self.dispatch_counts,
             recovered_jobs=self.recovered_jobs,
             expected_workers=self.workers,
+            returning_workers=self.returning_workers,
         )
         serve_task = asyncio.create_task(coordinator.serve())
         await coordinator.wait_started()

@@ -54,6 +54,8 @@ from typing import Callable, Optional
 from repro.runner.spec import SweepJob
 from repro.runner.worker import execute_job
 from repro.service.protocol import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_CAP_SECONDS,
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
     read_message,
@@ -79,10 +81,6 @@ DEFAULT_MAX_RETRIES = 8
 #: Default wall-clock seconds of consecutive failed reconnecting before
 #: the worker gives up (whichever budget trips first wins).
 DEFAULT_RETRY_WINDOW = 120.0
-
-#: First reconnect delay; doubles per consecutive failure up to the cap.
-BACKOFF_BASE_SECONDS = 0.25
-BACKOFF_CAP_SECONDS = 10.0
 
 
 @dataclass

@@ -27,7 +27,7 @@ Scenarios (``art9 chaos --scenario NAME``):
     disk state a real power loss leaves — and resume.
 
 The grid is dhrystone on the pipeline engine with iteration counts sized
-so each job takes a few hundred milliseconds: long enough that kills land
+so each job takes a fraction of a second: long enough that kills land
 mid-run, short enough for CI.  ``seed`` jitters the kill timing so
 repeated CI runs explore different interleavings while any one run stays
 reproducible.
@@ -90,13 +90,13 @@ class ChaosResult:
 
 
 def chaos_spec() -> SweepSpec:
-    """The sweep grid every scenario runs: 6 jobs of a few hundred ms."""
+    """The sweep grid every scenario runs: 6 jobs of under a second."""
     return SweepSpec(
         workloads=("dhrystone",),
         engines=("pipeline",),
         optimize=(True, False),
-        params={"dhrystone": [{"iterations": 240}, {"iterations": 480},
-                              {"iterations": 720}]},
+        params={"dhrystone": [{"iterations": 120}, {"iterations": 240},
+                              {"iterations": 360}]},
     )
 
 

@@ -126,6 +126,9 @@ class TestRecovery:
         ])
         assert recovery.leased == {"a": "w2"}
         assert recovery.dispatch_counts == {"a": 2, "b": 1}
+        # Every worker that ever leased may still be reconnecting, whether
+        # or not its lease is still open.
+        assert recovery.workers == {"w1", "w2"}
 
     def test_results_file_wins_over_a_torn_accept_event(self):
         # The record hit results.jsonl and the coordinator died before any
@@ -142,8 +145,10 @@ class TestRecovery:
             {"event": "leased", "job_id": 17},
             {"event": "leased"},
             {"event": "leased", "job_id": "ok", "worker": "w"},
+            {"event": "leased", "job_id": "anonymous"},
         ])
-        assert recovery.leased == {"ok": "w"}
+        assert recovery.leased == {"ok": "w", "anonymous": "?"}
+        assert recovery.workers == {"w"}
 
     def test_recover_run_reads_the_run_directory(self, tmp_path):
         RunJournal(journal_path(str(tmp_path))).append(

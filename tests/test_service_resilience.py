@@ -16,8 +16,10 @@ import time
 import pytest
 
 from repro.runner.spec import SweepJob
+from repro.service import coordinator as coordinator_module
 from repro.service import workerclient
 from repro.service.coordinator import Coordinator
+from repro.service.journal import RunJournal, journal_path, recover_run
 from repro.service.protocol import read_message, send_and_drain, token_matches
 from repro.service.workerclient import (
     WorkerSummary,
@@ -105,6 +107,84 @@ class TestReconnect:
         # The in-flight record may have been re-sent to the restarted
         # coordinator, but never twice into the results.
         assert len(records) == len(jobs)
+
+    def test_worker_backing_off_hears_done_from_the_resumed_run(
+            self, tmp_path):
+        # The coordinator dies while "lagging" runs a job.  A resumed
+        # coordinator completes the run with another worker before
+        # "lagging" notices the loss; its reconnect must still hear
+        # ``done``, not a closed port that burns its retry budget into
+        # "gave-up".
+        jobs = _jobs(2)
+        records = []
+        release = threading.Event()
+
+        def held(job):
+            release.wait(10.0)
+            return _stub_executor(job)
+
+        async def scenario():
+            first = Coordinator(
+                jobs, journal=RunJournal(journal_path(str(tmp_path))))
+            serve1 = asyncio.create_task(first.serve())
+            port = await first.wait_started()
+            lagging = asyncio.create_task(
+                work_async("127.0.0.1", port, name="lagging", executor=held,
+                           max_retries=3))
+            await _wait_until(
+                lambda: first.status_snapshot()["in_flight"] == 1)
+            serve1.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await serve1
+            recovery = recover_run(str(tmp_path))
+            assert recovery.workers == {"lagging"}
+            second = Coordinator(jobs, on_result=records.append, port=port,
+                                 returning_workers=recovery.workers)
+            serve2 = asyncio.create_task(second.serve())
+            await second.wait_started()
+            rescuer = await work_async("127.0.0.1", port, name="rescuer",
+                                       executor=_stub_executor)
+            assert second.outstanding == 0
+            # Only now does the held job finish, on the dead connection.
+            release.set()
+            start = asyncio.get_running_loop().time()
+            summary = await lagging
+            stats = await serve2
+            return (rescuer, summary, stats,
+                    asyncio.get_running_loop().time() - start)
+
+        try:
+            rescuer, lagging, stats, elapsed = asyncio.run(scenario())
+        finally:
+            release.set()
+        assert rescuer.outcome == "done" and rescuer.jobs_completed == 2
+        assert lagging.outcome == "done", lagging.detail
+        assert lagging.reconnects == 1
+        # Its re-sent record was dropped, and the coordinator stopped
+        # waiting as soon as the one returning worker heard ``done``.
+        assert stats.duplicate_results == 1
+        assert len(records) == len(jobs)
+        assert elapsed < 5.0
+
+    def test_done_grace_for_a_returning_worker_is_bounded(self,
+                                                          monkeypatch):
+        # A returning worker that died with the old coordinator never
+        # comes back: the completed run waits DONE_GRACE_SECONDS, no more.
+        monkeypatch.setattr(coordinator_module, "DONE_GRACE_SECONDS", 0.3)
+
+        async def scenario():
+            coordinator = Coordinator(_jobs(1), returning_workers={"gone"})
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            summary = await work_async("127.0.0.1", port, name="alive",
+                                       executor=_stub_executor)
+            start = asyncio.get_running_loop().time()
+            await serve
+            return summary, asyncio.get_running_loop().time() - start
+
+        summary, elapsed = asyncio.run(scenario())
+        assert summary.outcome == "done"
+        assert 0.2 <= elapsed < 5.0
 
     def test_retry_budget_exhausts_into_gave_up(self):
         jobs = _jobs(1)
