@@ -62,8 +62,8 @@ class HardwareFramework:
     Three interchangeable execution engines back :meth:`simulate`:
 
     * ``"fast"`` (the default) — the pre-decoded integer engine of
-      :mod:`repro.sim.engine`, stepping the analytic timing model of
-      :mod:`repro.sim.timing` once per committed instruction.  It
+      :mod:`repro.sim.engine`, applying the analytic timing model of
+      :mod:`repro.sim.timing` once per straight-line run.  It
       produces bit-identical :class:`PipelineStats` to the stage-by-stage
       simulator (asserted continuously by the differential test suite) at a
       fraction of the cost, which is what makes large workload sweeps viable.
@@ -75,7 +75,7 @@ class HardwareFramework:
     * ``"compiled"`` — the superblock code-generating engine of
       :mod:`repro.sim.compiled`: the program is compiled once per machine
       config to specialized Python functions with the same timing model
-      fused in, several times faster again than ``"fast"`` on loop-heavy
+      fused in, about twice as fast again as ``"fast"`` on loop-heavy
       workloads; its codegen artifacts are shared across worker processes
       through :mod:`repro.cache`.
     """

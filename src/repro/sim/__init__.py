@@ -21,15 +21,16 @@ Their ``PipelineStats`` come from one analytic timing model,
 
 ``FastEngine`` (in :mod:`repro.sim.engine`)
     Pre-decodes the program into flat integer dispatch records and
-    interprets them on plain Python ints, stepping the timing model once
-    per committed instruction.
+    interprets them on plain Python ints, applying the timing model once
+    per straight-line run: a run that repeats steps only its first two
+    instructions and adds folded counters for the rest.
 ``CompiledEngine`` (in :mod:`repro.sim.compiled`)
     Goes one step further: partitions the program into superblocks and
     ``compile()``s one specialized Python function per block (registers in
     locals, immediates folded to constants, the timing model stepped at
     run time only for the first two instructions and folded to constants
     for the rest), dispatching block-to-block through a PC → function
-    table.  Several times faster again than ``FastEngine`` on loop-heavy
+    table.  About twice as fast again as ``FastEngine`` on loop-heavy
     workloads, and its generated code is shareable across worker processes
     through the artifact cache (:mod:`repro.cache`).
 

@@ -41,8 +41,8 @@ class ALUResult:
 
 
 @lru_cache(maxsize=1024)
-def _constant_word(value: int, width: int) -> TernaryWord:
-    """The ``width``-trit word of an immediate or COMP result.
+def constant_word(value: int, width: int) -> TernaryWord:
+    """The ``width``-trit word of an immediate, COMP result or link value.
 
     ``TernaryWord`` is immutable, so one instance per value is shared by
     every operation that needs it.
@@ -53,7 +53,7 @@ def _constant_word(value: int, width: int) -> TernaryWord:
 @lru_cache(maxsize=128)
 def _upper_word(imm: int) -> TernaryWord:
     """LUI's result ``{imm[3:0], 00000}``, shared per immediate."""
-    return shift_left(_constant_word(imm, WORD_TRITS), 5)
+    return shift_left(constant_word(imm, WORD_TRITS), 5)
 
 
 def _imm_shift_amount(imm: int) -> int:
@@ -74,13 +74,13 @@ _HANDLERS = {
     "SUB": lambda a, b, imm: sub_words(a, b),
     "SR": lambda a, b, imm: shift_right(a, shift_amount_from_word(b)),
     "SL": lambda a, b, imm: shift_left(a, shift_amount_from_word(b)),
-    "COMP": lambda a, b, imm: _constant_word(compare_words(a, b), WORD_TRITS),
-    "ANDI": lambda a, b, imm: word_and(a, _constant_word(imm, WORD_TRITS)),
-    "ADDI": lambda a, b, imm: add_words(a, _constant_word(imm, WORD_TRITS)),
+    "COMP": lambda a, b, imm: constant_word(compare_words(a, b), WORD_TRITS),
+    "ANDI": lambda a, b, imm: word_and(a, constant_word(imm, WORD_TRITS)),
+    "ADDI": lambda a, b, imm: add_words(a, constant_word(imm, WORD_TRITS)),
     "SRI": lambda a, b, imm: shift_right(a, _imm_shift_amount(imm)),
     "SLI": lambda a, b, imm: shift_left(a, _imm_shift_amount(imm)),
     "LUI": lambda a, b, imm: _upper_word(imm),
-    "LI": lambda a, b, imm: a.replace_low(_constant_word(imm, 5)),
+    "LI": lambda a, b, imm: a.replace_low(constant_word(imm, 5)),
 }
 
 

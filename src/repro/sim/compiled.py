@@ -220,11 +220,10 @@ def generate_block_source(
 
     The function is named ``_blk_<entry>`` and has the signature
     ``(regs, mem, st) -> next_pc``.  ``attrs`` are the program's
-    :func:`repro.sim.timing.attributes`: the block steps the timing model
-    at run time for its first :data:`~repro.sim.timing.CARRIED`
-    instructions, reading their attributes from the namespace table
-    ``_A``, and adds the compile-time
-    :func:`~repro.sim.timing.static_exits` for the rest.
+    :func:`repro.sim.timing.attributes`, split by
+    :func:`~repro.sim.timing.split_run`: the block steps the timing model
+    at run time for its prefix, reading the attributes from the namespace
+    table ``_A``, and adds the compile-time exits for the rest.
 
     With ``profile=True`` the block's first statement bumps its ``entry``
     slot in the shared ``_P`` execution-count dict — the per-block
@@ -377,22 +376,21 @@ def generate_block_source(
 
     # -- timing: the carried prefix steps the model at run time; the rest
     # of the block adds constant counters and leaves a constant window ------
-    block = [attrs[pc] for pc in span]
+    prefix, exits = timing.split_run([attrs[pc] for pc in span])
     taken = "_tk" if last_op in (OP_BEQ, OP_BNE) else "0"
-    for k, pc in enumerate(span[:timing.CARRIED]):
+    for k, pc in enumerate(span[:len(prefix)]):
         w.emit(f"_step(st, _A[{pc}], {taken if k == n - 1 else 0})")
-    if n > timing.CARRIED:
-        taken_exit, fall_exit = timing.static_exits(block)
+    if exits is not None:
+        taken_exit, fall_exit = exits
         arms = ([("", taken_exit)] if taken_exit == fall_exit
                 else [("if _tk:", taken_exit), ("else:", fall_exit)])
         window = f"st[{timing.WINDOW.start}:{timing.WINDOW.stop}]"
-        for head, (deltas, values) in arms:
+        for head, (increments, values) in arms:
             indent = 2 if head else 1
             if head:
                 w.emit(head)
-            for slot, delta in enumerate(deltas):
-                if delta:
-                    w.emit(f"st[{slot}] += {delta}", indent)
+            for slot, delta in increments:
+                w.emit(f"st[{slot}] += {delta}", indent)
             w.emit(f"{window} = {values!r}", indent)
 
     for reg in sorted(written):

@@ -25,10 +25,14 @@ Two entry points are exposed:
 
 ``run_with_stats()``
     Architectural execution plus the analytic timing model of
-    :mod:`repro.sim.timing`, stepped once per committed instruction.  It
-    reproduces the pipeline simulator's statistics bit-identically (this is
-    asserted by the differential tests in ``repro.testing``) at a fraction
-    of the cost, which is what lets
+    :mod:`repro.sim.timing`, applied once per straight-line run (from a
+    control-transfer target to the next control transfer or HALT): a run
+    that ends for the second time is split by
+    :func:`~repro.sim.timing.split_run`, so from then on only its first
+    :data:`~repro.sim.timing.CARRIED` instructions are stepped and the rest
+    add folded counters.  It reproduces the pipeline simulator's statistics
+    bit-identically (this is asserted by the differential tests in
+    ``repro.testing``) at a fraction of the cost, which is what lets
     :class:`~repro.framework.hwflow.HardwareFramework` opt into the fast
     path for benchmarking.
 """
@@ -53,9 +57,10 @@ from repro.ternary.word import WORD_TRITS
 MOD = 3 ** WORD_TRITS
 HALF = (MOD - 1) // 2
 
-# Small-int opcode tags of the dispatch records, roughly ordered by dynamic
-# frequency in the translated workloads (the interpreter's if/elif chain
-# tests them in this order).
+# Small-int opcode tags of the dispatch records.  The interpreter's if/elif
+# chain tests them in this order, which is not the order of dynamic
+# frequency: on the default sweep grid LOAD (22.5 %), STORE (19.5 %) and MV
+# (15.6 %) lead.
 OP_ADDI = 0
 OP_ADD = 1
 OP_LOAD = 2
@@ -298,11 +303,19 @@ class FastEngine:
         pc = self.pc
         executed = self.instructions_executed
         halted = self.halted
-        # Analytic timing (only when ``state`` is a timing state): one
-        # model step per committed instruction.
+        # Analytic timing (only when ``state`` is a timing state), once per
+        # straight-line run: a run starts at ``start`` and ends at the next
+        # control transfer or HALT, so its start fixes its end.  The first
+        # time a run ends it is stepped whole; the second time it is split
+        # (``timing.split_run``) into the prefix stepped at every end and
+        # the folded exits, a plan kept until the program halts.
         if state is not None:
             step = timing.step
             attrs = timing.attributes(self.program.instructions, self.machine)
+            window = timing.WINDOW
+            ended = set()
+            plans: Dict[int, tuple] = {}
+        start = pc
 
         while not halted:
             if executed >= max_instructions:
@@ -319,7 +332,9 @@ class FastEngine:
             counts[pc] += 1
             executed += 1
             next_pc = pc + 1
-            branch_was_taken = False
+            # Set only by an instruction that ends a run: the conditional
+            # branch outcome, False for jumps and HALT.
+            taken = None
 
             if op == OP_ADDI:
                 v = regs[ta] + imm
@@ -357,8 +372,8 @@ class FastEngine:
                 mem[address] = regs[ta]
             elif op == OP_BEQ or op == OP_BNE:
                 lst = (regs[tb] + 1) % 3 - 1
-                branch_was_taken = (lst == bt) if op == OP_BEQ else (lst != bt)
-                if branch_was_taken:
+                taken = (lst == bt) if op == OP_BEQ else (lst != bt)
+                if taken:
                     next_pc = pc + imm
             elif op == OP_LI:
                 v = regs[ta]
@@ -375,10 +390,12 @@ class FastEngine:
             elif op == OP_JAL:
                 regs[ta] = wrap(pc + 1)
                 next_pc = pc + imm
+                taken = False
             elif op == OP_JALR:
                 base = regs[tb]
                 regs[ta] = wrap(pc + 1)
                 next_pc = (base + imm) % MOD
+                taken = False
             elif op == OP_LUI:
                 regs[ta] = wrap(imm * 243)
             elif op == OP_COMP:
@@ -416,9 +433,28 @@ class FastEngine:
                 regs[ta] = trit_and(regs[ta], imm)
             else:  # OP_HALT
                 halted = True
+                taken = False
 
-            if state is not None:
-                step(state, attrs[pc], branch_was_taken)
+            if taken is not None and state is not None:
+                plan = plans.get(start)
+                if plan is None and start in ended:
+                    plan = plans[start] = timing.split_run(
+                        attrs[start:pc + 1])
+                if plan is None:
+                    ended.add(start)
+                    for attributes in attrs[start:pc + 1]:
+                        step(state, attributes, taken)
+                else:
+                    prefix, exits = plan
+                    for attributes in prefix:
+                        step(state, attributes, taken)
+                    if exits is not None:
+                        increments, exit_window = (
+                            exits[0] if taken else exits[1])
+                        for slot, delta in increments:
+                            state[slot] += delta
+                        state[window] = exit_window
+                start = next_pc
 
             pc = next_pc
 
@@ -431,8 +467,8 @@ class FastEngine:
     def run_with_stats(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Execute and return pipeline statistics identical to the pipeline model.
 
-        Every counter comes from :mod:`repro.sim.timing`, stepped once per
-        committed instruction inside the execution loop.
+        Every counter comes from :mod:`repro.sim.timing`, applied inside
+        the execution loop each time a straight-line run ends.
         """
         if not self.program.instructions:
             raise SimulationError("cannot simulate an empty program")

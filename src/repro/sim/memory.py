@@ -24,6 +24,18 @@ class MemoryError_(RuntimeError):
     avoid shadowing the built-in ``MemoryError``)."""
 
 
+def address_fault(name: str, address: int, depth: int) -> MemoryError_:
+    """The fault of an access to ``address`` of a ``depth``-word memory."""
+    return MemoryError_(f"{name}: address {address} out of range 0..{depth - 1}")
+
+
+def width_fault(name: str, width: int, memory_width: int) -> ValueError:
+    """The fault of storing a ``width``-trit word in a memory of another width."""
+    return ValueError(
+        f"{name}: word width {width} does not match memory width {memory_width}"
+    )
+
+
 class TernaryMemory:
     """A word-addressed ternary memory with sparse backing storage.
 
@@ -44,8 +56,11 @@ class TernaryMemory:
         self.depth = depth
         self.name = name
         self.width = width
-        self._cells: Dict[int, TernaryWord] = {}
-        self._zero = TernaryWord.zero(width)
+        #: Address → stored word, and the word an unwritten cell reads as.
+        #: The pipeline's clock reads and writes the cells directly, with
+        #: the depth and width checks of :meth:`read` and :meth:`write`.
+        self.cells: Dict[int, TernaryWord] = {}
+        self.zero = TernaryWord.zero(width)
 
     # -- address handling ---------------------------------------------------
 
@@ -53,9 +68,7 @@ class TernaryMemory:
         if not isinstance(address, int):
             raise TypeError(f"{self.name}: address must be an int, got {type(address)!r}")
         if not 0 <= address < self.depth:
-            raise MemoryError_(
-                f"{self.name}: address {address} out of range 0..{self.depth - 1}"
-            )
+            raise address_fault(self.name, address, self.depth)
         return address
 
     @staticmethod
@@ -72,17 +85,14 @@ class TernaryMemory:
     def read(self, address: int) -> TernaryWord:
         """Read the word at ``address`` (uninitialised cells read as zero)."""
         address = self._check(address)
-        word = self._cells.get(address)
-        return self._zero if word is None else word
+        return self.cells.get(address, self.zero)
 
     def write(self, address: int, value: TernaryWord) -> None:
         """Write ``value`` at ``address``."""
         address = self._check(address)
         if value.width != self.width:
-            raise ValueError(
-                f"{self.name}: word width {value.width} does not match memory width {self.width}"
-            )
-        self._cells[address] = value
+            raise width_fault(self.name, value.width, self.width)
+        self.cells[address] = value
 
     def read_int(self, address: int) -> int:
         """Read the signed integer value stored at ``address``."""
@@ -105,16 +115,16 @@ class TernaryMemory:
 
     def contents(self) -> Dict[int, int]:
         """Touched cells as an address → balanced-integer-value mapping."""
-        return {address: word.value for address, word in self._cells.items()}
+        return {address: word.value for address, word in self.cells.items()}
 
     def occupied_words(self) -> int:
         """Number of addresses that have been written at least once."""
-        return len(self._cells)
+        return len(self.cells)
 
     def highest_written(self) -> Optional[int]:
         """Highest written address, or None if the memory is untouched."""
-        return max(self._cells) if self._cells else None
+        return max(self.cells) if self.cells else None
 
     def clear(self) -> None:
         """Erase all contents."""
-        self._cells.clear()
+        self.cells.clear()

@@ -24,10 +24,11 @@ The clock
 ---------
 
 :meth:`PipelineSimulator._clock` is the whole clock: one loop whose body
-is one cycle, written as labelled sections for WB, MEM, EX (with the
-forwarding multiplexers), ID (with the hazard detection unit, the register
-read ports and the branch unit) and IF, then the retire accounting and the
-clock edge.  On entry it loads the four pipeline registers, the PC, the
+is one cycle, written as labelled sections for WB, MEM (with the TDM port
+and its depth and word-width checks), EX (with the forwarding
+multiplexers), ID (with the hazard detection unit, the register read ports
+and the branch unit) and IF, then the retire accounting and the clock
+edge.  On entry it loads the four pipeline registers, the PC, the
 fetch and drain state and every counter into local variables; on exit it
 stores them back, into one latch object per register and into
 :attr:`PipelineSimulator.stats`.  :meth:`~PipelineSimulator.run` and
@@ -71,9 +72,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.isa.program import Program
+from repro.sim.alu import constant_word
 from repro.sim.functional import SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
-from repro.sim.memory import TernaryMemory
+from repro.sim.memory import TernaryMemory, address_fault, width_fault
 from repro.sim.pipeline.branch import BranchUnit
 from repro.sim.pipeline.stages import (
     DecodeLatch,
@@ -84,7 +86,7 @@ from repro.sim.pipeline.stages import (
 )
 from repro.sim.pipeline.stats import PipelineStats
 from repro.sim.regfile import TernaryRegisterFile
-from repro.ternary.word import WORD_TRITS, TernaryWord
+from repro.ternary.word import WORD_TRITS
 
 #: Addresses wrap into the unsigned window of a 9-trit register.
 _ADDRESS_SPACE = 3 ** WORD_TRITS
@@ -136,8 +138,11 @@ class PipelineSimulator:
         stats = self.stats
         mix = stats.instruction_mix
         regs = self.registers.words
-        tdm_read = self.tdm.read
-        tdm_write = self.tdm.write
+        tdm = self.tdm
+        tdm_cells = tdm.cells
+        tdm_zero = tdm.zero
+        tdm_depth = tdm.depth
+        tdm_width = tdm.width
         evaluate = self.branch_unit.evaluate
         predecoded = self.predecoded
         program_length = len(predecoded)
@@ -209,14 +214,25 @@ class PipelineSimulator:
                     if destination is not None and mem_wb_value is not None:
                         regs[destination] = mem_wb_value
 
-                # ---- MEM: the TDM access of EX/MEM.
+                # ---- MEM: the TDM access of EX/MEM, with the port's depth
+                # and word-width checks (EX wrapped the address into
+                # 0 .. 3**9 - 1).
                 mem_out = ex_mem
                 if ex_mem is not None:
                     mem_out_value = ex_mem_result
                     if ex_mem.is_load:
-                        mem_out_value = tdm_read(ex_mem_address)
+                        if ex_mem_address >= tdm_depth:
+                            raise address_fault(
+                                tdm.name, ex_mem_address, tdm_depth)
+                        mem_out_value = tdm_cells.get(ex_mem_address, tdm_zero)
                     elif ex_mem.is_store:
-                        tdm_write(ex_mem_address, ex_mem_store)
+                        if ex_mem_address >= tdm_depth:
+                            raise address_fault(
+                                tdm.name, ex_mem_address, tdm_depth)
+                        if ex_mem_store.width != tdm_width:
+                            raise width_fault(
+                                tdm.name, ex_mem_store.width, tdm_width)
+                        tdm_cells[ex_mem_address] = ex_mem_store
                         mem_out_value = None
 
                 # ---- EX: the TALU behind its forwarding multiplexers, or
@@ -279,7 +295,7 @@ class PipelineSimulator:
                     elif id_ex.is_jump:
                         # The link value (PC + 1) was computed in ID; it
                         # rides down the pipeline as the writeback value.
-                        ex_out_result = TernaryWord(id_ex_link, WORD_TRITS)
+                        ex_out_result = constant_word(id_ex_link, WORD_TRITS)
                     # Conditional branches and HALT carry nothing: they were
                     # resolved in ID and flow on for commit accounting.
 

@@ -5,7 +5,7 @@ control transfers (Sec. IV-B), so every :class:`PipelineStats` counter is
 a pure function of the committed instruction stream: each instruction's
 bubbles and forwarding events depend only on itself and a two-instruction
 window of its predecessors.  This module is the one place that rule is
-written down.  It has three parts:
+written down.  It has four parts:
 
 :func:`attributes`
     Per-PC static timing attributes of a program under one
@@ -16,22 +16,30 @@ written down.  It has three parts:
     Commits one instruction to a timing *state*: charges its gap (pending
     redirect shadow or load-use stall) and its EX/MEM/ID forwarding events,
     then advances the window.
+:func:`split_run`
+    Splits the timing of a straight-line run, in which only the last
+    instruction may be a control transfer.  The run's first :data:`CARRIED`
+    instructions see the window carried in and go through :func:`step`
+    each time the run executes; :func:`static_exits` folds the rest into
+    constant counter increments and the window the run leaves behind, one
+    pair per outcome of its last instruction.
 :func:`stats`
     Turns a finished state into :class:`PipelineStats`, with
     ``cycles = N + fill + stalls + flushes``.
 
-:class:`~repro.sim.engine.FastEngine` steps once per committed
-instruction; the compiled engine's codegen steps each block's first
-:data:`CARRIED` instructions at run time and folds the rest at compile
-time through :func:`static_exits`.  The stage-by-stage
-:class:`~repro.sim.pipeline.PipelineSimulator` does not use this module:
-it is the independent reference the differential and golden suites
-compare the analytic engines against.
+Both analytic engines time straight-line runs this way.
+:class:`~repro.sim.engine.FastEngine` ends a run at each control transfer
+and at HALT, so a run's start fixes its end; it splits a run the second
+time the run ends (a run executed once is stepped whole).  The compiled
+engine's codegen splits each superblock when it generates it.  The
+stage-by-stage :class:`~repro.sim.pipeline.PipelineSimulator` does not use
+this module: it is the independent reference the differential and golden
+suites compare the analytic engines against.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.sim.machine import MachineConfig
@@ -171,15 +179,33 @@ def step(state: List[int], attrs: tuple, taken) -> None:
     state[10] = alu
 
 
+def split_run(block: Sequence[tuple]) -> Tuple[tuple, Optional[tuple]]:
+    """Split the timing of a straight-line run into run time and fold time.
+
+    ``block`` holds the attributes of a run in which only the last
+    instruction may be a control transfer.  Returns ``(prefix, exits)``:
+    ``prefix`` is the run's first :data:`CARRIED` attributes (the whole run
+    if it is no longer), which see the window carried in and must go
+    through :func:`step` each time the run executes; ``exits`` is
+    :func:`static_exits` of the run, or ``None`` when nothing is left to
+    fold.  A step ignores the outcome of an instruction that is not a
+    control transfer, so the whole prefix may be stepped with the run's.
+    """
+    prefix = tuple(block[:CARRIED])
+    if len(block) <= CARRIED:
+        return prefix, None
+    return prefix, static_exits(block)
+
+
 def static_exits(block: Sequence[tuple]) -> Tuple[tuple, tuple]:
     """Compile-time timing of a straight-line block past its first two.
 
     ``block`` holds the attributes of a block of more than :data:`CARRIED`
     instructions in which only the last may be a control transfer.  Returns
-    ``((deltas, window) if taken, (deltas, window) if not taken)``: the
-    counter increments of instructions ``CARRIED..`` and the window the
-    block leaves behind, both independent of the window it was entered
-    with.
+    ``((increments, window) if taken, (increments, window) if not taken)``:
+    the nonzero counter increments of instructions ``CARRIED..`` as
+    ``(slot, delta)`` pairs in slot order, and the window the block leaves
+    behind, both independent of the window it was entered with.
     """
     # Neither of the first two is a control transfer, so the window they
     # leave behind depends on them alone: step them from a fresh state and
@@ -194,7 +220,9 @@ def static_exits(block: Sequence[tuple]) -> Tuple[tuple, tuple]:
     for taken in (True, False):
         end = list(state)
         step(end, block[-1], taken)
-        exits.append((tuple(end[COUNTERS]), tuple(end[WINDOW])))
+        increments = tuple((slot, delta)
+                           for slot, delta in enumerate(end[COUNTERS]) if delta)
+        exits.append((increments, tuple(end[WINDOW])))
     return exits[0], exits[1]
 
 

@@ -61,9 +61,32 @@ def add_trits(a_trits, b_trits, carry_in: int = 0) -> Tuple[list, int]:
 
 
 def add_words(a: TernaryWord, b: TernaryWord) -> TernaryWord:
-    """Fixed-width addition; the carry out of the top trit is discarded."""
-    trits, _ = add_trits(a.trits, b.trits)
-    return TernaryWord(trits, a.width)
+    """Fixed-width addition; the carry out of the top trit is discarded.
+
+    The ripple of :func:`add_trits`, written out here: this is the adder
+    of every ADD, ADDI and SUB the pipeline simulator executes, so it reads
+    the words' trits directly and makes no further call before building
+    the (validated) result word.
+    """
+    a_trits = a._trits
+    b_trits = b._trits
+    if len(a_trits) != len(b_trits):
+        raise ValueError("operands must have the same width")
+    result = []
+    append = result.append
+    carry = 0
+    for x, y in zip(a_trits, b_trits):
+        total = x + y + carry
+        if total > 1:
+            carry = 1
+            append(total - 3)
+        elif total < -1:
+            carry = -1
+            append(total + 3)
+        else:
+            carry = 0
+            append(total)
+    return TernaryWord(result, a._width)
 
 
 def negate_word(a: TernaryWord) -> TernaryWord:

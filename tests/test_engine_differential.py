@@ -17,7 +17,9 @@ from repro.isa.assembler import assemble
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim import FastEngine, FunctionalSimulator, PipelineSimulator, SimulationError
+from repro.sim import timing
 from repro.sim.engine import HALF, MOD, execute_program, wrap
+from repro.sim.machine import machine_names
 from repro.ternary.arithmetic import (
     add_words,
     compare_words,
@@ -202,6 +204,104 @@ class TestEngineContract:
         assert engine.tdm.read_int(5) == functional.tdm.read_int(5) == 77
         assert engine.tdm.dump(5, 2) == functional.tdm.dump(5, 2)
         assert engine.tdm.contents() == functional.tdm.contents()
+
+
+class TestRunTiming:
+    """``run_with_stats()`` applies the timing model once per straight-line run.
+
+    A run starts at the first instruction and after every control
+    transfer, and ends at the next BEQ, BNE, JAL, JALR or HALT.  A run's
+    second end splits it into the prefix stepped every time and the folded
+    exits, so each program below runs every shape it names at least three
+    times.
+    """
+
+    PROGRAMS = {
+        # Runs of 2 (loop), 1 (BNE), 2 (LOAD, JAL) and 3 (tail), each ending
+        # both ways where it can; the 1-instruction HALT run ends it.
+        "short-runs": """
+                LIW T2, 5
+        loop:   ADDI T1, 1
+                BEQ T1, 0, tail        # taken at T1 = 3
+                BNE T1, 1, tail        # taken at T1 = 2, 5
+                LOAD T6, T0, 0
+                JAL T8, tail
+        tail:   MV T5, T1              # T5 = sign(T1 - T2)
+                COMP T5, T2
+                BNE T5, 0, loop
+                HALT
+        """,
+        # A long run that ends in HALT, with a load-use stall inside.
+        "halt-run": """
+                LIW T2, 3
+        loop:   ADDI T1, 1
+                MV T5, T1
+                COMP T5, T2
+                BNE T5, 0, loop
+                STORE T1, T0, 3
+                LOAD T4, T0, 3
+                ADD T4, T4
+                ADDI T4, 1
+                HALT
+        """,
+        # JALR lands on `mid`, which no branch targets: the run from there
+        # starts inside the static stretch from `stretch`, and both run.
+        "jalr-mid-stretch": """
+                LIW T7, mid
+                LIW T2, 7
+        loop:   ADDI T1, 1
+                BEQ T1, 0, stretch     # taken at T1 = 3, 6
+                JALR T8, T7, 0
+        stretch: ADDI T3, 1
+                LOAD T4, T0, 0
+        mid:    ADD T4, T1             # load-use after `stretch`
+                MV T5, T1
+                COMP T5, T2
+                BNE T5, 0, loop
+                HALT
+        """,
+        # The run from `loop` is longer than the carried prefix and leaves
+        # taken, taken, then not taken, so its plan uses both exits.
+        "loop-both-exits": """
+                LIW T2, 4
+        loop:   STORE T1, T0, 2
+                LOAD T3, T0, 2
+                ADD T3, T3
+                ADDI T1, 1
+                MV T5, T1
+                COMP T5, T2
+                BNE T5, 0, loop
+                HALT
+        """,
+    }
+
+    @pytest.mark.parametrize("machine", machine_names())
+    @pytest.mark.parametrize("shape", sorted(PROGRAMS))
+    def test_run_shape_matches_the_pipeline(self, shape, machine):
+        program = assemble(self.PROGRAMS[shape], name=shape)
+        stats = FastEngine(program, machine=machine).run_with_stats()
+        assert stats == PipelineSimulator(program, machine=machine).run()
+        assert stats.taken_branches and stats.not_taken_branches
+
+    @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
+    def test_few_model_steps_per_instruction(self, translated_workloads,
+                                             machine, monkeypatch):
+        # One step per committed instruction would read 1.0; stepping only
+        # each run's carried prefix reads about 0.2 on Dhrystone.
+        steps = 0
+        step = timing.step
+
+        def counted_step(*args):
+            nonlocal steps
+            steps += 1
+            step(*args)
+
+        monkeypatch.setattr(timing, "step", counted_step)
+        program = translated_workloads["dhrystone"]
+        stats = FastEngine(program, machine=machine).run_with_stats()
+        assert stats.cycles == PipelineSimulator(program, machine=machine).run().cycles
+        assert steps <= 0.3 * stats.instructions_committed, (
+            steps / stats.instructions_committed)
 
 
 class TestDifferentialFuzzing:

@@ -18,12 +18,14 @@ from repro.framework import SoftwareFramework
 from repro.isa import Instruction, Program, assemble
 from repro.sim import FunctionalSimulator, PipelineSimulator, SimulationError
 from repro.sim.machine import machine_names
+from repro.sim.memory import TernaryMemory
 from repro.sim.pipeline.stages import (
     DecodeLatch,
     ExecuteLatch,
     FetchLatch,
     MemoryLatch,
 )
+from repro.ternary.word import TernaryWord
 from repro.workloads import get_workload
 
 
@@ -183,10 +185,11 @@ class TestPredecodedRun:
 
     @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
     def test_the_clock_makes_few_calls_per_cycle(self, dhrystone, machine):
-        # The stages, the HDU and the forwarding muxes are sections of one
-        # loop; what calls remain are the TALU's trit-level algorithms,
-        # the TDM ports and the branch unit.  A stage, mux or wrapper call
-        # per cycle would add at least 1.
+        # The stages, the HDU, the forwarding muxes and the TDM port are
+        # sections of one loop; what calls remain are the TALU's
+        # trit-level algorithms, their result words and the branch unit
+        # (about 1.75 per cycle).  A stage, mux or wrapper call per cycle
+        # would add at least 1, a TDM port call about 0.3.
         pipeline = PipelineSimulator(dhrystone, machine=machine)
         calls = 0
 
@@ -201,7 +204,21 @@ class TestPredecodedRun:
             stats = pipeline.run()
         finally:
             sys.setprofile(previous)
-        assert calls <= 4 * stats.cycles, calls / stats.cycles
+        assert calls <= 2 * stats.cycles, calls / stats.cycles
+
+    def test_the_tdm_port_checks_the_stored_word_width(self):
+        # The MEM section writes the TDM's cells itself; a word that is not
+        # 9 trits wide is refused as TernaryMemory.write refuses it.
+        word = TernaryWord(5, 6)
+        with pytest.raises(ValueError) as expected:
+            TernaryMemory(name="TDM").write(3, word)
+        pipeline = PipelineSimulator(assemble("STORE T1, T0, 3\nHALT"))
+        pipeline.registers.words[1] = word
+        with pytest.raises(ValueError) as excinfo:
+            pipeline.run()
+        assert str(excinfo.value) == str(expected.value) == (
+            "TDM: word width 6 does not match memory width 9")
+        assert pipeline.tdm.contents() == {}
 
 
 def test_pipeline_imports_no_analytic_engine():
