@@ -12,11 +12,11 @@ whole fleet:
   :class:`~repro.isa.program.Program` plus the numeric translation-report
   summary, keyed by workload name + builder params + the translator's
   optimize flag + :data:`~repro.xlate.translator.TRANSLATOR_VERSION`;
-* **codegen artifacts** (``kind="codegen"``) — the compiled engine's
-  generated superblock sources plus their marshalled code objects, keyed
-  by program content digest + :data:`~repro.sim.compiled.CODEGEN_VERSION`
-  + interpreter bytecode tag + TDM depth + machine-config digest + the
-  profile flag.
+* **codegen artifacts** (``kind="codegen"``) — the marshalled code
+  objects of the compiled engine's superblocks, keyed by program content
+  digest + :data:`~repro.sim.compiled.CODEGEN_VERSION` + interpreter
+  bytecode tag + TDM depth + machine-config digest.  A sweep job and
+  ``art9 profile`` run the same build, so they share the entry.
 
 Layout and invalidation
 -----------------------

@@ -535,7 +535,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except (KeyError, TypeError) as exc:
         print(f"art9 profile: {exc}", file=sys.stderr)
         return 2
-    engine = CompiledEngine(program, machine=args.machine, profile=True)
+    # The same build a sweep job runs, so its codegen artifact is reused.
+    engine = CompiledEngine(program, machine=args.machine)
     stats = engine.run_with_stats(max_cycles=args.max_cycles)
     rows = engine.block_profile()
     rows.sort(key=lambda row: (-row["instructions"], row["pc"]))
@@ -632,7 +633,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         max_instructions=args.max_instructions,
-        check_pipeline=not args.no_pipeline,
         machine=args.machine,
     )
     print(report.summary())
@@ -909,8 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first generator seed (default: 0)")
     fuzz_cmd.add_argument("--max-instructions", type=int, default=200_000,
                           help="per-program instruction budget")
-    fuzz_cmd.add_argument("--no-pipeline", action="store_true",
-                          help="skip the (slower) cycle-accurate pipeline cross-check")
     fuzz_cmd.add_argument("--jobs", type=int, default=1,
                           help="worker processes sharing the seed range (default: 1)")
     fuzz_cmd.add_argument("--machine", choices=machine_names(),

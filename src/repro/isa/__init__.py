@@ -20,7 +20,7 @@ from repro.isa.instructions import (
     InstructionSpec,
     spec_for,
 )
-from repro.isa.encoder import encode_instruction
+from repro.isa.encoder import encode_instruction, validate_instruction
 from repro.isa.decoder import DecodeError, decode_instruction
 from repro.isa.program import DataSegment, Program
 from repro.isa.assembler import AssemblerError, assemble, assemble_file
@@ -42,6 +42,7 @@ __all__ = [
     "SYS_TYPE",
     "spec_for",
     "encode_instruction",
+    "validate_instruction",
     "decode_instruction",
     "DecodeError",
     "Program",

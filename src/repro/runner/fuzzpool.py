@@ -21,7 +21,7 @@ CHUNKS_PER_WORKER = 4
 
 
 def _chunks(count: int, seed: int, jobs: int, max_instructions: int,
-            check_pipeline: bool, machine: Optional[str] = None) -> List[dict]:
+            machine: Optional[str] = None) -> List[dict]:
     target = max(1, min(count, jobs * CHUNKS_PER_WORKER))
     base, extra = divmod(count, target)
     chunks = []
@@ -34,7 +34,6 @@ def _chunks(count: int, seed: int, jobs: int, max_instructions: int,
             "seed": next_seed,
             "count": size,
             "max_instructions": max_instructions,
-            "check_pipeline": check_pipeline,
         }
         if machine is not None:
             chunk["machine"] = machine
@@ -47,7 +46,6 @@ def _fuzz_chunk(chunk: dict) -> FuzzReport:
     """Fuzz one chunk from :func:`_chunks` (module level, so it pickles)."""
     return fuzz(count=chunk["count"], seed=chunk["seed"],
                 max_instructions=chunk["max_instructions"],
-                check_pipeline=chunk["check_pipeline"],
                 machine=chunk.get("machine"))
 
 
@@ -69,7 +67,6 @@ def run_parallel_fuzz(
     seed: int = 0,
     jobs: int = 1,
     max_instructions: int = 200_000,
-    check_pipeline: bool = True,
     machine: Optional[str] = None,
 ) -> FuzzReport:
     """Fuzz ``count`` seeds starting at ``seed`` across ``jobs`` processes.
@@ -83,10 +80,8 @@ def run_parallel_fuzz(
     if jobs <= 1 or count <= 1:
         return fuzz(count=count, seed=seed,
                     max_instructions=max_instructions,
-                    check_pipeline=check_pipeline,
                     machine=machine)
-    chunks = _chunks(count, seed, jobs, max_instructions, check_pipeline,
-                     machine)
+    chunks = _chunks(count, seed, jobs, max_instructions, machine)
     with multiprocessing.Pool(processes=jobs) as pool:
         reports = pool.map(_fuzz_chunk, chunks)
     return _merge(reports)

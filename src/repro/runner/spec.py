@@ -266,12 +266,13 @@ def preset_spec(name: str) -> SweepSpec:
 
     * ``"default"`` — every workload (default size plus the grown
       ``gemm n=8`` / ``sobel size=16`` / ``dhrystone iterations=500``
-      variants) on both ART-9 engines, optimize on and off;
-    * ``"paper"`` — every workload at paper-default size on *all five*
-      engines (fast, pipeline and the three baseline cores), optimize on:
-      the cross-ISA grid the report subsystem and the blessed baseline run
-      in ``benchmarks/baseline/`` are built from;
-    * ``"smoke"`` — a two-workload, eight-job grid for CI smoke tests;
+      variants) on the three ART-9 engines (fast, pipeline, compiled),
+      optimize on and off: 42 jobs;
+    * ``"paper"`` — every workload at paper-default size on *all six*
+      engines (the three ART-9 engines and the three baseline cores),
+      optimize on: the 24-job cross-ISA grid the report subsystem and the
+      blessed baseline run in ``benchmarks/baseline/`` are built from;
+    * ``"smoke"`` — a two-workload, twelve-job grid for CI smoke tests;
     * ``"machines"`` — the design-space corner grid: two workloads on all
       three ART-9 engines across the default machine and the three
       non-trivial built-in corners, optimize on.

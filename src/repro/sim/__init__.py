@@ -34,8 +34,8 @@ Their ``PipelineStats`` come from one analytic timing model,
     workloads, and its generated code is shareable across worker processes
     through the artifact cache (:mod:`repro.cache`).
 
-Use them (directly, through :func:`execute_program` /
-:func:`compile_and_run`, or via ``HardwareFramework.simulate(engine="fast")``
+Both stand on one shell in :mod:`repro.sim.engine` and time every run.
+Use them (directly, or via ``HardwareFramework.simulate(engine="fast")``
 / ``engine="compiled"``) whenever throughput matters more than per-trit
 observability.
 
@@ -59,8 +59,8 @@ from repro.sim.regfile import TernaryRegisterFile
 from repro.sim.alu import ALUResult, TernaryALU
 from repro.sim.functional import ExecutionResult, FunctionalSimulator, SimulationError
 from repro.sim.pipeline import PipelineSimulator, PipelineStats
-from repro.sim.engine import FastEngine, execute_program
-from repro.sim.compiled import CompiledEngine, compile_and_run
+from repro.sim.engine import FastEngine
+from repro.sim.compiled import CompiledEngine
 from repro.sim.trace import capture_golden_trace, memory_digest, state_digest, trace_mismatches
 
 __all__ = [
@@ -83,9 +83,7 @@ __all__ = [
     "PipelineSimulator",
     "PipelineStats",
     "FastEngine",
-    "execute_program",
     "CompiledEngine",
-    "compile_and_run",
     "capture_golden_trace",
     "memory_digest",
     "state_digest",

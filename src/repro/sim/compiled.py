@@ -5,8 +5,8 @@ integers, but it still pays per-instruction dispatch through a long
 ``if``/``elif`` chain on every dynamic instruction.  This module removes
 that cost by *compiling the program to Python*:
 
-1. the :class:`~repro.isa.program.Program` is pre-decoded once (sharing
-   ``FastEngine``'s validation) and partitioned into **superblocks** —
+1. the :class:`~repro.isa.program.Program` is pre-decoded once (by the
+   analytic engines' shared shell) and partitioned into **superblocks** —
    straight-line runs that end at a control transfer (``BEQ``/``BNE``/
    ``JAL``/``JALR``/``HALT``) or just before a static branch target;
 2. each superblock is emitted as one specialized Python function via
@@ -34,18 +34,14 @@ counter increments plus the window the block leaves behind on its taken
 and not-taken exits.  The timing state crosses block boundaries in a small
 mutable state vector.
 
-There is exactly one generated variant per (program, TDM depth, machine,
-``profile``), and both entry points execute it — bit-identical to the
-fast engine (and therefore to the functional and pipeline simulators —
-asserted by the differential machinery in :mod:`repro.testing` and
-the golden-trace suite):
-
-``run()``
-    Architectural execution behind the exact :class:`ExecutionResult`
-    contract; the fused timing counters are computed and dropped.
-
-``run_with_stats()``
-    Architectural execution plus the fused :class:`PipelineStats` model.
+There is exactly one generated build per (program, TDM depth, machine),
+and every run executes it — bit-identical to the fast engine (and
+therefore to the functional and pipeline simulators — asserted by the
+differential machinery in :mod:`repro.testing` and the golden-trace
+suite).  ``run()`` returns the :class:`ExecutionResult`,
+``run_with_stats()`` the :class:`PipelineStats` of the fused model, and
+after either the engine's ``stats`` and :meth:`CompiledEngine.block_profile`
+report the run.
 
 Differences under *error* conditions are limited to internal engine state:
 the instruction-budget check runs at block granularity, so a budget
@@ -56,12 +52,12 @@ architectural prefix state (registers written so far, ``pc`` of the
 faulting instruction, committed-instruction count) restored to match the
 fast engine.
 
-Generated sources are deterministic functions of (program content,
-codegen version, TDM depth, machine-config parameter digest, profile
-flag), which is what lets the cross-process artifact cache
-(:mod:`repro.cache`) ship them between sweep workers: ``CompiledEngine``
-asks the cache for the block bundle before generating, so a block is
-compiled once per grid point across a whole worker fleet.
+Generated blocks are deterministic functions of (program content,
+codegen version, TDM depth, machine-config parameter digest), which is
+what lets the cross-process artifact cache (:mod:`repro.cache`) ship their
+code objects between sweep workers: ``CompiledEngine`` asks the cache for
+the block bundle before generating, so a block is compiled once per grid
+point across a whole worker fleet.
 """
 
 from __future__ import annotations
@@ -77,7 +73,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.program import Program
-from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.sim import timing
 from repro.sim.engine import (
     HALF,
@@ -107,9 +102,9 @@ from repro.sim.engine import (
     OP_STORE,
     OP_SUB,
     OP_XOR,
-    FastEngine,
-    _MemoryView,
+    _AnalyticEngine,
     _MNEMONIC_OF,
+    _OutOfBudget,
     _NTI_WORD,
     _POW3,
     _PTI_WORD,
@@ -119,7 +114,7 @@ from repro.sim.engine import (
     wrap,
 )
 from repro.sim.functional import ExecutionResult, SimulationError
-from repro.sim.machine import MachineConfig, resolve_machine
+from repro.sim.machine import MachineConfig
 from repro.sim.memory import MemoryError_
 from repro.sim.pipeline.stats import PipelineStats
 
@@ -135,22 +130,22 @@ from repro.sim.pipeline.stats import PipelineStats
 #: attributes from ``_A``, the gates call the engine's functions.
 CODEGEN_VERSION = 7
 
-#: Interpreter identity for the marshalled code objects stored alongside
-#: the sources: ``marshal`` payloads are only valid for the exact bytecode
-#: format, so the magic number keys them (a different interpreter simply
-#: regenerates rather than loading garbage).
+#: Interpreter identity for the marshalled code objects of an artifact:
+#: ``marshal`` payloads are only valid for the exact bytecode format, so
+#: the magic number keys them (a different interpreter simply regenerates
+#: rather than loading garbage).
 PYTHON_TAG = (
     f"{sys.implementation.name}-{sys.version_info[0]}.{sys.version_info[1]}-"
     f"{importlib.util.MAGIC_NUMBER.hex()}"
 )
 
-#: In-process memo of block bundles ``(codes, sources)`` keyed by the
-#: pre-decoded records (small LRU): the differential harness builds
-#: several engines per program and should pay for codegen once, artifact
-#: cache or not.  Every engine of a variant fills in the same bundle as it
-#: compiles blocks, so a block compiles once per process — and once per
-#: *fleet* when the bundle is published to the artifact cache.
-_CODE_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: In-process memo of block bundles (entry pc → code object) keyed by the
+#: pre-decoded records (small LRU): engines built for one program pay for
+#: codegen once, artifact cache or not.  Every engine of a program fills in
+#: the same bundle as it compiles blocks, so a block compiles once per
+#: process — and once per *fleet* when the bundle is published to the
+#: artifact cache.
+_CODE_MEMO: "OrderedDict[tuple, Dict[int, CodeType]]" = OrderedDict()
 _CODE_MEMO_CAP = 64
 
 #: Opcodes that terminate a superblock.
@@ -214,7 +209,6 @@ def generate_block_source(
     records: Sequence[tuple],
     attrs: Sequence[tuple],
     tdm_depth: int,
-    profile: bool = False,
 ) -> str:
     """Emit the Python source of one superblock function.
 
@@ -224,10 +218,6 @@ def generate_block_source(
     :func:`~repro.sim.timing.split_run`: the block steps the timing model
     at run time for its prefix, reading the attributes from the namespace
     table ``_A``, and adds the compile-time exits for the rest.
-
-    With ``profile=True`` the block's first statement bumps its ``entry``
-    slot in the shared ``_P`` execution-count dict — the per-block
-    profile that ``art9 profile`` reports.
     """
     recs = [records[pc] for pc in span]
     n = len(recs)
@@ -236,8 +226,6 @@ def generate_block_source(
 
     w = _BlockWriter()
     w.emit(f"def _blk_{entry}(regs, mem, st):", 0)
-    if profile:
-        w.emit(f"_P[{entry}] += 1")
 
     # -- register locals ----------------------------------------------------
     used = set()
@@ -409,8 +397,8 @@ def generate_block_source(
     return w.source()
 
 
-def _decode_bundle(payload) -> Optional[tuple]:
-    """``(codes, sources)`` of a codegen artifact, or ``None`` for junk.
+def _decode_bundle(payload) -> Optional[Dict[int, CodeType]]:
+    """The entry pc → code object bundle of a codegen artifact, or ``None``.
 
     :mod:`repro.cache` promises that foreign junk is a miss, so anything
     but a marshalled dict of int → code objects is rejected here rather
@@ -418,53 +406,33 @@ def _decode_bundle(payload) -> Optional[tuple]:
     """
     try:
         codes = marshal.loads(base64.b64decode(payload["code"]))
-        sources = {int(entry): source
-                   for entry, source in payload.get("blocks", {}).items()}
-    except (AttributeError, KeyError, TypeError, ValueError, EOFError):
+    except (KeyError, TypeError, ValueError, EOFError):
         return None
     if not isinstance(codes, dict) or not all(
             isinstance(entry, int) and isinstance(code, CodeType)
             for entry, code in codes.items()):
         return None
-    return codes, sources
+    return codes
 
 
-class CompiledEngine:
+class CompiledEngine(_AnalyticEngine):
     """Superblock-compiled interpreter for ART-9 programs.
 
-    Construction mirrors :class:`FastEngine` (program + TDM depth) and
-    performs the same operand validation.  ``cache`` accepts an
+    Construction mirrors :class:`~repro.sim.engine.FastEngine` (program,
+    TDM depth, machine).  ``cache`` accepts an
     :class:`~repro.cache.ArtifactCache` (or ``None`` to disable); by
     default the process-wide cache of :func:`repro.cache.default_cache`
     is used, so concurrently running sweep workers compile each block of
-    a program once between them.  ``profile=True`` compiles a per-block
-    execution counter into every block (see :meth:`block_profile`).
+    a program once between them.
     """
 
     def __init__(self, program: Program, tdm_depth: int = MOD,
                  cache: object = "default",
-                 machine: Optional[MachineConfig] = None,
-                 profile: bool = False):
-        self.program = program
-        self.tdm_depth = tdm_depth
-        self.machine = resolve_machine(machine)
-        self.profile = profile
-        self._profile_counts: Dict[int, int] = {}
-        self._records = FastEngine._predecode(program)
-        self._attrs = timing.attributes(program.instructions, self.machine)
-        self._mem: Dict[int, int] = {}
-        for segment in program.data:
-            for offset, value in enumerate(segment.values):
-                address = segment.base_address + offset
-                if not 0 <= address < tdm_depth:
-                    raise MemoryError_(
-                        f"TDM: address {address} out of range 0..{tdm_depth - 1}"
-                    )
-                self._mem[address] = wrap(value)
-        self._regs = [0] * NUM_REGISTERS
-        self.pc = 0
-        self.halted = False
-        self.instructions_executed = 0
+                 machine: Optional[MachineConfig] = None):
+        super().__init__(program, tdm_depth, machine)
+        # The generated blocks share the timing state, extended by the two
+        # fault slots.
+        self._timing += [0, 0]
         self._leaders = superblock_leaders(self._records)
         self._namespace = {
             "__builtins__": {},
@@ -475,20 +443,18 @@ class CompiledEngine:
             "PTIT": _PTI_WORD,
             "NTIT": _NTI_WORD,
             "P3": _POW3,
-            "_P": self._profile_counts,
             "_A": self._attrs,
             "_step": timing.step,
         }
         # entry pc → (fn, length, halts, entry idx)
         self._table: Dict[int, tuple] = {}
-        # the shared (codes, sources) bundle backing the table, and
-        # whether it holds blocks this engine compiled but not published
-        self._bundle: Optional[tuple] = None
+        # the shared bundle backing the table, and whether it holds blocks
+        # this engine compiled but not published
+        self._bundle: Optional[Dict[int, CodeType]] = None
         self._unpublished = False
         # entry idx → block mnemonics / dispatch count
         self._mnemonics: List[Tuple[str, ...]] = []
         self._counts: List[int] = []
-        self._entry_index: Dict[int, int] = {}
         self._fault_partial: Optional[Tuple[int, int]] = None
         self._digest: Optional[str] = None
         #: Seconds :meth:`_block` spent generating and compiling blocks.
@@ -513,39 +479,36 @@ class CompiledEngine:
             "tdm_depth": self.tdm_depth,
             # A config change is a cache miss, never a wrong-timing hit.
             "machine": self.machine.digest(),
-            # Profiled code carries the counter prologue, so the two
-            # variants can never share artifacts.
-            "profile": self.profile,
         }
 
-    def _cached_bundle(self) -> Optional[tuple]:
-        """The artifact cache's ``(codes, sources)`` entry, or ``None``."""
+    def _cached_bundle(self) -> Optional[Dict[int, CodeType]]:
+        """The artifact cache's bundle of this program, or ``None``."""
         if self._cache is None:
             return None
         return _decode_bundle(
             self._cache.get_json("codegen", self._cache_key_material()))
 
-    def _shared_bundle(self) -> tuple:
-        """The ``(codes, sources)`` bundle of this program variant.
+    def _shared_bundle(self) -> Dict[int, CodeType]:
+        """The entry pc → code object bundle of this program build.
 
         Resolution order: in-process memo, then the cross-process artifact
         cache (marshalled code objects, orders of magnitude cheaper to
         load than re-running ``compile``), else a new empty bundle.  The
-        result is the memo entry that every engine of the variant in this
+        result is the memo entry that every engine of the build in this
         process takes blocks from and compiles new blocks into.
 
         The memo keys on the pre-decoded records themselves (codegen is a
-        pure function of them plus the TDM depth, machine and profile
-        flag), so a memo hit never pays for a program content digest; the
-        digest is only computed when the disk cache has to be consulted.
+        pure function of them plus the TDM depth and machine), so a memo
+        hit never pays for a program content digest; the digest is only
+        computed when the disk cache has to be consulted.
         """
         memo_key = (tuple(self._records), CODEGEN_VERSION, self.tdm_depth,
-                    self.machine.digest(), self.profile)
+                    self.machine.digest())
         bundle = _CODE_MEMO.get(memo_key)
         if bundle is not None:
             _CODE_MEMO.move_to_end(memo_key)
             return bundle
-        bundle = self._cached_bundle() or ({}, {})
+        bundle = self._cached_bundle() or {}
         _CODE_MEMO[memo_key] = bundle
         while len(_CODE_MEMO) > _CODE_MEMO_CAP:
             _CODE_MEMO.popitem(last=False)
@@ -561,23 +524,19 @@ class CompiledEngine:
         """
         if self._bundle is None:
             self._bundle = self._shared_bundle()
-        codes, sources = self._bundle
+        codes = self._bundle
         span = superblock_span(self._records, self._leaders, entry)
         code = codes.get(entry)
         if code is None:
             started = perf_counter()
-            sources[entry] = source = generate_block_source(
-                entry, span, self._records, self._attrs, self.tdm_depth,
-                self.profile)
+            source = generate_block_source(
+                entry, span, self._records, self._attrs, self.tdm_depth)
             codes[entry] = code = compile(
                 source, f"<art9 block {entry}>", "exec")
             self.codegen_s += perf_counter() - started
             self._unpublished = True
-        if self.profile:
-            self._profile_counts[entry] = 0
         exec(code, self._namespace)
         idx = len(self._mnemonics)
-        self._entry_index[entry] = idx
         self._mnemonics.append(tuple(
             _MNEMONIC_OF[self._records[pc][0]] for pc in span))
         self._counts.append(0)
@@ -599,17 +558,11 @@ class CompiledEngine:
         if not self._unpublished or self._cache is None:
             return
         self._unpublished = False
-        codes, sources = self._bundle
-        current = self._cached_bundle()  # None for a miss or junk
-        if current is not None:
-            for entry, code in current[0].items():
-                codes.setdefault(entry, code)
-            for entry, source in current[1].items():
-                sources.setdefault(entry, source)
+        codes = self._bundle
+        for entry, code in (self._cached_bundle() or {}).items():
+            codes.setdefault(entry, code)
         self._cache.put_json("codegen", self._cache_key_material(), {
             "code": base64.b64encode(marshal.dumps(codes)).decode("ascii"),
-            "blocks": {str(entry): source
-                       for entry, source in sources.items()},
         })
 
     # -- execution ----------------------------------------------------------
@@ -630,42 +583,21 @@ class CompiledEngine:
 
     def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
         """Run until HALT; same contract and limits as the fast engine."""
-        self._execute(max_instructions)
-        return ExecutionResult(
-            instructions_executed=self.instructions_executed,
-            halted=self.halted,
-            registers=self.registers_snapshot(),
-            pc=self.pc,
-            instruction_mix=self.instruction_mix(),
-            memory=dict(self._mem),
-        )
+        self._run_to_halt(max_instructions, "instructions")
+        return self._result()
 
     def run_with_stats(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Execute and return pipeline statistics identical to the 5-stage model."""
-        if not self.program.instructions:
-            raise SimulationError("cannot simulate an empty program")
-        if self.instructions_executed or self.halted:
-            raise SimulationError(
-                "engine state already consumed; build a fresh CompiledEngine "
-                "for timing statistics"
-            )
-        state = self._execute(max_cycles)
-        stats = timing.stats(state, self.instructions_executed,
-                             self.instruction_mix(), self.machine)
-        if stats.cycles > max_cycles:
-            raise SimulationError(
-                f"program did not halt within {max_cycles} cycles"
-            )
-        return stats
+        return self._run_timed(max_cycles)
 
-    def _execute(self, max_instructions: int) -> List[int]:
-        """Run the block loop; returns the timing state it advanced.
+    def _execute(self, limit: int) -> None:
+        """Run the block loop, advancing the shared timing state.
 
         A PC dispatched for the first time gets its block from
         :meth:`_block`; the blocks a run compiled are published once, when
         it ends.
         """
-        st = timing.new_state() + [0, 0]
+        st = self._timing
         table_get = self._table.get
         regs = self._regs
         mem = self._mem
@@ -677,14 +609,9 @@ class CompiledEngine:
 
         try:
             while not halted:
-                if executed >= max_instructions:
-                    self.pc, self.instructions_executed = pc, executed
-                    raise SimulationError(
-                        f"program did not halt within {max_instructions} "
-                        "instructions"
-                    )
+                if executed >= limit:
+                    raise _OutOfBudget
                 if not 0 <= pc < program_length:
-                    self.pc, self.instructions_executed = pc, executed
                     raise SimulationError(
                         f"PC {pc} outside program of {program_length} "
                         "instructions"
@@ -693,48 +620,28 @@ class CompiledEngine:
                 if entry is None:
                     entry = self._block(pc)
                 fn, length, halts, idx = entry
-                if executed + length > max_instructions:
+                if executed + length > limit:
                     # A block commits all of its instructions, so the fast
-                    # engine would raise too (identical message).
-                    self.pc, self.instructions_executed = pc, executed
-                    raise SimulationError(
-                        f"program did not halt within {max_instructions} "
-                        "instructions"
-                    )
+                    # engine would run out of budget inside it.
+                    raise _OutOfBudget
                 counts[idx] += 1
                 try:
                     pc = fn(regs, mem, st)
                 except MemoryError_:
-                    self.pc = st[_FAULT_PC]
-                    self.instructions_executed = executed + st[_FAULT_OFF]
+                    pc = st[_FAULT_PC]
+                    executed += st[_FAULT_OFF]
                     self._fault_partial = (idx, st[_FAULT_OFF])
-                    self.halted = False
                     raise
                 executed += length
                 if halts:
                     halted = True
         finally:
+            self.pc = pc
+            self.instructions_executed = executed
+            self.halted = halted
             self._publish()
 
-        self.pc = pc
-        self.instructions_executed = executed
-        self.halted = halted
-        return st
-
     # -- inspection helpers -------------------------------------------------
-
-    @property
-    def tdm(self) -> _MemoryView:
-        """Workload-checker-compatible view of the ternary data memory."""
-        return _MemoryView(self._mem, self.tdm_depth)
-
-    def registers_snapshot(self) -> Dict[str, int]:
-        """Name → integer value of the architectural registers."""
-        return {register_name(i): value for i, value in enumerate(self._regs)}
-
-    def register_snapshot(self) -> Dict[str, int]:
-        """Alias matching the pipeline simulator's accessor name."""
-        return self.registers_snapshot()
 
     def instruction_mix(self) -> Dict[str, int]:
         """Mnemonic → dynamic execution count (fault-aware)."""
@@ -751,10 +658,6 @@ class CompiledEngine:
                     del mix[mnemonic]
         return mix
 
-    def memory_values(self, base: int, count: int) -> List[int]:
-        """Read ``count`` consecutive TDM words starting at ``base``."""
-        return self.tdm.dump(base, count)
-
     def block_map(self) -> Dict[int, int]:
         """Entry address → block length of the static superblock partition."""
         return {
@@ -763,28 +666,24 @@ class CompiledEngine:
         }
 
     def block_profile(self) -> List[dict]:
-        """Execution profile rows from the generated-code ``_P`` counters.
+        """Execution profile rows from the dispatch loop's block counts.
 
-        Requires ``profile=True``; each row carries the block's entry PC,
-        how many times the generated function ran, its length, and the
-        dynamic instructions it accounts for.  The instruction totals sum
-        to ``instructions_executed``: a mid-block memory fault charges the
-        faulting block only its committed prefix, matching the dispatch
-        loop's accounting, which is what lets ``art9 profile`` cross-check
-        the table against the engine.
+        Each row carries the entry PC of a block the runs dispatched, how
+        many times they dispatched it, its length, and the dynamic
+        instructions it accounts for.  The instruction totals sum to
+        ``instructions_executed``: a mid-block memory fault charges the
+        faulting block only its committed prefix, matching the loop's
+        accounting, which is what lets ``art9 profile`` cross-check the
+        table against the engine.
         """
-        if not self.profile:
-            raise SimulationError(
-                "block_profile() requires a CompiledEngine(profile=True)")
         fault_idx = fault_offset = None
         if self._fault_partial is not None:
             fault_idx, fault_offset = self._fault_partial
         rows = []
-        for pc, executions in self._profile_counts.items():
+        for pc, (_fn, length, _halts, idx) in sorted(self._table.items()):
+            executions = self._counts[idx]
             if not executions:
                 continue  # installed (e.g. by prepare()), never run
-            idx = self._entry_index[pc]
-            length = len(self._mnemonics[idx])
             instructions = executions * length
             if idx == fault_idx:
                 instructions -= length - fault_offset
@@ -794,11 +693,4 @@ class CompiledEngine:
                 "length": length,
                 "instructions": instructions,
             })
-        rows.sort(key=lambda row: row["pc"])
         return rows
-
-
-def compile_and_run(program: Program,
-                    max_instructions: int = 10_000_000) -> ExecutionResult:
-    """One-call convenience: run ``program`` on the compiled engine."""
-    return CompiledEngine(program).run(max_instructions=max_instructions)

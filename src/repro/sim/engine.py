@@ -16,33 +16,32 @@ inverters) index word tables over the 3**9 = 19 683 value universe that fill
 one entry on its first lookup, so no ``TernaryWord`` is allocated anywhere on
 the hot path and a process pays only for the words it actually gates.
 
-Two entry points are exposed:
+Every run applies the analytic timing model of :mod:`repro.sim.timing`
+once per straight-line run (from a control-transfer target to the next
+control transfer or HALT): a run that ends for the second time is split by
+:func:`~repro.sim.timing.split_run`, so from then on only its first
+:data:`~repro.sim.timing.CARRIED` instructions are stepped and the rest add
+folded counters.  ``run()`` returns the exact :class:`ExecutionResult` of
+the functional simulator (bit-identical registers, memory, PC, halt flag
+and instruction mix), ``run_with_stats()`` the pipeline simulator's
+:class:`PipelineStats` under a cycle budget, and after either the
+engine's ``stats`` hold the run's statistics.  Both are asserted
+bit-identical by the differential tests in ``repro.testing``, at a
+fraction of the object models' cost.
 
-``run()``
-    Architectural execution behind the exact :class:`ExecutionResult`
-    contract of the functional simulator (bit-identical registers, memory,
-    PC, halt flag and instruction mix).
-
-``run_with_stats()``
-    Architectural execution plus the analytic timing model of
-    :mod:`repro.sim.timing`, applied once per straight-line run (from a
-    control-transfer target to the next control transfer or HALT): a run
-    that ends for the second time is split by
-    :func:`~repro.sim.timing.split_run`, so from then on only its first
-    :data:`~repro.sim.timing.CARRIED` instructions are stepped and the rest
-    add folded counters.  It reproduces the pipeline simulator's statistics
-    bit-identically (this is asserted by the differential tests in
-    ``repro.testing``) at a fraction of the cost, which is what lets
-    :class:`~repro.framework.hwflow.HardwareFramework` opt into the fast
-    path for benchmarking.
+The shell both analytic engines share, :class:`_AnalyticEngine`, lives
+here too: pre-decode into dispatch records, the data-segment load, the
+architectural and timing state, the result, the budget checks and the
+accessors.  :class:`FastEngine` and
+:class:`~repro.sim.compiled.CompiledEngine` add only an execution loop
+and ``instruction_mix()``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.encoder import EncodeError
-from repro.isa.formats import imm_range
+from repro.isa.encoder import validate_instruction
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, register_name
 from repro.sim import timing
@@ -177,10 +176,10 @@ def trit_xor(a: int, b: int) -> int:
 
 
 class _MemoryView:
-    """Read-only ``TernaryMemory``-shaped facade over the engine's int cells.
+    """Read-only ``TernaryMemory``-shaped facade over an engine's int cells.
 
     Provides the ``read_int``/``dump`` surface that the workload result
-    checkers and inspection helpers expect, so a :class:`FastEngine` can be
+    checkers and inspection helpers expect, so an analytic engine can be
     dropped in wherever a finished simulator is examined.
     """
 
@@ -203,13 +202,44 @@ class _MemoryView:
         return dict(self._cells)
 
 
-class FastEngine:
-    """Pre-decoded integer interpreter for ART-9 programs.
+def _predecode(program: Program) -> List[Tuple[int, int, int, int, int]]:
+    """``(op, ta, tb, imm, branch_trit)`` dispatch records, one per PC.
 
-    Parameters mirror :class:`FunctionalSimulator`: a program and the TDM
-    depth.  The engine validates operands at pre-decode time (raising
-    :class:`EncodeError` like the encoding path would) so malformed programs
-    fail fast rather than corrupting the integer state.
+    Each instruction goes through
+    :func:`~repro.isa.encoder.validate_instruction` first, so a malformed
+    program fails with the encoder's :class:`~repro.isa.encoder.EncodeError`
+    rather than corrupting the integer state; absent operands become 0.
+    """
+    records = []
+    for instruction in program.instructions:
+        validate_instruction(instruction)
+        records.append((
+            _OPCODES[instruction.mnemonic],
+            instruction.ta or 0,
+            instruction.tb or 0,
+            instruction.imm or 0,
+            instruction.branch_trit or 0,
+        ))
+    return records
+
+
+class _OutOfBudget(Exception):
+    """Raised by an execution loop that reached its instruction limit."""
+
+
+class _AnalyticEngine:
+    """The shell of the two analytic engines.
+
+    It owns the pre-decoded records and the program's timing attributes,
+    the architectural state (registers, TDM cells, PC, halt flag,
+    committed count) and the timing state that every run advances, and
+    around an engine's execution loop the budget messages, the
+    ``ExecutionResult`` and the ``run_with_stats()`` refusals.  An engine
+    supplies ``_execute(limit)``, which runs until HALT and raises
+    :class:`_OutOfBudget` before committing past ``limit`` instructions,
+    and ``instruction_mix()``.  Each engine defines its ``run`` and
+    ``run_with_stats`` entry points itself, on top of
+    :meth:`_run_to_halt` and :meth:`_run_timed`.
     """
 
     def __init__(self, program: Program, tdm_depth: int = MOD,
@@ -217,7 +247,8 @@ class FastEngine:
         self.program = program
         self.tdm_depth = tdm_depth
         self.machine = resolve_machine(machine)
-        self._records = self._predecode(program)
+        self._records = _predecode(program)
+        self._attrs = timing.attributes(program.instructions, self.machine)
         self._mem: Dict[int, int] = {}
         for segment in program.data:
             for offset, value in enumerate(segment.values):
@@ -231,65 +262,94 @@ class FastEngine:
         self.pc = 0
         self.halted = False
         self.instructions_executed = 0
-        self._exec_counts = [0] * len(self._records)
+        self._timing = timing.new_state()
 
-    # -- pre-decoding -------------------------------------------------------
-
-    @staticmethod
-    def _predecode(program: Program) -> List[Tuple[int, int, int, int, int]]:
-        records = []
-        for address, instruction in enumerate(program.instructions):
-            spec = instruction.spec
-            try:
-                op = _OPCODES[instruction.mnemonic]
-            except KeyError:
-                raise SimulationError(
-                    f"unimplemented mnemonic {instruction.mnemonic!r} at address {address}"
-                ) from None
-            ta = instruction.ta if instruction.ta is not None else 0
-            tb = instruction.tb if instruction.tb is not None else 0
-            imm = instruction.imm if instruction.imm is not None else 0
-            bt = instruction.branch_trit if instruction.branch_trit is not None else 0
-            if "ta" in spec.operands and instruction.ta is None:
-                raise EncodeError(f"{instruction.mnemonic} requires a Ta operand")
-            if "tb" in spec.operands and instruction.tb is None:
-                raise EncodeError(f"{instruction.mnemonic} requires a Tb operand")
-            if not 0 <= ta < NUM_REGISTERS or not 0 <= tb < NUM_REGISTERS:
-                raise EncodeError(f"register index out of range in {instruction.render()}")
-            if spec.uses_imm:
-                if instruction.imm is None:
-                    raise EncodeError(
-                        f"{instruction.mnemonic} at address {address} has an "
-                        "unresolved immediate (label not resolved?)"
-                    )
-                lo, hi = imm_range(instruction.mnemonic)
-                if not lo <= imm <= hi:
-                    raise EncodeError(
-                        f"immediate {imm} does not fit {instruction.mnemonic}"
-                    )
-            if "branch_trit" in spec.operands and bt not in (-1, 0, 1):
-                raise EncodeError(f"branch trit must be balanced, got {bt}")
-            records.append((op, ta, tb, imm, bt))
-        return records
-
-    # -- architectural execution --------------------------------------------
-
-    def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
-        """Run until HALT; same contract and limits as the functional model."""
-        self._execute(max_instructions, None)
-        return self._result()
+    def _run_to_halt(self, limit: int, unit: str) -> None:
+        """Run the engine's loop, reporting an exhausted ``limit`` in ``unit``."""
+        try:
+            self._execute(limit)
+        except _OutOfBudget:
+            raise SimulationError(
+                f"program did not halt within {limit} {unit}") from None
 
     def _result(self) -> ExecutionResult:
         return ExecutionResult(
             instructions_executed=self.instructions_executed,
             halted=self.halted,
-            registers=self.registers_snapshot(),
+            registers=self.register_snapshot(),
             pc=self.pc,
             instruction_mix=self.instruction_mix(),
             memory=dict(self._mem),
         )
 
-    def _execute(self, max_instructions, state: Optional[List[int]]) -> None:
+    def _run_timed(self, max_cycles: int) -> PipelineStats:
+        """Run a fresh engine to HALT within ``max_cycles`` and return its stats.
+
+        Every cycle commits at most one instruction, so ``max_cycles`` also
+        bounds the loop's instruction count.
+        """
+        if not self.program.instructions:
+            raise SimulationError("cannot simulate an empty program")
+        if self.instructions_executed or self.halted:
+            raise SimulationError(
+                f"engine state already consumed; build a fresh "
+                f"{type(self).__name__} for timing statistics"
+            )
+        self._run_to_halt(max_cycles, "cycles")
+        stats = self.stats
+        if stats.cycles > max_cycles:
+            raise SimulationError(
+                f"program did not halt within {max_cycles} cycles"
+            )
+        return stats
+
+    # -- inspection helpers -------------------------------------------------
+
+    @property
+    def stats(self) -> PipelineStats:
+        """Pipeline statistics of the instructions committed so far."""
+        return timing.stats(self._timing, self.instructions_executed,
+                            self.instruction_mix(), self.machine)
+
+    @property
+    def tdm(self) -> _MemoryView:
+        """Workload-checker-compatible view of the ternary data memory."""
+        return _MemoryView(self._mem, self.tdm_depth)
+
+    def register_snapshot(self) -> Dict[str, int]:
+        """Name → integer value of the architectural registers."""
+        return {register_name(i): value for i, value in enumerate(self._regs)}
+
+    def memory_values(self, base: int, count: int) -> List[int]:
+        """Read ``count`` consecutive TDM words starting at ``base``."""
+        return self.tdm.dump(base, count)
+
+
+class FastEngine(_AnalyticEngine):
+    """Pre-decoded integer interpreter for ART-9 programs.
+
+    Parameters mirror :class:`FunctionalSimulator`: a program, the TDM
+    depth and the machine config its timing follows.
+    """
+
+    def __init__(self, program: Program, tdm_depth: int = MOD,
+                 machine: Optional[MachineConfig] = None):
+        super().__init__(program, tdm_depth, machine)
+        self._exec_counts = [0] * len(self._records)
+        # Start of the straight-line run in progress, kept across calls so
+        # a run resumed after an error still times it whole.
+        self._run_start = 0
+
+    def run(self, max_instructions: int = 10_000_000) -> ExecutionResult:
+        """Run until HALT; same contract and limits as the functional model."""
+        self._run_to_halt(max_instructions, "instructions")
+        return self._result()
+
+    def run_with_stats(self, max_cycles: int = 50_000_000) -> PipelineStats:
+        """Execute and return pipeline statistics identical to the pipeline model."""
+        return self._run_timed(max_cycles)
+
+    def _execute(self, limit: int) -> None:
         # Hot loop: every mutable piece of state is bound to a local.
         records = self._records
         program_length = len(records)
@@ -303,204 +363,163 @@ class FastEngine:
         pc = self.pc
         executed = self.instructions_executed
         halted = self.halted
-        # Analytic timing (only when ``state`` is a timing state), once per
-        # straight-line run: a run starts at ``start`` and ends at the next
-        # control transfer or HALT, so its start fixes its end.  The first
-        # time a run ends it is stepped whole; the second time it is split
-        # (``timing.split_run``) into the prefix stepped at every end and
-        # the folded exits, a plan kept until the program halts.
-        if state is not None:
-            step = timing.step
-            attrs = timing.attributes(self.program.instructions, self.machine)
-            window = timing.WINDOW
-            ended = set()
-            plans: Dict[int, tuple] = {}
-        start = pc
+        # Timing, once per straight-line run: a run starts at ``start`` and
+        # ends at the next control transfer or HALT, so its start fixes its
+        # end.  The first time a run ends it is stepped whole; the second
+        # time it is split (``timing.split_run``) into the prefix stepped
+        # at every end and the folded exits, a plan kept for the rest of
+        # this call.
+        state = self._timing
+        step = timing.step
+        attrs = self._attrs
+        window = timing.WINDOW
+        ended = set()
+        plans: Dict[int, tuple] = {}
+        start = self._run_start
 
-        while not halted:
-            if executed >= max_instructions:
-                self.pc, self.instructions_executed = pc, executed
-                raise SimulationError(
-                    f"program did not halt within {max_instructions} instructions"
-                )
-            if not 0 <= pc < program_length:
-                self.pc, self.instructions_executed = pc, executed
-                raise SimulationError(
-                    f"PC {pc} outside program of {program_length} instructions"
-                )
-            op, ta, tb, imm, bt = records[pc]
-            counts[pc] += 1
-            executed += 1
-            next_pc = pc + 1
-            # Set only by an instruction that ends a run: the conditional
-            # branch outcome, False for jumps and HALT.
-            taken = None
+        try:
+            while not halted:
+                if executed >= limit:
+                    raise _OutOfBudget
+                if not 0 <= pc < program_length:
+                    raise SimulationError(
+                        f"PC {pc} outside program of {program_length} instructions"
+                    )
+                op, ta, tb, imm, bt = records[pc]
+                counts[pc] += 1
+                executed += 1
+                next_pc = pc + 1
+                # Set only by an instruction that ends a run: the conditional
+                # branch outcome, False for jumps and HALT.
+                taken = None
 
-            if op == OP_ADDI:
-                v = regs[ta] + imm
-                if v > HALF:
-                    v -= MOD
-                elif v < -HALF:
-                    v += MOD
-                regs[ta] = v
-            elif op == OP_ADD:
-                v = regs[ta] + regs[tb]
-                if v > HALF:
-                    v -= MOD
-                elif v < -HALF:
-                    v += MOD
-                regs[ta] = v
-            elif op == OP_LOAD:
-                address = (regs[tb] + imm) % MOD
-                if check_depth and address >= depth:
-                    # The faulting access aborts before the instruction counts,
-                    # mirroring the functional simulator's TernaryMemory check.
-                    counts[pc] -= 1
-                    self.pc, self.instructions_executed = pc, executed - 1
-                    raise MemoryError_(
-                        f"TDM: address {address} out of range 0..{depth - 1}"
-                    )
-                regs[ta] = mem.get(address, 0)
-            elif op == OP_STORE:
-                address = (regs[tb] + imm) % MOD
-                if check_depth and address >= depth:
-                    counts[pc] -= 1
-                    self.pc, self.instructions_executed = pc, executed - 1
-                    raise MemoryError_(
-                        f"TDM: address {address} out of range 0..{depth - 1}"
-                    )
-                mem[address] = regs[ta]
-            elif op == OP_BEQ or op == OP_BNE:
-                lst = (regs[tb] + 1) % 3 - 1
-                taken = (lst == bt) if op == OP_BEQ else (lst != bt)
-                if taken:
+                if op == OP_ADDI:
+                    v = regs[ta] + imm
+                    if v > HALF:
+                        v -= MOD
+                    elif v < -HALF:
+                        v += MOD
+                    regs[ta] = v
+                elif op == OP_ADD:
+                    v = regs[ta] + regs[tb]
+                    if v > HALF:
+                        v -= MOD
+                    elif v < -HALF:
+                        v += MOD
+                    regs[ta] = v
+                elif op == OP_LOAD:
+                    address = (regs[tb] + imm) % MOD
+                    if check_depth and address >= depth:
+                        # The faulting access aborts before the instruction
+                        # counts, mirroring the functional simulator's
+                        # TernaryMemory check.
+                        counts[pc] -= 1
+                        executed -= 1
+                        raise MemoryError_(
+                            f"TDM: address {address} out of range 0..{depth - 1}"
+                        )
+                    regs[ta] = mem.get(address, 0)
+                elif op == OP_STORE:
+                    address = (regs[tb] + imm) % MOD
+                    if check_depth and address >= depth:
+                        counts[pc] -= 1
+                        executed -= 1
+                        raise MemoryError_(
+                            f"TDM: address {address} out of range 0..{depth - 1}"
+                        )
+                    mem[address] = regs[ta]
+                elif op == OP_BEQ or op == OP_BNE:
+                    lst = (regs[tb] + 1) % 3 - 1
+                    taken = (lst == bt) if op == OP_BEQ else (lst != bt)
+                    if taken:
+                        next_pc = pc + imm
+                elif op == OP_LI:
+                    v = regs[ta]
+                    regs[ta] = imm + v - ((v + 121) % 243 - 121)
+                elif op == OP_MV:
+                    regs[ta] = regs[tb]
+                elif op == OP_SUB:
+                    v = regs[ta] - regs[tb]
+                    if v > HALF:
+                        v -= MOD
+                    elif v < -HALF:
+                        v += MOD
+                    regs[ta] = v
+                elif op == OP_JAL:
+                    regs[ta] = wrap(pc + 1)
                     next_pc = pc + imm
-            elif op == OP_LI:
-                v = regs[ta]
-                regs[ta] = imm + v - ((v + 121) % 243 - 121)
-            elif op == OP_MV:
-                regs[ta] = regs[tb]
-            elif op == OP_SUB:
-                v = regs[ta] - regs[tb]
-                if v > HALF:
-                    v -= MOD
-                elif v < -HALF:
-                    v += MOD
-                regs[ta] = v
-            elif op == OP_JAL:
-                regs[ta] = wrap(pc + 1)
-                next_pc = pc + imm
-                taken = False
-            elif op == OP_JALR:
-                base = regs[tb]
-                regs[ta] = wrap(pc + 1)
-                next_pc = (base + imm) % MOD
-                taken = False
-            elif op == OP_LUI:
-                regs[ta] = wrap(imm * 243)
-            elif op == OP_COMP:
-                a = regs[ta]
-                b = regs[tb]
-                regs[ta] = (a > b) - (a < b)
-            elif op == OP_SLI:
-                regs[ta] = wrap(regs[ta] * _POW3[imm % 9])
-            elif op == OP_SRI:
-                amount = imm % 9
-                p = _POW3[amount]
-                h = (p - 1) // 2
-                v = regs[ta]
-                regs[ta] = (v - ((v + h) % p - h)) // p
-            elif op == OP_SL:
-                regs[ta] = wrap(regs[ta] * _POW3[regs[tb] % 9])
-            elif op == OP_SR:
-                p = _POW3[regs[tb] % 9]
-                h = (p - 1) // 2
-                v = regs[ta]
-                regs[ta] = (v - ((v + h) % p - h)) // p
-            elif op == OP_AND:
-                regs[ta] = trit_and(regs[ta], regs[tb])
-            elif op == OP_OR:
-                regs[ta] = trit_or(regs[ta], regs[tb])
-            elif op == OP_XOR:
-                regs[ta] = trit_xor(regs[ta], regs[tb])
-            elif op == OP_PTI:
-                regs[ta] = pti_table[regs[tb] % MOD]
-            elif op == OP_NTI:
-                regs[ta] = nti_table[regs[tb] % MOD]
-            elif op == OP_STI:
-                regs[ta] = -regs[tb]
-            elif op == OP_ANDI:
-                regs[ta] = trit_and(regs[ta], imm)
-            else:  # OP_HALT
-                halted = True
-                taken = False
+                    taken = False
+                elif op == OP_JALR:
+                    base = regs[tb]
+                    regs[ta] = wrap(pc + 1)
+                    next_pc = (base + imm) % MOD
+                    taken = False
+                elif op == OP_LUI:
+                    regs[ta] = wrap(imm * 243)
+                elif op == OP_COMP:
+                    a = regs[ta]
+                    b = regs[tb]
+                    regs[ta] = (a > b) - (a < b)
+                elif op == OP_SLI:
+                    regs[ta] = wrap(regs[ta] * _POW3[imm % 9])
+                elif op == OP_SRI:
+                    amount = imm % 9
+                    p = _POW3[amount]
+                    h = (p - 1) // 2
+                    v = regs[ta]
+                    regs[ta] = (v - ((v + h) % p - h)) // p
+                elif op == OP_SL:
+                    regs[ta] = wrap(regs[ta] * _POW3[regs[tb] % 9])
+                elif op == OP_SR:
+                    p = _POW3[regs[tb] % 9]
+                    h = (p - 1) // 2
+                    v = regs[ta]
+                    regs[ta] = (v - ((v + h) % p - h)) // p
+                elif op == OP_AND:
+                    regs[ta] = trit_and(regs[ta], regs[tb])
+                elif op == OP_OR:
+                    regs[ta] = trit_or(regs[ta], regs[tb])
+                elif op == OP_XOR:
+                    regs[ta] = trit_xor(regs[ta], regs[tb])
+                elif op == OP_PTI:
+                    regs[ta] = pti_table[regs[tb] % MOD]
+                elif op == OP_NTI:
+                    regs[ta] = nti_table[regs[tb] % MOD]
+                elif op == OP_STI:
+                    regs[ta] = -regs[tb]
+                elif op == OP_ANDI:
+                    regs[ta] = trit_and(regs[ta], imm)
+                else:  # OP_HALT
+                    halted = True
+                    taken = False
 
-            if taken is not None and state is not None:
-                plan = plans.get(start)
-                if plan is None and start in ended:
-                    plan = plans[start] = timing.split_run(
-                        attrs[start:pc + 1])
-                if plan is None:
-                    ended.add(start)
-                    for attributes in attrs[start:pc + 1]:
-                        step(state, attributes, taken)
-                else:
-                    prefix, exits = plan
-                    for attributes in prefix:
-                        step(state, attributes, taken)
-                    if exits is not None:
-                        increments, exit_window = (
-                            exits[0] if taken else exits[1])
-                        for slot, delta in increments:
-                            state[slot] += delta
-                        state[window] = exit_window
-                start = next_pc
+                if taken is not None:
+                    plan = plans.get(start)
+                    if plan is None and start in ended:
+                        plan = plans[start] = timing.split_run(
+                            attrs[start:pc + 1])
+                    if plan is None:
+                        ended.add(start)
+                        for attributes in attrs[start:pc + 1]:
+                            step(state, attributes, taken)
+                    else:
+                        prefix, exits = plan
+                        for attributes in prefix:
+                            step(state, attributes, taken)
+                        if exits is not None:
+                            increments, exit_window = (
+                                exits[0] if taken else exits[1])
+                            for slot, delta in increments:
+                                state[slot] += delta
+                            state[window] = exit_window
+                    start = next_pc
 
-            pc = next_pc
-
-        self.pc = pc
-        self.instructions_executed = executed
-        self.halted = halted
-
-    # -- analytic pipeline timing -------------------------------------------
-
-    def run_with_stats(self, max_cycles: int = 50_000_000) -> PipelineStats:
-        """Execute and return pipeline statistics identical to the pipeline model.
-
-        Every counter comes from :mod:`repro.sim.timing`, applied inside
-        the execution loop each time a straight-line run ends.
-        """
-        if not self.program.instructions:
-            raise SimulationError("cannot simulate an empty program")
-        if self.instructions_executed or self.halted:
-            raise SimulationError(
-                "engine state already consumed; build a fresh FastEngine for "
-                "timing statistics"
-            )
-        state = timing.new_state()
-        self._execute(max_cycles, state)
-        stats = timing.stats(state, self.instructions_executed,
-                             self.instruction_mix(), self.machine)
-        if stats.cycles > max_cycles:
-            raise SimulationError(
-                f"program did not halt within {max_cycles} cycles"
-            )
-        return stats
-
-    # -- inspection helpers -------------------------------------------------
-
-    @property
-    def tdm(self) -> _MemoryView:
-        """Workload-checker-compatible view of the ternary data memory."""
-        return _MemoryView(self._mem, self.tdm_depth)
-
-    def registers_snapshot(self) -> Dict[str, int]:
-        """Name → integer value of the architectural registers."""
-        return {register_name(i): value for i, value in enumerate(self._regs)}
-
-    def register_snapshot(self) -> Dict[str, int]:
-        """Alias matching the pipeline simulator's accessor name."""
-        return self.registers_snapshot()
+                pc = next_pc
+        finally:
+            self.pc = pc
+            self.instructions_executed = executed
+            self.halted = halted
+            self._run_start = start
 
     def instruction_mix(self) -> Dict[str, int]:
         """Mnemonic → dynamic execution count."""
@@ -511,12 +530,3 @@ class FastEngine:
                 mnemonic = _MNEMONIC_OF[records[index][0]]
                 mix[mnemonic] = mix.get(mnemonic, 0) + count
         return mix
-
-    def memory_values(self, base: int, count: int) -> List[int]:
-        """Read ``count`` consecutive TDM words starting at ``base``."""
-        return self.tdm.dump(base, count)
-
-
-def execute_program(program: Program, max_instructions: int = 10_000_000) -> ExecutionResult:
-    """One-call convenience: run ``program`` on the fast engine."""
-    return FastEngine(program).run(max_instructions=max_instructions)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.isa.encoder import validate_instruction
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim.alu import TernaryALU
@@ -44,9 +45,15 @@ class ExecutionResult:
 
 
 class FunctionalSimulator:
-    """Instruction-accurate executor for :class:`~repro.isa.program.Program`."""
+    """Instruction-accurate executor for :class:`~repro.isa.program.Program`.
+
+    Like every executor, it refuses a program that does not encode
+    (:func:`~repro.isa.encoder.validate_instruction`) at construction.
+    """
 
     def __init__(self, program: Program, tdm_depth: int = 3 ** WORD_TRITS):
+        for instruction in program.instructions:
+            validate_instruction(instruction)
         self.program = program
         self.registers = TernaryRegisterFile()
         self.tdm = TernaryMemory(depth=tdm_depth, name="TDM")

@@ -41,8 +41,11 @@ its record, so the consumer is decoded again the following cycle.
 Predecoded records
 ------------------
 
-The constructor decodes TIM once into :attr:`PipelineSimulator.predecoded`,
-one :class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC.  A
+The constructor checks TIM with
+:func:`~repro.isa.encoder.validate_instruction`, the operand check every
+executor shares, and decodes it once into
+:attr:`PipelineSimulator.predecoded`, one
+:class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC.  A
 record holds the mnemonic, the operand fields, the register dataflow
 (destination and sources), the load/store/control/jump/ALU/HALT flags, the
 TALU operation and the machine's static fetch steering (the predicted-taken
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.isa.encoder import validate_instruction
 from repro.isa.program import Program
 from repro.sim.alu import constant_word
 from repro.sim.functional import SimulationError
@@ -100,7 +104,8 @@ class PipelineSimulator:
         self.program = program
         self.machine = resolve_machine(machine)
         self.registers = TernaryRegisterFile()
-        self.tim_words = program.encode()  # validates that the program encodes
+        for instruction in program.instructions:
+            validate_instruction(instruction)
         #: TIM predecoded once: one record per PC, carried by the latches.
         self.predecoded = tuple(
             PredecodedInstruction(instruction, self.machine)

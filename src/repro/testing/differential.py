@@ -1,9 +1,9 @@
 """Differential runner: one program, four executors, zero tolerance.
 
 ``run_differential`` executes a program on the fast engine, the compiled
-(superblock-codegen) engine and the functional simulator (always) and on
-the cycle-accurate pipeline simulator (optionally) and compares every
-piece of architectural state the executors share:
+(superblock-codegen) engine, the functional simulator and the
+cycle-accurate pipeline simulator and compares every piece of
+architectural state the executors share:
 
 * register file contents (all nine registers, by name);
 * every touched TDM cell (including explicitly written zeros);
@@ -14,6 +14,10 @@ piece of architectural state the executors share:
   branch outcomes and all three forwarding counters — from *both* the fast
   engine's analytic timing model and the compiled engine's fused one,
   against the stage-by-stage pipeline simulator.
+
+Each analytic engine is built and run once per program: every run is
+timed, so the run whose result is compared with the functional simulator
+is the run whose ``stats`` are compared with the pipeline.
 
 ``fuzz`` drives the generator/runner pair over a seed range, collecting
 failures instead of raising so a fuzzing session reports every divergence.
@@ -134,7 +138,6 @@ def _compare_executions(actual: ExecutionResult, reference: ExecutionResult,
 def run_differential(
     program: Program,
     max_instructions: int = 200_000,
-    check_pipeline: bool = True,
     raise_on_mismatch: bool = True,
     machine: Optional[MachineConfig] = None,
 ) -> DifferentialOutcome:
@@ -157,17 +160,16 @@ def run_differential(
     fast_error: Optional[str] = None
     compiled_error: Optional[str] = None
     reference_error: Optional[str] = None
+    fast_engine = FastEngine(program, machine=machine)
+    # cache=None: generated fuzz programs are one-shot, so persisting their
+    # codegen artifacts would only pollute the shared cache.
+    compiled_engine = CompiledEngine(program, cache=None, machine=machine)
     try:
-        fast = FastEngine(program, machine=machine).run(
-            max_instructions=max_instructions)
+        fast = fast_engine.run(max_instructions=max_instructions)
     except SimulationError as exc:
         fast_error = str(exc)
     try:
-        # cache=None: generated fuzz programs are one-shot, so persisting
-        # their codegen artifacts would only pollute the shared cache (the
-        # in-process memo still de-duplicates the two engine builds below).
-        compiled = CompiledEngine(program, cache=None, machine=machine).run(
-            max_instructions=max_instructions)
+        compiled = compiled_engine.run(max_instructions=max_instructions)
     except SimulationError as exc:
         compiled_error = str(exc)
     functional = FunctionalSimulator(program)
@@ -202,42 +204,37 @@ def run_differential(
     _compare_executions(fast, reference, outcome.mismatches, label="fast")
     _compare_executions(compiled, reference, outcome.mismatches, label="compiled")
 
-    if check_pipeline:
-        pipeline = PipelineSimulator(program, machine=machine)
-        # Worst case per instruction is one full redirect (plus a possible
-        # load-use stall), so scale the budget with the machine's penalty.
-        per_instruction = machine.redirect_penalty + machine.load_use_penalty + 1
-        cycle_budget = (2 * per_instruction * max_instructions
-                        + machine.fill_cycles + 16)
-        pipeline_stats = pipeline.run(max_cycles=cycle_budget)
-        fast_stats = FastEngine(program, machine=machine).run_with_stats(
-            max_cycles=cycle_budget)
-        compiled_stats = CompiledEngine(
-            program, cache=None, machine=machine).run_with_stats(
-                max_cycles=cycle_budget)
-        outcome.cycles = pipeline_stats.cycles
+    pipeline = PipelineSimulator(program, machine=machine)
+    # Worst case per instruction is one full redirect (plus a possible
+    # load-use stall), so scale the budget with the machine's penalty.
+    per_instruction = machine.redirect_penalty + machine.load_use_penalty + 1
+    cycle_budget = (2 * per_instruction * max_instructions
+                    + machine.fill_cycles + 16)
+    pipeline_stats = pipeline.run(max_cycles=cycle_budget)
+    outcome.cycles = pipeline_stats.cycles
 
-        if pipeline.register_snapshot() != fast.registers:
-            outcome.mismatches.append(
-                f"pipeline registers differ from fast engine: "
-                f"{pipeline.register_snapshot()} vs {fast.registers}"
-            )
-        if pipeline.tdm.contents() != fast.memory:
-            outcome.mismatches.append("pipeline memory differs from fast engine")
-        for label, stats in (("fast", fast_stats), ("compiled", compiled_stats)):
-            for field_name in STATS_FIELDS:
-                model_value = getattr(stats, field_name)
-                pipe_value = getattr(pipeline_stats, field_name)
-                if model_value != pipe_value:
-                    outcome.mismatches.append(
-                        f"stats.{field_name} differs: {label}={model_value} "
-                        f"pipeline={pipe_value}"
-                    )
-            if stats.instruction_mix != pipeline_stats.instruction_mix:
+    if pipeline.register_snapshot() != fast.registers:
+        outcome.mismatches.append(
+            f"pipeline registers differ from fast engine: "
+            f"{pipeline.register_snapshot()} vs {fast.registers}"
+        )
+    if pipeline.tdm.contents() != fast.memory:
+        outcome.mismatches.append("pipeline memory differs from fast engine")
+    for label, engine in (("fast", fast_engine), ("compiled", compiled_engine)):
+        stats = engine.stats
+        for field_name in STATS_FIELDS:
+            model_value = getattr(stats, field_name)
+            pipe_value = getattr(pipeline_stats, field_name)
+            if model_value != pipe_value:
                 outcome.mismatches.append(
-                    f"committed instruction mix differs between the {label} "
-                    "timing model and the pipeline"
+                    f"stats.{field_name} differs: {label}={model_value} "
+                    f"pipeline={pipe_value}"
                 )
+        if stats.instruction_mix != pipeline_stats.instruction_mix:
+            outcome.mismatches.append(
+                f"committed instruction mix differs between the {label} "
+                "timing model and the pipeline"
+            )
 
     if raise_on_mismatch and not outcome.ok:
         raise DifferentialMismatch(
@@ -251,7 +248,6 @@ def fuzz(
     seed: int = 0,
     config: Optional[GeneratorConfig] = None,
     max_instructions: int = 200_000,
-    check_pipeline: bool = True,
     machine: Optional[MachineConfig] = None,
 ) -> FuzzReport:
     """Run ``count`` generated programs differentially, collecting failures.
@@ -267,7 +263,6 @@ def fuzz(
         outcome = run_differential(
             generate_program(seed + offset, config),
             max_instructions=max_instructions,
-            check_pipeline=check_pipeline,
             raise_on_mismatch=False,
             machine=machine,
         )

@@ -29,7 +29,10 @@ Algorithms
 ``__t_div``
     Shift-and-subtract division by repeated doubling of the divisor, with
     explicit sign handling so the quotient truncates toward zero and the
-    remainder takes the dividend's sign (the RV-32M convention).
+    remainder takes the dividend's sign (the RV-32M convention).  The
+    doubling test compares ``a - t`` with ``t`` rather than ``2t`` with
+    ``a``: ``t <= a`` holds inside the loop, so no intermediate leaves the
+    9-trit range for any dividend and divisor in it.
 ``__t_sll``
     Left shift by a variable amount, i.e. multiplication by ``2**n`` through
     repeated doubling.
@@ -112,7 +115,7 @@ def _emit_div(builder: _Builder) -> None:
     # the generic helper temporaries with the other runtime routines.
     a, b = reg("div_a"), arg1
     q = reg("helper_ret")
-    t, t2, m, c = reg("helper_t0"), reg("helper_t1"), reg("helper_t2"), reg("helper_t3")
+    t, m, c = reg("helper_t0"), reg("helper_t2"), reg("helper_t3")
     sign, rsign = reg("helper_t4"), reg("helper_t5")
 
     builder.label("__t_div")
@@ -149,12 +152,12 @@ def _emit_div(builder: _Builder) -> None:
     builder.emit("MV", ta=m, tb=V_ZERO)
     builder.emit("ADDI", ta=m, imm=1)
     builder.label("__t_div_inner")
-    builder.emit("MV", ta=t2, tb=t)
-    builder.emit("ADD", ta=t2, tb=t)
-    builder.emit("MV", ta=c, tb=t2)
-    builder.emit("COMP", ta=c, tb=a)
-    builder.emit("BEQ", tb=c, branch_trit=1, label="__t_div_inner_done")
-    builder.emit("MV", ta=t, tb=t2)
+    # Stop doubling once 2t > a, tested as a - t < t (no overflow).
+    builder.emit("MV", ta=c, tb=a)
+    builder.emit("SUB", ta=c, tb=t)
+    builder.emit("COMP", ta=c, tb=t)
+    builder.emit("BEQ", tb=c, branch_trit=-1, label="__t_div_inner_done")
+    builder.emit("ADD", ta=t, tb=t)
     builder.emit("ADD", ta=m, tb=m)
     builder.emit("JAL", ta=discard, label="__t_div_inner")
     builder.label("__t_div_inner_done")

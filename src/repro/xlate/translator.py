@@ -29,8 +29,9 @@ from repro.xlate.runtime import append_runtime_helpers
 #: whenever a pass change can alter the emitted program or the report
 #: numbers, and every stale cached translation stops being addressed.
 #: (Workload-side changes need no bump — the cache key also digests the
-#: workload's generated RV-32 source.)
-TRANSLATOR_VERSION = 1
+#: workload's generated RV-32 source.)  v2: ``__t_div`` no longer
+#: overflows on dividends past about 4,920.
+TRANSLATOR_VERSION = 2
 
 
 def instruction_expansion_ratio(final_instructions: int,

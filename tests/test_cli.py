@@ -96,10 +96,6 @@ class TestFuzz:
         assert "10 programs" in out
         assert "OK" in out
 
-    def test_fuzz_without_pipeline_crosscheck(self, capsys):
-        assert main(["fuzz", "--count", "5", "--seed", "11", "--no-pipeline"]) == 0
-        assert "5 programs" in capsys.readouterr().out
-
     def test_batch_lanes_is_not_an_option(self, capsys):
         # Fuzzing checks the four executors that serve users; there is no
         # multi-lane executor to widen a seed into.
@@ -322,6 +318,62 @@ class TestProfile:
         assert document["superblocks"] == len(document["blocks"])
         for row in document["blocks"]:
             assert row["instructions"] == row["executions"] * row["length"]
+
+    def test_dhrystone_json_rows_are_pinned(self, capsys):
+        import json
+
+        assert main(["profile", "dhrystone", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        blocks = document.pop("blocks")
+        assert document == {
+            "accounted": True, "cpi": 1.229421, "cycles": 10380,
+            "instructions": 8443, "machine": "paper3stage",
+            "optimize": True, "params": {}, "superblocks": 18,
+            "workload": "dhrystone"}
+        # (pc, executions, length, instructions), hottest first.
+        assert [(row["pc"], row["executions"], row["length"],
+                 row["instructions"]) for row in blocks] == [
+            (11, 49, 43, 2107), (166, 50, 37, 1850), (72, 50, 14, 700),
+            (88, 50, 14, 700), (131, 50, 13, 650), (62, 50, 10, 500),
+            (149, 50, 10, 500), (54, 50, 8, 400), (144, 50, 5, 250),
+            (203, 17, 9, 153), (161, 50, 3, 150), (102, 49, 3, 147),
+            (159, 50, 2, 100), (164, 50, 2, 100), (0, 1, 54, 54),
+            (212, 50, 1, 50), (105, 1, 26, 26), (86, 3, 2, 6)]
+
+    def test_profile_reuses_the_sweep_jobs_build(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """``art9 profile`` runs the build a compiled sweep job published:
+        it compiles nothing and adds no codegen artifact."""
+        from repro.cache import ArtifactCache, reset_default_cache
+        from repro.runner import SweepJob
+        from repro.runner.worker import execute_job
+        from repro.sim import compiled
+
+        root = str(tmp_path / "artifacts")
+        monkeypatch.setenv("ART9_CACHE_DIR", root)
+        reset_default_cache()
+        compiled._CODE_MEMO.clear()
+        try:
+            record = execute_job(SweepJob("gemm", "compiled", True))
+            assert record["status"] == "ok", record
+            entries = ArtifactCache(root).entry_count("codegen")
+            assert entries == 1
+            compiled._CODE_MEMO.clear()  # a fresh process: disk cache only
+            calls = []
+
+            def counting_compile(source, filename, mode):
+                calls.append(filename)
+                return compile(source, filename, mode)
+
+            monkeypatch.setattr(compiled, "compile", counting_compile,
+                                raising=False)
+            assert main(["profile", "gemm"]) == 0
+            assert f"{record['cycles']} cycles" in capsys.readouterr().out
+            assert calls == []
+            assert ArtifactCache(root).entry_count("codegen") == entries
+        finally:
+            compiled._CODE_MEMO.clear()
+            reset_default_cache()
 
 
 class TestCacheCommand:

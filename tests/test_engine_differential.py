@@ -18,7 +18,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim import FastEngine, FunctionalSimulator, PipelineSimulator, SimulationError
 from repro.sim import timing
-from repro.sim.engine import HALF, MOD, execute_program, wrap
+from repro.sim.engine import HALF, MOD, wrap
 from repro.sim.machine import machine_names
 from repro.ternary.arithmetic import (
     add_words,
@@ -71,7 +71,7 @@ class TestWrapArithmetic:
                     program = _register_program(
                         a, b, Instruction(mnemonic, ta=1, tb=2)
                     )
-                    result = execute_program(program)
+                    result = FastEngine(program).run()
                     expected = reference(TernaryWord(a), TernaryWord(b)).value
                     assert result.register("T1") == expected, (mnemonic, a, b)
 
@@ -79,7 +79,7 @@ class TestWrapArithmetic:
         for mnemonic, reference in (("PTI", word_pti), ("NTI", word_nti)):
             for value in _SAMPLE:
                 program = _register_program(0, value, Instruction(mnemonic, ta=1, tb=2))
-                result = execute_program(program)
+                result = FastEngine(program).run()
                 assert result.register("T1") == reference(TernaryWord(value)).value
 
 
@@ -306,7 +306,7 @@ class TestRunTiming:
 
 class TestDifferentialFuzzing:
     def test_500_seeded_programs_agree_across_all_executors(self):
-        report = fuzz(count=500, seed=0, check_pipeline=True)
+        report = fuzz(count=500, seed=0)
         assert report.ok, "\n".join(
             f"{failure.program_name}: {failure.mismatches}"
             for failure in report.failures
@@ -320,6 +320,27 @@ class TestDifferentialFuzzing:
         assert [i.render() for i in first.instructions] == [
             i.render() for i in second.instructions
         ]
+
+    def test_one_engine_of_each_kind_per_program(self, monkeypatch):
+        """The run compared with the functional simulator is the run whose
+        stats are compared with the pipeline."""
+        from repro.testing import differential
+
+        built = []
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return build
+
+        for name in ("FastEngine", "CompiledEngine"):
+            monkeypatch.setattr(differential, name,
+                                counting(getattr(differential, name)))
+        for seed in range(3):
+            built.clear()
+            assert run_differential(generate_program(seed)).ok
+            assert sorted(built) == ["CompiledEngine", "FastEngine"]
 
     def test_run_differential_reports_clean_outcome(self):
         outcome = run_differential(generate_program(7))

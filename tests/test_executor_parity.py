@@ -2,10 +2,10 @@
 
 ``run_differential`` compares the executors on programs that halt or run
 out of instruction budget.  The cases here pin what it does not reach: the
-exact exception each executor raises when a program escapes its text,
-touches memory past the TDM depth or overruns a cycle budget, and indirect
-jumps whose target is a value loaded from the data memory, on every machine
-config.
+exact exception each executor raises when a program does not encode,
+escapes its text, touches memory past the TDM depth or overruns a cycle
+budget, and indirect jumps whose target is a value loaded from the data
+memory, on every machine config.
 
 The pipeline simulator has no instruction budget, so it is left out of
 those cases.
@@ -14,6 +14,8 @@ those cases.
 import pytest
 
 from repro.isa.assembler import assemble
+from repro.isa.encoder import EncodeError, encode_instruction
+from repro.isa.instructions import Instruction
 from repro.isa.program import DataSegment, Program
 from repro.sim import (
     CompiledEngine,
@@ -74,6 +76,37 @@ def _timing_run(executor, program, max_cycles, machine):
     return simulator.run_with_stats(max_cycles=max_cycles)
 
 
+class TestProgramValidation:
+    #: Instructions that do not encode, and the one message every
+    #: executor (and the encoder) refuses each with.
+    MALFORMED = {
+        "immediate-out-of-range": (
+            Instruction("ADDI", ta=1, imm=50),
+            "immediate value 50 does not fit the 3-trit field of ADDI"),
+        "missing-operand": (
+            Instruction("ADD", ta=1), "ADD requires a Tb operand"),
+        "bad-branch-trit": (
+            Instruction("BEQ", tb=1, branch_trit=2, imm=1),
+            "branch trit must be -1, 0 or +1, got 2"),
+        "unresolved-label": (
+            Instruction("JAL", ta=8, label="nowhere"),
+            "unresolved label 'nowhere' in JAL"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("executor", ARCHITECTURAL + ("pipeline",))
+    def test_construction_refuses_what_does_not_encode(self, executor, case):
+        instruction, message = self.MALFORMED[case]
+        with pytest.raises(EncodeError) as encoded:
+            encode_instruction(instruction)
+        assert str(encoded.value) == message
+        program = Program(name=case,
+                          instructions=[instruction, Instruction("HALT")])
+        with pytest.raises(EncodeError) as excinfo:
+            _build(executor, program)
+        assert str(excinfo.value) == message
+
+
 class TestInstructionBudget:
     @pytest.mark.parametrize("executor", ARCHITECTURAL)
     def test_spinning_program_fails_with_the_budget_message(self, executor):
@@ -86,6 +119,19 @@ class TestInstructionBudget:
         halter = _data_program("halt", SPIN_SOURCE, [2])
         result = _build(executor, halter).run(max_instructions=500)
         assert result.halted and result.instructions_executed == 3
+
+
+    @pytest.mark.parametrize("executor", ("fast", "compiled"))
+    def test_run_resumed_after_the_budget_keeps_fresh_stats(self, executor):
+        program = generate_program(1)  # 124 instructions
+        fresh = _build(executor, program)
+        expected = fresh.run()
+        for cut in range(1, 124, 3):
+            resumed = _build(executor, program)
+            with pytest.raises(SimulationError):
+                resumed.run(max_instructions=cut)
+            assert resumed.run() == expected
+            assert resumed.stats == fresh.stats, cut
 
 
 class TestPcEscape:
@@ -155,6 +201,13 @@ class TestMemoryFaults:
 
 
 class TestCycleBudget:
+    @pytest.mark.parametrize("executor", TIMING)
+    def test_spinning_program_fails_with_the_cycle_message(self, executor):
+        spinner = _data_program("spin", SPIN_SOURCE, [0])
+        with pytest.raises(SimulationError) as excinfo:
+            _timing_run(executor, spinner, 1000, None)
+        assert str(excinfo.value) == "program did not halt within 1000 cycles"
+
     @pytest.mark.parametrize("executor", TIMING)
     def test_empty_program_is_refused(self, executor):
         with pytest.raises(SimulationError) as excinfo:

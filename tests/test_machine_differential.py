@@ -78,8 +78,7 @@ def _hand_written_programs():
 
 @pytest.mark.parametrize("machine", ALL_MACHINES)
 def test_four_way_agreement_under_every_builtin_config(machine):
-    report = fuzz(count=SEEDS_PER_CONFIG, seed=1000, check_pipeline=True,
-                  machine=machine)
+    report = fuzz(count=SEEDS_PER_CONFIG, seed=1000, machine=machine)
     assert report.ok, f"{machine}: " + "; ".join(
         mismatch
         for failure in report.failures
@@ -114,9 +113,8 @@ def test_architectural_state_is_machine_invariant():
 
 
 def test_parallel_fuzz_carries_the_machine_axis():
-    serial = fuzz(count=6, seed=300, check_pipeline=False, machine="btfn4")
-    parallel = run_parallel_fuzz(count=6, seed=300, jobs=2,
-                                 check_pipeline=False, machine="btfn4")
+    serial = fuzz(count=6, seed=300, machine="btfn4")
+    parallel = run_parallel_fuzz(count=6, seed=300, jobs=2, machine="btfn4")
     assert serial.ok and parallel.ok
     assert parallel.programs_run == serial.programs_run == 6
     assert parallel.instructions_executed == serial.instructions_executed

@@ -173,16 +173,15 @@ class TestCompareRuns:
 
 class TestParallelFuzz:
     def test_parallel_report_matches_serial(self):
-        serial = fuzz(count=10, seed=0, check_pipeline=False)
-        parallel = run_parallel_fuzz(count=10, seed=0, jobs=2,
-                                     check_pipeline=False)
+        serial = fuzz(count=10, seed=0)
+        parallel = run_parallel_fuzz(count=10, seed=0, jobs=2)
         assert parallel.programs_run == serial.programs_run == 10
         assert parallel.instructions_executed == serial.instructions_executed
         assert parallel.budget_exhausted == serial.budget_exhausted
         assert parallel.ok == serial.ok
 
     def test_jobs_one_falls_back_to_serial(self):
-        report = run_parallel_fuzz(count=3, seed=5, jobs=1, check_pipeline=False)
+        report = run_parallel_fuzz(count=3, seed=5, jobs=1)
         assert report.programs_run == 3
 
 
@@ -243,5 +242,5 @@ class TestSweepCLI:
         assert "list of parameter dicts" in capsys.readouterr().err
 
     def test_fuzz_jobs_flag(self, capsys):
-        assert main(["fuzz", "--count", "6", "--jobs", "2", "--no-pipeline"]) == 0
+        assert main(["fuzz", "--count", "6", "--jobs", "2"]) == 0
         assert "6 programs" in capsys.readouterr().out

@@ -20,7 +20,6 @@ from repro.sim import (
     FunctionalSimulator,
     MemoryError_,
     SimulationError,
-    compile_and_run,
 )
 from repro.sim.compiled import (
     _CODE_MEMO,
@@ -30,6 +29,7 @@ from repro.sim.compiled import (
     superblock_span,
 )
 from repro.sim import timing
+from repro.sim.engine import _predecode
 from repro.sim.machine import MACHINES
 from repro.testing import generate_program, run_differential
 from repro.testing.differential import STATS_FIELDS
@@ -151,7 +151,7 @@ def translated_workloads():
 class TestSuperblockPartition:
     def test_every_address_is_in_exactly_one_leader_block(self, translated_workloads):
         program = translated_workloads["dhrystone"]
-        records = FastEngine._predecode(program)
+        records = _predecode(program)
         leaders = superblock_leaders(records)
         covered = []
         for entry in sorted(leaders):
@@ -161,7 +161,7 @@ class TestSuperblockPartition:
 
     def test_blocks_end_only_at_control_or_before_a_leader(self, translated_workloads):
         program = translated_workloads["gemm"]
-        records = FastEngine._predecode(program)
+        records = _predecode(program)
         leaders = superblock_leaders(records)
         from repro.sim.compiled import _TERMINALS
         for entry in sorted(leaders):
@@ -180,7 +180,7 @@ class TestSuperblockPartition:
 
     def test_codegen_is_deterministic(self, translated_workloads):
         program = translated_workloads["sobel"]
-        records = FastEngine._predecode(program)
+        records = _predecode(program)
         attrs = timing.attributes(program.instructions, MACHINES["paper3stage"])
         leaders = superblock_leaders(records)
         entry = sorted(leaders)[1]
@@ -211,7 +211,7 @@ class TestEquivalence:
     def test_directed_all_opcode_program(self):
         program = assemble(DIRECTED_SOURCE, name="directed")
         fast = FastEngine(program).run()
-        compiled = compile_and_run(program)
+        compiled = CompiledEngine(program).run()
         assert compiled.registers == fast.registers
         assert compiled.memory == fast.memory
         assert compiled.instruction_mix == fast.instruction_mix
@@ -219,15 +219,16 @@ class TestEquivalence:
         assert compiled.registers == reference.registers
 
     @pytest.mark.parametrize("variant", [
-        {}, {"tdm_depth": 64}, {"profile": True},
-    ], ids=["plain", "fault-guards", "profile"])
+        {}, {"tdm_depth": 64},
+    ], ids=["plain", "fault-guards"])
     def test_prepare_compiles_every_opcode_in_every_variant(self, variant,
                                                             compiles):
         """``run()`` compiles only the blocks it dispatches, so the fuzz
         never compiles dead code; ``prepare()`` compiles every block of a
-        program holding all 25 opcodes, in each codegen variant."""
+        program holding all 25 opcodes, with and without the fault guards
+        of a reduced TDM depth."""
         program = assemble(ALL_OPCODES_SOURCE, name="all-opcodes")
-        records = FastEngine._predecode(program)
+        records = _predecode(program)
         assert {op for op, *_ in records} == set(range(25))
         dead = f"<art9 block {program.labels['dead']}>"
         _CODE_MEMO.clear()
@@ -411,7 +412,7 @@ class TestEngineContract:
         assert compiled.pc == fast.pc == 2
         # The prefix state is restored: registers written before the fault
         # stick, the faulting STORE is not in the mix.
-        assert compiled.registers_snapshot() == fast.registers_snapshot()
+        assert compiled.register_snapshot() == fast.register_snapshot()
         assert compiled.instruction_mix() == fast.instruction_mix()
 
     @pytest.mark.parametrize("method", ["run", "run_with_stats"])
@@ -432,9 +433,28 @@ class TestEngineContract:
         assert str(compiled_exc.value) == str(fast_exc.value)
         assert compiled.pc == fast.pc == 4
         assert compiled.instructions_executed == fast.instructions_executed == 3
-        assert compiled.registers_snapshot() == fast.registers_snapshot()
-        assert compiled.registers_snapshot()["T8"] == 2
+        assert compiled.register_snapshot() == fast.register_snapshot()
+        assert compiled.register_snapshot()["T8"] == 2
         assert compiled.instruction_mix() == fast.instruction_mix()
+
+    def test_block_profile_charges_a_faulting_block_its_prefix(self):
+        """The loop block [1..4] runs four times, then its STORE faults at
+        offset 1: the fifth dispatch counts one instruction, not four."""
+        program = assemble(
+            "LI T2, 60\nloop:\nADDI T3, 1\nSTORE T3, T2, 0\nADDI T2, 1\n"
+            "JAL T8, loop", name="profile-fault")
+        engine = CompiledEngine(program, tdm_depth=64, cache=None)
+        with pytest.raises(MemoryError_):
+            engine.run_with_stats()
+        assert engine.block_profile() == [
+            {"pc": 0, "executions": 1, "length": 1, "instructions": 1},
+            {"pc": 1, "executions": 5, "length": 4, "instructions": 17},
+        ]
+        fast = FastEngine(program, tdm_depth=64)
+        with pytest.raises(MemoryError_):
+            fast.run_with_stats()
+        assert engine.instructions_executed == fast.instructions_executed == 18
+        assert engine.instruction_mix() == fast.instruction_mix()
 
     def test_data_segment_out_of_depth_rejected_like_fast_engine(self):
         from repro.isa.program import DataSegment
@@ -451,7 +471,7 @@ class TestEngineContract:
         assert engine.tdm.read_int(5) == 77
         assert engine.tdm.dump(5, 2) == [77, 77]
         assert engine.memory_values(5, 2) == [77, 77]
-        assert engine.register_snapshot() == engine.registers_snapshot()
+        assert engine.register_snapshot()["T1"] == 77
 
 
 class TestCodegenArtifacts:
@@ -482,8 +502,8 @@ class TestCodegenArtifacts:
         {"code": "not-base64-marshal"},
         # Well-formed artifacts whose marshalled payload is not a dict of
         # int -> code objects: a list, and a dict holding a non-code value.
-        {"code": _marshalled([1, 2, 3]), "blocks": {}},
-        {"code": _marshalled({0: 42}), "blocks": {"0": "x"}},
+        {"code": _marshalled([1, 2, 3])},
+        {"code": _marshalled({0: 42})},
     ], ids=["not-marshal", "list-payload", "non-code-value"])
     def test_corrupted_artifact_is_regenerated(self, tmp_path, payload,
                                                compiles):
@@ -520,13 +540,18 @@ class TestCodegenArtifacts:
         {"code": _marshalled([1, 2, 3])},
         {"code": _marshalled({"0": compile("", "<x>", "exec")})},
         {"code": _marshalled({0: 42})},
-        {"code": _marshalled({}), "blocks": ["0"]},
-        {"code": _marshalled({}), "blocks": {"zero": "pass"}},
     ], ids=["miss", "no-code", "not-base64", "truncated-marshal",
-            "list-payload", "str-entry", "non-code-value", "list-blocks",
-            "non-int-block-entry"])
+            "list-payload", "str-entry", "non-code-value"])
     def test_decode_bundle_rejects_junk(self, payload):
         assert _decode_bundle(payload) is None
+
+    def test_decode_bundle_ignores_a_block_source_field(self):
+        """Artifacts once stored each block's source beside the code;
+        such an entry, whatever that field holds, still loads its code."""
+        code = compile("", "<x>", "exec")
+        for blocks in ({"0": "pass"}, ["0"], {"zero": "pass"}):
+            assert _decode_bundle({"code": _marshalled({0: code}),
+                                   "blocks": blocks}) == {0: code}
 
     def test_decode_bundle_accepts_a_published_bundle(self, tmp_path):
         from types import CodeType
@@ -535,16 +560,16 @@ class TestCodegenArtifacts:
         cache = ArtifactCache(str(tmp_path / "artifacts"))
         engine = CompiledEngine(program, cache=cache)
         engine.prepare()
-        codes, sources = _decode_bundle(
-            cache.get_json("codegen", engine._cache_key_material()))
-        assert set(codes) == set(sources) == set(engine.block_map())
+        payload = cache.get_json("codegen", engine._cache_key_material())
+        assert set(payload) == {"code"}  # code objects only
+        codes = _decode_bundle(payload)
+        assert set(codes) == set(engine._bundle) == set(engine.block_map())
         assert all(isinstance(code, CodeType) for code in codes.values())
-        assert sources == engine._bundle[1]
 
     @pytest.mark.parametrize("payload", [
         {"code": "not-base64-marshal"},
-        {"code": _marshalled([1, 2, 3]), "blocks": {}},
-        {"code": _marshalled({3: 42}), "blocks": {"3": "x"}},
+        {"code": _marshalled([1, 2, 3])},
+        {"code": _marshalled({3: 42})},
     ], ids=["not-marshal", "list-payload", "non-code-value"])
     def test_suffix_publish_replaces_junk_artifact(self, tmp_path, payload,
                                                    compiles):
@@ -566,33 +591,19 @@ class TestCodegenArtifacts:
             json.dump(payload, handle)
         result = engine.run()  # discovers suffix 5 and republishes
         assert result.registers == FastEngine(program).run().registers
-        codes, sources = _decode_bundle(cache.get_json("codegen", key_material))
-        assert set(codes) == set(sources) == {0, 2, 5}
+        codes = _decode_bundle(cache.get_json("codegen", key_material))
+        assert set(codes) == {0, 2, 5}
         _CODE_MEMO.clear()  # a fresh process installs the republished bundle
         compiles.clear()
         fresh = CompiledEngine(program, cache=cache)
         assert fresh.run().registers == result.registers
         assert compiles == []  # suffix 5 came from the artifact
 
-    def test_profiled_and_plain_bundles_never_cross(self, tmp_path):
-        program = assemble(DIRECTED_SOURCE, name="profile-isolation")
-        cache = ArtifactCache(str(tmp_path / "artifacts"))
-        CompiledEngine(program, cache=cache).prepare()
-        CompiledEngine(program, cache=cache, profile=True).prepare()
-        assert cache.entry_count("codegen") == 2
-        _CODE_MEMO.clear()  # a fresh process loads the profiled bundle
-        engine = CompiledEngine(program, cache=cache, profile=True)
-        engine.run_with_stats()
-        assert sum(row["instructions"] for row in engine.block_profile()) \
-            == engine.instructions_executed > 0
-
     def test_suffix_republish_merges_other_workers_discoveries(self, tmp_path):
         """A suffix publisher must not erase suffixes another worker found."""
         import base64
-        import json
         import marshal
 
-        from repro.cache import cache_key
         from repro.sim.compiled import (
             CompiledEngine as CE,
             generate_block_source,
@@ -606,36 +617,25 @@ class TestCodegenArtifacts:
         engine = CE(program, cache=cache)
         engine.run()  # discovers and publishes suffix entry 5
         key_material = engine._cache_key_material()
-        path = cache.path_for("codegen", cache_key(key_material))
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert "5" in payload["blocks"]
+        codes = _decode_bundle(cache.get_json("codegen", key_material))
+        assert 5 in codes
 
         # Simulate another worker's artifact: suffix 5 missing, but a
         # different (valid) suffix at address 3 present.
         other_source = generate_block_source(
             3, superblock_span(engine._records, engine._leaders, 3),
             engine._records, engine._attrs, engine.tdm_depth)
-        codes = {
-            int(entry): code for entry, code in marshal.loads(
-                base64.b64decode(payload["code"])).items()
-            if int(entry) != 5
-        }
+        del codes[5]
         codes[3] = compile(other_source, "<other worker>", "exec")
-        blocks = {entry: source for entry, source in payload["blocks"].items()
-                  if entry != "5"}
-        blocks["3"] = other_source
         cache.put_json("codegen", key_material, {
             "code": base64.b64encode(marshal.dumps(codes)).decode("ascii"),
-            "blocks": blocks,
         })
 
         _CODE_MEMO.clear()  # fresh "process" rediscovers suffix 5...
         CE(program, cache=cache).run()
-        with open(path, "r", encoding="utf-8") as handle:
-            merged = json.load(handle)
+        merged = _decode_bundle(cache.get_json("codegen", key_material))
         # ...and its republish keeps the other worker's suffix 3 too.
-        assert {"3", "5"} <= set(merged["blocks"])
+        assert {3, 5} <= set(merged)
 
     def test_in_process_memo_shares_codegen_between_engines(self):
         program = assemble(DIRECTED_SOURCE, name="memo-check")
@@ -703,28 +703,16 @@ class TestCodegenArtifacts:
         engine = CompiledEngine(program, cache=cache)
         engine.run()
         assert puts == ["codegen"]
-        codes, sources = _decode_bundle(
+        codes = _decode_bundle(
             cache.get_json("codegen", engine._cache_key_material()))
-        assert set(codes) == set(sources) == {0, 5}
+        assert set(codes) == {0, 5}
         CompiledEngine(program, cache=cache).run()  # all from the memo
         assert puts == ["codegen"]
 
-    def test_profiled_bundle_is_compiled_apart_from_the_plain_one(
-            self, compiles):
-        program = assemble(DIRECTED_SOURCE, name="profile-compiles")
-        CompiledEngine(program, cache=None).prepare()
-        plain = sorted(compiles)
-        assert plain
-        compiles.clear()
-        CompiledEngine(program, cache=None, profile=True).prepare()
-        assert sorted(compiles) == plain  # same blocks, separate code
-        CompiledEngine(program, cache=None, profile=True).prepare()
-        assert sorted(compiles) == plain  # the profiled memo entry is shared
-
     @pytest.mark.parametrize("machine", sorted(MACHINES))
     def test_differential_compiles_each_block_once(self, machine, compiles):
-        """The differential harness builds a compiled engine for ``run()``
-        and another for ``run_with_stats()``; they share one codegen."""
+        """The differential harness compiles each block its compiled
+        engine dispatches exactly once."""
         for seed in range(3):
             program = generate_program(seed)
             _CODE_MEMO.clear()
@@ -734,4 +722,4 @@ class TestCodegenArtifacts:
             engine = CompiledEngine(program, cache=None, machine=machine)
             engine.prepare()  # compiles only the leaders no run dispatched
             assert sorted(compiles) == sorted(
-                f"<art9 block {entry}>" for entry in engine._bundle[0])
+                f"<art9 block {entry}>" for entry in engine._bundle)

@@ -94,6 +94,38 @@ class TestArithmeticEquivalence:
             ecall
         """, check_registers=(12, 13, 15, 16))
 
+    def test_division_table_at_the_edges_of_the_word(self):
+        """div and rem over dividends up to the 9-trit limit (+-9841).
+
+        The runtime helper once doubled the divisor past the word range:
+        7056 div 84 gave 552, and a dividend of 9841 never halted.
+        """
+        dividends = (9841, -9841, 9840, -9840, 5200, -5200)
+        divisors = (1, -1, 2, -2, 3, -3, 20, 84, -84, 9841, -9841, 0)
+        pairs = [(a, b) for a in dividends for b in divisors]
+        table = ", ".join(f"{a}, {b}" for a, b in pairs)
+        # results[2k], results[2k+1] = div, rem of pair k
+        assert_equivalent(f"""
+            la   t0, table
+            la   t1, results
+            li   t2, {len(pairs)}
+        loop:
+            lw   a0, 0(t0)
+            lw   a1, 4(t0)
+            div  a2, a0, a1
+            rem  a3, a0, a1
+            sw   a2, 0(t1)
+            sw   a3, 4(t1)
+            addi t0, t0, 8
+            addi t1, t1, 8
+            addi t2, t2, -1
+            bnez t2, loop
+            ecall
+        .data
+        results: .zero {2 * len(pairs)}
+        table: .word {table}
+        """, check_registers=(), check_memory=tuple(range(0, 8 * len(pairs), 4)))
+
     def test_set_less_than(self):
         assert_equivalent("""
             li a0, 5
