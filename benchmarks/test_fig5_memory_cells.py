@@ -41,7 +41,7 @@ def test_fig5_art9_uses_fewer_cells_than_rv32i(workloads, translated, benchmark)
         if name == "gemm":
             # GEMM calls the software multiply runtime; with this repo's
             # simpler register renaming its ternary code ends up larger than
-            # the RV-32I original (documented in EXPERIMENTS.md).
+            # the RV-32I original.
             continue
         assert art9_trits < rv_bits, f"{name}: ART-9 should need fewer memory cells"
 

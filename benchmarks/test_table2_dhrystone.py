@@ -3,7 +3,7 @@
 The paper reports DMIPS/MHz and program memory cells for the three cores
 running Dhrystone.  The absolute DMIPS figures of this reproduction are
 higher than the paper's because the Dhrystone-like kernel iteration is
-smaller than a genuine Dhrystone iteration (see DESIGN.md), but the ordering
+smaller than a genuine Dhrystone iteration, but the ordering
 — VexRiscv fastest per MHz, ART-9 in the middle, PicoRV32 last — and the
 memory-cell advantage of the ternary ISA are the reproduced claims.
 """

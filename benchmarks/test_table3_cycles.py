@@ -4,7 +4,7 @@ The paper reports that the pipelined ART-9 core finishes every benchmark in
 fewer cycles than the non-pipelined PicoRV32, despite executing more (but
 shorter) instructions.  GEMM is the exception in this reproduction: our
 software multiply is more expensive than the authors', so PicoRV32's
-hardware multiplier wins there (recorded in EXPERIMENTS.md).
+hardware multiplier wins there.
 """
 
 import pytest

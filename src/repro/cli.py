@@ -531,11 +531,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             return 2
     software = SoftwareFramework(optimize=not args.no_optimize)
     try:
-        program, _, _ = software.compile_named_workload(args.workload, params)
+        program, _, _ = software.compile_named_workload_cached(
+            args.workload, params)
     except (KeyError, TypeError) as exc:
         print(f"art9 profile: {exc}", file=sys.stderr)
         return 2
-    # The same build a sweep job runs, so its codegen artifact is reused.
+    # The translation and build a sweep job runs, so its xlate and codegen
+    # artifacts are reused.
     engine = CompiledEngine(program, machine=args.machine)
     stats = engine.run_with_stats(max_cycles=args.max_cycles)
     rows = engine.block_profile()

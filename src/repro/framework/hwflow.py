@@ -68,10 +68,11 @@ class HardwareFramework:
       simulator (asserted continuously by the differential test suite) at a
       fraction of the cost, which is what makes large workload sweeps viable.
     * ``"pipeline"`` — the structural 5-stage model, kept as the
-      independent check on the analytic model.  One clock loop runs the
-      five stages each cycle, with the forwarding muxes and the HDU as
-      sections of it and a trit-level TALU: the blocks the gate-level
-      analyzer attributes against.
+      independent check on the analytic model.  Its one timed ``run()``
+      clocks the five stages each cycle, with the forwarding muxes, the
+      HDU and the ID branch decision as sections of one loop and a
+      trit-level TALU: the blocks the gate-level analyzer attributes
+      against.  A simulator runs once, so each call builds a fresh one.
     * ``"compiled"`` — the superblock code-generating engine of
       :mod:`repro.sim.compiled`: the program is compiled once per machine
       config to specialized Python functions with the same timing model

@@ -56,7 +56,7 @@ from repro.sim.machine import (
 )
 from repro.sim.memory import MemoryError_, TernaryMemory
 from repro.sim.regfile import TernaryRegisterFile
-from repro.sim.alu import ALUResult, TernaryALU
+from repro.sim.alu import TernaryALU
 from repro.sim.functional import ExecutionResult, FunctionalSimulator, SimulationError
 from repro.sim.pipeline import PipelineSimulator, PipelineStats
 from repro.sim.engine import FastEngine
@@ -76,7 +76,6 @@ __all__ = [
     "MemoryError_",
     "TernaryRegisterFile",
     "TernaryALU",
-    "ALUResult",
     "FunctionalSimulator",
     "ExecutionResult",
     "SimulationError",

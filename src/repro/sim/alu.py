@@ -1,14 +1,15 @@
 """The ternary arithmetic logic unit (TALU) of the EX stage.
 
 The TALU performs every R-type and I-type data operation of Table I.  It is
-deliberately a standalone component with a single ``execute`` entry point so
+deliberately a standalone component with one table of operation handlers so
 that (a) the functional and pipeline simulators share identical semantics
-and (b) the gate-level analyzer can attribute hardware resources to it.
+(the functional EX calls :meth:`TernaryALU.compute`, the pipeline's
+predecode resolves each handler once) and (b) the gate-level analyzer can
+attribute hardware resources to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -30,14 +31,6 @@ from repro.ternary.logic import (
     word_xor,
 )
 from repro.ternary.word import WORD_TRITS, TernaryWord
-
-
-@dataclass
-class ALUResult:
-    """Outcome of one TALU operation."""
-
-    value: TernaryWord
-    operation: str
 
 
 @lru_cache(maxsize=1024)
@@ -87,7 +80,7 @@ _HANDLERS = {
 class TernaryALU:
     """Executes the arithmetic/logic portion of the ART-9 ISA.
 
-    The ``execute`` method takes the mnemonic and the two (already forwarded)
+    :meth:`compute` takes the mnemonic and the two (already forwarded)
     operand words.  For I-type instructions the immediate operand is passed
     in ``imm`` and the ``operand_b`` argument is ignored.
     """
@@ -99,22 +92,6 @@ class TernaryALU:
     #: handler here once.
     HANDLERS: Mapping[str, Callable[..., TernaryWord]] = MappingProxyType(
         _HANDLERS)
-
-    def execute(
-        self,
-        mnemonic: str,
-        operand_a: TernaryWord,
-        operand_b: Optional[TernaryWord] = None,
-        imm: Optional[int] = None,
-    ) -> ALUResult:
-        """Compute one operation and return its :class:`ALUResult`.
-
-        ``mnemonic`` is case-insensitive; anything outside
-        :attr:`OPERATIONS` raises ``ValueError``.
-        """
-        mnemonic = mnemonic.upper()
-        return ALUResult(self.compute(mnemonic, operand_a, operand_b, imm),
-                         mnemonic)
 
     def compute(
         self,

@@ -658,13 +658,6 @@ class CompiledEngine(_AnalyticEngine):
                     del mix[mnemonic]
         return mix
 
-    def block_map(self) -> Dict[int, int]:
-        """Entry address → block length of the static superblock partition."""
-        return {
-            entry: len(superblock_span(self._records, self._leaders, entry))
-            for entry in sorted(self._leaders)
-        }
-
     def block_profile(self) -> List[dict]:
         """Execution profile rows from the dispatch loop's block counts.
 

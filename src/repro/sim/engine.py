@@ -320,10 +320,6 @@ class _AnalyticEngine:
         """Name → integer value of the architectural registers."""
         return {register_name(i): value for i, value in enumerate(self._regs)}
 
-    def memory_values(self, base: int, count: int) -> List[int]:
-        """Read ``count`` consecutive TDM words starting at ``base``."""
-        return self.tdm.dump(base, count)
-
 
 class FastEngine(_AnalyticEngine):
     """Pre-decoded integer interpreter for ART-9 programs.

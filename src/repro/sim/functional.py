@@ -13,7 +13,7 @@ semantics — no pipeline, no stalls.  It serves three roles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.isa.encoder import validate_instruction
 from repro.isa.instructions import Instruction
@@ -139,9 +139,3 @@ class FunctionalSimulator:
             instruction_mix=dict(self.instruction_mix),
             memory=self.tdm.contents(),
         )
-
-    # -- inspection helpers -------------------------------------------------------
-
-    def memory_values(self, base: int, count: int) -> List[int]:
-        """Read ``count`` consecutive TDM words starting at ``base``."""
-        return self.tdm.dump(base, count)

@@ -14,7 +14,7 @@ word as an unsigned address.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
@@ -116,14 +116,6 @@ class TernaryMemory:
     def contents(self) -> Dict[int, int]:
         """Touched cells as an address → balanced-integer-value mapping."""
         return {address: word.value for address, word in self.cells.items()}
-
-    def occupied_words(self) -> int:
-        """Number of addresses that have been written at least once."""
-        return len(self.cells)
-
-    def highest_written(self) -> Optional[int]:
-        """Highest written address, or None if the memory is untouched."""
-        return max(self.cells) if self.cells else None
 
     def clear(self) -> None:
         """Erase all contents."""

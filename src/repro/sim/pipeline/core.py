@@ -23,20 +23,31 @@ Sec. IV-B that those are the only observed stall sources.
 The clock
 ---------
 
-:meth:`PipelineSimulator._clock` is the whole clock: one loop whose body
-is one cycle, written as labelled sections for WB, MEM (with the TDM port
-and its depth and word-width checks), EX (with the forwarding
-multiplexers), ID (with the hazard detection unit, the register read ports
-and the branch unit) and IF, then the retire accounting and the clock
-edge.  On entry it loads the four pipeline registers, the PC, the
-fetch and drain state and every counter into local variables; on exit it
-stores them back, into one latch object per register and into
-:attr:`PipelineSimulator.stats`.  :meth:`~PipelineSimulator.run` and
-:meth:`~PipelineSimulator.step_cycle` both drive it.  Inside the loop a
-pipeline register is the predecoded record it carries (``None`` for a
-bubble) and its fields; each stage writes its output into locals that the
-clock edge moves into the next register.  On a load-use stall IF/ID holds
-its record, so the consumer is decoded again the following cycle.
+:meth:`PipelineSimulator.run` is the whole clock: one loop whose body is
+one cycle, written as labelled sections for WB, MEM (with the TDM port and
+its depth and word-width checks), EX (with the forwarding multiplexers),
+ID (with the hazard detection unit, the register read ports and the branch
+decision) and IF, then the retire accounting and the clock edge.  The four
+pipeline registers, the fetch refill and the drain state are local
+variables of that one call: a pipeline register is the predecoded record
+it carries (``None`` for a bubble) and its fields, and each stage writes
+its output into locals that the clock edge moves into the next register.
+On a load-use stall IF/ID holds its record, so the consumer is decoded
+again the following cycle.  When the loop ends, at HALT, at the cycle
+budget or on a fault, the PC, the halt flag and the counters are stored
+into the simulator and :attr:`PipelineSimulator.stats`.  A simulator runs
+once; a second :meth:`~PipelineSimulator.run` raises
+:class:`~repro.sim.functional.SimulationError`, as the analytic engines'
+timed runs do.
+
+The branch decision is the ID stage's dedicated target adder and condition
+checker (Sec. IV-B): BEQ is taken when the least-significant trit of the
+forwarded Tb word equals the instruction's branch trit and BNE when it
+differs, both targeting ``PC + imm``; JAL jumps to ``PC + imm`` and JALR
+to ``Tb + imm`` wrapped into the 9-trit address space, and both link
+``PC + 1``.  The computed address is forwarded directly to the PC, so a
+redirect squashes exactly the fetches the machine's redirect penalty
+names, and a correctly predicted branch costs nothing.
 
 Predecoded records
 ------------------
@@ -44,15 +55,14 @@ Predecoded records
 The constructor checks TIM with
 :func:`~repro.isa.encoder.validate_instruction`, the operand check every
 executor shares, and decodes it once into
-:attr:`PipelineSimulator.predecoded`, one
-:class:`~repro.sim.pipeline.stages.PredecodedInstruction` per PC.  A
-record holds the mnemonic, the operand fields, the register dataflow
-(destination and sources), the load/store/control/jump/ALU/HALT flags, the
-TALU operation and the machine's static fetch steering (the predicted-taken
-bit and the fixed-mispredict rule of JAL/JALR).  IF fetches the record of
-its PC and it rides the pipeline registers to WB: the hazard detection
-unit, the forwarding multiplexers, the ID branch unit, the TALU dispatch
-and the retire accounting all read its fields.
+:attr:`PipelineSimulator.predecoded`, one :class:`PredecodedInstruction`
+per PC.  A record holds the mnemonic, the operand fields, the register
+dataflow (destination and sources), the load/store/control/jump/ALU/HALT
+flags, the TALU operation and the machine's static fetch steering (the
+predicted-taken bit and the fixed-mispredict rule of JAL/JALR).  IF
+fetches the record of its PC and it rides the pipeline registers to WB:
+the hazard detection unit, the forwarding multiplexers, the branch
+decision, the TALU dispatch and the retire accounting all read its fields.
 
 Machine configs
 ---------------
@@ -75,25 +85,76 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.isa.encoder import validate_instruction
+from repro.isa.instructions import Instruction
 from repro.isa.program import Program
-from repro.sim.alu import constant_word
+from repro.sim.alu import TernaryALU, constant_word
 from repro.sim.functional import SimulationError
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.memory import TernaryMemory, address_fault, width_fault
-from repro.sim.pipeline.branch import BranchUnit
-from repro.sim.pipeline.stages import (
-    DecodeLatch,
-    ExecuteLatch,
-    FetchLatch,
-    MemoryLatch,
-    PredecodedInstruction,
-)
 from repro.sim.pipeline.stats import PipelineStats
 from repro.sim.regfile import TernaryRegisterFile
 from repro.ternary.word import WORD_TRITS
 
 #: Addresses wrap into the unsigned window of a 9-trit register.
 _ADDRESS_SPACE = 3 ** WORD_TRITS
+
+
+class PredecodedInstruction:
+    """One TIM word decoded once, before the run; it rides IF to WB.
+
+    It copies the operand fields, the dataflow of the spec (``reads_ta``,
+    ``reads_tb``, ``destination``, ``sources``) and the class flags, and
+    adds the TALU ``operation`` of an ALU instruction (its
+    ``handler(operand_a, operand_b, imm)``) and the machine's static fetch
+    steering:
+
+    ``predicted_taken``
+        IF steers fetch to ``PC + imm`` instead of ``PC + 1``.
+    ``fixed_mispredict``
+        Whether ID redirects fetch regardless of the outcome: always for
+        JALR (indirect, so fetch never has its target), for JAL unless the
+        machine folds it at fetch; None for conditional branches, which
+        redirect when the outcome differs from ``predicted_taken``.
+    """
+
+    __slots__ = (
+        "instruction", "mnemonic", "ta", "tb", "imm", "branch_trit",
+        "reads_ta", "reads_tb", "destination", "sources",
+        "is_load", "is_store", "is_control", "is_jump", "is_alu", "is_halt",
+        "operation", "predicted_taken", "fixed_mispredict",
+    )
+
+    def __init__(self, instruction: Instruction, machine: MachineConfig):
+        spec = instruction.spec
+        mnemonic = instruction.mnemonic
+        self.instruction = instruction
+        self.mnemonic = mnemonic
+        self.ta = instruction.ta
+        self.tb = instruction.tb
+        self.imm = instruction.imm
+        self.branch_trit = instruction.branch_trit
+        self.reads_ta = spec.reads_ta
+        self.reads_tb = spec.reads_tb
+        self.destination = instruction.destination()
+        self.sources = instruction.sources()
+        self.is_load = spec.is_load
+        self.is_store = spec.is_store
+        self.is_control = spec.is_control
+        self.is_jump = spec.is_jump
+        self.is_alu = spec.category in ("R", "I")
+        self.is_halt = mnemonic == "HALT"
+        self.operation = TernaryALU.HANDLERS[mnemonic] if self.is_alu else None
+        self.predicted_taken = machine.predicts_taken(
+            mnemonic, instruction.imm or 0)
+        if mnemonic == "JALR":
+            self.fixed_mispredict = True
+        elif mnemonic == "JAL":
+            self.fixed_mispredict = not machine.folds_jal
+        else:
+            self.fixed_mispredict = None
+
+    def __repr__(self) -> str:
+        return f"PredecodedInstruction({self.instruction.render()!r})"
 
 
 class PipelineSimulator:
@@ -106,41 +167,34 @@ class PipelineSimulator:
         self.registers = TernaryRegisterFile()
         for instruction in program.instructions:
             validate_instruction(instruction)
-        #: TIM predecoded once: one record per PC, carried by the latches.
+        #: TIM predecoded once: one record per PC.
         self.predecoded = tuple(
             PredecodedInstruction(instruction, self.machine)
             for instruction in program.instructions)
         self.tdm = TernaryMemory(depth=tdm_depth, name="TDM")
-        self.branch_unit = BranchUnit()
         self.stats = PipelineStats()
-
         self.pc = 0
         self.halted = False
-        self._draining = False
-        # Pipelined I-fetch refill: bubbles still owed before the next fetch
-        # can deliver (initial fill, and redirect_penalty after a redirect).
-        self._fetch_bubbles = self.machine.fetch_latency
-
-        # The pipeline registers as they stand between clock calls.
-        self.if_id = FetchLatch()
-        self.id_ex = DecodeLatch()
-        self.ex_mem = ExecuteLatch()
-        self.mem_wb = MemoryLatch()
-
         for segment in program.data:
             self.tdm.load_words(segment.values, base=segment.base_address)
 
-    # ------------------------------------------------------------------ clock
-
-    def _clock(self, limit: int) -> None:
-        """Clock until HALT retires or ``limit`` cycles have been counted.
+    def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
+        """Clock until the HALT instruction retires (or ``max_cycles``).
 
         When HALT retires before WB the loop goes on for the passes the
         older instructions still need to finish their EX/MEM/WB work
         (register writes, TDM accesses); those passes count no cycles and
-        commit nothing.  A halted machine does not advance.
+        commit nothing.  A simulator runs once: a second call raises
+        :class:`SimulationError`.
         """
+        if not self.program.instructions:
+            raise SimulationError("cannot simulate an empty program")
         stats = self.stats
+        if stats.cycles:
+            raise SimulationError(
+                f"engine state already consumed; build a fresh "
+                f"{type(self).__name__} for timing statistics"
+            )
         mix = stats.instruction_mix
         regs = self.registers.words
         tdm = self.tdm
@@ -148,7 +202,6 @@ class PipelineSimulator:
         tdm_zero = tdm.zero
         tdm_depth = tdm.depth
         tdm_width = tdm.width
-        evaluate = self.branch_unit.evaluate
         predecoded = self.predecoded
         program_length = len(predecoded)
         machine = self.machine
@@ -157,58 +210,35 @@ class PipelineSimulator:
         mem_bypass = machine.load_use_penalty == 0
         redirect_penalty = machine.redirect_penalty
 
-        pc = self.pc
-        halted = self.halted
-        draining = self._draining
-        fetch_bubbles = self._fetch_bubbles
+        pc = 0
+        halted = draining = False
+        # Pipelined I-fetch refill: bubbles still owed before the next fetch
+        # can deliver (initial fill, and redirect_penalty after a redirect).
+        fetch_bubbles = machine.fetch_latency
         # Each pipeline register: the record it carries (None for a bubble)
-        # and its fields.
-        latch = self.if_id
-        if_id = latch.decoded if latch.valid else None
-        if_id_pc = latch.pc
-        latch = self.id_ex
-        id_ex = latch.decoded if latch.valid else None
-        id_ex_pc = latch.pc
-        id_ex_a = latch.operand_a
-        id_ex_b = latch.operand_b
-        id_ex_link = latch.link_value
-        latch = self.ex_mem
-        ex_mem = latch.decoded if latch.valid else None
-        ex_mem_pc = latch.pc
-        ex_mem_result = latch.alu_result
-        ex_mem_store = latch.store_value
-        ex_mem_address = latch.memory_address
-        latch = self.mem_wb
-        mem_wb = latch.decoded if latch.valid else None
-        mem_wb_pc = latch.pc
-        mem_wb_value = latch.writeback_value
-        # Stage outputs; a field is read only while its record is not None.
-        if_out_pc = if_id_pc
+        # and its fields, which the clock edge sets and which are read only
+        # while the record is not None.
+        if_id = id_ex = ex_mem = mem_wb = None
+        # Stage outputs, under the same rule.
+        if_out_pc = 0
         mem_out_value = id_out_a = id_out_b = id_out_link = None
         ex_out_result = ex_out_store = ex_out_address = None
 
-        cycles = stats.cycles
-        committed = stats.instructions_committed
-        load_use_stalls = stats.load_use_stalls
-        control_flush_bubbles = stats.control_flush_bubbles
-        taken_branches = stats.taken_branches
-        not_taken_branches = stats.not_taken_branches
-        jumps = stats.jumps
-        ex_forwards = stats.ex_forwards
-        mem_forwards = stats.mem_forwards
-        id_forwards = stats.id_forwards
+        cycles = committed = load_use_stalls = control_flush_bubbles = 0
+        taken_branches = not_taken_branches = jumps = 0
+        ex_forwards = mem_forwards = id_forwards = 0
 
         # Uncounted passes still owed once HALT retires.  IF stopped when
         # ID decoded HALT, so everything younger is a bubble and these
         # passes commit nothing.
-        drain = 0 if halted else 5 - retire_stage
+        drain = 5 - retire_stage
         try:
             while True:
                 if halted:
                     if not drain:
                         break
                     drain -= 1
-                elif cycles >= limit:
+                elif cycles >= max_cycles:
                     break
                 else:
                     cycles += 1
@@ -304,7 +334,7 @@ class PipelineSimulator:
                     # Conditional branches and HALT carry nothing: they were
                     # resolved in ID and flow on for commit accounting.
 
-                # ---- ID: hazard detection, register read, branch unit.
+                # ---- ID: hazard detection, register read, branch decision.
                 id_out = if_id
                 stall = False
                 redirect = None
@@ -323,7 +353,6 @@ class PipelineSimulator:
                         id_out_b = regs[if_id.tb] if if_id.reads_tb else None
                         id_out_link = None
                         if if_id.is_control:
-                            tb_value = None
                             if if_id.reads_tb:
                                 # ID forwarding: this cycle's TALU output,
                                 # then this cycle's memory output, then the
@@ -342,25 +371,39 @@ class PipelineSimulator:
                                     tb_value = mem_out_value
                                 else:
                                     tb_value = id_out_b
-                            outcome = evaluate(if_id, if_id_pc, tb_value)
+                            # Branch decision: the condition checker
+                            # compares Tb's least-significant trit with the
+                            # branch trit; jumps are always taken and link
+                            # PC + 1.
                             if if_id.is_jump:
                                 jumps += 1
-                            elif outcome.taken:
-                                taken_branches += 1
+                                taken = True
+                                id_out_link = if_id_pc + 1
                             else:
-                                not_taken_branches += 1
+                                matches = tb_value.lst == if_id.branch_trit
+                                taken = (matches if if_id.mnemonic == "BEQ"
+                                         else not matches)
+                                if taken:
+                                    taken_branches += 1
+                                else:
+                                    not_taken_branches += 1
                             # Fetch already followed the static prediction;
                             # redirect only on a mispredict.  JALR is
                             # indirect, so fetch never has its target and it
                             # always redirects (even to PC + 1).
                             mispredicted = if_id.fixed_mispredict
                             if mispredicted is None:
-                                mispredicted = (
-                                    outcome.taken != if_id.predicted_taken)
+                                mispredicted = taken != if_id.predicted_taken
                             if mispredicted:
-                                redirect = (outcome.target if outcome.taken
-                                            else if_id_pc + 1)
-                            id_out_link = outcome.link_value
+                                if not taken:
+                                    redirect = if_id_pc + 1
+                                elif if_id.mnemonic == "JALR":
+                                    # The target adder on the forwarded
+                                    # base, wrapped into 0 .. 3**9 - 1.
+                                    redirect = ((tb_value.value + if_id.imm)
+                                                % _ADDRESS_SPACE)
+                                else:
+                                    redirect = if_id_pc + if_id.imm
                         elif if_id.is_halt:
                             # Stop fetching; HALT drains to retire.
                             draining = True
@@ -413,15 +456,12 @@ class PipelineSimulator:
 
                 # ---- Clock edge: each register takes its stage's output.
                 mem_wb = mem_out
-                mem_wb_pc = ex_mem_pc
                 mem_wb_value = mem_out_value
                 ex_mem = ex_out
-                ex_mem_pc = id_ex_pc
                 ex_mem_result = ex_out_result
                 ex_mem_store = ex_out_store
                 ex_mem_address = ex_out_address
                 id_ex = id_out
-                id_ex_pc = if_id_pc
                 id_ex_a = id_out_a
                 id_ex_b = id_out_b
                 id_ex_link = id_out_link
@@ -430,32 +470,6 @@ class PipelineSimulator:
         finally:
             self.pc = pc
             self.halted = halted
-            self._draining = draining
-            self._fetch_bubbles = fetch_bubbles
-            latch = self.if_id
-            latch.valid = if_id is not None
-            latch.pc = if_id_pc
-            latch.decoded = if_id
-            latch = self.id_ex
-            latch.valid = id_ex is not None
-            latch.pc = id_ex_pc
-            latch.decoded = id_ex
-            latch.operand_a = id_ex_a
-            latch.operand_b = id_ex_b
-            latch.link_value = id_ex_link
-            latch = self.ex_mem
-            latch.valid = ex_mem is not None
-            latch.pc = ex_mem_pc
-            latch.decoded = ex_mem
-            latch.alu_result = ex_mem_result
-            latch.store_value = ex_mem_store
-            latch.memory_address = ex_mem_address
-            latch = self.mem_wb
-            latch.valid = mem_wb is not None
-            latch.pc = mem_wb_pc
-            latch.decoded = mem_wb
-            latch.writeback_value = mem_wb_value
-
             stats.cycles = cycles
             stats.instructions_committed = committed
             stats.load_use_stalls = load_use_stalls
@@ -466,32 +480,12 @@ class PipelineSimulator:
             stats.ex_forwards = ex_forwards
             stats.mem_forwards = mem_forwards
             stats.id_forwards = id_forwards
-
-    def step_cycle(self) -> None:
-        """Advance the machine by one clock cycle.
-
-        The cycle that retires HALT also drains the stages past the retire
-        stage; a halted machine does not advance.
-        """
-        self._clock(self.stats.cycles + 1)
-
-    def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
-        """Run until the HALT instruction commits (or ``max_cycles``)."""
-        if not self.program.instructions:
-            raise SimulationError("cannot simulate an empty program")
-        self._clock(max_cycles)
-        if not self.halted:
+        if not halted:
             raise SimulationError(
                 f"program did not halt within {max_cycles} cycles"
             )
-        return self.stats
-
-    # ------------------------------------------------------------------ helpers
+        return stats
 
     def register_snapshot(self) -> dict:
         """Name → integer value of the architectural registers."""
         return self.registers.snapshot()
-
-    def memory_values(self, base: int, count: int) -> list:
-        """Read ``count`` consecutive TDM words starting at ``base``."""
-        return self.tdm.dump(base, count)

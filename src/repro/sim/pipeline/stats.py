@@ -37,13 +37,6 @@ class PipelineStats:
         return self.cycles / self.instructions_committed
 
     @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        if self.cycles == 0:
-            return float("nan")
-        return self.instructions_committed / self.cycles
-
-    @property
     def stall_cycles(self) -> int:
         """All cycles lost to hazards (stalls plus flush bubbles)."""
         return self.load_use_stalls + self.control_flush_bubbles

@@ -1,9 +1,9 @@
 """Dhrystone-like synthetic integer benchmark.
 
 The original Dhrystone 2.1 cannot run on a 9-trit datapath (it needs 32-bit
-integers, C strings and a libc), so — per the substitution rule documented
-in DESIGN.md — this workload keeps Dhrystone's *statement mix* at a scale the
-ART-9 core can execute: every iteration performs
+integers, C strings and a libc), so this workload keeps Dhrystone's
+*statement mix* at a scale the ART-9 core can execute: every iteration
+performs
 
 * global variable updates (``Int_Glob`` / ``Bool_Glob`` stand-ins),
 * a record assignment through a helper procedure (``proc_copy``),

@@ -342,12 +342,14 @@ class TestProfile:
 
     def test_profile_reuses_the_sweep_jobs_build(self, tmp_path, monkeypatch,
                                                  capsys):
-        """``art9 profile`` runs the build a compiled sweep job published:
-        it compiles nothing and adds no codegen artifact."""
+        """``art9 profile`` runs the translation and build a compiled sweep
+        job published: it translates and compiles nothing and adds no
+        codegen artifact."""
         from repro.cache import ArtifactCache, reset_default_cache
         from repro.runner import SweepJob
         from repro.runner.worker import execute_job
         from repro.sim import compiled
+        from repro.xlate import TernaryTranslator
 
         root = str(tmp_path / "artifacts")
         monkeypatch.setenv("ART9_CACHE_DIR", root)
@@ -367,9 +369,18 @@ class TestProfile:
 
             monkeypatch.setattr(compiled, "compile", counting_compile,
                                 raising=False)
+            translations = []
+            translate = TernaryTranslator.translate
+
+            def counting_translate(translator, rv_program):
+                translations.append(rv_program)
+                return translate(translator, rv_program)
+
+            monkeypatch.setattr(TernaryTranslator, "translate",
+                                counting_translate)
             assert main(["profile", "gemm"]) == 0
             assert f"{record['cycles']} cycles" in capsys.readouterr().out
-            assert calls == []
+            assert calls == [] and translations == []
             assert ArtifactCache(root).entry_count("codegen") == entries
         finally:
             compiled._CODE_MEMO.clear()

@@ -214,6 +214,25 @@ class TestCycleBudget:
             _timing_run(executor, Program(name="empty"), 50_000_000, None)
         assert str(excinfo.value) == "cannot simulate an empty program"
 
+    @pytest.mark.parametrize("executor", TIMING)
+    def test_a_second_timed_run_is_refused(self, executor):
+        halting = assemble("ADDI T1, 1\nHALT", name="halting")
+        spinner = _data_program("spin", SPIN_SOURCE, [0])
+        for program, first_error in ((halting, None), (spinner, "budget")):
+            simulator = _build(executor, program)
+            run = (simulator.run if executor == "pipeline"
+                   else simulator.run_with_stats)
+            if first_error is None:
+                run(max_cycles=1000)
+            else:
+                with pytest.raises(SimulationError):
+                    run(max_cycles=1000)
+            with pytest.raises(SimulationError) as excinfo:
+                run(max_cycles=1000)
+            assert str(excinfo.value) == (
+                f"engine state already consumed; build a fresh "
+                f"{type(simulator).__name__} for timing statistics")
+
     @pytest.mark.parametrize("machine", machine_names())
     def test_budget_boundary_is_the_pipeline_cycle_count(self, machine):
         program = generate_program(11)

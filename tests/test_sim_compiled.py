@@ -139,6 +139,11 @@ def compiles(monkeypatch):
     return calls
 
 
+def _leaders(program):
+    """The static superblock entries of ``program``."""
+    return superblock_leaders(_predecode(program))
+
+
 @pytest.fixture(scope="module")
 def translated_workloads():
     software = SoftwareFramework()
@@ -171,12 +176,6 @@ class TestSuperblockPartition:
             last = span[-1]
             assert (records[last][0] in _TERMINALS
                     or last + 1 >= len(records) or last + 1 in leaders)
-
-    def test_block_map_reports_the_partition(self, translated_workloads):
-        engine = CompiledEngine(translated_workloads["bubble_sort"], cache=None)
-        block_map = engine.block_map()
-        assert sum(block_map.values()) == len(engine.program.instructions)
-        assert 0 in block_map
 
     def test_codegen_is_deterministic(self, translated_workloads):
         program = translated_workloads["sobel"]
@@ -237,7 +236,7 @@ class TestEquivalence:
         prepared = CompiledEngine(program, cache=None, **variant)
         prepared.prepare()
         assert dead in compiles
-        assert set(prepared._table) == set(prepared.block_map())
+        assert set(prepared._table) == _leaders(program)
         depth = variant.get("tdm_depth", 3 ** 9)
         fast = FastEngine(program, tdm_depth=depth).run()
         assert result == fast
@@ -316,7 +315,7 @@ class TestEquivalence:
         assert result.registers == fast.registers
         assert result.registers["T3"] == 0 and result.registers["T4"] == 2
         assert 5 in engine._table  # the suffix entry materialised
-        assert 5 not in engine.block_map()  # ...but is not a static leader
+        assert 5 not in _leaders(program)  # ...but is not a static leader
         compiled_stats = CompiledEngine(program, cache=None).run_with_stats()
         fast_stats = FastEngine(program).run_with_stats()
         for field in STATS_FIELDS:
@@ -349,7 +348,7 @@ class TestEquivalence:
             assert getattr(stats, field) == getattr(fast_stats, field), field
         assert engine.register_snapshot() == fast.register_snapshot()
         assert engine.register_snapshot()["T3"] == 3
-        assert 5 in engine._table and 5 not in engine.block_map()
+        assert 5 in engine._table and 5 not in _leaders(program)
 
 
 class TestEngineContract:
@@ -470,7 +469,6 @@ class TestEngineContract:
         engine.run()
         assert engine.tdm.read_int(5) == 77
         assert engine.tdm.dump(5, 2) == [77, 77]
-        assert engine.memory_values(5, 2) == [77, 77]
         assert engine.register_snapshot()["T1"] == 77
 
 
@@ -563,7 +561,7 @@ class TestCodegenArtifacts:
         payload = cache.get_json("codegen", engine._cache_key_material())
         assert set(payload) == {"code"}  # code objects only
         codes = _decode_bundle(payload)
-        assert set(codes) == set(engine._bundle) == set(engine.block_map())
+        assert set(codes) == set(engine._bundle) == _leaders(program)
         assert all(isinstance(code, CodeType) for code in codes.values())
 
     @pytest.mark.parametrize("payload", [
@@ -679,7 +677,7 @@ class TestCodegenArtifacts:
         engine = CompiledEngine(program, cache=None)
         engine.prepare()
         assert compiles == ["<art9 block 2>"]
-        assert set(engine._table) == set(engine.block_map()) == {0, 2}
+        assert set(engine._table) == _leaders(program) == {0, 2}
         _CODE_MEMO.clear()
         compiles.clear()
         CompiledEngine(program, cache=None).prepare()

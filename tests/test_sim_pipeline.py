@@ -17,14 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.framework import SoftwareFramework
 from repro.isa import Instruction, Program, assemble
 from repro.sim import FunctionalSimulator, PipelineSimulator, SimulationError
-from repro.sim.machine import machine_names
 from repro.sim.memory import TernaryMemory
-from repro.sim.pipeline.stages import (
-    DecodeLatch,
-    ExecuteLatch,
-    FetchLatch,
-    MemoryLatch,
-)
 from repro.ternary.word import TernaryWord
 from repro.workloads import get_workload
 
@@ -135,7 +128,6 @@ class TestCycleCounts:
     def test_cpi_reported(self):
         _, stats = run_both("ADDI T1, 1\nHALT")
         assert stats.cpi == stats.cycles / stats.instructions_committed
-        assert 0 < stats.ipc <= 1
 
 
 class TestPredecodedRun:
@@ -168,28 +160,13 @@ class TestPredecodedRun:
         assert (calls["spec"], calls["render"]) == (0, 0)
 
     @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
-    def test_the_clock_builds_no_latch(self, dhrystone, machine, monkeypatch):
-        pipeline = PipelineSimulator(dhrystone, machine=machine)
-        built = Counter()
-        for latch_type in (FetchLatch, DecodeLatch, ExecuteLatch, MemoryLatch):
-            def counted_init(latch, *args, _init=latch_type.__init__, **kwargs):
-                built[type(latch).__name__] += 1
-                _init(latch, *args, **kwargs)
-
-            monkeypatch.setattr(latch_type, "__init__", counted_init)
-        stats = pipeline.run()
-        assert stats.load_use_stalls > 0 and stats.control_flush_bubbles > 0
-        assert sum(built.values()) == 0, built
-        MemoryLatch()  # the counter sees a construction
-        assert built == {"MemoryLatch": 1}
-
-    @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
     def test_the_clock_makes_few_calls_per_cycle(self, dhrystone, machine):
-        # The stages, the HDU, the forwarding muxes and the TDM port are
-        # sections of one loop; what calls remain are the TALU's
-        # trit-level algorithms, their result words and the branch unit
-        # (about 1.75 per cycle).  A stage, mux or wrapper call per cycle
-        # would add at least 1, a TDM port call about 0.3.
+        # The stages, the HDU, the forwarding muxes, the TDM port and the
+        # branch decision are sections of one loop; what calls remain are
+        # the TALU's trit-level algorithms, their result words and the
+        # word properties the datapath reads (about 1.64 per cycle).  A
+        # stage, mux or wrapper call per cycle would add at least 1, a TDM
+        # port call about 0.3, a branch-unit call about 0.12.
         pipeline = PipelineSimulator(dhrystone, machine=machine)
         calls = 0
 
@@ -204,7 +181,7 @@ class TestPredecodedRun:
             stats = pipeline.run()
         finally:
             sys.setprofile(previous)
-        assert calls <= 2 * stats.cycles, calls / stats.cycles
+        assert calls <= 1.7 * stats.cycles, calls / stats.cycles
 
     def test_the_tdm_port_checks_the_stored_word_width(self):
         # The MEM section writes the TDM's cells itself; a word that is not
@@ -241,60 +218,21 @@ def test_pipeline_imports_no_analytic_engine():
             assert not names & forbidden, (path.name, names & forbidden)
 
 
-class TestSteppedClock:
-    """Driving ``step_cycle()`` by hand is the same machine as ``run()``."""
-
-    SOURCE = """
-        LIW T1, 9
-        STORE T1, T0, 1
-        LOAD T2, T0, 1
-        ADD T3, T2             # load-use stall where the TALU has no bypass
-        LOAD T4, T0, 1
-        BEQ T4, 0, skip        # ID consumer: stalls everywhere, then taken
-        ADDI T5, 1             # squashed
-    skip:
-        ADDI T6, 2
-        STORE T6, T0, 2
-        HALT
-    """
-
-    @pytest.mark.parametrize("machine", machine_names())
-    def test_stepped_clock_matches_run(self, machine):
-        program = assemble(self.SOURCE)
-        stepped = PipelineSimulator(program, machine=machine)
-        held = []
-        while not stepped.halted:
-            stalls = stepped.stats.load_use_stalls
-            before = (stepped.if_id.valid, stepped.if_id.pc,
-                      stepped.if_id.decoded)
-            stepped.step_cycle()
-            if stepped.stats.load_use_stalls > stalls:
-                # IF/ID still holds the consumer; ID/EX took the NOP.
-                after = (stepped.if_id.valid, stepped.if_id.pc,
-                         stepped.if_id.decoded)
-                assert after == before and before[0]
-                assert not stepped.id_ex.valid
-                held.append(after[2].mnemonic)
-        # The halting cycle drained the machine, so run() only returns.
-        stats = stepped.run()
-        assert "BEQ" in held and stats.taken_branches == 1
-
-        reference = PipelineSimulator(program, machine=machine)
-        expected = reference.run()
-        assert stats.to_dict() == expected.to_dict()
-        assert stepped.register_snapshot() == reference.register_snapshot()
-        assert stepped.register_snapshot()["T5"] == 0
-        assert stepped.tdm.contents() == reference.tdm.contents()
-
-
 class TestErrorHandling:
     def test_empty_program_rejected(self):
         with pytest.raises(SimulationError):
             PipelineSimulator(Program()).run()
 
     def test_runaway_program_detected(self):
+        pipeline = PipelineSimulator(assemble("loop:\nJAL T6, loop"))
         with pytest.raises(SimulationError):
-            PipelineSimulator(assemble("loop:\nJAL T6, loop")).run(max_cycles=200)
+            pipeline.run(max_cycles=200)
+        # The clock's counters and PC are stored when it stops on a budget:
+        # ID resolved 100 jumps, two of them still short of WB.
+        stats = pipeline.stats
+        assert not pipeline.halted and pipeline.pc == 0
+        assert (stats.cycles, stats.jumps, stats.instructions_committed,
+                stats.control_flush_bubbles) == (200, 100, 98, 100)
 
     def test_summary_is_printable(self):
         pipeline = PipelineSimulator(assemble("HALT"))
