@@ -5,6 +5,12 @@ import pytest
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.workloads import all_workloads
 
+#: Cycle budget for a paper workload on the structural pipeline.  Every
+#: default-size workload takes at most 14,007 cycles on any built-in
+#: machine, so a fault that makes one loop fails in well under a second
+#: instead of spinning out the 50,000,000-cycle default.
+PIPELINE_BUDGET = 100_000
+
 
 @pytest.fixture(scope="session")
 def software_framework():

@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from conftest import PIPELINE_BUDGET
 from repro.sim import CompiledEngine, FastEngine, PipelineSimulator
 
 
@@ -48,7 +49,8 @@ def _best_seconds(run, repeat=3):
 
 def test_fast_engine_dhrystone(dhrystone_program, benchmark):
     stats = benchmark(lambda: FastEngine(dhrystone_program).run_with_stats())
-    reference = PipelineSimulator(dhrystone_program).run()
+    reference = PipelineSimulator(dhrystone_program).run(
+        max_cycles=PIPELINE_BUDGET)
     assert stats.cycles == reference.cycles
     assert stats.stall_cycles == reference.stall_cycles
 
@@ -56,13 +58,15 @@ def test_fast_engine_dhrystone(dhrystone_program, benchmark):
 def test_compiled_engine_dhrystone(dhrystone_program, benchmark):
     stats = benchmark(
         lambda: CompiledEngine(dhrystone_program).run_with_stats())
-    reference = PipelineSimulator(dhrystone_program).run()
+    reference = PipelineSimulator(dhrystone_program).run(
+        max_cycles=PIPELINE_BUDGET)
     assert stats.cycles == reference.cycles
     assert stats.stall_cycles == reference.stall_cycles
 
 
 def test_pipeline_engine_dhrystone(dhrystone_program, benchmark):
-    stats = benchmark(lambda: PipelineSimulator(dhrystone_program).run())
+    stats = benchmark(lambda: PipelineSimulator(dhrystone_program).run(
+        max_cycles=PIPELINE_BUDGET))
     assert stats.cycles > 0
 
 
@@ -78,8 +82,8 @@ def test_speedup_floors(dhrystone_program):
     (about 1.95x, best of 7 on Dhrystone), rounded up: it keeps the fast
     engine at the absolute speed the old 3x floor asked for.
     """
-    pipeline_s = _best_seconds(
-        lambda: PipelineSimulator(dhrystone_program).run())
+    pipeline_s = _best_seconds(lambda: PipelineSimulator(
+        dhrystone_program).run(max_cycles=PIPELINE_BUDGET))
     fast_s = _best_seconds(
         lambda: FastEngine(dhrystone_program).run_with_stats())
     compiled_s = _best_seconds(

@@ -9,7 +9,7 @@ hardware multiplier wins there.
 
 import pytest
 
-from conftest import print_table
+from conftest import PIPELINE_BUDGET, print_table
 from repro.baselines import PicoRV32Model, VexRiscvModel
 from repro.sim import PipelineSimulator
 
@@ -27,7 +27,7 @@ EXPECT_ART9_WINS = ("bubble_sort", "sobel", "dhrystone")
 
 def _cycles_for(name, workloads, translated):
     program, _ = translated[name]
-    stats = PipelineSimulator(program).run()
+    stats = PipelineSimulator(program).run(max_cycles=PIPELINE_BUDGET)
     pico = PicoRV32Model().run(workloads[name].rv_program())
     vex = VexRiscvModel().run(workloads[name].rv_program())
     return stats.cycles, pico.cycles, vex.cycles

@@ -9,7 +9,7 @@ estimator.
 
 import pytest
 
-from conftest import print_table
+from conftest import PIPELINE_BUDGET, print_table
 from repro.hweval import (
     DhrystoneMetrics,
     GateLevelAnalyzer,
@@ -27,7 +27,7 @@ def test_table4_cntfet_implementation(workloads, translated, benchmark):
     gate_report = benchmark(analyzer.analyze, library)
 
     program, _ = translated["dhrystone"]
-    stats = PipelineSimulator(program).run()
+    stats = PipelineSimulator(program).run(max_cycles=PIPELINE_BUDGET)
     estimator = PerformanceEstimator(
         DhrystoneMetrics(cycles=stats.cycles, iterations=workloads["dhrystone"].iterations))
     performance = estimator.for_gate_level(gate_report)

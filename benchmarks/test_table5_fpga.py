@@ -8,7 +8,7 @@ DMIPS/W at the 150 MHz operating point.
 
 import pytest
 
-from conftest import print_table
+from conftest import PIPELINE_BUDGET, print_table
 from repro.hweval import DhrystoneMetrics, PerformanceEstimator, stratix_v_model
 from repro.sim import PipelineSimulator
 
@@ -23,7 +23,7 @@ def test_table5_fpga_implementation(workloads, translated, benchmark):
     fpga_report = benchmark(model.estimate)
 
     program, _ = translated["dhrystone"]
-    stats = PipelineSimulator(program).run()
+    stats = PipelineSimulator(program).run(max_cycles=PIPELINE_BUDGET)
     estimator = PerformanceEstimator(
         DhrystoneMetrics(cycles=stats.cycles, iterations=workloads["dhrystone"].iterations))
     performance = estimator.for_fpga(fpga_report)

@@ -123,16 +123,6 @@ class ArtifactCache:
 
     # -- maintenance --------------------------------------------------------
 
-    def entry_count(self, kind: Optional[str] = None) -> int:
-        """Number of stored artifacts (optionally of one kind)."""
-        kinds = [kind] if kind else self.kinds()
-        total = 0
-        for one in kinds:
-            base = os.path.join(self.root, one)
-            for _dirpath, _dirnames, filenames in os.walk(base):
-                total += sum(1 for name in filenames if name.endswith(".json"))
-        return total
-
     def kinds(self) -> list:
         """Artifact kinds present under the cache root."""
         try:
@@ -273,6 +263,10 @@ def default_cache() -> Optional[ArtifactCache]:
 
 
 def reset_default_cache() -> None:
-    """Forget memoised default-cache instances (test isolation helper)."""
+    """Forget memoised default-cache instances.
+
+    A test fixture: tests call it to point ``ART9_CACHE_DIR`` somewhere
+    else mid-process; the program itself never does.
+    """
     with _DEFAULT_LOCK:
         _DEFAULT.clear()

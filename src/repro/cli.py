@@ -24,12 +24,12 @@ identical cycle statistics.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
 ``serve`` additionally accept ``--machine`` / ``--machines`` to select a
 built-in microarchitecture description (pipeline depth, branch policy,
 load-use penalty, fetch latency — see :mod:`repro.sim.machine`); the
-default is the paper's machine.  ``sweep`` shards its grid
-across an execution backend (``--backend {serial,multiprocessing,queue}``),
-and ``serve``/``work`` split the queue backend across machines: the
-coordinator hands jobs to any number of connected workers and streams
-their records into the usual JSONL run directory (see
-:mod:`repro.service`).
+default is the paper's machine.  ``sweep`` runs its grid inline or on a
+local worker pool (``--backend {serial,multiprocessing}``, ``--jobs N``),
+and ``serve``/``work`` spread it over any number of processes on any
+number of machines: the ``serve`` coordinator hands jobs to the ``work``
+clients that dial it and streams their records into the usual JSONL run
+directory (see :mod:`repro.service`).
 
 The CLI is a thin wrapper over :mod:`repro.framework`; anything it prints can
 also be obtained programmatically.
@@ -178,11 +178,11 @@ def _finish_sweep(args: argparse.Namespace, outcome) -> int:
 
 
 def _enable_trace(out_dir: str) -> None:
-    """Turn span tracing on for this process and every spawned worker.
+    """Turn span tracing on for this process and its pool workers.
 
-    The switch travels as environment variables because worker processes
-    (multiprocessing pool, local queue workers) inherit the environment on
-    spawn and ``repro.runner.worker`` re-reads it at import time.
+    The switch travels as environment variables because the
+    ``multiprocessing`` pool's workers inherit the environment on spawn
+    and ``repro.runner.worker`` re-reads it at import time.
     """
     os.makedirs(out_dir, exist_ok=True)
     os.environ[trace.TRACE_ENV] = "1"
@@ -220,10 +220,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         backend = SerialBackend()
     elif args.backend == "multiprocessing":
         backend = MultiprocessingBackend(processes=max(1, args.jobs))
-    elif args.backend == "queue":
-        from repro.service.queue_backend import AsyncQueueBackend
-
-        backend = AsyncQueueBackend(workers=max(1, args.jobs))
     outcome = run_sweep(spec, args.out, jobs=args.jobs,
                         resume=not args.no_resume, progress=_sweep_progress,
                         backend=backend)
@@ -269,8 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"    art9 work --connect {reachable}:{port}")
         sys.stdout.flush()
 
-    if args.trace:
-        _enable_trace(args.out)
     os.makedirs(args.out, exist_ok=True)
     if args.no_resume and os.path.exists(journal_path(args.out)):
         # --no-resume recomputes from scratch: the old run's lifecycle
@@ -296,7 +290,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         recovered = len(recovery.leased)
         returning_workers = recovery.workers
     backend = AsyncQueueBackend(
-        workers=args.local_workers,
         host=args.host,
         port=args.port,
         heartbeat_timeout=args.heartbeat_timeout,
@@ -304,7 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         on_started=announce,
         journal=journal,
         auth_token=_auth_token_from(args),
-        job_timeout=args.job_timeout,
         dispatch_counts=dispatch_counts,
         recovered_jobs=recovered,
         returning_workers=returning_workers,
@@ -331,7 +323,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         return 2
     try:
         summary = work(host, int(port), name=args.name,
-                       heartbeat_interval=args.heartbeat_interval,
                        retry_seconds=args.retry_seconds,
                        auth_token=_auth_token_from(args),
                        job_timeout=args.job_timeout,
@@ -732,11 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: 2; 1 runs inline)")
     _add_grid_arguments(sweep)
     sweep.add_argument("--backend",
-                       choices=("auto", "serial", "multiprocessing", "queue"),
+                       choices=("auto", "serial", "multiprocessing"),
                        default="auto",
                        help="execution backend (default: auto — inline for "
-                            "--jobs 1, multiprocessing pool otherwise; queue "
-                            "runs a TCP coordinator with --jobs local workers)")
+                            "--jobs 1, multiprocessing pool otherwise)")
     sweep.add_argument("--no-resume", action="store_true",
                        help="discard existing results in --out and recompute")
     sweep.add_argument("--trace", action="store_true",
@@ -760,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="address to listen on (default: 0.0.0.0)")
     serve.add_argument("--port", type=int, default=DEFAULT_PORT,
                        help=f"TCP port (default: {DEFAULT_PORT}; 0 picks a free one)")
-    serve.add_argument("--local-workers", type=int, default=0,
-                       help="also spawn N worker processes on this machine "
-                            "(default: 0 — wait for external workers)")
     serve.add_argument("--heartbeat-timeout", type=float, default=15.0,
                        help="seconds of worker silence before a job is requeued")
     serve.add_argument("--max-requeues", type=int, default=3,
@@ -779,14 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared worker-auth token (default: "
                             f"${AUTH_TOKEN_ENV}); connections without it "
                             "are refused")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       help="wall-clock seconds a local worker may spend on "
-                            "one job before reporting a timeout record "
-                            "(default: unlimited)")
-    serve.add_argument("--trace", action="store_true",
-                       help="record execution spans to <out>/spans.jsonl "
-                            "(local workers only; remote workers trace into "
-                            "their own ART9_TRACE_FILE if set)")
     serve.set_defaults(func=_cmd_serve)
 
     work_cmd = subparsers.add_parser(
@@ -796,8 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     work_cmd.add_argument("--name", default=None,
                           help="worker name shown in coordinator stats "
                                "(default: hostname-pid)")
-    work_cmd.add_argument("--heartbeat-interval", type=float, default=2.0,
-                          help="seconds between heartbeats while executing")
     work_cmd.add_argument("--retry-seconds", type=float, default=10.0,
                           help="keep retrying the first connection this long "
                                "(default: 10; lets workers start first)")

@@ -65,11 +65,6 @@ class InstructionSpec:
     description: str = ""
 
     @property
-    def uses_imm(self) -> bool:
-        """True when the instruction carries an immediate field."""
-        return self.imm_trits > 0
-
-    @property
     def is_control(self) -> bool:
         """True for instructions that may redirect the program counter."""
         return self.is_branch or self.is_jump
@@ -216,10 +211,6 @@ class Instruction:
         if spec.reads_tb and self.tb is not None:
             sources.append(self.tb)
         return tuple(sources)
-
-    def is_nop(self) -> bool:
-        """True for the canonical NOP encoding ``ADDI T0, 0`` (Sec. IV-B)."""
-        return self.mnemonic == "ADDI" and self.ta == 0 and (self.imm or 0) == 0
 
     @classmethod
     def nop(cls) -> "Instruction":

@@ -10,10 +10,10 @@ processes can simply be concatenated.
 Tracing is **off by default** and costs one module-level boolean check
 when off.  It is enabled per-run:
 
-* ``art9 sweep --trace`` / ``art9 serve --trace`` set the environment
-  variables below before workers spawn, so every worker inherits them;
+* ``art9 sweep --trace`` sets the environment variables below before
+  the pool's workers spawn, so every worker inherits them;
 * ``ART9_TRACE=1`` (with ``ART9_TRACE_FILE=<path>``) does the same by
-  hand for ad-hoc runs.
+  hand, for ad-hoc runs and for ``art9 work`` clients.
 
 Each span is appended through :func:`repro.durable.append` (no fsync):
 whole lines under an exclusive lock, with a torn final line sealed first,
@@ -81,11 +81,6 @@ def configure_from_env() -> bool:
         path = os.path.join(os.getcwd(), "spans.jsonl")
     configure(path)
     return True
-
-
-def trace_path() -> Optional[str]:
-    """The active span file, or None when tracing is off."""
-    return _path
 
 
 def _stack() -> List[str]:

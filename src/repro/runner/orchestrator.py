@@ -10,8 +10,9 @@ backend (:mod:`repro.service.backends`):
   otherwise (:mod:`repro.runner.worker` caches translated programs per
   process);
 * any other :class:`~repro.service.backends.ExecutionBackend` — notably
-  the distributed :class:`~repro.service.queue_backend.AsyncQueueBackend`
-  — can be passed explicitly and sees exactly the same jobs.
+  :class:`~repro.service.queue_backend.AsyncQueueBackend`, the coordinator
+  behind ``art9 serve`` — can be passed explicitly and sees exactly the
+  same jobs.
 
 Finished records are appended to the JSONL store as they arrive no matter
 which backend runs them, so interrupting a sweep at any point loses at

@@ -73,7 +73,11 @@ def _workload(name: str, params: Optional[dict] = None) -> Workload:
 
 
 def reset_caches() -> None:
-    """Drop the per-process framework caches (test isolation helper)."""
+    """Drop the per-process framework caches.
+
+    A test fixture: tests call it to act as a fresh worker process; the
+    program itself never does.
+    """
     _SOFTWARE.clear()
     _HARDWARE.clear()
     _WORKLOADS.clear()
@@ -118,8 +122,7 @@ def _execute_art9(job: SweepJob) -> dict:
     (:meth:`~repro.framework.swflow.SoftwareFramework.
     compile_named_workload_cached`), so across a whole worker fleet each
     grid point is translated once, no matter how many processes — local
-    pool workers, queue-backend spawn workers or remote ``art9 work``
-    clients — touch it.
+    pool workers or ``art9 work`` clients — touch it.
     """
     software = _software(job.optimize)
     xlate_started = time.perf_counter()

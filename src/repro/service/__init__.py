@@ -21,9 +21,10 @@ to the records afterwards*:
 * :mod:`repro.service.journal` — the coordinator's fsync'd write-ahead
   journal of queue lifecycle events, which is what makes ``art9 serve
   --resume`` able to restart a killed coordinator where it left off;
-* :mod:`repro.service.queue_backend` — :class:`AsyncQueueBackend`, which
-  runs a coordinator in-process and optionally spawns local worker
-  processes (CI uses a coordinator plus two local workers);
+* :mod:`repro.service.queue_backend` — :class:`AsyncQueueBackend`, the
+  backend behind ``art9 serve``: one coordinator in-process, and the jobs
+  run on the ``art9 work`` clients that dial it (CI runs ``art9 serve``
+  plus two ``art9 work`` clients on one machine);
 * :mod:`repro.service.report` — ``art9 report``: loads any number of
   sweep run directories into the newest record of each job and regenerates
   the paper's Tables II–V and the Fig. 5 memory-cell series from them.

@@ -149,18 +149,17 @@ class Coordinator:
     or synthetic-lost), tells the workers (:meth:`_announce_done`), then
     closes the listener.  The bound port is available as :attr:`port` once
     :meth:`wait_started` returns, which is what lets callers bind port 0
-    and spawn workers against the real port.
+    and announce the real port to the workers.
 
     ``journal`` (a :class:`~repro.service.journal.RunJournal`) makes the
     scheduler's state machine durable; ``dispatch_counts`` seeds the
     poison-job budget from a journal replay so a ``--resume`` restart does
     not hand a crashing job a fresh set of attempts; ``auth_token``
     requires every connection to authenticate its first message.
-    ``expected_workers`` holds dispatch until that many distinct workers
-    have said hello (see :meth:`lift_worker_hold`).  ``returning_workers``
-    names the workers that leased jobs from an earlier incarnation of the
-    run (a journal replay); once the run completes, ``serve()`` waits up to
-    :data:`DONE_GRACE_SECONDS` for each of them to hear ``done``.
+    ``returning_workers`` names the workers that leased jobs from an
+    earlier incarnation of the run (a journal replay); once the run
+    completes, ``serve()`` waits up to :data:`DONE_GRACE_SECONDS` for each
+    of them to hear ``done``.
     """
 
     def __init__(
@@ -175,7 +174,6 @@ class Coordinator:
         auth_token: Optional[str] = None,
         dispatch_counts: Optional[Mapping[str, int]] = None,
         recovered_jobs: int = 0,
-        expected_workers: int = 0,
         returning_workers: Iterable[str] = (),
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
@@ -199,10 +197,6 @@ class Coordinator:
         # "last_seen"} for the live status snapshot; purely observational.
         self._worker_stats: Dict[str, dict] = {}
         self._seen_worker_names: set = set()
-        # The local-worker backend passes the number of processes it
-        # spawned: holding dispatch until they have all said hello keeps
-        # the first one to start from draining a short queue alone.
-        self._expected_workers = expected_workers
         self._connection_ids = itertools.count(1)
         self._handler_tasks: set = set()
         # Open connections -> the worker name each one said hello with.
@@ -282,24 +276,43 @@ class Coordinator:
             if self._fatal is None and self.outstanding <= 0:
                 await self._announce_done()
         finally:
-            watchdog.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await watchdog
-            server.close()
-            # Workers that were waiting for more work may still hold open
-            # connections; cancel their handlers so shutdown is quiet.
-            for task in list(self._handler_tasks):
-                task.cancel()
-            if self._handler_tasks:
-                await asyncio.gather(*self._handler_tasks,
-                                     return_exceptions=True)
-            await server.wait_closed()
+            cancelled = await self._shut_down(server, watchdog)
+        if cancelled:
+            # serve() itself was cancelled while it shut down; the
+            # listener and the connections are closed, so pass it on.
+            raise asyncio.CancelledError
         if self._fatal is not None:
             # A result callback (store append, progress print) failed; the
             # records it would have persisted are NOT in the store, so the
             # run must fail loudly instead of reporting success.
             raise self._fatal
         return self.stats
+
+    async def _shut_down(self, server: asyncio.AbstractServer,
+                         watchdog: asyncio.Task) -> bool:
+        """Stop the watchdog, the listener and every connection handler.
+
+        Returns whether :meth:`serve` was itself cancelled meanwhile.
+        ``asyncio.wait`` raises ``CancelledError`` only for a cancellation
+        of the waiting task, never for the children it cancelled, so unlike
+        a suppressed ``await watchdog`` it cannot swallow the serve task's
+        own; the shutdown finishes either way and the caller re-raises.
+        """
+        watchdog.cancel()
+        server.close()
+        # Workers that were waiting for more work may still hold open
+        # connections; cancel their handlers so shutdown is quiet.
+        tasks = {watchdog, *self._handler_tasks}
+        for task in tasks:
+            task.cancel()
+        cancelled = False
+        while True:
+            try:
+                await asyncio.wait(tasks)
+                await server.wait_closed()
+                return cancelled
+            except asyncio.CancelledError:
+                cancelled = True
 
     async def _announce_done(self) -> None:
         """Tell the workers that the run is complete.
@@ -425,37 +438,6 @@ class Coordinator:
             self._all_done.set()
         return True
 
-    def abort(self, reason: str) -> None:
-        """Complete every unfinished job as lost and stop serving.
-
-        Used by the local-worker backend when all of its worker processes
-        exited with work still outstanding — the run finishes with error
-        records (which resume retries) instead of hanging forever.
-        """
-        pending, self._pending = self._pending, deque()
-        for job_id, entry in list(self._in_flight.items()):
-            del self._in_flight[job_id]
-            self.stats.lost_jobs += 1
-            attempts = self._dispatch_counts.get(job_id, 1)
-            self._journal_event("lost", job_id=job_id, reason=reason,
-                                attempts=attempts)
-            self._accept(lost_job_record(entry.job, attempts, reason))
-        for job in pending:
-            self.stats.lost_jobs += 1
-            attempts = self._dispatch_counts.get(job.job_id, 0)
-            self._journal_event("lost", job_id=job.job_id, reason=reason,
-                                attempts=attempts)
-            self._accept(lost_job_record(job, attempts, reason))
-        self._all_done.set()
-
-    def lift_worker_hold(self) -> None:
-        """Dispatch to the connected workers without waiting for more.
-
-        The local-worker backend calls this once any spawned process has
-        exited, so a worker that dies at start cannot stall the run.
-        """
-        self._expected_workers = 0
-
     def _requeue(self, entry: _InFlight, reason: str,
                  kind: str = "disconnect") -> None:
         attempts = self._dispatch_counts.get(entry.job.job_id, 1)
@@ -488,8 +470,7 @@ class Coordinator:
 
     def _assign(self, connection_id: int, worker: str) -> dict:
         """Next reply for an idle worker: a job, a wait, or done."""
-        if (self._pending
-                and len(self._seen_worker_names) >= self._expected_workers):
+        if self._pending:
             job = self._pending.popleft()
             now = time.monotonic()
             self._in_flight[job.job_id] = _InFlight(
@@ -501,17 +482,14 @@ class Coordinator:
                                 attempt=attempt)
             return {
                 "type": "job", "job_id": job.job_id, "job": job.to_dict(),
-                # Workers beat well inside the timeout no matter how the
-                # two sides were configured — a timeout shorter than the
-                # worker's default interval must not declare healthy
-                # long-running jobs dead.
+                # Workers beat at this cadence, four times per timeout, so
+                # a healthy long-running job is never declared dead.
                 "heartbeat_every": max(0.05, self._heartbeat_timeout / 4),
             }
         if self.outstanding <= 0:
             return {"type": "done"}
-        # Jobs are in flight on other connections (poll back soon in case
-        # one of them is requeued), or dispatch is held until the expected
-        # workers have said hello.
+        # Jobs are in flight on other connections: poll back soon in case
+        # one of them is requeued.
         return {"type": "wait",
                 "delay": max(0.05, min(0.5, self._heartbeat_timeout / 8))}
 

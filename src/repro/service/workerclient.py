@@ -4,7 +4,8 @@ A worker is a loop: connect, say hello, pull a job, execute it, stream the
 record back (which doubles as the pull for the next job), repeat until the
 coordinator says ``done``.  Execution happens in a thread-pool executor so
 the asyncio side stays responsive; while a job runs, a side task sends
-``heartbeat`` messages so the coordinator can tell a long simulation from a
+``heartbeat`` messages at the ``heartbeat_every`` cadence the coordinator
+names in each ``job`` message, so it can tell a long simulation from a
 dead worker.
 
 The job executor is the exact same :func:`repro.runner.worker.execute_job`
@@ -63,9 +64,6 @@ from repro.service.protocol import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Default seconds between heartbeats while a job is executing.
-DEFAULT_HEARTBEAT_INTERVAL = 2.0
 
 #: Seconds to wait for a coordinator reply before giving the connection up.
 #: The protocol is request-reply from the worker's side — every read
@@ -229,7 +227,6 @@ async def _serve_connection(
     name: str,
     session: _Session,
     summary: WorkerSummary,
-    heartbeat_interval: float,
     executor: Callable[[SweepJob], dict],
     reply_timeout: float,
     auth_token: Optional[str],
@@ -287,14 +284,9 @@ async def _serve_connection(
             await send_and_drain(writer, {"type": "next"})
             continue
         job = SweepJob.from_dict(message["job"])
-        # The coordinator names the cadence its timeout needs; beat at
-        # whichever is faster so configuration mismatches cannot make
-        # a healthy job look dead.
-        interval = min(heartbeat_interval,
-                       float(message.get("heartbeat_every",
-                                         heartbeat_interval)))
-        heartbeat = asyncio.create_task(
-            _heartbeat_loop(writer, job.job_id, interval))
+        # The coordinator names the cadence its heartbeat timeout needs.
+        heartbeat = asyncio.create_task(_heartbeat_loop(
+            writer, job.job_id, float(message["heartbeat_every"])))
         try:
             record = await _execute_with_timeout(loop, executor, job,
                                                  job_timeout, summary)
@@ -314,7 +306,6 @@ async def work_async(
     host: str,
     port: int,
     name: Optional[str] = None,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     executor: Callable[[SweepJob], dict] = execute_job,
     retry_seconds: float = 0.0,
     reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
@@ -349,8 +340,7 @@ async def work_async(
             try:
                 reason = await _serve_connection(
                     reader, writer, name, session, summary,
-                    heartbeat_interval, executor, reply_timeout,
-                    auth_token, job_timeout)
+                    executor, reply_timeout, auth_token, job_timeout)
             except ConnectionError:
                 reason = "lost"
             finally:
@@ -394,7 +384,6 @@ async def work_async(
 
 
 def work(host: str, port: int, name: Optional[str] = None,
-         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
          retry_seconds: float = 0.0,
          reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
          auth_token: Optional[str] = None,
@@ -403,21 +392,9 @@ def work(host: str, port: int, name: Optional[str] = None,
          retry_window: float = DEFAULT_RETRY_WINDOW) -> WorkerSummary:
     """Synchronous front end of :func:`work_async` (the ``art9 work`` body)."""
     return asyncio.run(work_async(host, port, name=name,
-                                  heartbeat_interval=heartbeat_interval,
                                   retry_seconds=retry_seconds,
                                   reply_timeout=reply_timeout,
                                   auth_token=auth_token,
                                   job_timeout=job_timeout,
                                   max_retries=max_retries,
                                   retry_window=retry_window))
-
-
-def run_worker_process(host: str, port: int,
-                       heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                       retry_seconds: float = 30.0,
-                       auth_token: Optional[str] = None,
-                       job_timeout: Optional[float] = None) -> None:
-    """Entry point for locally spawned worker processes (picklable)."""
-    work(host, port, heartbeat_interval=heartbeat_interval,
-         retry_seconds=retry_seconds, auth_token=auth_token,
-         job_timeout=job_timeout)

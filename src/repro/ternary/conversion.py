@@ -82,14 +82,3 @@ def min_trits_for(value: int) -> int:
         if lo <= value <= hi:
             return width
         width += 1
-
-
-def unsigned_value(trits: Sequence[int]) -> int:
-    """Interpret a balanced trit sequence as a non-negative address.
-
-    Registers hold balanced values, but ternary instruction/data memories are
-    indexed with non-negative addresses (Sec. II-A of the paper).  The
-    mapping used throughout this code base is value modulo ``3**n``, the
-    ternary analogue of reinterpreting a two's-complement word as unsigned.
-    """
-    return trits_to_int(trits) % (3 ** len(trits))

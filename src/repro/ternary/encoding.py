@@ -67,10 +67,6 @@ class BinaryEncodedWord:
         """Number of storage bits occupied by the encoded word."""
         return self.width * BITS_PER_TRIT
 
-    def to_word(self) -> TernaryWord:
-        """Decode back into a :class:`TernaryWord`."""
-        return decode_word(self)
-
 
 def encode_word(word: TernaryWord) -> BinaryEncodedWord:
     """Pack a ternary word into its binary-encoded form."""
@@ -92,8 +88,3 @@ def decode_word(encoded: BinaryEncodedWord) -> TernaryWord:
 def bits_for_word(width: int) -> int:
     """Storage bits needed to hold one ``width``-trit word on the FPGA."""
     return width * BITS_PER_TRIT
-
-
-def bits_for_memory(words: int, width: int) -> int:
-    """Storage bits needed for a ``words``-deep binary-encoded ternary memory."""
-    return words * bits_for_word(width)

@@ -65,7 +65,6 @@ class Trit:
     #: Symbols used when printing trit sequences: 'T' is the conventional
     #: glyph for -1 in balanced ternary literature.
     SYMBOLS = {NEG: "T", ZERO: "0", POS: "1"}
-    FROM_SYMBOL = {"T": NEG, "-": NEG, "t": NEG, "0": ZERO, "1": POS, "+": POS}
 
     @staticmethod
     def validate(value: int) -> int:
@@ -87,14 +86,6 @@ class Trit:
     def to_symbol(value: int) -> str:
         """Render a single trit as one of ``T``, ``0``, ``1``."""
         return Trit.SYMBOLS[Trit.validate(value)]
-
-    @staticmethod
-    def from_symbol(symbol: str) -> int:
-        """Parse one of ``T/t/-``, ``0``, ``1/+`` back into a trit."""
-        try:
-            return Trit.FROM_SYMBOL[symbol]
-        except KeyError:
-            raise ValueError(f"not a trit symbol: {symbol!r}") from None
 
 
 def trit_and(a: int, b: int) -> int:

@@ -76,12 +76,6 @@ class TernaryWord:
         trits = trits + [0] * (width - len(trits))
         return cls(trits, width)
 
-    @classmethod
-    def from_string(cls, text: str, width: int = WORD_TRITS) -> "TernaryWord":
-        """Parse a most-significant-first trit string such as ``"10T00101T"``."""
-        trits = [Trit.from_symbol(ch) for ch in reversed(text.strip())]
-        return cls.from_trits(trits, width)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -140,10 +134,6 @@ class TernaryWord:
             raise ValueError("replacement is wider than the word")
         trits = low.trits + self._trits[low.width :]
         return TernaryWord(trits, self._width)
-
-    def resize(self, width: int) -> "TernaryWord":
-        """Return the same value re-wrapped into a ``width``-trit word."""
-        return TernaryWord(to_balanced_range(self.value, width), width)
 
     # -- dunder protocol ---------------------------------------------------
 

@@ -24,7 +24,8 @@ Scenarios (``art9 chaos --scenario NAME``):
 ``torn-tail``
     SIGKILL coordinator *and* workers, then truncate the final line of
     ``results.jsonl`` and append garbage to the journal — the torn-write
-    disk state a real power loss leaves — and resume.
+    disk state a real power loss leaves — and resume with two restarted
+    workers.
 
 The grid is dhrystone on the pipeline engine with iteration counts sized
 so each job takes a fraction of a second: long enough that kills land
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import repro
+from repro.obs import trace
 from repro.runner.spec import SweepSpec
 from repro.runner.store import RunStore, canonical_record
 from repro.service.journal import journal_path, replay_journal
@@ -125,6 +127,10 @@ class _Fleet:
         self.scratch = scratch
         self.events = events
         self._env = _cli_env()
+        # Workers trace their jobs next to the logs, for the upload a
+        # failed CI run makes.
+        self._env[trace.TRACE_ENV] = "1"
+        self._env[trace.TRACE_FILE_ENV] = os.path.join(scratch, "spans.jsonl")
         self._procs: List[Tuple[str, subprocess.Popen]] = []
         self._t0 = time.monotonic()
 
@@ -231,20 +237,16 @@ def _append_journal_garbage(path: str) -> None:
         handle.write(b'{"event":"leased","job_id":"torn-mid-wri')
 
 
-def _serve_args(run_dir: str, spec_path: str, port: int,
-                extra: Optional[List[str]] = None) -> List[str]:
+def _serve_args(run_dir: str, spec_path: str, port: int) -> List[str]:
     return ["serve", "--out", run_dir, "--spec", spec_path,
             "--host", "127.0.0.1", "--port", str(port),
-            "--heartbeat-timeout", "3", "--auth-token", CHAOS_AUTH_TOKEN,
-            "--trace", *(extra or [])]
+            "--heartbeat-timeout", "3", "--auth-token", CHAOS_AUTH_TOKEN]
 
 
-def _resume_args(run_dir: str, port: int,
-                 extra: Optional[List[str]] = None) -> List[str]:
+def _resume_args(run_dir: str, port: int) -> List[str]:
     return ["serve", "--resume", run_dir,
             "--host", "127.0.0.1", "--port", str(port),
-            "--heartbeat-timeout", "3", "--auth-token", CHAOS_AUTH_TOKEN,
-            "--trace", *(extra or [])]
+            "--heartbeat-timeout", "3", "--auth-token", CHAOS_AUTH_TOKEN]
 
 
 def _worker_args(port: int, name: str) -> List[str]:
@@ -254,8 +256,7 @@ def _worker_args(port: int, name: str) -> List[str]:
             # lasts seconds (python startup + journal replay), and the
             # fleet must still be there when it comes back.
             "--retry-seconds", "30", "--max-retries", "40",
-            "--retry-window", "180",
-            "--heartbeat-interval", "0.5"]
+            "--retry-window", "180"]
 
 
 def _run_reference(spec: SweepSpec, reference_dir: str) -> None:
@@ -387,11 +388,19 @@ def _scenario_torn_tail(fleet: _Fleet, spec_path: str, run_dir: str,
     _tear_results_tail(results)
     _append_journal_garbage(journal_path(run_dir))
     fleet.log("tore results.jsonl tail and appended garbage to the journal")
-    resume = fleet.spawn("serve-resume",
-                         _resume_args(run_dir, port,
-                                      extra=["--local-workers", "2"]))
+    resume = fleet.spawn("serve-resume", _resume_args(run_dir, port))
+    # The restarted workers keep their names, so they are the workers the
+    # journal says the resumed run owes a ``done``.
+    workers = [fleet.spawn(f"worker-{i}-restarted",
+                           _worker_args(port, f"chaos-w{i}"))
+               for i in range(2)]
     code = fleet.wait("serve-resume", resume, _COMPLETION_TIMEOUT)
-    return [] if code == 0 else [f"resumed coordinator exited {code}"]
+    problems = [] if code == 0 else [f"resumed coordinator exited {code}"]
+    for i, worker in enumerate(workers):
+        wcode = fleet.wait(f"worker-{i}-restarted", worker, 60.0)
+        if wcode != 0:
+            problems.append(f"restarted worker-{i} exited {wcode}")
+    return problems
 
 
 _SCENARIO_FUNCS = {

@@ -15,7 +15,7 @@ library; the kernel here keeps its statement mix — record copies, function
 calls, conditionals, array traffic — scaled to the 9-trit datapath).
 """
 
-from repro.workloads.base import Workload, WorkloadResultMismatch, all_workloads, get_workload
+from repro.workloads.base import Workload, all_workloads, get_workload
 from repro.workloads.bubble_sort import build_bubble_sort
 from repro.workloads.gemm import build_gemm
 from repro.workloads.sobel import build_sobel
@@ -23,7 +23,6 @@ from repro.workloads.dhrystone import build_dhrystone
 
 __all__ = [
     "Workload",
-    "WorkloadResultMismatch",
     "build_bubble_sort",
     "build_gemm",
     "build_sobel",

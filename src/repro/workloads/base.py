@@ -7,11 +7,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.riscv.assembler import assemble_riscv
 from repro.riscv.program import RVProgram
-from repro.riscv.simulator import RVSimulator
-
-
-class WorkloadResultMismatch(AssertionError):
-    """Raised when a simulated run does not reproduce the reference results."""
 
 
 def lcg_values(count: int, seed: int = 7, modulus: int = 97) -> List[int]:
@@ -68,38 +63,6 @@ class Workload:
         if self._rv_program is None:
             self._rv_program = assemble_riscv(self.rv_source, name=self.name)
         return self._rv_program
-
-    # -- verification helpers -----------------------------------------------------
-
-    def check_rv_results(self, simulator: RVSimulator) -> None:
-        """Verify a finished RV-32 simulation against the reference results."""
-        actual = simulator.memory_words(self.result_base, self.result_count)
-        if actual != self.expected_results:
-            raise WorkloadResultMismatch(
-                f"{self.name}: RV-32 run produced {actual}, expected {self.expected_results}"
-            )
-
-    def check_ternary_results(self, simulator) -> None:
-        """Verify a finished ART-9 simulation (functional or pipelined).
-
-        The translated program keeps the RV byte addresses, so result word
-        ``i`` lives at TDM address ``result_base + 4 * i``.
-        """
-        actual = [
-            simulator.tdm.read_int(self.result_base + 4 * index)
-            for index in range(self.result_count)
-        ]
-        if actual != self.expected_results:
-            raise WorkloadResultMismatch(
-                f"{self.name}: ART-9 run produced {actual}, expected {self.expected_results}"
-            )
-
-    def run_rv_reference(self) -> RVSimulator:
-        """Run the RV-32 functional simulator and verify the results."""
-        simulator = RVSimulator(self.rv_program())
-        simulator.run()
-        self.check_rv_results(simulator)
-        return simulator
 
 
 _BUILDERS: Dict[str, Callable[[], Workload]] = {}

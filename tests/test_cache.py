@@ -89,15 +89,15 @@ class TestArtifactCacheStore:
         assert path == cache.path_for("probe", cache_key({"i": 1}))
         assert cache.get_json("probe", {"i": 1}) is None
 
-    def test_entry_count_kinds_and_clear(self, cache):
+    def test_disk_stats_kinds_and_clear(self, cache):
         cache.put_json("alpha", {"i": 1}, {})
         cache.put_json("alpha", {"i": 2}, {})
         cache.put_json("beta", {"i": 1}, {})
         assert cache.kinds() == ["alpha", "beta"]
-        assert cache.entry_count() == 3
-        assert cache.entry_count("alpha") == 2
+        assert cache.disk_stats()["entries"] == 3
+        assert cache.disk_stats()["kinds"]["alpha"]["entries"] == 2
         assert cache.clear() == 3
-        assert cache.entry_count() == 0
+        assert cache.disk_stats()["entries"] == 0
 
     def test_default_cache_env_dir_and_disable(self, tmp_path, monkeypatch):
         root = str(tmp_path / "from-env")
@@ -164,7 +164,7 @@ class TestCacheGrowthControl:
         summary = cache.prune(max_bytes=0)
         assert summary["removed"] == 2 and summary["kept"] == 0
         assert summary["kept_bytes"] == 0
-        assert cache.entry_count() == 0
+        assert cache.disk_stats()["entries"] == 0
         for kind in ("alpha", "beta"):
             base = os.path.join(cache.root, kind)
             assert os.listdir(base) == []  # emptied shard dirs removed
@@ -224,7 +224,7 @@ class TestCachedTranslation:
         first = SoftwareFramework()
         program_a, summary_a, workload_a = first.compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
-        assert cache.entry_count("xlate") == 1
+        assert cache.disk_stats()["kinds"]["xlate"]["entries"] == 1
         assert first.last_compile_source == "built"
         second = SoftwareFramework()  # fresh in-process memo: must hit disk
         program_b, summary_b, workload_b = second.compile_named_workload_cached(
@@ -250,7 +250,7 @@ class TestCachedTranslation:
             "bubble_sort", {"length": 8}, cache=cache)
         SoftwareFramework(optimize=False).compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
-        assert cache.entry_count("xlate") == 2
+        assert cache.disk_stats()["kinds"]["xlate"]["entries"] == 2
 
     def test_workload_source_change_invalidates(self, cache, monkeypatch):
         SoftwareFramework().compile_named_workload_cached(
@@ -266,7 +266,8 @@ class TestCachedTranslation:
         monkeypatch.setattr(swflow, "get_workload", tweaked)
         SoftwareFramework().compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
-        assert cache.entry_count("xlate") == 2  # old entry no longer addressed
+        # The old entry is no longer addressed.
+        assert cache.disk_stats()["kinds"]["xlate"]["entries"] == 2
 
     def test_translator_version_invalidates(self, cache, monkeypatch):
         SoftwareFramework().compile_named_workload_cached(
@@ -275,7 +276,7 @@ class TestCachedTranslation:
         monkeypatch.setattr(swflow, "TRANSLATOR_VERSION", 999)
         SoftwareFramework().compile_named_workload_cached(
             "bubble_sort", {"length": 8}, cache=cache)
-        assert cache.entry_count("xlate") == 2
+        assert cache.disk_stats()["kinds"]["xlate"]["entries"] == 2
 
     def test_compile_source_names_where_the_program_came_from(self, cache):
         software = SoftwareFramework()
@@ -337,8 +338,8 @@ class TestWorkerIntegration:
         record = execute_job(self.JOB)
         assert record["status"] == "ok" and record["verified"]
         shared = default_cache()
-        assert shared.entry_count("xlate") >= 1
-        assert shared.entry_count("codegen") >= 1
+        assert shared.disk_stats()["kinds"]["xlate"]["entries"] >= 1
+        assert shared.disk_stats()["kinds"]["codegen"]["entries"] >= 1
         # A "new process": drop every in-process memo, keep the disk.
         reset_caches()
         reset_default_cache()

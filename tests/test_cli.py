@@ -358,8 +358,8 @@ class TestProfile:
         try:
             record = execute_job(SweepJob("gemm", "compiled", True))
             assert record["status"] == "ok", record
-            entries = ArtifactCache(root).entry_count("codegen")
-            assert entries == 1
+            codegen = ArtifactCache(root).disk_stats()["kinds"]["codegen"]
+            assert codegen["entries"] == 1
             compiled._CODE_MEMO.clear()  # a fresh process: disk cache only
             calls = []
 
@@ -381,7 +381,8 @@ class TestProfile:
             assert main(["profile", "gemm"]) == 0
             assert f"{record['cycles']} cycles" in capsys.readouterr().out
             assert calls == [] and translations == []
-            assert ArtifactCache(root).entry_count("codegen") == entries
+            codegen = ArtifactCache(root).disk_stats()["kinds"]["codegen"]
+            assert codegen["entries"] == 1
         finally:
             compiled._CODE_MEMO.clear()
             reset_default_cache()

@@ -54,7 +54,7 @@ class TestAssembler:
 
     def test_nop_pseudo(self):
         program = assemble("NOP\nHALT")
-        assert program[0].is_nop()
+        assert program[0] == Instruction.nop()
 
     def test_beqz_bnez_pseudo(self):
         program = assemble("""

@@ -73,7 +73,7 @@ class TestInstructionSpecs:
 
     def test_nop_is_addi_zero(self):
         nop = Instruction.nop()
-        assert nop.mnemonic == "ADDI" and nop.is_nop()
+        assert (nop.mnemonic, nop.ta, nop.imm) == ("ADDI", 0, 0)
 
     def test_unknown_mnemonic_rejected(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ def _fields(instruction: Instruction):
         instruction.mnemonic,
         instruction.ta,
         instruction.tb,
-        instruction.imm if instruction.spec.uses_imm else None,
+        instruction.imm if instruction.spec.imm_trits else None,
         instruction.branch_trit,
     )
 

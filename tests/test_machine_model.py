@@ -270,7 +270,7 @@ class TestCacheKeying:
         cache = ArtifactCache(str(tmp_path / "artifacts"))
         default_engine = CompiledEngine(program, cache=cache)
         default_engine.run_with_stats()
-        assert cache.entry_count("codegen") == 1
+        assert cache.disk_stats()["kinds"]["codegen"]["entries"] == 1
 
         other = CompiledEngine(program, cache=cache, machine="slowfetch5")
         assert cache.get_json(
@@ -279,7 +279,7 @@ class TestCacheKeying:
         other_stats = other.run_with_stats()
         # Both artifacts now coexist; the timings differ, proving the
         # second run did not deserialise the default machine's code.
-        assert cache.entry_count("codegen") == 2
+        assert cache.disk_stats()["kinds"]["codegen"]["entries"] == 2
         default_stats = FastEngine(program).run_with_stats()
         slow_stats = FastEngine(program, machine="slowfetch5").run_with_stats()
         assert other_stats.cycles == slow_stats.cycles
@@ -298,7 +298,8 @@ class TestCacheKeying:
         stats = CompiledEngine(program, cache=cache,
                                machine=alias).run_with_stats()
         assert stats.to_dict() == expected.to_dict()
-        assert cache.entry_count("codegen") == 1  # one artifact serves both
+        # One artifact serves both.
+        assert cache.disk_stats()["kinds"]["codegen"]["entries"] == 1
 
 
 #: The config's timing fields.  Only the analytic model, the config itself

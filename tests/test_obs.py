@@ -52,7 +52,10 @@ class TestTraceSwitch:
         monkeypatch.setenv(trace.TRACE_FILE_ENV, path)
         try:
             assert trace.configure_from_env() is True
-            assert trace.trace_path() == path
+            with trace.span("probe"):
+                pass
+            assert [span["name"] for span in trace.read_spans(path)] == \
+                ["probe"]
         finally:
             trace.configure(None)
 

@@ -12,9 +12,10 @@ import os
 
 import pytest
 
+from dialled_workers import DialledWorkers
 from repro.obs import trace
 from repro.runner import canonical_record, run_sweep, SweepSpec
-from repro.service import AsyncQueueBackend, MultiprocessingBackend
+from repro.service import MultiprocessingBackend
 
 #: Small grid covering translation, the compiled engine's codegen path and
 #: a baseline core — enough surface to notice any record perturbation.
@@ -63,11 +64,13 @@ class TestTracedSweepConformance:
         assert _canonical_set(traced) == _canonical_set(untraced)
 
     def test_queue_backend(self, untraced, tracing, tmp_path):
-        traced = run_sweep(_SPEC, str(tmp_path / "run"),
-                           backend=AsyncQueueBackend(workers=2))
+        with DialledWorkers() as fleet:
+            traced = run_sweep(_SPEC, str(tmp_path / "run"),
+                               backend=fleet.backend())
+        assert fleet.exit_codes == [0, 0], fleet.outputs
         assert traced.ok
         assert _canonical_set(traced) == _canonical_set(untraced)
-        # Spawned queue workers inherit the env and trace into the same file.
+        # The dialled workers inherit the env and trace into the same file.
         names = {span["name"] for span in trace.read_spans(tracing)}
         assert "job" in names
 

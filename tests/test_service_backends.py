@@ -2,13 +2,17 @@
 
 The central invariant of the execution-backend abstraction: the *same*
 spec produces the *same* result set on every backend — serial, the
-multiprocessing pool, and the distributed TCP queue — modulo the volatile
-wall-clock/PID fields.  Everything the regression gates compare (cycles,
+multiprocessing pool, and a served run (the ``art9 serve`` coordinator plus
+two dialled ``art9 work`` clients) — modulo the volatile wall-clock/PID
+fields.  Everything the regression gates compare (cycles,
 CPI, stats counters, state digests, verification) must be byte-identical.
 """
 
+import threading
+
 import pytest
 
+from dialled_workers import DialledWorkers
 from repro.cli import main
 from repro.runner import (
     ALL_ENGINES,
@@ -28,6 +32,7 @@ from repro.service import (
     MultiprocessingBackend,
     SerialBackend,
 )
+from repro.service.workerclient import work
 
 #: A cheap cross-ISA grid: one workload, ART-9 fast engine plus all three
 #: baseline cores = 4 jobs.
@@ -48,16 +53,18 @@ class TestBackendConformance:
     def runs(self, tmp_path_factory):
         """The same spec executed once per backend."""
         root = tmp_path_factory.mktemp("conformance")
-        backends = {
-            "serial": SerialBackend(),
-            "pool": MultiprocessingBackend(processes=2),
-            "queue": AsyncQueueBackend(workers=2),
-        }
         outcomes = {}
-        for name, backend in backends.items():
+
+        def run(name, backend):
             out = str(root / name)
             outcomes[name] = (out, run_sweep(CONFORMANCE_SPEC, out,
                                              backend=backend), backend)
+
+        run("serial", SerialBackend())
+        run("pool", MultiprocessingBackend(processes=2))
+        with DialledWorkers() as fleet:
+            run("queue", fleet.backend())
+        assert fleet.exit_codes == [0, 0], fleet.outputs
         return outcomes
 
     def test_every_backend_completes_the_grid(self, runs):
@@ -121,16 +128,18 @@ class TestSeedAxisGrid:
     @pytest.fixture(scope="class")
     def records(self):
         """The grid executed once per backend, keyed by job id."""
-        backends = {
-            "serial": SerialBackend(),
-            "pool": MultiprocessingBackend(processes=2),
-            "queue": AsyncQueueBackend(workers=2),
-        }
         collected = {}
-        for name, backend in backends.items():
+
+        def run(name, backend):
             emitted = []
             backend.execute(self.GRID, emitted.append)
             collected[name] = {record["job_id"]: record for record in emitted}
+
+        run("serial", SerialBackend())
+        run("pool", MultiprocessingBackend(processes=2))
+        with DialledWorkers() as fleet:
+            run("queue", fleet.backend())
+        assert fleet.exit_codes == [0, 0], fleet.outputs
         return collected
 
     def test_every_backend_runs_each_seed_as_its_own_job(self, records):
@@ -189,13 +198,9 @@ class TestBackendArguments:
         with pytest.raises(ValueError):
             MultiprocessingBackend(processes=0)
 
-    def test_queue_rejects_negative_workers(self):
-        with pytest.raises(ValueError):
-            AsyncQueueBackend(workers=-1)
-
     def test_empty_job_list_is_a_no_op(self):
         for backend in (SerialBackend(), MultiprocessingBackend(2),
-                        AsyncQueueBackend(workers=2)):
+                        AsyncQueueBackend()):
             emitted = []
             backend.execute([], emitted.append)
             assert emitted == []
@@ -206,13 +211,52 @@ class TestBackendArguments:
         blocker.bind(("127.0.0.1", 0))
         blocker.listen(1)
         try:
-            backend = AsyncQueueBackend(workers=1,
-                                        port=blocker.getsockname()[1])
+            backend = AsyncQueueBackend(port=blocker.getsockname()[1])
             jobs = CONFORMANCE_SPEC.expand()[:1]
             with pytest.raises(OSError):
                 backend.execute(jobs, lambda record: None)
         finally:
             blocker.close()
+
+    def test_queue_backend_announces_the_port_its_workers_dial(self):
+        """Port 0 binds a free port; ``on_started`` names it, and a worker
+        that dials it runs the jobs."""
+        announced, workers = [], []
+
+        def start_worker(host, port):
+            announced.append((host, port))
+            worker = threading.Thread(target=work, args=(host, port),
+                                      kwargs={"name": "dialler"})
+            worker.start()
+            workers.append(worker)
+
+        backend = AsyncQueueBackend(on_started=start_worker)
+        emitted = []
+        backend.execute(CONFORMANCE_SPEC.expand()[:2], emitted.append)
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+        [(host, port)] = announced
+        assert host == "127.0.0.1" and port > 0
+        assert sorted(record["status"] for record in emitted) == ["ok", "ok"]
+        assert backend.stats.workers_seen == 1
+
+    def test_queue_backend_announces_nothing_when_the_bind_fails(self):
+        import socket
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        announced = []
+        try:
+            backend = AsyncQueueBackend(
+                port=blocker.getsockname()[1],
+                on_started=lambda host, port: announced.append(port))
+            with pytest.raises(OSError):
+                backend.execute(CONFORMANCE_SPEC.expand()[:1],
+                                lambda record: None)
+        finally:
+            blocker.close()
+        assert announced == []
 
 
 class TestBaselineEngineJobs:
@@ -339,12 +383,13 @@ class TestSweepCLIBackends:
                                  "--jobs", "0", "--out", out]) == 0
         assert len(RunStore(out).records()) == 1
 
-    def test_backend_queue_flag(self, tmp_path, capsys):
-        out = str(tmp_path / "queue")
-        assert main(self.BASE + ["--backend", "queue", "--jobs", "2",
-                                 "--out", out]) == 0
-        records = RunStore(out).records()
-        assert len(records) == 1 and records[0]["verified"]
+    def test_backend_queue_is_gone(self, tmp_path, capsys):
+        """A local parallel sweep is the pool; the service is art9 serve."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--backend", "queue", "--jobs", "2",
+                              "--out", str(tmp_path / "queue")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'queue'" in capsys.readouterr().err
 
     def test_seed_axis_grid_compares_clean_across_backends(self, tmp_path,
                                                            capsys):

@@ -11,7 +11,9 @@ completed elsewhere.
 
 import asyncio
 import collections
+import gc
 import hashlib
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -117,6 +119,32 @@ class TestHappyPath:
         asyncio.run(scenario())
         assert len(records) == 1
         assert wait_seen, "the idle worker should have been told to wait"
+
+    def test_a_lone_worker_is_dispatched_to_at_once(self):
+        """No dispatch hold: the first worker to ask gets a job, whether or
+        not any other worker ever connects."""
+        coordinator = Coordinator(_jobs(2))
+        replies = []
+
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            reader, writer = await _raw_client("127.0.0.1", port)
+            await send_and_drain(writer, {"type": "next"})
+            while True:
+                message = await read_message(reader)
+                replies.append(message["type"])
+                if message["type"] != "job":
+                    break
+                record = _stub_executor(SweepJob.from_dict(message["job"]))
+                await send_and_drain(writer, {"type": "result",
+                                              "record": record})
+            writer.close()
+            await writer.wait_closed()
+            await serve
+
+        asyncio.run(scenario())
+        assert replies == ["job", "job", "done"]
 
 
 class TestFaultInjection:
@@ -243,21 +271,6 @@ class TestFaultInjection:
         assert records[0]["status"] == "error"
         assert "lost after" in records[0]["error"]
 
-    def test_abort_completes_everything_as_lost(self):
-        records = []
-        coordinator = Coordinator(_jobs(3), on_result=records.append)
-
-        async def scenario():
-            serve = asyncio.create_task(coordinator.serve())
-            await coordinator.wait_started()
-            coordinator.abort("test abort")
-            await serve
-
-        asyncio.run(scenario())
-        assert len(records) == 3
-        assert all(record["status"] == "error" for record in records)
-        assert coordinator.stats.lost_jobs == 3
-
 
 class TestEmitFailure:
     def test_failing_result_callback_aborts_the_run_loudly(self):
@@ -371,126 +384,155 @@ class TestHeartbeatHandshake:
         assert coordinator.stats.lost_jobs == 0
         assert len(records) == 1 and records[0]["status"] == "ok"
 
+    def test_worker_beats_at_the_cadence_the_job_names(self):
+        """The worker has no cadence of its own: while a job runs it beats
+        at the ``heartbeat_every`` its job message names."""
+        job = _jobs(1)[0]
+        beats = []
 
-class TestWorkerMonitor:
-    def test_dead_local_workers_do_not_abort_while_external_worker_connected(self):
-        """`serve --local-workers N` + external workers: losing every local
-        process must not kill jobs an external connection is executing."""
-        from repro.service.queue_backend import AsyncQueueBackend
-
-        class DeadProcess:
-            @staticmethod
-            def is_alive():
-                return False
-
-        records = []
-        coordinator = Coordinator(_jobs(1), on_result=records.append)
-
-        async def external_worker(port):
-            reader, writer = await _raw_client("127.0.0.1", port)
-            message = await _take_job(reader, writer)
-            await asyncio.sleep(1.2)  # spans two monitor intervals
-            record = {"job_id": message["job_id"], "status": "ok",
-                      "verified": True, "cycles": 1}
-            await send_and_drain(writer, {"type": "result", "record": record})
-            assert (await read_message(reader))["type"] == "done"
+        async def coordinator(reader, writer):
+            assert (await read_message(reader))["type"] == "hello"
+            assert (await read_message(reader))["type"] == "next"
+            await send_and_drain(writer, {
+                "type": "job", "job_id": job.job_id, "job": job.to_dict(),
+                "heartbeat_every": 0.05})
+            message = await read_message(reader)
+            while message["type"] == "heartbeat":
+                beats.append(message["job_id"])
+                message = await read_message(reader)
+            assert message["type"] == "result"
+            await send_and_drain(writer, {"type": "done"})
             writer.close()
 
+        def slow(job):
+            import time
+            time.sleep(0.6)
+            return _stub_executor(job)
+
+        async def scenario():
+            server = await asyncio.start_server(coordinator, "127.0.0.1", 0)
+            async with server:
+                port = server.sockets[0].getsockname()[1]
+                return await work_async("127.0.0.1", port, executor=slow)
+
+        summary = asyncio.run(scenario())
+        assert summary.jobs_completed == 1
+        # About twelve beats in 0.6 s; a slower cadence would send two.
+        assert len(beats) >= 5 and set(beats) == {job.job_id}
+
+
+def _slow_stopping_watchdog(stopping):
+    """A stand-in for ``Coordinator._watchdog`` that takes 0.2 s to stop
+    once cancelled, and sets ``stopping`` when it begins to."""
+    async def watchdog():
+        try:
+            await asyncio.Event().wait()
+        except asyncio.CancelledError:
+            stopping.set()
+            await asyncio.sleep(0.2)  # slow to stop
+            raise
+    return watchdog
+
+
+def _run_without_resource_warnings(scenario):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        asyncio.run(scenario())
+        gc.collect()
+    assert not [w for w in caught
+                if issubclass(w.category, ResourceWarning)]
+
+
+class TestServeCancellation:
+    def test_cancel_while_the_watchdog_stops_is_not_swallowed(self):
+        """serve() cancelled during its shutdown ends cancelled, promptly,
+        with its listener closed and nothing left open."""
+        coordinator = Coordinator(_jobs(1))
+        outcome = {}
+
+        async def scenario():
+            stopping = asyncio.Event()
+            coordinator._watchdog = _slow_stopping_watchdog(stopping)
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            await work_async("127.0.0.1", port, executor=_stub_executor)
+            await stopping.wait()
+            serve.cancel()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait((serve,), timeout=1.0)
+            outcome["seconds"] = loop.time() - started
+            outcome["cancelled"] = serve.cancelled()
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+        _run_without_resource_warnings(scenario)
+        assert outcome["cancelled"], "serve() swallowed its cancellation"
+        assert outcome["seconds"] < 1.0
+
+    def test_repeated_cancels_during_shutdown_still_finish_it(self):
+        """A second cancellation mid-shutdown neither cuts the cleanup
+        short nor is swallowed."""
+        coordinator = Coordinator(_jobs(1))
+        outcome = {}
+
+        async def scenario():
+            stopping = asyncio.Event()
+            coordinator._watchdog = _slow_stopping_watchdog(stopping)
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            await work_async("127.0.0.1", port, executor=_stub_executor)
+            await stopping.wait()
+            serve.cancel()
+            await asyncio.sleep(0.05)
+            outcome["stopped_early"] = serve.done()
+            serve.cancel()
+            await asyncio.wait((serve,), timeout=1.0)
+            outcome["cancelled"] = serve.cancelled()
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+        _run_without_resource_warnings(scenario)
+        assert not outcome["stopped_early"], "the first cancel cut it short"
+        assert outcome["cancelled"], "serve() swallowed its cancellation"
+
+    def test_a_slow_shutdown_that_nobody_cancels_returns_the_stats(self):
+        coordinator = Coordinator(_jobs(1))
+
+        async def scenario():
+            coordinator._watchdog = _slow_stopping_watchdog(asyncio.Event())
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            await work_async("127.0.0.1", port, executor=_stub_executor)
+            assert await serve is coordinator.stats
+
+        _run_without_resource_warnings(scenario)
+        assert coordinator.stats.results_accepted == 1
+
+    def test_cancel_while_serving_closes_the_listener_and_connections(self):
+        """Cancelled with a job in flight, serve() ends cancelled and hangs
+        up on the worker that holds the job."""
+        coordinator = Coordinator(_jobs(1))
+        outcome = {}
+
         async def scenario():
             serve = asyncio.create_task(coordinator.serve())
             port = await coordinator.wait_started()
-            monitor = asyncio.create_task(
-                AsyncQueueBackend._monitor([DeadProcess()], coordinator))
-            await asyncio.gather(external_worker(port), serve, monitor)
+            reader, writer = await _raw_client("127.0.0.1", port)
+            await _take_job(reader, writer)
+            serve.cancel()
+            await asyncio.wait((serve,), timeout=1.0)
+            outcome["cancelled"] = serve.cancelled()
+            outcome["reply"] = await asyncio.wait_for(read_message(reader),
+                                                      1.0)
+            writer.close()
+            await writer.wait_closed()
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
 
-        asyncio.run(scenario())
-        assert coordinator.stats.lost_jobs == 0
-        assert len(records) == 1 and records[0]["status"] == "ok"
-
-
-class TestLocalWorkerHold:
-    """Dispatch waits until every spawned local worker has said hello."""
-
-    @staticmethod
-    async def _hello(port, name):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        await send_and_drain(writer, {"type": "hello", "worker": name,
-                                      "pid": 0})
-        return reader, writer
-
-    @staticmethod
-    async def _ask(reader, writer):
-        await send_and_drain(writer, {"type": "next"})
-        return (await read_message(reader))["type"]
-
-    def _run(self, coordinator, body):
-        async def scenario():
-            serve = asyncio.create_task(coordinator.serve())
-            port = await coordinator.wait_started()
-            writers = await body(port)
-            coordinator.abort("test over")
-            await serve
-            for writer in writers:
-                writer.close()
-
-        asyncio.run(scenario())
-
-    def test_first_worker_waits_until_the_second_says_hello(self):
-        coordinator = Coordinator(_jobs(2), expected_workers=2)
-        replies = []
-
-        async def body(port):
-            first = await self._hello(port, "w1")
-            replies.append(await self._ask(*first))
-            replies.append(await self._ask(*first))
-            second = await self._hello(port, "w2")
-            replies.append(await self._ask(*second))
-            replies.append(await self._ask(*first))
-            return [first[1], second[1]]
-
-        self._run(coordinator, body)
-        assert replies == ["wait", "wait", "job", "job"]
-
-    def test_lifting_the_hold_releases_the_connected_worker(self):
-        coordinator = Coordinator(_jobs(1), expected_workers=2)
-        replies = []
-
-        async def body(port):
-            first = await self._hello(port, "w1")
-            replies.append(await self._ask(*first))
-            coordinator.lift_worker_hold()
-            replies.append(await self._ask(*first))
-            return [first[1]]
-
-        self._run(coordinator, body)
-        assert replies == ["wait", "job"]
-
-    def test_monitor_lifts_the_hold_when_a_spawned_worker_exits(self):
-        """A local worker that dies at start must not stall the run."""
-        from repro.service.queue_backend import AsyncQueueBackend
-
-        class DeadProcess:
-            @staticmethod
-            def is_alive():
-                return False
-
-        records = []
-        coordinator = Coordinator(_jobs(1), on_result=records.append,
-                                  expected_workers=2)
-
-        async def scenario():
-            serve = asyncio.create_task(coordinator.serve())
-            port = await coordinator.wait_started()
-            monitor = asyncio.create_task(
-                AsyncQueueBackend._monitor([DeadProcess()], coordinator))
-            await asyncio.gather(
-                work_async("127.0.0.1", port, name="survivor",
-                           executor=_stub_executor),
-                serve, monitor)
-
-        asyncio.run(scenario())
-        assert coordinator.stats.lost_jobs == 0
-        assert len(records) == 1 and records[0]["status"] == "ok"
+        _run_without_resource_warnings(scenario)
+        assert outcome["cancelled"]
+        assert outcome["reply"] is None, "the connection was left open"
 
 
 class TestBindFailure:

@@ -1,8 +1,8 @@
 """Acceptance tests: distributed execution + report generation end to end.
 
 The PR's acceptance criterion, verbatim: a sweep executed via the
-``AsyncQueueBackend`` with >= 2 workers produces a result set
-byte-identical (modulo record order and the volatile wall-clock/PID
+``AsyncQueueBackend`` with >= 2 dialled ``art9 work`` clients produces a
+result set byte-identical (modulo record order and the volatile wall-clock/PID
 fields) to the same spec run serially, and ``art9 report`` regenerates
 the Table II–V / Fig. 5 numbers from it matching the hweval headline
 tests (gates=631, fmax~308.6 MHz, CNTFET ~846 DMIPS, FPGA 801 ALMs /
@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from dialled_workers import DialledWorkers
 from repro.cli import main
 from repro.runner import (
     RunStore,
@@ -24,7 +25,6 @@ from repro.runner import (
     run_sweep,
 )
 from repro.service import (
-    AsyncQueueBackend,
     ReportError,
     build_report,
     render_report,
@@ -42,8 +42,10 @@ def paper_runs(tmp_path_factory):
     serial_dir, queue_dir = str(root / "serial"), str(root / "queue")
     spec = preset_spec("paper")
     serial = run_sweep(spec, serial_dir, jobs=1)
-    backend = AsyncQueueBackend(workers=2)
-    queued = run_sweep(spec, queue_dir, backend=backend)
+    with DialledWorkers() as fleet:
+        backend = fleet.backend()
+        queued = run_sweep(spec, queue_dir, backend=backend)
+    assert fleet.exit_codes == [0, 0], fleet.outputs
     return serial_dir, serial, queue_dir, queued, backend
 
 
@@ -404,16 +406,35 @@ class TestReportCLI:
 
 
 class TestServeWorkCLI:
-    def test_serve_with_local_workers_runs_the_grid(self, tmp_path, capsys):
+    def test_serve_runs_the_grid_for_a_dialled_worker(self, tmp_path,
+                                                       capsys):
         out = str(tmp_path / "served")
-        assert main(["serve", "--workloads", "bubble_sort",
-                     "--engines", "fast", "--optimize", "on",
-                     "--params", '{"bubble_sort": [{"length": 8}]}',
-                     "--port", "0", "--local-workers", "2",
-                     "--out", out]) == 0
+        with DialledWorkers(count=1) as fleet:
+            assert main(["serve", "--workloads", "bubble_sort",
+                         "--engines", "fast", "--optimize", "on",
+                         "--params", '{"bubble_sort": [{"length": 8}]}',
+                         "--host", "127.0.0.1", "--port", str(fleet.port),
+                         "--out", out]) == 0
+        assert fleet.exit_codes == [0], fleet.outputs
+        assert "1 jobs completed" in fleet.outputs[0]
         captured = capsys.readouterr()
         assert "coordinator listening" in captured.out
         assert "art9 work --connect" in captured.out
+        assert RunStore(out).records()[0]["verified"]
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--local-workers", "2"],
+        ["serve", "--job-timeout", "5"],
+        ["serve", "--trace"],
+        ["work", "--heartbeat-interval", "0.5", "--connect", "127.0.0.1:1"],
+    ], ids=lambda argv: argv[1])
+    def test_local_worker_options_are_gone(self, argv, capsys):
+        """Each configured only the workers serve used to spawn, or (the
+        heartbeat interval) duplicated the cadence each job message names."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_work_rejects_malformed_address(self, capsys):
         assert main(["work", "--connect", "nonsense"]) == 2

@@ -484,9 +484,9 @@ class TestAuth:
             assert reply["type"] == "error"
             assert "protocol" in reply["error"]
             writer.close()
-            coordinator.abort("test over")
-            with contextlib.suppress(Exception):
-                await serve
+            await asyncio.gather(
+                work_async("127.0.0.1", port, executor=_stub_executor),
+                serve)
 
         asyncio.run(scenario())
 

@@ -487,7 +487,7 @@ class TestCodegenArtifacts:
         cache = ArtifactCache(str(tmp_path / "artifacts"))
         first = CompiledEngine(program, cache=cache)
         baseline = first.run_with_stats()
-        assert cache.entry_count("codegen") == 1
+        assert cache.disk_stats()["kinds"]["codegen"]["entries"] == 1
         assert compiles
         compiles.clear()
         _CODE_MEMO.clear()  # simulate a fresh process with a warm disk cache

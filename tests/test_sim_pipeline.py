@@ -17,9 +17,16 @@ from hypothesis import given, settings, strategies as st
 from repro.framework import SoftwareFramework
 from repro.isa import Instruction, Program, assemble
 from repro.sim import FunctionalSimulator, PipelineSimulator, SimulationError
+from repro.sim.machine import machine_names
 from repro.sim.memory import TernaryMemory
 from repro.ternary.word import TernaryWord
 from repro.workloads import get_workload
+
+#: Cycle budget for every program these tests run to HALT.  Every
+#: default-size bundled workload takes at most 14,007 cycles on any
+#: built-in machine, so a fault that makes a program loop fails in well
+#: under a second instead of spinning out the 50,000,000-cycle default.
+CYCLE_BUDGET = 100_000
 
 
 def run_both(source):
@@ -27,7 +34,7 @@ def run_both(source):
     functional = FunctionalSimulator(program)
     functional.run()
     pipeline = PipelineSimulator(program)
-    stats = pipeline.run()
+    stats = pipeline.run(max_cycles=CYCLE_BUDGET)
     assert pipeline.register_snapshot() == functional.registers.snapshot()
     return pipeline, stats
 
@@ -154,7 +161,7 @@ class TestPredecodedRun:
 
         monkeypatch.setattr(Instruction, "spec", property(counted_spec))
         monkeypatch.setattr(Instruction, "render", counted_render)
-        stats = pipeline.run()
+        stats = pipeline.run(max_cycles=CYCLE_BUDGET)
         # The load-use stall and redirect paths both ran.
         assert stats.load_use_stalls > 0 and stats.control_flush_bubbles > 0
         assert (calls["spec"], calls["render"]) == (0, 0)
@@ -178,7 +185,7 @@ class TestPredecodedRun:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            stats = pipeline.run()
+            stats = pipeline.run(max_cycles=CYCLE_BUDGET)
         finally:
             sys.setprofile(previous)
         assert calls <= 1.7 * stats.cycles, calls / stats.cycles
@@ -238,6 +245,20 @@ class TestErrorHandling:
         pipeline = PipelineSimulator(assemble("HALT"))
         stats = pipeline.run()
         assert "cycles" in stats.summary()
+
+
+@pytest.mark.parametrize("name", ["bubble_sort", "gemm", "sobel", "dhrystone"])
+def test_bundled_workload_halts_within_the_cycle_budget(name):
+    """``CYCLE_BUDGET`` stops a looping fault fast but never a default-size
+    bundled workload, translated either way, on any built-in machine."""
+    workload = get_workload(name)
+    for optimize in (True, False):
+        program, _ = SoftwareFramework(optimize=optimize).compile_workload(
+            workload)
+        for machine in machine_names():
+            pipeline = PipelineSimulator(program, machine=machine)
+            pipeline.run(max_cycles=CYCLE_BUDGET)
+            assert pipeline.halted, (machine, optimize)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.ternary.conversion import (
     min_trits_for,
     to_balanced_range,
     trits_to_int,
-    unsigned_value,
 )
 
 
@@ -63,11 +62,6 @@ class TestConversions:
         assert min_trits_for(14) == 4
         assert min_trits_for(-121) == 5
         assert min_trits_for(-122) == 6
-
-    def test_unsigned_value_of_negative(self):
-        trits = int_to_trits(-1, 9)
-        assert unsigned_value(trits) == 3 ** 9 - 1
-
 
 class TestConversionProperties:
     @given(st.integers(min_value=-9841, max_value=9841))

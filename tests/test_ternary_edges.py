@@ -120,13 +120,3 @@ class TestWidthValidation:
         word = TernaryWord(0, width=4)
         with pytest.raises(ValueError):
             TernaryWord(0, width=3).replace_low(word)
-
-    def test_from_string_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            TernaryWord.from_string("10X")
-
-    def test_resize_rewraps_into_narrower_width(self):
-        word = TernaryWord(121)  # needs 5 trits
-        narrowed = word.resize(3)
-        assert narrowed.width == 3
-        assert narrowed.value == to_balanced_range(121, 3)

@@ -17,7 +17,7 @@ from repro.ternary import (
     word_sti,
     word_xor,
 )
-from repro.ternary.encoding import EncodingError, bits_for_memory
+from repro.ternary.encoding import EncodingError
 from repro.ternary.trit import trit_and, trit_or, trit_xor
 
 values = st.integers(min_value=-9841, max_value=9841)
@@ -72,10 +72,8 @@ class TestBinaryEncoding:
         encoded = encode_word(TernaryWord(42))
         assert encoded.bit_length == 18
         assert bits_for_word(9) == 18
-        assert bits_for_memory(256, 9) == 256 * 18
 
     @given(values)
     def test_encode_decode_round_trip(self, value):
         word = TernaryWord(value)
         assert decode_word(encode_word(word)) == word
-        assert encode_word(word).to_word() == word

@@ -20,15 +20,12 @@ class TestTritValidation:
         with pytest.raises(ValueError):
             Trit.validate(bad)
 
-    def test_symbol_round_trip(self):
-        for value in ALL:
-            assert Trit.from_symbol(Trit.to_symbol(value)) == value
+    def test_symbols(self):
+        assert [Trit.to_symbol(value) for value in ALL] == ["T", "0", "1"]
 
-    def test_symbol_aliases(self):
-        assert Trit.from_symbol("-") == NEG
-        assert Trit.from_symbol("+") == POS
+    def test_to_symbol_rejects_non_trits(self):
         with pytest.raises(ValueError):
-            Trit.from_symbol("2")
+            Trit.to_symbol(2)
 
 
 class TestDyadicGates:

@@ -31,9 +31,8 @@ class TestConstruction:
         assert word.width == WORD_TRITS
         assert word.value == 1 - 3
 
-    def test_from_string(self):
-        assert TernaryWord.from_string("1T", width=9).value == 2
-        assert str(TernaryWord(2)).endswith("1T")
+    def test_str_is_most_significant_first(self):
+        assert str(TernaryWord(2)) == "00000001T"
 
     def test_invalid_trit_rejected(self):
         with pytest.raises(ValueError):
@@ -65,16 +64,6 @@ class TestAccessors:
     def test_unsigned_view(self):
         assert TernaryWord(-1).unsigned == 3 ** 9 - 1
 
-    def test_resize(self):
-        assert TernaryWord(5).resize(3).value == 5
-        assert TernaryWord(14).resize(3).value == to_width3(14)
-
-
-def to_width3(value):
-    modulus = 27
-    wrapped = value % modulus
-    return wrapped - modulus if wrapped > 13 else wrapped
-
 
 class TestEqualityHashing:
     def test_equal_to_int(self):
@@ -97,8 +86,11 @@ class TestWordProperties:
 
     @given(word_values)
     def test_str_parse_round_trip(self, value):
-        word = TernaryWord(value)
-        assert TernaryWord.from_string(str(word)) == word
+        text = str(TernaryWord(value))
+        assert len(text) == WORD_TRITS
+        digits = {"T": -1, "0": 0, "1": 1}
+        assert sum(digits[symbol] * 3 ** power
+                   for power, symbol in enumerate(reversed(text))) == value
 
     @given(word_values, st.integers(min_value=0, max_value=8))
     def test_slice_single_trit_matches_trit(self, value, index):
@@ -144,12 +136,6 @@ class TestCachedValue:
         word = TernaryWord(value)
         assert_cached_value(word)
         assert_cached_value(word.replace_low(TernaryWord(low, 5)))
-
-    @given(word_values, widths)
-    def test_resize(self, value, width):
-        resized = TernaryWord(value).resize(width)
-        assert_cached_value(resized)
-        assert resized.value == to_balanced_range(value, width)
 
 
 class TestTritValidation:

@@ -1,13 +1,17 @@
 """Integration tests: workloads, framework facades, baselines and the CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import PicoRV32Model, VexRiscvModel
 from repro.cli import main as cli_main
-from repro.framework import HardwareFramework, SoftwareFramework
+from repro.framework import HardwareFramework, SoftwareFramework, swflow
+from repro.riscv.simulator import RVSimulator
+from repro.runner import SweepJob, execute_job, worker
 from repro.sim import FunctionalSimulator, PipelineSimulator
 from repro.workloads import all_workloads, get_workload
-from repro.workloads.base import WorkloadResultMismatch, lcg_values
+from repro.workloads.base import lcg_values
 from repro.workloads.dhrystone import _reference as dhrystone_reference
 from repro.workloads.gemm import _reference as gemm_reference
 from repro.workloads.sobel import _reference as sobel_reference
@@ -42,19 +46,35 @@ class TestWorkloadDefinitions:
         long, _ = dhrystone_reference(25)
         assert short != long
 
-    def test_mismatch_detection(self):
-        workload = get_workload("bubble_sort")
-        simulator = workload.run_rv_reference()
-        simulator.store_word(0, -99999)
-        with pytest.raises(WorkloadResultMismatch):
-            workload.check_rv_results(simulator)
+    def test_mismatch_detection(self, monkeypatch):
+        """A run whose result words differ from the reference is reported
+        unverified, on an ART-9 engine and on a baseline core alike."""
+        def off_by_one(name, **params):
+            workload = get_workload(name, **params)
+            return dataclasses.replace(workload, expected_results=[
+                value + 1 for value in workload.expected_results])
+
+        monkeypatch.setattr(swflow, "get_workload", off_by_one)
+        monkeypatch.setattr(worker, "get_workload", off_by_one)
+        worker.reset_caches()  # drop workloads memoised by earlier tests
+        try:
+            records = [execute_job(SweepJob("bubble_sort", engine, True))
+                       for engine in ("fast", "picorv32")]
+        finally:
+            worker.reset_caches()  # nor leak the tampered ones
+        assert [(record["status"], record["verified"])
+                for record in records] == [("ok", False), ("ok", False)]
 
 
 @pytest.mark.parametrize("name", ["bubble_sort", "gemm", "sobel", "dhrystone"])
 class TestWorkloadEquivalence:
     def test_rv_reference_and_translation_agree(self, name):
         workload = get_workload(name)
-        workload.run_rv_reference()
+        expected = workload.expected_results
+        reference = RVSimulator(workload.rv_program())
+        reference.run()
+        assert reference.memory_words(
+            workload.result_base, workload.result_count) == expected
 
         software = SoftwareFramework()
         program, report = software.compile_workload(workload)
@@ -62,12 +82,22 @@ class TestWorkloadEquivalence:
 
         functional = FunctionalSimulator(program)
         functional.run(max_instructions=5_000_000)
-        workload.check_ternary_results(functional)
+        assert _ternary_results(workload, functional) == expected
 
         pipeline = PipelineSimulator(program)
         stats = pipeline.run(max_cycles=10_000_000)
-        workload.check_ternary_results(pipeline)
+        assert _ternary_results(workload, pipeline) == expected
         assert stats.instructions_committed == functional.instructions_executed
+
+
+def _ternary_results(workload, simulator):
+    """The result words of a finished ART-9 run.
+
+    The translated program keeps the RV byte addresses, so result word
+    ``i`` lives at TDM address ``result_base + 4 * i``.
+    """
+    return [simulator.tdm.read_int(workload.result_base + 4 * index)
+            for index in range(workload.result_count)]
 
 
 class TestFrameworkFacades:

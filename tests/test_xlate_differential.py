@@ -51,4 +51,6 @@ def test_translation_without_optimization_also_agrees(name):
     program, _ = SoftwareFramework(optimize=False).compile_workload(workload)
     engine = FastEngine(program)
     engine.run()
-    workload.check_ternary_results(engine)
+    assert [engine.tdm.read_int(workload.result_base + 4 * index)
+            for index in range(workload.result_count)] == \
+        workload.expected_results
