@@ -24,12 +24,12 @@ identical cycle statistics.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
 ``serve`` additionally accept ``--machine`` / ``--machines`` to select a
 built-in microarchitecture description (pipeline depth, branch policy,
 load-use penalty, fetch latency — see :mod:`repro.sim.machine`); the
-default is the paper's machine.  ``sweep`` runs its grid inline or on a
-local worker pool (``--backend {serial,multiprocessing}``, ``--jobs N``),
-and ``serve``/``work`` spread it over any number of processes on any
-number of machines: the ``serve`` coordinator hands jobs to the ``work``
-clients that dial it and streams their records into the usual JSONL run
-directory (see :mod:`repro.service`).
+default is the paper's machine.  ``sweep`` runs its grid inline
+(``--jobs 1``, or ``--backend serial``) or on a pool of ``--jobs N`` local
+worker processes, and ``serve``/``work`` spread it over any number of
+processes on any number of machines: the ``serve`` coordinator hands jobs
+to the ``work`` clients that dial it and streams their records into the
+usual JSONL run directory (see :mod:`repro.service`).
 
 The CLI is a thin wrapper over :mod:`repro.framework`; anything it prints can
 also be obtained programmatically.
@@ -213,16 +213,9 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
 
     if args.trace:
         _enable_trace(args.out)
-    from repro.service.backends import MultiprocessingBackend, SerialBackend
-
-    backend = None
-    if args.backend == "serial":
-        backend = SerialBackend()
-    elif args.backend == "multiprocessing":
-        backend = MultiprocessingBackend(processes=max(1, args.jobs))
-    outcome = run_sweep(spec, args.out, jobs=args.jobs,
-                        resume=not args.no_resume, progress=_sweep_progress,
-                        backend=backend)
+    jobs = 1 if args.backend == "serial" else args.jobs
+    outcome = run_sweep(spec, args.out, jobs=jobs,
+                        resume=not args.no_resume, progress=_sweep_progress)
     return _finish_sweep(args, outcome)
 
 
@@ -235,9 +228,10 @@ def _auth_token_from(args: argparse.Namespace) -> Optional[str]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.coordinator import CoordinatorBindError
+    import asyncio
+
+    from repro.service.coordinator import Coordinator, CoordinatorBindError
     from repro.service.journal import RunJournal, journal_path, recover_run
-    from repro.service.queue_backend import AsyncQueueBackend
 
     try:
         if args.resume_dir:
@@ -289,45 +283,63 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         dispatch_counts = recovery.dispatch_counts
         recovered = len(recovery.leased)
         returning_workers = recovery.workers
-    backend = AsyncQueueBackend(
-        host=args.host,
-        port=args.port,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_requeues=args.max_requeues,
-        on_started=announce,
-        journal=journal,
-        auth_token=_auth_token_from(args),
-        dispatch_counts=dispatch_counts,
-        recovered_jobs=recovered,
-        returning_workers=returning_workers,
-    )
+    served = []  # the coordinator's stats; none when nothing was pending
+
+    def execute(jobs, emit) -> None:
+        coordinator = Coordinator(
+            jobs,
+            on_result=emit,
+            on_started=announce,
+            host=args.host,
+            port=args.port,
+            heartbeat_timeout=args.heartbeat_timeout,
+            max_requeues=args.max_requeues,
+            journal=journal,
+            auth_token=_auth_token_from(args),
+            dispatch_counts=dispatch_counts,
+            recovered_jobs=recovered,
+            returning_workers=returning_workers,
+        )
+        served.append(asyncio.run(coordinator.serve()))
+
     try:
         outcome = run_sweep(spec, args.out, resume=not args.no_resume,
-                            progress=_sweep_progress, backend=backend)
+                            progress=_sweep_progress, execute=execute)
     except (CoordinatorBindError, SpecError, StoreError) as exc:
         print(f"art9 serve: {exc}", file=sys.stderr)
         return 2
-    if backend.stats is not None:
+    for stats in served:
         print()
-        print(backend.stats.summary())
+        print(stats.summary())
     return _finish_sweep(args, outcome)
 
 
-def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.service.workerclient import work
-
-    host, _, port = args.connect.rpartition(":")
+def _split_address(command: str, address: str):
+    host, _, port = address.rpartition(":")
     if not host or not port.isdigit():
-        print(f"art9 work: --connect expects HOST:PORT, got {args.connect!r}",
+        print(f"art9 {command}: --connect expects HOST:PORT, got {address!r}",
               file=sys.stderr)
+        return None
+    return host, int(port)
+
+
+def _cmd_work(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.service.workerclient import work_async
+
+    parsed = _split_address("work", args.connect)
+    if parsed is None:
         return 2
+    host, port = parsed
     try:
-        summary = work(host, int(port), name=args.name,
-                       retry_seconds=args.retry_seconds,
-                       auth_token=_auth_token_from(args),
-                       job_timeout=args.job_timeout,
-                       max_retries=args.max_retries,
-                       retry_window=args.retry_window)
+        summary = asyncio.run(work_async(
+            host, port, name=args.name,
+            retry_seconds=args.retry_seconds,
+            auth_token=_auth_token_from(args),
+            job_timeout=args.job_timeout,
+            max_retries=args.max_retries,
+            retry_window=args.retry_window))
     except OSError as exc:
         print(f"art9 work: cannot reach coordinator at {args.connect}: {exc}",
               file=sys.stderr)
@@ -365,15 +377,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(document, end="")
     return 0 if all(table.ok for table in tables) else 1
-
-
-def _split_address(command: str, address: str):
-    host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"art9 {command}: --connect expects HOST:PORT, got {address!r}",
-              file=sys.stderr)
-        return None
-    return host, int(port)
 
 
 def _status_live(address: str, token: Optional[str] = None) -> int:
@@ -722,11 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=2,
                        help="worker processes (default: 2; 1 runs inline)")
     _add_grid_arguments(sweep)
-    sweep.add_argument("--backend",
-                       choices=("auto", "serial", "multiprocessing"),
+    sweep.add_argument("--backend", choices=("auto", "serial"),
                        default="auto",
-                       help="execution backend (default: auto — inline for "
-                            "--jobs 1, multiprocessing pool otherwise)")
+                       help="auto (default) runs inline for --jobs 1 and on "
+                            "a pool of --jobs workers otherwise; serial "
+                            "means --jobs 1")
     sweep.add_argument("--no-resume", action="store_true",
                        help="discard existing results in --out and recompute")
     sweep.add_argument("--trace", action="store_true",

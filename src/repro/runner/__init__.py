@@ -13,9 +13,9 @@ grids at scale:
 * :mod:`repro.runner.store` — the JSONL result store (append-only,
   crash-tolerant) plus the human-readable summary table;
 * :mod:`repro.runner.orchestrator` — ``run_sweep``: expansion, resume
-  filtering, result streaming through a pluggable execution backend
-  (:mod:`repro.service.backends` — serial, multiprocessing pool, or the
-  distributed TCP queue);
+  filtering, and the pending jobs run inline, on a local process pool
+  (``run_pool``) or through the caller's ``execute`` (``art9 serve``
+  passes its TCP coordinator), with the records streamed into the store;
 * :mod:`repro.runner.compare` — diffing two runs (cycles, CPI, stalls,
   architectural-state digests) for regression hunting;
 * :mod:`repro.runner.fuzzpool` — the parallel backend of ``art9 fuzz``.

@@ -1,37 +1,38 @@
-"""Sweep orchestrator: expand the grid, pick a backend, stream the results.
+"""Sweep orchestrator: expand the grid, run the pending jobs, stream the results.
 
 ``run_sweep`` is the one entry point: it expands a :class:`SweepSpec` into
 content-addressed jobs, drops every job the run directory already holds an
-``ok`` record for (resume), then hands the remainder to an execution
-backend (:mod:`repro.service.backends`):
+``ok`` record for (resume), and runs the remainder through
+:func:`repro.runner.worker.execute_job`:
 
-* the default backend reproduces the historical behaviour — inline when
-  ``jobs <= 1``, a ``multiprocessing`` pool of persistent workers
-  otherwise (:mod:`repro.runner.worker` caches translated programs per
-  process);
-* any other :class:`~repro.service.backends.ExecutionBackend` — notably
-  :class:`~repro.service.queue_backend.AsyncQueueBackend`, the coordinator
-  behind ``art9 serve`` — can be passed explicitly and sees exactly the
-  same jobs.
+* inline when ``jobs <= 1`` or only one job is pending;
+* otherwise on :func:`run_pool`, a ``multiprocessing`` pool of ``jobs``
+  persistent workers (:mod:`repro.runner.worker` caches translated
+  programs per process);
+* or through the caller's ``execute(jobs, emit)``: ``art9 serve`` passes
+  one that hands the jobs to the ``art9 work`` clients dialling its
+  coordinator (:mod:`repro.service`).
 
-Finished records are appended to the JSONL store as they arrive no matter
-which backend runs them, so interrupting a sweep at any point loses at
-most the in-flight jobs.
+Finished records are appended to the JSONL store as they arrive, however
+the jobs run, so interrupting a sweep at any point loses at most the
+in-flight jobs.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.runner.spec import SweepSpec
+from repro.runner import worker
+from repro.runner.spec import SweepJob, SweepSpec
 from repro.runner.store import RunStore
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.service.backends import ExecutionBackend
 
 #: Callback invoked with each finished record (CLI progress, tests).
 ProgressFn = Callable[[dict], None]
+
+#: Runs a batch of jobs, calling the second argument with each record.
+ExecuteFn = Callable[[Sequence[SweepJob], ProgressFn], None]
 
 
 @dataclass
@@ -64,21 +65,37 @@ class SweepOutcome:
         )
 
 
+def run_pool(jobs: Sequence[SweepJob], emit: ProgressFn,
+             processes: int) -> None:
+    """Run ``jobs`` on ``processes`` local worker processes.
+
+    ``emit`` receives each record in the calling process as it arrives.
+    """
+    # Workers stay warm across all the jobs of this run, which is where
+    # the per-process translation cache pays off.  chunksize=1 keeps the
+    # shards balanced — job costs vary by orders of magnitude across the
+    # grid (fast vs pipeline engine, small vs grown workload variants).
+    with multiprocessing.Pool(processes=processes) as pool:
+        for record in pool.imap_unordered(worker.execute_job, list(jobs),
+                                          chunksize=1):
+            emit(record)
+
+
 def run_sweep(
     spec: SweepSpec,
     out_dir: str,
     jobs: int = 1,
     resume: bool = True,
     progress: Optional[ProgressFn] = None,
-    backend: Optional["ExecutionBackend"] = None,
+    execute: Optional[ExecuteFn] = None,
 ) -> SweepOutcome:
     """Execute (or resume) the sweep described by ``spec`` into ``out_dir``.
 
-    ``backend`` selects the execution strategy; ``None`` keeps the
-    historical default (inline for ``jobs <= 1``, else a
-    ``multiprocessing`` pool of ``jobs`` workers).  With ``resume`` (the
-    default) jobs whose IDs already have successful records in ``out_dir``
-    are skipped; ``resume=False`` wipes the store first.
+    The pending jobs run inline when ``jobs <= 1`` or only one is pending,
+    and on :func:`run_pool` with ``jobs`` workers otherwise; ``execute``,
+    when given, runs them instead.  With ``resume`` (the default) jobs
+    whose IDs already have successful records in ``out_dir`` are skipped;
+    ``resume=False`` wipes the store first.
     """
     store = RunStore(out_dir)
     if not resume:
@@ -97,11 +114,14 @@ def run_sweep(
         if progress is not None:
             progress(record)
 
-    if pending:
-        if backend is None:
-            from repro.service.backends import default_backend
-            backend = default_backend(jobs)
-        backend.execute(pending, finish)
+    if execute is not None:
+        if pending:
+            execute(pending, finish)
+    elif jobs > 1 and len(pending) > 1:
+        run_pool(pending, finish, jobs)
+    else:
+        for job in pending:
+            finish(worker.execute_job(job))
 
     store.write_summary()
     return SweepOutcome(

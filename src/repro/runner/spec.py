@@ -119,6 +119,15 @@ class SweepJob:
             "machine": self.machine,
         }
 
+    def error_record(self, error: str) -> dict:
+        """The record of this job failing with ``error`` before any result.
+
+        ``status="error"``, so a resumed sweep retries the job and a
+        summary table shows the failure instead of a silent gap.
+        """
+        return {"job_id": self.job_id, "label": self.label, **self.to_dict(),
+                "status": "error", "error": error}
+
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SweepJob":
         return cls(

@@ -1,7 +1,7 @@
 """Persistent sweep workers: pure job specs in, plain-dict records out.
 
-:func:`execute_job` is the one path every sweep job takes, on every
-backend: inline, a local process pool, or a queue worker.  It is
+:func:`execute_job` is the one path every sweep job takes, however it
+runs: inline, on a local process pool, or on an ``art9 work`` client.  It is
 importable at module scope so it can cross a ``multiprocessing``
 boundary under any start method.  Worker processes are
 *persistent*: the module-level caches keep one :class:`SoftwareFramework`
@@ -37,7 +37,7 @@ from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
 # Spawned worker processes inherit ART9_TRACE/ART9_TRACE_FILE from the
-# parent (the CLI sets them before the backend starts), so picking the
+# parent (the CLI sets them before the jobs start), so picking the
 # tracing decision up at import time covers every start method.
 trace.configure_from_env()
 

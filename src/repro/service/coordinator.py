@@ -26,11 +26,12 @@ Crash tolerance is entirely the coordinator's job:
   a record whose job already completed in the previous incarnation, and a
   stray client can fabricate records; neither may disturb accounting;
 * the **coordinator's own death** is covered by the write-ahead journal
-  (:mod:`repro.service.journal`, wired in by the caller): every enqueue /
-  lease / requeue / loss is an fsync'd event, and an accepted job is
-  settled by its fsync'd record in ``results.jsonl``, so ``art9 serve
-  --resume`` rebuilds the pending set, requeues formerly leased jobs, and
-  keeps the poison budget counting across the crash;
+  (:mod:`repro.service.journal`, wired in by the caller): every lease /
+  requeue / loss is an fsync'd event, and an accepted job is settled by
+  its fsync'd record in ``results.jsonl``, so ``art9 serve --resume``
+  rebuilds the pending set (from ``spec.json`` and ``results.jsonl``),
+  requeues formerly leased jobs, and keeps the poison budget counting
+  across the crash;
 * a **worker still backing off** from that crash when the resumed run
   completes is not connected to hear ``done``: the resumed coordinator
   keeps its listener open, answering ``done``, until every worker the
@@ -131,25 +132,15 @@ class CoordinatorBindError(OSError):
     """The coordinator could not listen on the requested address."""
 
 
-def lost_job_record(job: SweepJob, attempts: int, reason: str) -> dict:
-    """Synthetic error record for a job no worker managed to finish."""
-    return {
-        "job_id": job.job_id,
-        "label": job.label,
-        **job.to_dict(),
-        "status": "error",
-        "error": f"lost after {attempts} dispatch attempts ({reason})",
-    }
-
-
 class Coordinator:
     """TCP job server for one batch of sweep jobs.
 
     ``serve()`` runs until every job has exactly one accepted record (real
     or synthetic-lost), tells the workers (:meth:`_announce_done`), then
-    closes the listener.  The bound port is available as :attr:`port` once
-    :meth:`wait_started` returns, which is what lets callers bind port 0
-    and announce the real port to the workers.
+    closes the listener.  Once it listens it calls ``on_started(host,
+    port)`` with the bound port, which is what lets callers bind port 0
+    and announce the real port to the workers; :attr:`port` holds it too
+    once :meth:`wait_started` returns.
 
     ``journal`` (a :class:`~repro.service.journal.RunJournal`) makes the
     scheduler's state machine durable; ``dispatch_counts`` seeds the
@@ -166,6 +157,7 @@ class Coordinator:
         self,
         jobs: Sequence[SweepJob],
         on_result: Optional[Callable[[dict], None]] = None,
+        on_started: Optional[Callable[[str, int], None]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -178,6 +170,7 @@ class Coordinator:
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
         self._on_result = on_result
+        self._on_started = on_started
         self._host = host
         self._requested_port = port
         self._heartbeat_timeout = heartbeat_timeout
@@ -249,13 +242,6 @@ class Coordinator:
             self._all_done.set()
             self._started.set()
             return self.stats
-        if self._journal is not None:
-            try:
-                self._journal.append_many(
-                    {"event": "enqueued", "job_id": job.job_id}
-                    for job in self._pending)
-            except OSError as exc:
-                logger.error("journal enqueue batch failed (%s)", exc)
         try:
             server = await asyncio.start_server(
                 self._handle_connection, self._host, self._requested_port,
@@ -272,6 +258,8 @@ class Coordinator:
         self._started.set()
         watchdog = asyncio.create_task(self._watchdog())
         try:
+            if self._on_started is not None:
+                self._on_started(self._host, self.port)
             await self._all_done.wait()
             if self._fatal is None and self.outstanding <= 0:
                 await self._announce_done()
@@ -455,7 +443,8 @@ class Coordinator:
                        "reason": reason})
             self._journal_event("lost", job_id=entry.job.job_id,
                                 reason=reason, attempts=attempts)
-            self._accept(lost_job_record(entry.job, attempts, reason))
+            self._accept(entry.job.error_record(
+                f"lost after {attempts} dispatch attempts ({reason})"))
             return
         self.stats.requeues += 1
         logger.info(

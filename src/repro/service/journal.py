@@ -4,19 +4,20 @@
 handed to a worker and never came back.  The journal fills that gap: the
 coordinator appends one fsync'd whole-line JSON event per queue-lifecycle
 transition, so after a ``kill -9`` the exact scheduling state can be
-rebuilt from disk.  Events, in the order a healthy job produces them::
+rebuilt from disk.  A healthy job produces one event::
 
-    {"event": "enqueued", "job_id": ...}
     {"event": "leased",   "job_id": ..., "worker": ..., "attempt": n}
 
-and on the unhappy paths::
+and the unhappy paths add::
 
     {"event": "requeued", "job_id": ..., "reason": ..., "worker": ...}
     {"event": "lost",     "job_id": ..., "reason": ..., "attempts": n}
 
 A healthy job's lease is settled by its record in ``results.jsonl``: the
 coordinator stores a record (fsync'd) before it counts the job done, so a
-journal event for the acceptance would only repeat it.
+journal event for the acceptance would only repeat it.  Nor does the
+journal list the jobs a run starts with: ``spec.json`` and
+``results.jsonl`` already say which are pending.
 
 ``art9 serve --resume RUN_DIR`` replays the journal together with
 ``results.jsonl``:
@@ -80,9 +81,8 @@ class RunJournal:
     def append_many(self, events: Iterable[dict]) -> None:
         """Append a batch of events under a single fsync.
 
-        Used for the enqueue burst at serve start — one fsync per job
-        would serialize startup on disk latency for large grids, and the
-        batch is all-or-nothing from the scheduler's point of view anyway.
+        Every append, single events included, goes through here, so the
+        ``events_written`` count covers the whole journal.
         """
         self.events_written += durable.append(self.path, events)
 

@@ -9,11 +9,11 @@ names in each ``job`` message, so it can tell a long simulation from a
 dead worker.
 
 The job executor is the exact same :func:`repro.runner.worker.execute_job`
-the in-process backends use — including its per-process translation caches
-— so a worker that receives both the fast-engine and pipeline jobs of a
-workload still assembles and translates it only once, and a distributed
-run produces records identical (modulo wall-clock and PIDs) to a serial
-one.
+that inline and pool sweeps use — including its per-process translation
+caches — so a worker that receives both the fast-engine and pipeline jobs
+of a workload still assembles and translates it only once, and a
+distributed run produces records identical (modulo wall-clock and PIDs)
+to a serial one.
 
 Resilience (all of it lives on this side of the wire):
 
@@ -113,21 +113,6 @@ def default_worker_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def timeout_job_record(job: SweepJob, seconds: float) -> dict:
-    """Structured record for a job whose execution blew its time budget.
-
-    ``status="error"`` like a lost-job record, so ``--resume`` retries the
-    job and a summary table shows the failure instead of a silent gap.
-    """
-    return {
-        "job_id": job.job_id,
-        "label": job.label,
-        **job.to_dict(),
-        "status": "error",
-        "error": f"job exceeded {seconds:g}s wall-clock execution timeout",
-    }
-
-
 def request_status(host: str, port: int, timeout: float = 5.0,
                    token: Optional[str] = None) -> dict:
     """Fetch a live coordinator status snapshot (``art9 status --connect``).
@@ -205,7 +190,8 @@ async def _execute_with_timeout(loop, executor, job: SweepJob,
         job_timeout, job.job_id,
         extra={"job_id": job.job_id})
     future.add_done_callback(lambda f: f.exception())
-    return timeout_job_record(job, job_timeout)
+    return job.error_record(
+        f"job exceeded {job_timeout:g}s wall-clock execution timeout")
 
 
 class _Session:
@@ -382,19 +368,3 @@ async def work_async(
                     host, port, consecutive_failures,
                     extra={"worker_id": name})
 
-
-def work(host: str, port: int, name: Optional[str] = None,
-         retry_seconds: float = 0.0,
-         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-         auth_token: Optional[str] = None,
-         job_timeout: Optional[float] = None,
-         max_retries: int = DEFAULT_MAX_RETRIES,
-         retry_window: float = DEFAULT_RETRY_WINDOW) -> WorkerSummary:
-    """Synchronous front end of :func:`work_async` (the ``art9 work`` body)."""
-    return asyncio.run(work_async(host, port, name=name,
-                                  retry_seconds=retry_seconds,
-                                  reply_timeout=reply_timeout,
-                                  auth_token=auth_token,
-                                  job_timeout=job_timeout,
-                                  max_retries=max_retries,
-                                  retry_window=retry_window))

@@ -19,8 +19,9 @@ Scenarios (``art9 chaos --scenario NAME``):
     SIGKILL one of two workers mid-run; the watchdog requeues its job and
     the survivor finishes the run with zero lost jobs.
 ``wedge-worker``
-    SIGSTOP one worker (alive TCP socket, silent process) until the
-    heartbeat watchdog requeues its job, then SIGKILL it.
+    SIGSTOP a lone worker once it holds a job (alive TCP socket, silent
+    process), start a second one, wait until the heartbeat watchdog
+    requeues the frozen job, then SIGKILL the first.
 ``torn-tail``
     SIGKILL coordinator *and* workers, then truncate the final line of
     ``results.jsonl`` and append garbage to the journal — the torn-write
@@ -349,13 +350,14 @@ def _scenario_kill_worker(fleet: _Fleet, spec_path: str, run_dir: str,
 def _scenario_wedge_worker(fleet: _Fleet, spec_path: str, run_dir: str,
                            rng: random.Random) -> List[str]:
     port = _free_port()
-    results = os.path.join(run_dir, "results.jsonl")
     serve = fleet.spawn("serve", _serve_args(run_dir, spec_path, port))
     victim = fleet.spawn("worker-0", _worker_args(port, "chaos-wedged"))
-    fleet.spawn("worker-1", _worker_args(port, "chaos-survivor"))
-    _wait_for_records(fleet, results, 1)
-    time.sleep(rng.uniform(0.0, 0.2))
+    # The victim runs alone until it holds a lease, and the grid outlasts
+    # this short jitter, so a job is always frozen in its hands.
+    _wait_for_journal_event(fleet, run_dir, "leased", worker="chaos-wedged")
+    time.sleep(rng.uniform(0.0, 0.05))
     fleet.sigstop("worker-0", victim)
+    fleet.spawn("worker-1", _worker_args(port, "chaos-survivor"))
     # The socket stays open but the process is frozen: only the heartbeat
     # watchdog can notice.  Wait for its requeue, then finish the victim.
     _wait_for_journal_event(fleet, run_dir, "requeued",

@@ -1,21 +1,22 @@
 """``art9 work`` clients for tests that run a sweep through the service.
 
-A served run is a coordinator (``AsyncQueueBackend`` in the test process,
+A served run is a coordinator (a :class:`Coordinator` in the test process,
 or ``art9 serve``) plus the ``art9 work`` clients that dial it, each a
 fresh interpreter that imports :mod:`repro` on its own::
 
     with DialledWorkers() as fleet:
-        outcome = run_sweep(spec, out_dir, backend=fleet.backend())
+        outcome = run_sweep(spec, out_dir, execute=fleet.execute)
     assert fleet.exit_codes == [0, 0]
 
 The clients start first and keep dialling a free port until the
 coordinator listens on it.
 """
 
+import asyncio
 import subprocess
 import sys
 
-from repro.service import AsyncQueueBackend
+from repro.service import Coordinator
 from repro.testing.chaos import _cli_env, _free_port
 
 #: Seconds a client that heard ``done`` gets to exit before it is killed.
@@ -30,16 +31,21 @@ class DialledWorkers:
         self.names = tuple(f"dialled-{i}" for i in range(count))
         self.exit_codes = []
         self.outputs = []
+        #: The coordinator's stats once :meth:`execute` has served a batch.
+        self.stats = None
         self._clients = []
 
-    def backend(self) -> AsyncQueueBackend:
-        """The coordinator for these clients.
+    def execute(self, jobs, emit) -> None:
+        """Serve ``jobs`` to these clients, as ``art9 serve`` does.
 
-        It owes each client a ``done`` (``returning_workers``), so it keeps
-        answering ``done`` until each has heard it: a client that boots
-        after the last job is dispatched still connects and exits cleanly.
+        The coordinator owes each client a ``done`` (``returning_workers``),
+        so it keeps answering ``done`` until each has heard it: a client
+        that boots after the last job is dispatched still connects and
+        exits cleanly.
         """
-        return AsyncQueueBackend(port=self.port, returning_workers=self.names)
+        coordinator = Coordinator(jobs, on_result=emit, port=self.port,
+                                  returning_workers=self.names)
+        self.stats = asyncio.run(coordinator.serve())
 
     def __enter__(self) -> "DialledWorkers":
         env = _cli_env()

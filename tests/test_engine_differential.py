@@ -33,6 +33,12 @@ from repro.testing import fuzz, generate_program, run_differential
 from repro.testing.differential import STATS_FIELDS
 from repro.workloads import all_workloads
 
+#: Pipeline cycle budget for the bundled workloads at default size: the
+#: largest takes 12,615 cycles on any built-in machine, so a fault that
+#: makes one loop fails in well under a second instead of spinning out the
+#: 50,000,000-cycle default.
+CYCLE_BUDGET = 100_000
+
 # Deterministic operand sample spanning small values, extremes and wrap edges.
 _SAMPLE = (
     0, 1, -1, 2, -2, 3, -3, 13, -13, 40, -40, 121, -121, 364, -364,
@@ -122,7 +128,7 @@ class TestWorkloadEquivalence:
     def test_pipeline_stats_are_bit_identical(self, name, translated_workloads):
         program = translated_workloads[name]
         fast_stats = FastEngine(program).run_with_stats()
-        pipeline_stats = PipelineSimulator(program).run()
+        pipeline_stats = PipelineSimulator(program).run(max_cycles=CYCLE_BUDGET)
         for field in STATS_FIELDS:
             assert getattr(fast_stats, field) == getattr(pipeline_stats, field), field
         assert fast_stats.instruction_mix == pipeline_stats.instruction_mix
@@ -282,7 +288,9 @@ class TestRunTiming:
     def test_run_shape_matches_the_pipeline(self, shape, machine):
         program = assemble(self.PROGRAMS[shape], name=shape)
         stats = FastEngine(program, machine=machine).run_with_stats()
-        assert stats == PipelineSimulator(program, machine=machine).run()
+        # Each shape halts within 102 cycles on every machine.
+        assert stats == PipelineSimulator(program, machine=machine).run(
+            max_cycles=1_000)
         assert stats.taken_branches and stats.not_taken_branches
 
     @pytest.mark.parametrize("machine", ["paper3stage", "btfn4"])
@@ -301,7 +309,8 @@ class TestRunTiming:
         monkeypatch.setattr(timing, "step", counted_step)
         program = translated_workloads["dhrystone"]
         stats = FastEngine(program, machine=machine).run_with_stats()
-        assert stats.cycles == PipelineSimulator(program, machine=machine).run().cycles
+        assert stats.cycles == PipelineSimulator(program, machine=machine).run(
+            max_cycles=CYCLE_BUDGET).cycles
         assert steps <= 0.3 * stats.instructions_committed, (
             steps / stats.instructions_committed)
 

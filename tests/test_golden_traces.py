@@ -32,7 +32,10 @@ from repro.sim.trace import TRACE_FORMAT, state_digest, trace_mismatches
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 FIXTURE_PATHS = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.json")))
-MAX_CYCLES = 50_000_000
+#: The largest fixture takes 11,478 (gemm) cycles, so a fault that makes a
+#: program loop fails in well under a second instead of spinning out the
+#: 50,000,000-cycle default.
+MAX_CYCLES = 100_000
 
 _software = SoftwareFramework(optimize=True)
 

@@ -1,7 +1,8 @@
 """Non-perturbation guarantees of the observability layer.
 
 Instrumentation must observe, never alter.  Traced sweeps must produce
-records canonically identical to untraced ones on every backend, and the
+records canonically identical to untraced ones, inline, on the pool and
+served, and the
 compiled engine that ``art9 profile`` reads its block profile from must
 reproduce the golden-trace digests pinned by ``tests/golden/``.
 """
@@ -15,7 +16,6 @@ import pytest
 from dialled_workers import DialledWorkers
 from repro.obs import trace
 from repro.runner import canonical_record, run_sweep, SweepSpec
-from repro.service import MultiprocessingBackend
 
 #: Small grid covering translation, the compiled engine's codegen path and
 #: a baseline core — enough surface to notice any record perturbation.
@@ -58,15 +58,14 @@ class TestTracedSweepConformance:
         assert trace.read_spans(tracing), "tracing was on but wrote nothing"
 
     def test_multiprocessing_backend(self, untraced, tracing, tmp_path):
-        traced = run_sweep(_SPEC, str(tmp_path / "run"),
-                           backend=MultiprocessingBackend(processes=2))
+        traced = run_sweep(_SPEC, str(tmp_path / "run"), jobs=2)
         assert traced.ok
         assert _canonical_set(traced) == _canonical_set(untraced)
 
     def test_queue_backend(self, untraced, tracing, tmp_path):
         with DialledWorkers() as fleet:
             traced = run_sweep(_SPEC, str(tmp_path / "run"),
-                               backend=fleet.backend())
+                               execute=fleet.execute)
         assert fleet.exit_codes == [0, 0], fleet.outputs
         assert traced.ok
         assert _canonical_set(traced) == _canonical_set(untraced)

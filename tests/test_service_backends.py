@@ -1,13 +1,16 @@
 """Backend conformance suite plus baseline-engine and preset coverage.
 
-The central invariant of the execution-backend abstraction: the *same*
-spec produces the *same* result set on every backend — serial, the
-multiprocessing pool, and a served run (the ``art9 serve`` coordinator plus
-two dialled ``art9 work`` clients) — modulo the volatile wall-clock/PID
-fields.  Everything the regression gates compare (cycles,
-CPI, stats counters, state digests, verification) must be byte-identical.
+The central invariant of sweep execution: the *same* spec produces the
+*same* result set however its jobs run — inline, on the multiprocessing
+pool, or served (the ``art9 serve`` coordinator plus two dialled ``art9
+work`` clients) — modulo the volatile wall-clock/PID fields.  Everything
+the regression gates compare (cycles, CPI, stats counters, state digests,
+verification) must be byte-identical.
 """
 
+import asyncio
+import functools
+import socket
 import threading
 
 import pytest
@@ -27,12 +30,9 @@ from repro.runner import (
     preset_spec,
     run_sweep,
 )
-from repro.service import (
-    AsyncQueueBackend,
-    MultiprocessingBackend,
-    SerialBackend,
-)
-from repro.service.workerclient import work
+from repro.runner.orchestrator import run_pool
+from repro.service import Coordinator
+from repro.service.workerclient import work_async
 
 #: A cheap cross-ISA grid: one workload, ART-9 fast engine plus all three
 #: baseline cores = 4 jobs.
@@ -55,15 +55,15 @@ class TestBackendConformance:
         root = tmp_path_factory.mktemp("conformance")
         outcomes = {}
 
-        def run(name, backend):
+        def run(name, fleet=None, **how):
             out = str(root / name)
-            outcomes[name] = (out, run_sweep(CONFORMANCE_SPEC, out,
-                                             backend=backend), backend)
+            outcomes[name] = (out, run_sweep(CONFORMANCE_SPEC, out, **how),
+                              fleet)
 
-        run("serial", SerialBackend())
-        run("pool", MultiprocessingBackend(processes=2))
+        run("serial", jobs=1)
+        run("pool", jobs=2)
         with DialledWorkers() as fleet:
-            run("queue", fleet.backend())
+            run("queue", fleet, execute=fleet.execute)
         assert fleet.exit_codes == [0, 0], fleet.outputs
         return outcomes
 
@@ -85,15 +85,15 @@ class TestBackendConformance:
             assert report.ok, f"{name}: {report.summary()}"
 
     def test_queue_backend_used_two_workers(self, runs):
-        _, _, backend = runs["queue"]
-        assert backend.stats is not None
-        assert backend.stats.workers_seen == 2
-        assert backend.stats.results_accepted == 4
-        assert backend.stats.lost_jobs == 0
+        _, _, fleet = runs["queue"]
+        assert fleet.stats is not None
+        assert fleet.stats.workers_seen == 2
+        assert fleet.stats.results_accepted == 4
+        assert fleet.stats.lost_jobs == 0
 
     def test_resume_works_after_queue_run(self, runs):
         out, _, _ = runs["queue"]
-        again = run_sweep(CONFORMANCE_SPEC, out, backend=SerialBackend())
+        again = run_sweep(CONFORMANCE_SPEC, out, jobs=1)
         assert again.executed == 0
         assert again.skipped == 4
 
@@ -108,9 +108,10 @@ def _seed_jobs(workload, engine, seeds, params=(), **kwargs):
 class TestSeedAxisGrid:
     """A grid whose points differ only in ``seed`` runs one job per seed.
 
-    Every backend executes each seed through ``execute_job`` on its own, so
-    the records match across backends, each seed reaches the workload's
-    input data, and the engines agree at every grid point.
+    Inline, pool and served runs execute each seed through
+    ``execute_job`` on its own, so the records match across them, each
+    seed reaches the workload's input data, and the engines agree at every
+    grid point.
     """
 
     SORTS = {engine: _seed_jobs("bubble_sort", engine, (1, 2, 3),
@@ -130,15 +131,19 @@ class TestSeedAxisGrid:
         """The grid executed once per backend, keyed by job id."""
         collected = {}
 
-        def run(name, backend):
+        def run(name, execute):
             emitted = []
-            backend.execute(self.GRID, emitted.append)
+            execute(self.GRID, emitted.append)
             collected[name] = {record["job_id"]: record for record in emitted}
 
-        run("serial", SerialBackend())
-        run("pool", MultiprocessingBackend(processes=2))
+        def inline(jobs, emit):
+            for job in jobs:
+                emit(execute_job(job))
+
+        run("serial", inline)
+        run("pool", functools.partial(run_pool, processes=2))
         with DialledWorkers() as fleet:
-            run("queue", fleet.backend())
+            run("queue", fleet.execute)
         assert fleet.exit_codes == [0, 0], fleet.outputs
         return collected
 
@@ -196,25 +201,33 @@ class TestSeedAxisGrid:
 class TestBackendArguments:
     def test_multiprocessing_rejects_zero_processes(self):
         with pytest.raises(ValueError):
-            MultiprocessingBackend(processes=0)
+            run_pool(CONFORMANCE_SPEC.expand()[:1], lambda record: None,
+                     processes=0)
 
-    def test_empty_job_list_is_a_no_op(self):
-        for backend in (SerialBackend(), MultiprocessingBackend(2),
-                        AsyncQueueBackend()):
-            emitted = []
-            backend.execute([], emitted.append)
-            assert emitted == []
+    def test_empty_job_list_is_a_no_op(self, tmp_path):
+        emitted, announced = [], []
+        run_pool([], emitted.append, processes=2)
+        coordinator = Coordinator(
+            [], on_result=emitted.append,
+            on_started=lambda host, port: announced.append(port))
+        asyncio.run(coordinator.serve())
+        assert emitted == [] and announced == []
+        # A sweep with nothing pending starts no coordinator at all.
+        out = str(tmp_path / "run")
+        run_sweep(CONFORMANCE_SPEC, out, jobs=1)
+        again = run_sweep(CONFORMANCE_SPEC, out,
+                          execute=lambda jobs, emit: pytest.fail(str(jobs)))
+        assert again.executed == 0
 
     def test_occupied_port_errors_instead_of_hanging(self):
-        import socket
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
         blocker.listen(1)
         try:
-            backend = AsyncQueueBackend(port=blocker.getsockname()[1])
-            jobs = CONFORMANCE_SPEC.expand()[:1]
+            coordinator = Coordinator(CONFORMANCE_SPEC.expand()[:1],
+                                      port=blocker.getsockname()[1])
             with pytest.raises(OSError):
-                backend.execute(jobs, lambda record: None)
+                asyncio.run(coordinator.serve())
         finally:
             blocker.close()
 
@@ -225,35 +238,36 @@ class TestBackendArguments:
 
         def start_worker(host, port):
             announced.append((host, port))
-            worker = threading.Thread(target=work, args=(host, port),
-                                      kwargs={"name": "dialler"})
+            worker = threading.Thread(target=asyncio.run, args=(
+                work_async(host, port, name="dialler"),))
             worker.start()
             workers.append(worker)
 
-        backend = AsyncQueueBackend(on_started=start_worker)
         emitted = []
-        backend.execute(CONFORMANCE_SPEC.expand()[:2], emitted.append)
+        coordinator = Coordinator(CONFORMANCE_SPEC.expand()[:2],
+                                  on_result=emitted.append,
+                                  on_started=start_worker)
+        stats = asyncio.run(coordinator.serve())
         for worker in workers:
             worker.join(timeout=10)
         assert not any(worker.is_alive() for worker in workers)
         [(host, port)] = announced
         assert host == "127.0.0.1" and port > 0
         assert sorted(record["status"] for record in emitted) == ["ok", "ok"]
-        assert backend.stats.workers_seen == 1
+        assert stats.workers_seen == 1
 
     def test_queue_backend_announces_nothing_when_the_bind_fails(self):
-        import socket
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
         blocker.listen(1)
         announced = []
         try:
-            backend = AsyncQueueBackend(
+            coordinator = Coordinator(
+                CONFORMANCE_SPEC.expand()[:1],
                 port=blocker.getsockname()[1],
                 on_started=lambda host, port: announced.append(port))
             with pytest.raises(OSError):
-                backend.execute(CONFORMANCE_SPEC.expand()[:1],
-                                lambda record: None)
+                asyncio.run(coordinator.serve())
         finally:
             blocker.close()
         assert announced == []
@@ -377,11 +391,18 @@ class TestSweepCLIBackends:
         assert main(self.BASE + ["--backend", "serial", "--out", out]) == 0
         assert len(RunStore(out).records()) == 1
 
-    def test_backend_multiprocessing_jobs_zero_runs_inline(self, tmp_path, capsys):
-        out = str(tmp_path / "mp0")
-        assert main(self.BASE + ["--backend", "multiprocessing",
-                                 "--jobs", "0", "--out", out]) == 0
+    def test_jobs_zero_runs_inline(self, tmp_path, capsys):
+        out = str(tmp_path / "jobs0")
+        assert main(self.BASE + ["--jobs", "0", "--out", out]) == 0
         assert len(RunStore(out).records()) == 1
+
+    def test_backend_multiprocessing_is_gone(self, tmp_path, capsys):
+        """``auto`` runs the pool at every ``--jobs`` above 1."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--backend", "multiprocessing",
+                              "--out", str(tmp_path / "mp")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'multiprocessing'" in capsys.readouterr().err
 
     def test_backend_queue_is_gone(self, tmp_path, capsys):
         """A local parallel sweep is the pool; the service is art9 serve."""

@@ -20,7 +20,8 @@ import pytest
 
 from repro.runner import spec
 from repro.runner.spec import SweepJob
-from repro.service.coordinator import Coordinator, lost_job_record
+from repro.runner.store import RunStore
+from repro.service.coordinator import Coordinator
 from repro.service.protocol import read_message, send_and_drain
 from repro.service.workerclient import work_async
 
@@ -559,15 +560,19 @@ class TestBindFailure:
 
 
 class TestLostRecord:
-    def test_lost_record_is_resume_compatible(self):
+    def test_lost_record_is_resume_compatible(self, tmp_path):
         job = _jobs(1)[0]
-        record = lost_job_record(job, 3, "worker vanished")
+        record = job.error_record("lost after 3 dispatch attempts")
         assert record["job_id"] == job.job_id
+        assert record["label"] == job.label
         assert record["status"] == "error"
         assert record["workload"] == job.workload
         assert record["engine"] == job.engine
+        assert record["error"] == "lost after 3 dispatch attempts"
         # An error status means a resumed sweep retries the job.
-        assert "lost after 3" in record["error"]
+        store = RunStore(str(tmp_path))
+        store.append(record)
+        assert job.job_id not in store.completed_ids()
 
 
 class TestStatusRequests:

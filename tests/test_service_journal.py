@@ -186,13 +186,14 @@ class TestCoordinatorJournaling:
             )
 
         asyncio.run(scenario())
-        # One enqueue batch, then a lease and a stored record per job:
-        # 2N+1 fsyncs.  A stored record settles its job, so the journal
-        # logs no separate acceptance event.
-        assert len(fsyncs) == 2 * len(jobs) + 1
+        # A lease and a stored record per job: 2N fsyncs.  A stored record
+        # settles its job, so the journal logs no separate acceptance
+        # event, and spec.json with results.jsonl already name the
+        # pending jobs, so it logs no enqueue either.
+        assert len(fsyncs) == 2 * len(jobs)
         events = replay_journal(path)
         kinds = [event["event"] for event in events]
-        assert kinds.count("enqueued") == 3
+        assert "enqueued" not in kinds
         assert kinds.count("leased") == 3
         assert "result-accepted" not in kinds
         # Nothing was requeued or lost in a healthy run.

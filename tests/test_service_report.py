@@ -1,12 +1,11 @@
 """Acceptance tests: distributed execution + report generation end to end.
 
-The PR's acceptance criterion, verbatim: a sweep executed via the
-``AsyncQueueBackend`` with >= 2 dialled ``art9 work`` clients produces a
-result set byte-identical (modulo record order and the volatile wall-clock/PID
-fields) to the same spec run serially, and ``art9 report`` regenerates
-the Table II–V / Fig. 5 numbers from it matching the hweval headline
-tests (gates=631, fmax~308.6 MHz, CNTFET ~846 DMIPS, FPGA 801 ALMs /
-~411 DMIPS, Fig. 5 dhrystone ratio ~0.70).
+A sweep served by a coordinator to >= 2 dialled ``art9 work`` clients
+produces a result set byte-identical (modulo record order and the volatile
+wall-clock/PID fields) to the same spec run serially, and ``art9 report``
+regenerates the Table II–V / Fig. 5 numbers from it matching the hweval
+headline tests (gates=631, fmax~308.6 MHz, CNTFET ~846 DMIPS, FPGA 801
+ALMs / ~411 DMIPS, Fig. 5 dhrystone ratio ~0.70).
 """
 
 import os
@@ -43,10 +42,9 @@ def paper_runs(tmp_path_factory):
     spec = preset_spec("paper")
     serial = run_sweep(spec, serial_dir, jobs=1)
     with DialledWorkers() as fleet:
-        backend = fleet.backend()
-        queued = run_sweep(spec, queue_dir, backend=backend)
+        queued = run_sweep(spec, queue_dir, execute=fleet.execute)
     assert fleet.exit_codes == [0, 0], fleet.outputs
-    return serial_dir, serial, queue_dir, queued, backend
+    return serial_dir, serial, queue_dir, queued, fleet.stats
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +61,10 @@ class TestDistributedAcceptance:
         assert serial.executed == queued.executed == 24
 
     def test_queue_run_used_at_least_two_workers(self, paper_runs):
-        *_, backend = paper_runs
-        assert backend.stats is not None
-        assert backend.stats.workers_seen >= 2
-        assert backend.stats.lost_jobs == 0
+        *_, stats = paper_runs
+        assert stats is not None
+        assert stats.workers_seen >= 2
+        assert stats.lost_jobs == 0
 
     def test_result_sets_byte_identical_modulo_order(self, paper_runs):
         _, serial, _, queued, _ = paper_runs

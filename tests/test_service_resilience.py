@@ -24,7 +24,6 @@ from repro.service.protocol import read_message, send_and_drain, token_matches
 from repro.service.workerclient import (
     WorkerSummary,
     request_status,
-    timeout_job_record,
     work_async,
 )
 
@@ -379,18 +378,37 @@ class TestJobTimeout:
         assert len(by_id) == 2
         timed_out = by_id[hang_id]
         assert timed_out["status"] == "error"
-        assert "wall-clock execution timeout" in timed_out["error"]
+        assert timed_out["error"] == \
+            "job exceeded 0.15s wall-clock execution timeout"
+        # The record carries the job's identity.
+        assert timed_out["label"] == jobs[0].label
+        assert timed_out["workload"] == jobs[0].workload
         # The other job completed normally on the same worker.
         assert any(record.get("status") == "ok" for record in records)
 
     def test_timeout_record_shape_matches_job_identity(self):
         job = _jobs(1)[0]
-        record = timeout_job_record(job, 2.5)
+        release = threading.Event()
+        summary = WorkerSummary("bounded")
+
+        async def scenario():
+            # The executor thread blocks until released, so the budget
+            # trips; releasing it lets asyncio.run's executor shutdown end.
+            try:
+                return await workerclient._execute_with_timeout(
+                    asyncio.get_running_loop(), lambda job: release.wait(),
+                    job, 2.5e-2, summary)
+            finally:
+                release.set()
+
+        record = asyncio.run(scenario())
         assert record["job_id"] == job.job_id
         assert record["label"] == job.label
         assert record["status"] == "error"
-        assert "2.5s" in record["error"]
+        assert record["error"] == \
+            "job exceeded 0.025s wall-clock execution timeout"
         assert record["workload"] == job.workload
+        assert summary.timeouts == 1
 
 
 class TestWorkerSummary:

@@ -13,6 +13,11 @@ from repro.sim import FunctionalSimulator, PipelineSimulator
 from repro.xlate import translate_program
 from repro.xlate.translator import locate_rv_register, read_rv_register_from_simulator
 
+#: Pipeline cycle budget: the largest program here, the division table,
+#: takes 95,408 cycles, so a fault that makes a translation loop fails in
+#: under a second.
+CYCLE_BUDGET = 200_000
+
 
 def assert_equivalent(source, check_registers=(10,), check_memory=(), name="test"):
     """Translate ``source`` and compare RV-32 and ART-9 architectural results."""
@@ -24,7 +29,7 @@ def assert_equivalent(source, check_registers=(10,), check_memory=(), name="test
     functional = FunctionalSimulator(art9)
     functional.run(max_instructions=2_000_000)
     pipeline = PipelineSimulator(art9)
-    stats = pipeline.run(max_cycles=5_000_000)
+    stats = pipeline.run(max_cycles=CYCLE_BUDGET)
 
     for register in check_registers:
         expected = rv_sim.read_reg(register)
